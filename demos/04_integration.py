@@ -2,8 +2,11 @@
 
 The symbolic path exchanges a field variable for its valuation (each
 valuation shell has known measure) and sums the resulting value-group
-series in closed form.  The oracle averages the integrand over residue
-classes and reports a certified error bound.  They must agree.
+series in closed form.  On the unit ball a shell {ord x = g} has measure
+(1 - q^-1) q^-g whatever p is, so the engine returns one element of
+Z[q, q^-1, 1/(1-q^-i)] for every prime and only its value at q = p
+changes.  The oracle averages the integrand over residue classes and
+reports a certified error bound.  They must agree.
 """
 
 from fractions import Fraction
@@ -13,14 +16,14 @@ from padicint.integrate import BoundRef, DomainGammaCell, GAMMA_SORT, K_SORT
 from padicint.parsing import parse_integrand
 from padicint.presburger import GammaCell, PreparedLinear
 
-print("== the classical integrals over Z_p ==")
+print("== the classical integrals over Z_p: one element for every p ==")
 for p in (2, 3, 5):
     prime = Prime(p)
     dom = Domain([("x1", K_SORT, UNIT_BALL)], prime)
     norm = integrate(parse_integrand("q^(-ord(x1))"), dom)
     ordx = integrate(parse_integrand("ord(x1)"), dom)
     print(f"  p={p}:  int |x| dx = {norm.render()} = {norm.eval_at(prime)}"
-          f"   int ord(x) dx = {ordx.eval_at(prime)}")
+          f"   int ord(x) dx = {ordx.render()} = {ordx.eval_at(prime)}")
 
 print("\n== oracle agreement with certified tails ==")
 prime = Prime(2)

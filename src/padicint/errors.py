@@ -36,8 +36,17 @@ class UndefinedAtPoint(PadicIntError):
 class ParseError(PadicIntError):
     """Syntax error in a polynomial or integrand expression."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        where = "" if line is None else f" (line {line}, column {column})"
+        super().__init__(message + where)
         self.message = message
         self.line = line
         self.column = column
+
+
+def json_fields(data, what: str, *keys: str) -> list:
+    """The values of the given keys, or a ParseError naming the first missing one."""
+    missing = [key for key in keys if not isinstance(data, dict) or key not in data]
+    if missing:
+        raise ParseError(f"{what} JSON is missing the field {missing[0]!r}")
+    return [data[key] for key in keys]

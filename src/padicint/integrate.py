@@ -8,9 +8,12 @@ where the exponent L and the factors are built from integer constants,
 prepared linear forms in value-group variables, and valuations ord(g) of
 integer polynomials in field variables.
 
-Integration runs innermost variable first.  A field variable on a cell is
-exchanged for its valuation: the fiber {t in cell : ord(t - c) = gamma} has
-measure q^-(gamma + M), which turns the integral into a value-group sum.
+Integration runs innermost variable first.  A field variable is exchanged
+for its valuation, which turns the integral into a value-group sum.  On a
+cell with a depth-M angular condition the fiber {t in cell : ord(t - c) =
+gamma} has measure q^-(gamma + M).  The unit ball is one ac-free cell whose
+fibers {ord t = gamma >= 0} have measure (1 - q^-1) q^-gamma, so its
+integrals are uniform in q (the integrand never reads the angular part).
 Value-group sums are evaluated in closed form; bounds that reference outer
 variables (prepared linear forms, modulus-1 cells only) produce new terms
 in those variables, which keeps the class closed under the iteration.
@@ -34,8 +37,9 @@ from .errors import (
     InfiniteMeasure,
     NotFiberReducible,
     UndefinedAtPoint,
+    json_fields,
 )
-from .kcells import KCell, kcells_disjoint, partition_unit_ball
+from .kcells import KCell, kcells_disjoint
 from .padic import DEFAULT_BUDGET, INFINITY, Prime, enumerate_residues, rational_ord
 from .polys import Polynomial
 from .presburger import (
@@ -326,6 +330,7 @@ class _UnitBall:
 
 
 UNIT_BALL = _UnitBall()
+_AC_FREE_SHELL = 1 - AqElem.q_power(-1)
 
 
 @dataclass(frozen=True)
@@ -341,7 +346,8 @@ class BoundRef:
 
     @classmethod
     def from_json(cls, data: dict) -> "BoundRef":
-        return cls(data["var"], PreparedLinear(data["a"], data["k"], data["n"], data["delta"]))
+        var, a, k, n, delta = json_fields(data, "bound", "var", "a", "k", "n", "delta")
+        return cls(var, PreparedLinear(a, k, n, delta))
 
 
 Bound = Union[None, int, BoundRef]
@@ -385,7 +391,8 @@ class DomainGammaCell:
         def bound(b):
             return BoundRef.from_json(b) if isinstance(b, dict) else b
 
-        return cls(bound(data["lower"]), bound(data["upper"]), data["mod"], data["res"])
+        lower, upper, mod, res = json_fields(data, "value-group cell", "lower", "upper", "mod", "res")
+        return cls(bound(lower), bound(upper), mod, res)
 
 
 @dataclass
@@ -475,19 +482,16 @@ class Domain:
 
     @classmethod
     def from_json(cls, data: dict) -> "Domain":
-        prime = Prime(data["p"])
+        p, vars_ = json_fields(data, "domain", "p", "vars")
         variables = []
-        for v in data["vars"]:
-            if v["sort"] == K_SORT:
-                region = (
-                    UNIT_BALL
-                    if v["region"] == "unit_ball"
-                    else [KCell.from_json(c) for c in v["region"]]
-                )
+        for v in vars_:
+            name, sort, region = json_fields(v, "domain variable", "name", "sort", "region")
+            if sort == K_SORT:
+                region = UNIT_BALL if region == "unit_ball" else [KCell.from_json(c) for c in region]
             else:
-                region = [DomainGammaCell.from_json(c) for c in v["region"]]
-            variables.append((v["name"], v["sort"], region))
-        return cls(variables, prime)
+                region = [DomainGammaCell.from_json(c) for c in region]
+            variables.append((name, sort, region))
+        return cls(variables, Prime(p))
 
 
 # -- the symbolic integrator ---------------------------------------------------
@@ -526,36 +530,35 @@ def integrate(f: ConstructibleExpr, domain: Domain) -> AqElem:
 
 
 def _integrate_field_var(terms: list[Term], var: DomainVar, prime: Prime) -> list[Term]:
-    region = var.region
-    if region is UNIT_BALL:
-        region = partition_unit_ball(1, 1, prime)
+    """Exchange the field variable t for gamma = ord(t - center), one fiber
+    family (center, gamma-cell, shell measure) at a time."""
+    gamma_name = f"__ord_{var.name}"
+    lin = IntScale(-1, identity_lin(gamma_name))
+    if var.region is UNIT_BALL:
+        # {ord t = gamma} without an angular condition: (1 - q^-1) q^-gamma
+        fibers = [(Fraction(0), DomainGammaCell(-1, None, 1, 0), (lin,), _AC_FREE_SHELL)]
+    else:
+        # a depth-M angular condition leaves q^-(gamma + M); {center} is null
+        fibers = [
+            (c.center, DomainGammaCell(c.lower, c.upper, c.mod, c.res),
+             (lin, IntConst(-c.ac_depth)), None)
+            for c in var.region if c.ac_value.r != 0
+        ]
     out: list[Term] = []
-    for cell in region:
-        if cell.ac_value.r == 0:
-            continue  # a single point has Haar measure zero
-        gamma_name = f"__ord_{var.name}"
-        fiber = (
-            IntScale(-1, identity_lin(gamma_name)),
-            IntConst(-cell.ac_depth),
-        )
+    for center, gcell, shell_q, shell_coeff in fibers:
         rewritten = []
         for term in terms:
             qparts = tuple(
-                _reduce_ord(e, var.name, cell.center, gamma_name, prime) for e in term.qparts
-            ) + fiber
-            zfactors = tuple(
-                _reduce_ord(e, var.name, cell.center, gamma_name, prime)
-                for e in term.zfactors
-            )
-            rewritten.append(Term(term.coeff, qparts, zfactors))
-        gcell = DomainGammaCell(cell.lower, cell.upper, cell.mod, cell.res)
+                _reduce_ord(e, var.name, center, gamma_name, prime) for e in term.qparts
+            ) + shell_q
+            zfactors = tuple(_reduce_ord(e, var.name, center, gamma_name, prime) for e in term.zfactors)
+            coeff = term.coeff if shell_coeff is None else term.coeff * shell_coeff
+            rewritten.append(Term(coeff, qparts, zfactors))
         try:
             out.extend(_sum_over_gamma(rewritten, gamma_name, gcell, prime))
         except DivergentSum:
-            if cell.lower is None:
-                raise InfiniteMeasure(
-                    "integrand does not decay on a cell of infinite measure"
-                )
+            if gcell.lower is None:
+                raise InfiniteMeasure("integrand does not decay on a cell of infinite measure")
             raise
     return out
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .aqring import AqElem
-from .errors import InfiniteMeasure
+from .errors import InfiniteMeasure, json_fields
 from .padic import INFINITY, AngularResidue, PAdicPoint, Prime, rational_ac, rational_ord
 from .presburger import GammaCell, geom_sum, intersect_cells
 
@@ -83,16 +83,11 @@ class KCell:
 
     @classmethod
     def from_json(cls, data: dict) -> "KCell":
-        depth = data["acDepth"]
+        center, lower, upper, mod, res, depth, ac, p = json_fields(
+            data, "field cell", "center", "lower", "upper", "mod", "res", "acDepth", "acValue", "p"
+        )
         return cls(
-            Fraction(data["center"]),
-            data["lower"],
-            data["upper"],
-            data["mod"],
-            data["res"],
-            depth,
-            AngularResidue(depth, data["acValue"]),
-            Prime(data["p"]),
+            Fraction(center), lower, upper, mod, res, depth, AngularResidue(depth, ac), Prime(p)
         )
 
 
@@ -161,7 +156,8 @@ def kcells_disjoint(c1: KCell, c2: KCell) -> bool:
         return not _ac_values_compatible(c1, c2)
 
     d = rational_ord(c1.center - c2.center, p)
-    assert d is not INFINITY
+    if d is INFINITY:
+        raise ValueError(f"distinct centers {c1.center} and {c2.center} have no finite distance")
     M1, M2 = c1.ac_depth, c2.ac_depth
 
     # gamma1 >= d + M2: t sits so deep at c1 that c2 sees only c1 - c2.

@@ -18,7 +18,7 @@ from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .aqring import AqElem
-from .errors import DivergentSum, DomainError, EmptySet
+from .errors import DivergentSum, DomainError, EmptySet, json_fields
 from .padic import INFINITY, ExtendedInteger
 
 Rat = Union[int, Fraction]
@@ -76,7 +76,7 @@ class GammaCell:
 
     @classmethod
     def from_json(cls, data: dict) -> "GammaCell":
-        return cls(data["lower"], data["upper"], data["mod"], data["res"])
+        return cls(*json_fields(data, "value-group cell", "lower", "upper", "mod", "res"))
 
 
 @dataclass(frozen=True)

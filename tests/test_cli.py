@@ -123,3 +123,18 @@ def test_check_subcommand_runs_clean(capsys):
     data = json.loads(out)
     assert data["ok"] is True
     assert len(data["checks"]) >= 10
+
+
+def test_malformed_json_is_a_named_parse_error(capsys, tmp_path):
+    no_region = write(tmp_path, "noregion.json", {"p": 2, "vars": [{"name": "x1", "sort": "K"}]})
+    code, out, err = run(capsys, "integrate", "1", "--domain", no_region)
+    assert (code, out) == (2, "") and "ParseError" in err and "'region'" in err
+    no_res = write(
+        tmp_path, "nores.json",
+        {"p": 2, "vars": [{"name": "g1", "sort": "Gamma", "region": [{"lower": 0, "upper": 5, "mod": 1}]}]},
+    )
+    code, out, err = run(capsys, "integrate", "1", "--domain", no_res)
+    assert (code, out) == (2, "") and "ParseError" in err and "'res'" in err
+    cell = {k: v for k, v in UNIT_CELL.items() if k != "acDepth"}
+    code, _, err = run(capsys, "measure", write(tmp_path, "cell.json", cell))
+    assert code == 2 and "'acDepth'" in err

@@ -222,10 +222,14 @@ def test_domain_additivity():
     whole = Domain([("g1", G, [GammaCell(0, None, 1, 0)])], P2)
     split = Domain([("g1", G, [GammaCell(0, None, 2, 0), GammaCell(0, None, 2, 1)])], P2)
     assert integrate(f, whole) == integrate(f, split)
-    # field-side additivity: unit ball vs its standard partition
+    # field-side additivity: unit ball vs its standard partition.  The
+    # partition's result carries its cell count p - 1 = 2 as a literal, so
+    # the two elements agree at q = 3, not as elements of the ring.
     cells = partition_unit_ball(1, 2, P3)
     dom_cells = Domain([("x1", K, cells)], P3)
-    assert integrate(ABS_X, dom_cells) == integrate(ABS_X, unit_ball_domain(P3))
+    ball = integrate(ABS_X, unit_ball_domain(P3))
+    assert integrate(ABS_X, dom_cells).eval_at(P3) == ball.eval_at(P3)
+    assert ball == (1 - AqElem.q_power(-1)) * AqElem.geom(2)
 
 
 def test_fubini_product_domains():
@@ -244,6 +248,34 @@ def test_fubini_product_domains():
     )
     fwd = Domain([("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL)], P2)
     assert integrate(f2, fwd).eval_at(P2) == Fraction(4, 9)
+
+
+def _weighted_ord_product(n):
+    """prod over i <= n of q^(-ord xi) * ord xi, on the unit ball."""
+    return ConstructibleExpr(
+        [
+            Term(
+                AqElem.one(),
+                qparts=tuple(IntScale(-1, ordvar(f"x{i}")) for i in range(1, n + 1)),
+                zfactors=tuple(ordvar(f"x{i}") for i in range(1, n + 1)),
+            )
+        ]
+    )
+
+
+def test_unit_ball_integrals_are_uniform_in_q():
+    # one variable gives (1 - q^-1) * sum_{g >= 0} g q^-2g = (1 - q^-1) q^-2 / (1 - q^-2)^2
+    one_var = (1 - AqElem.q_power(-1)) * AqElem.q_power(-2) * AqElem.geom(2, 2)
+    for n in range(1, 5):
+        f = _weighted_ord_product(n)
+        names = [f"x{i}" for i in range(1, n + 1)]
+        for p in (2, 3, 5, 7, 11, 13):
+            dom = Domain([(name, K, UNIT_BALL) for name in names], Prime(p))
+            assert integrate(f, dom) == one_var**n
+    for prime in (P2, P3):
+        f = _weighted_ord_product(1)
+        r = brute_force_integrate(f, unit_ball_domain(prime), 8, growth=(1, -1, 1))
+        assert abs(one_var.eval_at(prime) - r.value) <= r.tail_bound
 
 
 def test_multivariate_ord_factorization():

@@ -13,6 +13,8 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .padic import Prime
+from .polys import polydiv as _polydiv  # perfbench/tracing.py wraps aqring._polydiv
+from .polys import signed_join
 
 Rat = Union[int, Fraction]
 
@@ -108,22 +110,17 @@ class LaurentPoly:
         return total
 
     def render(self, var: str = "q") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
+        terms = []
         for e in sorted(self.coeffs, reverse=True):
             c = self.coeffs[e]
             mag = abs(c)
             if e == 0:
-                body = _rat_str(mag)
+                body = str(mag)
             else:
                 head = var if e == 1 else f"{var}^{e}"
-                body = head if mag == 1 else f"{_rat_str(mag)}*{head}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+                body = head if mag == 1 else f"{mag}*{head}"
+            terms.append((c < 0, body))
+        return signed_join(terms)
 
     def __repr__(self):
         return f"LaurentPoly({self.render()})"
@@ -135,27 +132,6 @@ def _dense(poly: LaurentPoly) -> list[Fraction]:
     for e, c in poly.coeffs.items():
         out[e] = c
     return out
-
-
-def _polydiv(num: list[Fraction], den: list[Fraction]):
-    """Long division of dense coefficient lists (lowest degree first)."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[dd]
-    if len(num) - 1 < dd:
-        return None, num
-    quot = [Fraction(0)] * (len(num) - dd)
-    for i in range(len(num) - 1 - dd, -1, -1):
-        c = num[i + dd] / lead
-        quot[i] = c
-        if c != 0:
-            for j, dc in enumerate(den):
-                num[i + j] -= c * dc
-    return quot, num
-
-
-def _rat_str(r: Fraction) -> str:
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
 
 class AqElem:

@@ -24,13 +24,6 @@ from .presburger import GammaCell, GammaCellUnion, geom_sum, wellorder_min
 from .selfcheck import run_all_checks
 
 
-def _frac_str(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _emit(payload: dict, human: str, as_json: bool):
     if as_json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -70,14 +63,15 @@ def _require_prime(args) -> Prime:
         raise DomainError(str(exc))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, help="the prime p")
-    common.add_argument("--budget", type=int, help="enumeration point budget")
-    common.add_argument("--depth", type=int, help="oracle residue depth")
-    common.add_argument("--guard", type=int, default=5, help="verification margin")
-    common.add_argument("--json", action="store_true", help="machine output")
+_OPTIONS = {
+    "--p": dict(type=int, help="the prime p"),
+    "--budget": dict(type=int, help="enumeration point budget"),
+    "--depth": dict(type=int, help="oracle residue depth"),
+    "--guard": dict(type=int, default=5, help="verification margin"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padicint",
         description="Exact p-adic measures, constructible integration, and "
@@ -85,36 +79,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("ord", parents=[common], help="p-adic valuation of a rational")
+    def command(name: str, summary: str, *options: str) -> argparse.ArgumentParser:
+        s = sub.add_parser(name, help=summary)
+        s.add_argument("--json", action="store_true", help="machine output")
+        for option in options:
+            s.add_argument(option, **_OPTIONS[option])
+        return s
+
+    s = command("ord", "p-adic valuation of a rational", "--p")
     s.add_argument("value")
 
-    s = sub.add_parser("ac", parents=[common], help="angular component at depth m")
+    s = command("ac", "angular component at depth m", "--p")
     s.add_argument("value")
     s.add_argument("--m", type=int, required=True)
 
-    s = sub.add_parser("measure", parents=[common], help="Haar measure of a cell (JSON file)")
+    s = command("measure", "Haar measure of a cell (JSON file)", "--p")
     s.add_argument("cellfile")
 
-    s = sub.add_parser("gsum", parents=[common], help="geometric sum over a cell (JSON file)")
+    s = command("gsum", "geometric sum over a cell (JSON file)", "--p")
     s.add_argument("cellfile")
     s.add_argument("--N", type=int, required=True)
 
-    s = sub.add_parser("wmin", parents=[common], help="least member of a cell union")
+    s = command("wmin", "least member of a cell union")
     s.add_argument("cellsfile")
 
-    s = sub.add_parser("integrate", parents=[common], help="integrate a constructible function")
+    s = command("integrate", "integrate a constructible function", "--p", "--budget", "--depth")
     s.add_argument("integrand")
     s.add_argument("--domain", required=True, help="domain JSON file")
     s.add_argument("--oracle", action="store_true", help="residue enumeration instead of the symbolic engine")
     s.add_argument("--growth", default="1,0,0", help="C,c,dg growth bound for the oracle tail")
     s.add_argument("--refine", type=int, default=0, help="re-enumerate bad classes at depth+refine")
 
-    s = sub.add_parser("poincare", parents=[common], help="congruence counts and rational fit")
+    s = command("poincare", "congruence counts and rational fit", "--p", "--budget", "--guard")
     s.add_argument("poly")
     s.add_argument("--mmax", type=int, required=True)
     s.add_argument("--check-mmax", type=int, default=None)
 
-    sub.add_parser("check", parents=[common], help="run the oracle-vs-symbolic suite")
+    command("check", "run the oracle-vs-symbolic suite")
     return parser
 
 
@@ -142,8 +143,8 @@ def _cmd_measure(args) -> int:
     mu = kcell_measure(cell)
     value = mu.eval_at(cell.prime)
     _emit(
-        {"aq": mu.render(), "value": _frac_str(value)},
-        f"{mu.render()} = {_frac_str(value)} at q = {cell.prime.p}",
+        {"aq": mu.render(), "value": str(value)},
+        f"{mu.render()} = {str(value)} at q = {cell.prime.p}",
         args.json,
     )
     return 0
@@ -156,8 +157,8 @@ def _cmd_gsum(args) -> int:
     human = total.render()
     if args.p is not None:
         value = total.eval_at(Prime(args.p))
-        payload["value"] = _frac_str(value)
-        human += f" = {_frac_str(value)} at q = {args.p}"
+        payload["value"] = str(value)
+        human += f" = {str(value)} at q = {args.p}"
     _emit(payload, human, args.json)
     return 0
 
@@ -177,27 +178,27 @@ def _cmd_integrate(args) -> int:
     if args.oracle:
         if args.depth is None:
             raise DomainError("the oracle needs --depth")
-        growth = tuple(Fraction(part) for part in args.growth.split(","))
+        growth = tuple(_parse_value(part) for part in args.growth.split(","))
         if len(growth) != 3:
             raise ParseError("--growth expects C,c,dg", 1, 1)
         result = brute_force_integrate(
             f,
             domain,
             args.depth,
-            growth=(growth[0], int(growth[1]), int(growth[2])),
+            growth=growth,
             budget=_budget(args),
             refine=args.refine,
         )
         payload = {
-            "value": _frac_str(result.value),
-            "tailBound": _frac_str(result.tail_bound),
+            "value": str(result.value),
+            "tailBound": str(result.tail_bound),
             "depth": result.depth,
             "classes": result.classes,
             "skipped": result.skipped,
-            "skippedMeasure": _frac_str(result.skipped_measure),
+            "skippedMeasure": str(result.skipped_measure),
         }
         human = (
-            f"value {_frac_str(result.value)}  tail bound {_frac_str(result.tail_bound)}  "
+            f"value {str(result.value)}  tail bound {str(result.tail_bound)}  "
             f"(depth {result.depth}, {result.skipped} skipped classes)"
         )
         _emit(payload, human, args.json)
@@ -205,8 +206,8 @@ def _cmd_integrate(args) -> int:
     total = integrate(f, domain)
     value = total.eval_at(domain.prime)
     _emit(
-        {"aq": total.render(), "value": _frac_str(value)},
-        f"{total.render()} = {_frac_str(value)} at q = {domain.prime.p}",
+        {"aq": total.render(), "value": str(value)},
+        f"{total.render()} = {str(value)} at q = {domain.prime.p}",
         args.json,
     )
     return 0

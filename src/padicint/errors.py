@@ -44,9 +44,40 @@ class ParseError(PadicIntError):
         self.column = column
 
 
-def json_fields(data, what: str, *keys: str) -> list:
-    """The values of the given keys, or a ParseError naming the first missing one."""
-    missing = [key for key in keys if not isinstance(data, dict) or key not in data]
-    if missing:
-        raise ParseError(f"{what} JSON is missing the field {missing[0]!r}")
-    return [data[key] for key in keys]
+NULL = type(None)
+
+_JSON_TYPE_NAMES = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+    NULL: "null",
+}
+
+
+def _json_type_name(t: type) -> str:
+    return _JSON_TYPE_NAMES.get(t, t.__name__)
+
+
+def json_fields(data, what: str, **expected) -> list:
+    """The values of the given keys, in order, each checked against its
+    expected type (a type or a tuple of types; NULL is JSON null, and a
+    boolean is never an integer), or a ParseError naming the first missing
+    or mistyped field."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} JSON must be an object, not {_json_type_name(type(data))}")
+    values = []
+    for key, types in expected.items():
+        if key not in data:
+            raise ParseError(f"{what} JSON is missing the field {key!r}")
+        value = data[key]
+        types = types if isinstance(types, tuple) else (types,)
+        if isinstance(value, bool) or not isinstance(value, types):
+            wanted = " or ".join(_json_type_name(t) for t in types)
+            raise ParseError(
+                f"{what} JSON field {key!r} must be {wanted}, not {_json_type_name(type(value))}"
+            )
+        values.append(value)
+    return values

@@ -35,23 +35,16 @@ from .errors import (
     DivergentSum,
     DomainError,
     InfiniteMeasure,
+    NULL,
     NotFiberReducible,
+    ParseError,
     UndefinedAtPoint,
     json_fields,
 )
 from .kcells import KCell, kcells_disjoint
 from .padic import DEFAULT_BUDGET, INFINITY, Prime, enumerate_residues, rational_ord
-from .polys import Polynomial
-from .presburger import (
-    GammaCell,
-    PreparedLinear,
-    binom_int,
-    cells_disjoint,
-    finite_differences,
-    intersect_cells,
-    poly_shift,
-    weighted_tail,
-)
+from .polys import Polynomial, binom_int, difference_polys, finite_differences, poly_mul, poly_shift
+from .presburger import GammaCell, PreparedLinear, cells_disjoint, intersect_cells, weighted_tail
 
 K_SORT = "K"
 GAMMA_SORT = "Gamma"
@@ -346,7 +339,7 @@ class BoundRef:
 
     @classmethod
     def from_json(cls, data: dict) -> "BoundRef":
-        var, a, k, n, delta = json_fields(data, "bound", "var", "a", "k", "n", "delta")
+        var, a, k, n, delta = json_fields(data, "bound", var=str, a=int, k=int, n=int, delta=int)
         return cls(var, PreparedLinear(a, k, n, delta))
 
 
@@ -391,7 +384,10 @@ class DomainGammaCell:
         def bound(b):
             return BoundRef.from_json(b) if isinstance(b, dict) else b
 
-        lower, upper, mod, res = json_fields(data, "value-group cell", "lower", "upper", "mod", "res")
+        bound_types = (int, dict, NULL)
+        lower, upper, mod, res = json_fields(
+            data, "value-group cell", lower=bound_types, upper=bound_types, mod=int, res=int
+        )
         return cls(bound(lower), bound(upper), mod, res)
 
 
@@ -482,13 +478,20 @@ class Domain:
 
     @classmethod
     def from_json(cls, data: dict) -> "Domain":
-        p, vars_ = json_fields(data, "domain", "p", "vars")
+        p, vars_ = json_fields(data, "domain", p=int, vars=list)
         variables = []
         for v in vars_:
-            name, sort, region = json_fields(v, "domain variable", "name", "sort", "region")
+            name, sort = json_fields(v, "domain variable", name=str, sort=str)
             if sort == K_SORT:
+                (region,) = json_fields(v, "domain variable", region=(str, list))
+                if isinstance(region, str) and region != "unit_ball":
+                    raise ParseError(
+                        f"the field region of {name} must be \"unit_ball\" or an array of cells, "
+                        f"not {region!r}"
+                    )
                 region = UNIT_BALL if region == "unit_ball" else [KCell.from_json(c) for c in region]
             else:
+                (region,) = json_fields(v, "domain variable", region=list)
                 region = [DomainGammaCell.from_json(c) for c in region]
             variables.append((name, sort, region))
         return cls(variables, Prime(p))
@@ -706,23 +709,13 @@ def _sum_over_gamma(
             poly = [Fraction(1)]
             syms_chosen: tuple[IntExpr, ...] = ()
             for piece_poly, sym in choice:
-                poly = _poly_mul(poly, piece_poly)
+                poly = poly_mul(poly, piece_poly)
                 if sym is not None:
                     syms_chosen += (sym,)
             for aq, extra_q, extra_z in _range_sum(poly, e1, a, b):
                 out.append(
                     Term(base * aq, qsyms + extra_q, syms_chosen + extra_z)
                 )
-    return out
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
     return out
 
 
@@ -787,23 +780,12 @@ def _tail_any(poly: list[Fraction], bound: Union[int, IntExpr], N: int):
         return [(weighted_tail(poly, bound, N), (), ())]
     # c_j(A) = (delta^j poly)(A) as polynomials in the symbolic bound A
     parts = []
-    cur = list(poly)
-    j = 0
-    while True:
-        # cur holds the j-th difference polynomial; its value at the bound
-        # is the binomial-basis coefficient c_j
-        for power, r in enumerate(cur):
+    for j, diff in enumerate(difference_polys(poly)):
+        for power, r in enumerate(diff):
             if r == 0:
                 continue
             aq = AqElem.q_power(-N * j, r) * AqElem.geom(N, j + 1)
             parts.append((aq, (IntScale(-N, bound),), (bound,) * power))
-        if len(cur) <= 1:
-            break
-        nxt = poly_shift(cur, 1)
-        cur = [x - y for x, y in zip(nxt, cur)]
-        while len(cur) > 1 and cur[-1] == 0:
-            cur.pop()
-        j += 1
     return parts
 
 
@@ -821,7 +803,7 @@ def _faulhaber_at(diffs: list[Fraction], bound: Union[int, IntExpr], sign: int):
             # expand C(s, j+1) = s(s-1)...(s-j)/(j+1)! in powers of s
             coeffs = [Fraction(1)]
             for i in range(j + 1):
-                coeffs = _poly_mul(coeffs, [Fraction(-i), Fraction(1)])
+                coeffs = poly_mul(coeffs, [Fraction(-i), Fraction(1)])
             fact = 1
             for i in range(2, j + 2):
                 fact *= i
@@ -951,7 +933,8 @@ def brute_force_integrate(
     the distance to the true integral.
 
     growth = (C, c, dg) asserts |f(x)| <= C * v^dg * q^(c*v) on classes
-    where some valuation argument saturates at v >= depth; c must be <= 0.
+    where some valuation argument saturates at v >= depth; c <= 0 and
+    dg >= 0 must be integers.
     The per-class decay used for the bound is exact when every valuation
     argument is linear in each field variable (shifted coordinates); for
     higher-degree arguments it is a documented assumption.  refine > 0
@@ -959,7 +942,10 @@ def brute_force_integrate(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    C, c, dg = Fraction(growth[0]), int(growth[1]), int(growth[2])
+    C, c, dg = (Fraction(x) for x in growth)
+    if c.denominator != 1 or dg.denominator != 1:
+        raise ValueError(f"the growth exponents c and dg must be integers, not {c} and {dg}")
+    c, dg = int(c), int(dg)
     if c > 0:
         raise ValueError("the growth exponent c must be <= 0")
     if C < 0 or dg < 0:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .aqring import AqElem
-from .errors import InfiniteMeasure, json_fields
+from .errors import NULL, InfiniteMeasure, json_fields
 from .padic import INFINITY, AngularResidue, PAdicPoint, Prime, rational_ac, rational_ord
 from .presburger import GammaCell, geom_sum, intersect_cells
 
@@ -69,9 +69,8 @@ class KCell:
         return rational_ac(diff, p, self.ac_depth) == self.ac_value.r
 
     def to_json(self) -> dict:
-        c = self.center
         return {
-            "center": str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}",
+            "center": str(self.center),
             "lower": self.lower,
             "upper": self.upper,
             "mod": self.mod,
@@ -84,7 +83,8 @@ class KCell:
     @classmethod
     def from_json(cls, data: dict) -> "KCell":
         center, lower, upper, mod, res, depth, ac, p = json_fields(
-            data, "field cell", "center", "lower", "upper", "mod", "res", "acDepth", "acValue", "p"
+            data, "field cell", center=(str, int), lower=(int, NULL), upper=(int, NULL),
+            mod=int, res=int, acDepth=int, acValue=int, p=int,
         )
         return cls(
             Fraction(center), lower, upper, mod, res, depth, AngularResidue(depth, ac), Prime(p)

@@ -7,6 +7,7 @@ precision management.  The uniformizer is the integer p itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -196,14 +197,4 @@ def enumerate_residues(
         raise BudgetExceeded(
             f"p^(n*m) = {prime.p}^{n * m} exceeds the budget of {budget} points"
         )
-    return _lex_tuples(n, prime.p**m)
-
-
-def _lex_tuples(n: int, base: int) -> Iterator[tuple[int, ...]]:
-    if n == 1:
-        for r in range(base):
-            yield (r,)
-        return
-    for r in range(base):
-        for rest in _lex_tuples(n - 1, base):
-            yield (r,) + rest
+    return itertools.product(range(prime.p**m), repeat=n)

@@ -22,7 +22,7 @@ from .integrate import (
     LinExpr,
     OrdExpr,
 )
-from .polys import Polynomial
+from .polys import Polynomial, signed_join
 from .presburger import PreparedLinear
 
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^();,]|\S")
@@ -404,8 +404,6 @@ def render_intexpr(e: IntExpr, parenthesize: bool = False) -> str:
 
 def render_constructible(expr: ConstructibleExpr) -> str:
     """Canonical text for a parsed expression; parses back to equal terms."""
-    if not expr.terms:
-        return "0"
     rendered = []
     for term in expr.terms:
         coeff = term.coeff.as_rational()
@@ -424,12 +422,5 @@ def render_constructible(expr: ConstructibleExpr) -> str:
                 factors.append(f"({render_intexpr(z)})")
         if not factors or abs(c) != 1:
             factors.insert(0, str(abs(c)))
-        body = "*".join(factors)
-        rendered.append((c < 0, body))
-    parts = []
-    for negative, body in rendered:
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts)
+        rendered.append((c < 0, "*".join(factors)))
+    return signed_join(rendered)

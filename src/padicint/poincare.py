@@ -11,11 +11,11 @@ never as a rational function.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .aqring import _polydiv
 from .errors import BudgetExceeded
 from .integrate import ConstructibleExpr, Domain, K_SORT, UNIT_BALL, integrate
 from .kcells import KCell
@@ -26,7 +26,7 @@ from .padic import (
     enumerate_residues,
     rational_ord,
 )
-from .polys import Polynomial
+from .polys import Polynomial, polydiv, signed_join, trim
 
 
 class _Undetermined:
@@ -88,7 +88,7 @@ def series_table(
     n = f.nvars
     counts = [1]
     solutions: list[tuple[int, ...]] = [(0,) * n]
-    deltas = _delta_tuples(n, p)
+    deltas = list(itertools.product(range(p), repeat=n))
     for m in range(1, mmax + 1):
         if p**n * len(solutions) > budget:
             raise BudgetExceeded(
@@ -105,15 +105,6 @@ def series_table(
         solutions = lifted
         counts.append(len(solutions))
     return SeriesTable(prime, f, counts)
-
-
-def _delta_tuples(n: int, p: int):
-    if n == 1:
-        return [(d,) for d in range(p)]
-    out = [()]
-    for _ in range(n):
-        out = [t + (d,) for t in out for d in range(p)]
-    return out
 
 
 def measure_identity_check(
@@ -235,25 +226,18 @@ def _pow_str(p: int, k: int) -> str:
 
 
 def _poly_in_T(coeffs: list[Fraction]) -> str:
-    parts = []
+    terms = []
     for i, c in enumerate(coeffs):
         if c == 0:
             continue
         mag = abs(c)
         if i == 0:
-            body = _frac_str(mag)
+            body = str(mag)
         else:
             t = "T" if i == 1 else f"T^{i}"
-            body = t if mag == 1 else f"{_frac_str(mag)}*{t}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
-
-
-def _frac_str(r: Fraction) -> str:
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+            body = t if mag == 1 else f"{mag}*{t}"
+        terms.append((c < 0, body))
+    return signed_join(terms)
 
 
 def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
@@ -345,9 +329,7 @@ def _truncated_product(counts: list[Fraction], den: list[Fraction], L: int) -> l
             if i <= m:
                 acc += d * counts[m - i]
         out.append(acc)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    return trim(out)
 
 
 def _certify_shape(
@@ -362,12 +344,10 @@ def _certify_shape(
         for mi in range(-nvars * Ni, nvars * Ni + 1):
             coef = Fraction(1, p**mi) if mi >= 0 else Fraction(p ** (-mi))
             factor = [Fraction(1)] + [Fraction(0)] * (Ni - 1) + [-coef]
-            quot, rem = _polydiv(den, factor)
+            quot, rem = polydiv(den, factor)
             if quot is None or any(c != 0 for c in rem):
                 continue
-            while len(quot) > 1 and quot[-1] == 0:
-                quot.pop()
-            rest = _certify_shape(quot, p, nvars)
+            rest = _certify_shape(trim(quot), p, nvars)
             if rest is not None:
                 return sorted([(mi, Ni)] + rest, key=lambda s: (s[1], s[0]))
     return None

@@ -1,14 +1,26 @@
-"""Sparse multivariate polynomials over the integers (rationals internally).
+"""Polynomials and the text rendering shared by the whole package.
 
-Used both for congruence counting (evaluation mod p^m with integer
-arithmetic) and as the arguments of valuation factors in constructible
-functions.  Exponent tuples are the keys; zero coefficients are dropped.
+Polynomial is a sparse multivariate polynomial over the integers
+(rationals internally), used both for congruence counting (evaluation mod
+p^m with integer arithmetic) and as the arguments of valuation factors in
+constructible functions.  Exponent tuples are the keys; zero coefficients
+are dropped.
+
+The dense univariate helpers take coefficient lists, lowest degree first:
+evaluation, shift, product, exact long division, and the finite
+differences behind the closed-form sums in the binomial basis.  They serve
+presburger's weighted sums, the symbolic integrator, the Aq ring's
+canonical form and the Poincare denominator search.
+
+signed_join renders a sum of signed terms for every renderer in the
+package; rationals render as str(Fraction), "a" or "a/b".  This module
+imports nothing from the package, so every other module can import it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -158,35 +170,113 @@ class Polynomial:
         return c, exps
 
     def render(self, names: Sequence[str] | None = None) -> str:
-        if not self.terms:
-            return "0"
         if names is None:
             names = [f"x{i + 1}" for i in range(self.nvars)]
-        parts = []
+        terms = []
         for exps in sorted(self.terms, reverse=True):
             c = self.terms[exps]
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mag = abs(c)
-            if not factors:
-                body = _rat_str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([_rat_str(mag)] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+            if not factors or abs(c) != 1:
+                factors.insert(0, str(abs(c)))
+            terms.append((c < 0, "*".join(factors)))
+        return signed_join(terms)
 
     def __repr__(self):
         return f"Polynomial({self.render()})"
 
 
-def _rat_str(r: Fraction) -> str:
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+
+def signed_join(terms: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, body) pairs as "a - b + c"; "0" when there are none."""
+    parts = []
+    for negative, body in terms:
+        if parts:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return " ".join(parts) if parts else "0"
+
+
+# -- dense univariate polynomials (coefficient lists, lowest degree first) ---
+
+
+def trim(coeffs: list[Fraction]) -> list[Fraction]:
+    """Drop trailing zero coefficients in place, keeping at least one."""
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def poly_eval(coeffs: Sequence[Rat], x: Rat) -> Fraction:
+    total = Fraction(0)
+    for c in reversed(list(coeffs)):
+        total = total * Fraction(x) + Fraction(c)
+    return total
+
+
+def poly_shift(coeffs: Sequence[Rat], c: Rat) -> list[Fraction]:
+    """Coefficients of p(x + c)."""
+    out = [Fraction(0)]
+    for coeff in reversed(list(coeffs)):
+        # out = out * (x + c) + coeff
+        new = [Fraction(0)] * (len(out) + 1)
+        for i, v in enumerate(out):
+            new[i + 1] += v
+            new[i] += v * Fraction(c)
+        new[0] += Fraction(coeff)
+        out = trim(new)
+    return out
+
+
+def poly_mul(a: Sequence[Rat], b: Sequence[Rat]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return trim(out)
+
+
+def polydiv(num: Sequence[Fraction], den: Sequence[Fraction]):
+    """Long division: (quotient, remainder), or (None, num) when deg num <
+    deg den.  The remainder keeps the length of num."""
+    num = list(num)
+    dd = len(den) - 1
+    lead = den[dd]
+    if len(num) - 1 < dd:
+        return None, num
+    quot = [Fraction(0)] * (len(num) - dd)
+    for i in range(len(num) - 1 - dd, -1, -1):
+        c = num[i + dd] / lead
+        quot[i] = c
+        if c != 0:
+            for j, dc in enumerate(den):
+                num[i + j] -= c * dc
+    return quot, num
+
+
+def difference_polys(coeffs: Sequence[Rat]) -> list[list[Fraction]]:
+    """The forward differences p, delta p, ..., delta^deg p as coefficient
+    lists, where (delta p)(x) = p(x + 1) - p(x)."""
+    cur = [Fraction(c) for c in coeffs] or [Fraction(0)]
+    out = [cur]
+    while len(cur) > 1:
+        cur = trim([a - b for a, b in zip(poly_shift(cur, 1), cur)])
+        out.append(cur)
+    return out
+
+
+def finite_differences(coeffs: Sequence[Rat]) -> list[Fraction]:
+    """Values (delta^j p)(0) for j = 0..deg(p): the coefficients of p in the
+    binomial basis C(x, j)."""
+    return [d[0] for d in difference_polys(coeffs)]
+
+
+def binom_int(s: int, k: int) -> Fraction:
+    """Binomial coefficient as the polynomial s(s-1)...(s-k+1)/k!, any int s."""
+    num = 1
+    for i in range(k):
+        num *= s - i
+    den = 1
+    for i in range(2, k + 1):
+        den *= i
+    return Fraction(num, den)

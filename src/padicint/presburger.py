@@ -5,6 +5,9 @@ may be absent.  Reindexing gamma = k + n*tau turns every sum over a cell
 into a sum over an integer range of tau; closed forms for geometric and
 polynomially-weighted sums land in the coefficient ring of aqring.
 
+The dense polynomial helpers these sums stand on (shift, finite
+differences, binomial coefficients) live in polys.
+
 The well-order here is the zigzag 0, 1, -1, 2, -2, ... under which every
 nonempty cell union has a least element computable from at most two
 candidates per cell.
@@ -18,8 +21,10 @@ from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .aqring import AqElem
-from .errors import DivergentSum, DomainError, EmptySet, json_fields
+from .errors import NULL, DivergentSum, DomainError, EmptySet, json_fields
 from .padic import INFINITY, ExtendedInteger
+from .polys import binom_int, finite_differences, poly_shift
+from .polys import poly_eval  # noqa: F401  (perfbench/tracing.py wraps presburger.poly_eval)
 
 Rat = Union[int, Fraction]
 
@@ -76,7 +81,9 @@ class GammaCell:
 
     @classmethod
     def from_json(cls, data: dict) -> "GammaCell":
-        return cls(*json_fields(data, "value-group cell", "lower", "upper", "mod", "res"))
+        return cls(*json_fields(
+            data, "value-group cell", lower=(int, NULL), upper=(int, NULL), mod=int, res=int
+        ))
 
 
 @dataclass(frozen=True)
@@ -174,61 +181,6 @@ def intersect_cells(c1: GammaCell, c2: GammaCell) -> Optional[GammaCell]:
 
 def cells_disjoint(c1: GammaCell, c2: GammaCell) -> bool:
     return intersect_cells(c1, c2) is None
-
-
-# -- polynomial helpers (dense rational coefficients, low degree first) ------
-
-
-def poly_eval(coeffs: Sequence[Rat], x: Rat) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(list(coeffs)):
-        total = total * Fraction(x) + Fraction(c)
-    return total
-
-
-def poly_shift(coeffs: Sequence[Rat], c: Rat) -> list[Fraction]:
-    """Coefficients of p(x + c)."""
-    out = [Fraction(0)]
-    for coeff in reversed(list(coeffs)):
-        # out = out * (x + c) + coeff
-        new = [Fraction(0)] * (len(out) + 1)
-        for i, v in enumerate(out):
-            new[i + 1] += v
-            new[i] += v * Fraction(c)
-        new[0] += Fraction(coeff)
-        out = _trim(new)
-    return out
-
-
-def _trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def finite_differences(coeffs: Sequence[Rat]) -> list[Fraction]:
-    """Values (delta^j p)(0) for j = 0..deg(p)."""
-    cur = [Fraction(c) for c in coeffs]
-    out = []
-    while True:
-        out.append(poly_eval(cur, 0))
-        if len(cur) <= 1:
-            break
-        cur = _trim(
-            [a - b for a, b in zip(poly_shift(cur, 1), cur + [Fraction(0)])]
-        )
-    return out
-
-
-def binom_int(s: int, k: int) -> Fraction:
-    """Binomial coefficient as the polynomial s(s-1)...(s-k+1)/k!, any int s."""
-    num = 1
-    for i in range(k):
-        num *= s - i
-    den = 1
-    for i in range(2, k + 1):
-        den *= i
-    return Fraction(num, den)
 
 
 # -- closed-form sums --------------------------------------------------------

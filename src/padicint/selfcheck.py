@@ -27,7 +27,7 @@ from .integrate import (
 )
 from .kcells import KCell, kcell_measure, partition_unit_ball
 from .padic import AngularResidue, Prime
-from .polys import Polynomial
+from .polys import Polynomial, poly_eval
 from .poincare import RationalFunctionT, fit_rational, measure_identity_check, series_table
 from .presburger import (
     GammaCell,
@@ -67,7 +67,7 @@ def check_presburger_sums(samples: int = 60) -> tuple[str, bool, str]:
                     return "presburger.geom_sum", False, f"{cell} N={N} q={q}"
                 wdirect = sum(
                     (
-                        _poly_value(poly, (g - cell.res) // cell.mod)
+                        poly_eval(poly, (g - cell.res) // cell.mod)
                         * Fraction(q) ** (-N * ((g - cell.res) // cell.mod))
                         for g in cell.members()
                     ),
@@ -91,13 +91,6 @@ def check_presburger_sums(samples: int = 60) -> tuple[str, bool, str]:
             if abs(closed.eval_at(q) - partial) > tail:
                 return "presburger.tail", False, f"{cell} N={N} q={q}"
     return "presburger.sums_vs_enumeration", True, ""
-
-
-def _poly_value(coeffs, x: int) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
 
 
 def check_presburger_additivity(samples: int = 25) -> tuple[str, bool, str]:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from padicint.cli import main
 
 
@@ -138,3 +140,36 @@ def test_malformed_json_is_a_named_parse_error(capsys, tmp_path):
     cell = {k: v for k, v in UNIT_CELL.items() if k != "acDepth"}
     code, _, err = run(capsys, "measure", write(tmp_path, "cell.json", cell))
     assert code == 2 and "'acDepth'" in err
+
+
+def test_wrong_json_types_are_named_parse_errors(capsys, tmp_path):
+    gamma = {"lower": 0, "upper": 5, "mod": 1, "res": 0}
+    cases = [
+        ({"p": 2, "vars": 5}, "'vars' must be an array"),
+        ({"p": 2, "vars": [{"name": "g1", "sort": "Gamma", "region": 7}]}, "'region' must be an array"),
+        ({"p": 2, "vars": [{"name": "g1", "sort": "Gamma", "region": [dict(gamma, lower="a")]}]}, "'lower' must be"),
+        ({"p": "3", "vars": []}, "'p' must be an integer"),
+        ({"p": 2, "vars": [{"name": "x1", "sort": "K", "region": "ball"}]}, "'ball'"),
+    ]
+    for i, (payload, message) in enumerate(cases):
+        code, out, err = run(capsys, "integrate", "1", "--domain", write(tmp_path, f"d{i}.json", payload))
+        assert (code, out) == (2, "") and err.startswith("ParseError") and message in err, err
+
+
+def test_growth_must_be_rational_with_integer_exponents(capsys, tmp_path):
+    domfile = write(
+        tmp_path, "dom.json",
+        {"p": 3, "vars": [{"name": "x1", "sort": "K", "region": "unit_ball"}]},
+    )
+    oracle = ("integrate", "q^(-ord(x1))", "--domain", domfile, "--oracle", "--depth", "3")
+    code, _, err = run(capsys, *oracle, "--growth", "a,b,c")
+    assert code == 2 and "ParseError" in err
+    code, _, err = run(capsys, *oracle, "--growth", "1,0,1/2")
+    assert code == 1 and "ValueError" in err and "integers" in err
+
+
+def test_options_belong_to_the_subcommands_that_read_them(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--guard", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --guard" in capsys.readouterr().err

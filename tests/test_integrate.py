@@ -421,6 +421,15 @@ def test_oracle_domain_validation():
         brute_force_integrate(ONE, Domain([("x1", K, [outside])], P2), 3)
 
 
+def test_oracle_growth_exponents_must_be_integers():
+    dom = unit_ball_domain(P3)
+    for growth in [(1, 0, Fraction(1, 2)), (1, Fraction(-1, 2), 0)]:
+        with pytest.raises(ValueError, match="integers"):
+            brute_force_integrate(ABS_X, dom, 3, growth=growth)
+    as_fractions = brute_force_integrate(ABS_X, dom, 3, growth=(1, Fraction(-1), Fraction(0)))
+    assert as_fractions == brute_force_integrate(ABS_X, dom, 3, growth=(1, -1, 0))
+
+
 def test_domain_json_round_trip():
     cells = [KCell(Fraction(1), -1, 4, 2, 1, 1, AngularResidue(1, 1), P2)]
     dom = Domain(

@@ -5,6 +5,14 @@ and a multiset of denominator factors (1 - q^-i)^e.  Canonical form cancels
 every denominator factor that divides the numerator; equality is decided by
 cross-multiplying numerators, which is sound because Laurent polynomials
 over Q form an integral domain.
+
+Whether (1 - q^-i) = q^-i (q^i - 1) divides a numerator N = sum n_e q^e is
+decided without dividing.  Modulo q^i - 1, q^e is q^(e mod i), for
+negative e too because q is a unit, so the remainder of N is
+sum_r (sum_{e = r mod i} n_e) q^r with 0 <= r < i.  Those monomials are
+independent, so q^i - 1 divides N exactly when every exponent class mod i
+sums to 0.  The quotient is then taken by long division, which runs only
+when it is known to succeed.
 """
 
 from __future__ import annotations
@@ -28,8 +36,9 @@ class LaurentPoly:
         clean: dict[int, Fraction] = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
+                if c.__class__ is not Fraction:  # Fraction(c) would copy c
+                    c = Fraction(c)
+                if c:
                     clean[int(e)] = c
         self.coeffs = clean
 
@@ -134,6 +143,15 @@ def _dense(poly: LaurentPoly) -> list[Fraction]:
     return out
 
 
+def _divides(i: int, num: LaurentPoly) -> bool:
+    """Does q^i - 1 divide num?  Exactly when each exponent class mod i
+    sums to 0 (see the module docstring)."""
+    sums = [0] * i
+    for e, c in num.coeffs.items():
+        sums[e % i] += c
+    return not any(sums)
+
+
 class AqElem:
     """Element of Z[q, q^-1, 1/(1-q^-i)] in canonical rational-function form.
 
@@ -186,18 +204,15 @@ class AqElem:
         while changed:
             changed = False
             for i in sorted(self.den):
-                if self.den.get(i, 0) == 0:
+                if not _divides(i, self.num):
                     continue
                 # (1 - q^-i) = q^-i (q^i - 1), so cancelling one factor
                 # multiplies the numerator by q^i after exact division.
-                factor = LaurentPoly({i: 1, 0: -1})  # q^i - 1
-                quot = self.num.divexact(factor)
-                if quot is not None:
-                    self.num = quot.shift(i)
-                    self.den[i] -= 1
-                    if self.den[i] == 0:
-                        del self.den[i]
-                    changed = True
+                self.num = self.num.divexact(LaurentPoly({i: 1, 0: -1})).shift(i)
+                self.den[i] -= 1
+                if self.den[i] == 0:
+                    del self.den[i]
+                changed = True
         self.den = dict(sorted(self.den.items()))
 
     def den_poly(self) -> LaurentPoly:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .aqring import AqElem
-from .errors import NULL, InfiniteMeasure, json_fields
+from .errors import NULL, InfiniteMeasure, ParseError, json_fields
 from .padic import INFINITY, AngularResidue, PAdicPoint, Prime, rational_ac, rational_ord
 from .presburger import GammaCell, geom_sum, intersect_cells
 
@@ -86,9 +86,13 @@ class KCell:
             data, "field cell", center=(str, int), lower=(int, NULL), upper=(int, NULL),
             mod=int, res=int, acDepth=int, acValue=int, p=int,
         )
-        return cls(
-            Fraction(center), lower, upper, mod, res, depth, AngularResidue(depth, ac), Prime(p)
-        )
+        try:
+            center = Fraction(center)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(
+                f"field cell JSON field 'center' must be a rational such as \"3/4\", not {center!r}"
+            ) from None
+        return cls(center, lower, upper, mod, res, depth, AngularResidue(depth, ac), Prime(p))
 
 
 def kcell_contains(point: PAdicPoint, cell: KCell) -> bool:

@@ -250,7 +250,8 @@ def polydiv(num: Sequence[Fraction], den: Sequence[Fraction]):
         quot[i] = c
         if c != 0:
             for j, dc in enumerate(den):
-                num[i + j] -= c * dc
+                if dc:  # the divisors q^i - 1 and 1 - c*T^N are mostly zeros
+                    num[i + j] -= c * dc
     return quot, num
 
 

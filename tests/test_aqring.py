@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicint import AqElem, LaurentPoly, Prime, aq_add, aq_eval, aq_mul
+from padicint import AqElem, Domain, LaurentPoly, Prime, aq_add, aq_eval, aq_mul, integrate
+from padicint.parsing import parse_integrand
 
 
 def geo(i, e=1):
@@ -127,3 +130,102 @@ def test_int_coercion():
     assert geo(1) * 2 == geo(1) + geo(1)
     assert 1 + qp(-1) == AqElem.one() + qp(-1)
     assert (3 - qp(0, 3)).is_zero()
+
+
+def _q_minus_one(i):
+    return LaurentPoly({i: 1, 0: -1})  # q^i - 1
+
+
+def test_canonicalization_runs_no_failing_long_division(monkeypatch):
+    # a dependent-bound sum shaped like the benchmark's cell sums: outer
+    # cells of modulus 2 and 4, denominators (1-q^-i) up to i = 20 on the
+    # way; every long division canonicalisation starts must succeed
+    quotients = []
+    divexact = LaurentPoly.divexact
+
+    def counting(self, other):
+        quot = divexact(self, other)
+        quotients.append(quot)
+        return quot
+
+    monkeypatch.setattr(LaurentPoly, "divexact", counting)
+    g1_cells = [(0, 14, 2, 1), (0, 15, 4, 0)]  # lower < g1 < upper, g1 = res mod mod
+    inner = {
+        "lower": {"var": "g1", "a": 2, "k": 0, "n": 1, "delta": -2},
+        "upper": {"var": "g1", "a": 3, "k": 0, "n": 1, "delta": 2},
+        "mod": 1,
+        "res": 0,
+    }
+    domain = Domain.from_json({"p": 3, "vars": [
+        {"name": "g1", "sort": "Gamma",
+         "region": [dict(zip(("lower", "upper", "mod", "res"), c)) for c in g1_cells]},
+        {"name": "g2", "sort": "Gamma", "region": [inner]},
+    ]})
+    f = parse_integrand(
+        "2*q^(-2*lin(1,0,1,0;g1) - lin(1,0,1,0;g2))*lin(1,0,1,0;g2)"
+        " - 3*q^(-lin(1,0,1,0;g1) + 1)*lin(2,0,1,1;g1)"
+    )
+    result = integrate(f, domain)
+    assert quotients and all(quot is not None for quot in quotients)
+    q = Fraction(3)
+    lattice = sum(
+        2 * q ** (-2 * g1 - g2) * g2 - 3 * q ** (1 - g1) * (2 * g1 + 1)
+        for lower, upper, mod, res in g1_cells
+        for g1 in range(lower + 1, upper) if g1 % mod == res
+        for g2 in range(2 * g1 - 1, 3 * g1 + 2)
+    )
+    assert result.eval_at(3) == lattice
+
+
+# numerators M * prod (q^i - 1)^k over denominators up to index 24: the
+# sizes the benchmark's cell sums reach, well past those of _random_elem
+laurent = st.dictionaries(
+    st.integers(-30, 30), st.fractions(-9, 9, max_denominator=4).filter(bool), min_size=1, max_size=5
+).map(LaurentPoly)
+indices = st.dictionaries(st.integers(1, 24), st.integers(1, 2), max_size=3)
+
+
+@st.composite
+def built_elems(draw):
+    """(element, its values at p = 2, 3, 5 computed directly, M, the
+    multiplied-in factors {i: k}, the denominator it was built over)."""
+    m, mult, den = draw(laurent), draw(indices), draw(indices)
+    values = {}
+    for p in (2, 3, 5):
+        value = m.eval(p)
+        for i, k in mult.items():
+            value *= Fraction(p**i - 1) ** k
+        for i, e in den.items():
+            value /= (1 - Fraction(1, p**i)) ** e
+        values[p] = value
+    return AqElem(_times_factors(m, mult), den), values, m, mult, den
+
+
+def _times_factors(num, mult):
+    for i, k in mult.items():
+        for _ in range(k):
+            num = num * _q_minus_one(i)
+    return num
+
+
+def _assert_canonical(elem, values):
+    for i in elem.den:
+        assert elem.num.divexact(_q_minus_one(i)) is None
+    for p, value in values.items():
+        assert elem.eval_at(p) == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(built_elems(), built_elems())
+def test_canonical_form_at_large_indices(a, b):
+    (x, xv, m, mult, den), (y, yv, *_) = a, b
+    _assert_canonical(x, xv)
+    _assert_canonical(x + y, {p: xv[p] + yv[p] for p in xv})
+    _assert_canonical(x * y, {p: xv[p] * yv[p] for p in xv})
+    # a multiplied-in factor is cancelled: alone over its own denominator
+    # it clears it, and among others the denominator loses degree (a
+    # smaller factor dividing it may cancel first)
+    for i, k in mult.items():
+        assert AqElem(_times_factors(m, {i: k}), {i: k}).den == {}
+    if set(mult) & set(den):
+        assert sum(i * e for i, e in x.den.items()) < sum(i * e for i, e in den.items())

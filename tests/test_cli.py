@@ -150,6 +150,8 @@ def test_wrong_json_types_are_named_parse_errors(capsys, tmp_path):
         ({"p": 2, "vars": [{"name": "g1", "sort": "Gamma", "region": [dict(gamma, lower="a")]}]}, "'lower' must be"),
         ({"p": "3", "vars": []}, "'p' must be an integer"),
         ({"p": 2, "vars": [{"name": "x1", "sort": "K", "region": "ball"}]}, "'ball'"),
+        ({"p": 2, "vars": [{"name": "x1", "sort": "K", "region": [dict(UNIT_CELL, center="abc")]}]}, "'center'"),
+        ({"p": 2, "vars": [{"name": "x1", "sort": "K", "region": [dict(UNIT_CELL, center="1/0")]}]}, "'center'"),
     ]
     for i, (payload, message) in enumerate(cases):
         code, out, err = run(capsys, "integrate", "1", "--domain", write(tmp_path, f"d{i}.json", payload))

@@ -89,3 +89,27 @@ def test_renderers_share_the_signed_term_layout():
     assert rational.render_num() == "-1 + 2/3*T^2"
     f = parse_integrand("-2*q^(-ord(x1))*ord(x1) + ord(x1) - 1")
     assert render_constructible(f) == "-2*q^(-ord(x1))*ord(x1) + ord(x1) - 1"
+
+
+@st.composite
+def sparse_divisions(draw):
+    """(a, b, r) with b shaped q^i - 1 or 1 - c*T^N (zeros inside) and
+    deg r < deg b."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        b = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    else:
+        b = [Fraction(1)] + [Fraction(0)] * (n - 1) + [-draw(nonzero)]
+    return draw(exact_polys), b, draw(st.lists(rationals, max_size=n))
+
+
+@settings(max_examples=60)
+@given(sparse_divisions())
+def test_polydiv_by_sparse_divisors(case):
+    a, b, r = case
+    num = poly_mul(a, b)
+    for j, c in enumerate(r):
+        num[j] += c
+    quot, rem = polydiv(num, b)
+    assert quot == a
+    assert rem == r + [0] * (len(num) - len(r))

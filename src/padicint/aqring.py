@@ -64,7 +64,7 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out[e] + c if e in out else c
         return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -78,7 +78,8 @@ class LaurentPoly:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
         return LaurentPoly(out)
 
     def scale(self, c: Rat) -> "LaurentPoly":
@@ -216,12 +217,7 @@ class AqElem:
         self.den = dict(sorted(self.den.items()))
 
     def den_poly(self) -> LaurentPoly:
-        out = LaurentPoly.const(1)
-        for i, e in self.den.items():
-            factor = LaurentPoly({0: 1, -i: -1})  # 1 - q^-i
-            for _ in range(e):
-                out = out * factor
-        return out
+        return _times_den(LaurentPoly.const(1), self.den, {})
 
     # -- ring operations ---------------------------------------------------
 
@@ -232,16 +228,8 @@ class AqElem:
         merged = dict(self.den)
         for i, e in other.den.items():
             merged[i] = max(merged.get(i, 0), e)
-        a = self.num
-        for i, e in merged.items():
-            extra = e - self.den.get(i, 0)
-            for _ in range(extra):
-                a = a * LaurentPoly({0: 1, -i: -1})
-        b = other.num
-        for i, e in merged.items():
-            extra = e - other.den.get(i, 0)
-            for _ in range(extra):
-                b = b * LaurentPoly({0: 1, -i: -1})
+        a = _times_den(self.num, merged, self.den)
+        b = _times_den(other.num, merged, other.den)
         return AqElem(a + b, merged)
 
     __radd__ = __add__
@@ -327,6 +315,14 @@ class AqElem:
 
     def __repr__(self):
         return f"AqElem({self.render()})"
+
+
+def _times_den(poly: LaurentPoly, den: Mapping[int, int], have: Mapping[int, int]) -> LaurentPoly:
+    """poly times the factors (1 - q^-i)^e of den that have lacks."""
+    for i, e in den.items():
+        for _ in range(e - have.get(i, 0)):
+            poly = poly * LaurentPoly({0: 1, -i: -1})
+    return poly
 
 
 def _coerce(value) -> "AqElem":

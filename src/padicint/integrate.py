@@ -19,7 +19,8 @@ variables (prepared linear forms, modulus-1 cells only) produce new terms
 in those variables, which keeps the class closed under the iteration.
 
 A residue-enumeration oracle integrates the same expressions numerically
-with certified error bounds, independently of the symbolic path.
+with certified error bounds, independently of the symbolic path; only the
+bound's tail sum is the closed form weighted_tail, evaluated at q = p.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .aqring import AqElem
 from .errors import (
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .kcells import KCell, kcells_disjoint
 from .padic import DEFAULT_BUDGET, INFINITY, Prime, enumerate_residues, rational_ord
-from .polys import Polynomial, binom_int, difference_polys, finite_differences, poly_mul, poly_shift
+from .polys import Polynomial, binom_int, difference_polys, finite_differences, poly_mul
 from .presburger import GammaCell, PreparedLinear, cells_disjoint, intersect_cells, weighted_tail
 
 K_SORT = "K"
@@ -98,21 +99,17 @@ def identity_lin(var: str) -> LinExpr:
     return LinExpr(PreparedLinear(1, 0, 1, 0), var)
 
 
-def _expr_free_vars(e: IntExpr) -> set[str]:
-    if isinstance(e, IntConst):
-        return set()
-    if isinstance(e, LinExpr):
-        return {e.var}
-    if isinstance(e, OrdExpr):
-        return {name for i, name in enumerate(e.vars) if e.poly.mentions(i)}
-    if isinstance(e, IntSum):
-        out = set()
-        for p in e.parts:
-            out |= _expr_free_vars(p)
-        return out
-    if isinstance(e, IntScale):
-        return _expr_free_vars(e.arg)
-    raise TypeError(f"not an integer expression: {e!r}")
+def _atoms(exprs: Iterable[IntExpr]) -> Iterator[Union[LinExpr, OrdExpr]]:
+    """The LinExpr and OrdExpr leaves of integer expressions, left to right."""
+    for e in exprs:
+        if isinstance(e, (LinExpr, OrdExpr)):
+            yield e
+        elif isinstance(e, IntSum):
+            yield from _atoms(e.parts)
+        elif isinstance(e, IntScale):
+            yield from _atoms((e.arg,))
+        elif not isinstance(e, IntConst):
+            raise TypeError(f"not an integer expression: {e!r}")
 
 
 def _expr_add_int(e: IntExpr, c: int) -> IntExpr:
@@ -182,8 +179,11 @@ class Term:
 
     def free_vars(self) -> set[str]:
         out = set()
-        for e in self.qparts + self.zfactors:
-            out |= _expr_free_vars(e)
+        for a in _atoms(self.qparts + self.zfactors):
+            if isinstance(a, LinExpr):
+                out.add(a.var)
+            else:
+                out.update(name for i, name in enumerate(a.vars) if a.poly.mentions(i))
         return out
 
     def scaled(self, aq: AqElem) -> "Term":
@@ -206,24 +206,14 @@ class ConstructibleExpr:
         self.terms = list(terms)
         self.sorts = dict(sorts or {})
         for term in self.terms:
-            for e in term.qparts + term.zfactors:
-                self._check_sorts(e)
-
-    def _check_sorts(self, e: IntExpr):
-        if isinstance(e, LinExpr):
-            declared = self.sorts.setdefault(e.var, GAMMA_SORT)
-            if declared != GAMMA_SORT:
-                raise ValueError(f"{e.var} used both as field and value-group variable")
-        elif isinstance(e, OrdExpr):
-            for v in e.vars:
-                declared = self.sorts.setdefault(v, K_SORT)
-                if declared != K_SORT:
-                    raise ValueError(f"{v} used both as field and value-group variable")
-        elif isinstance(e, IntSum):
-            for p in e.parts:
-                self._check_sorts(p)
-        elif isinstance(e, IntScale):
-            self._check_sorts(e.arg)
+            for a in _atoms(term.qparts + term.zfactors):
+                if isinstance(a, LinExpr):
+                    sort, names = GAMMA_SORT, (a.var,)
+                else:
+                    sort, names = K_SORT, a.vars
+                for v in names:
+                    if self.sorts.setdefault(v, sort) != sort:
+                        raise ValueError(f"{v} used both as field and value-group variable")
 
     # -- constructors -------------------------------------------------------
 
@@ -269,6 +259,14 @@ class ConstructibleExpr:
                     )
                 )
         return ConstructibleExpr(terms, sorts)
+
+    def __pow__(self, n: int) -> "ConstructibleExpr":
+        if n < 0:
+            raise ValueError("negative powers of a constructible function are not defined")
+        out = ConstructibleExpr.constant(1)
+        for _ in range(n):
+            out = out * self
+        return out
 
     def scale(self, aq: AqElem) -> "ConstructibleExpr":
         return ConstructibleExpr([t.scaled(aq) for t in self.terms], self.sorts)
@@ -838,35 +836,14 @@ class OracleResult:
 
 
 def _collect_ords(f: ConstructibleExpr) -> list[OrdExpr]:
-    seen: list[OrdExpr] = []
-
-    def walk(e: IntExpr):
-        if isinstance(e, OrdExpr):
-            if e not in seen:
-                seen.append(e)
-        elif isinstance(e, IntSum):
-            for p in e.parts:
-                walk(p)
-        elif isinstance(e, IntScale):
-            walk(e.arg)
-
+    """The distinct valuation factors of f's nonzero terms, first seen first."""
+    seen: dict[OrdExpr, None] = {}
     for term in f.terms:
-        if term.coeff.is_zero():
-            continue
-        for e in term.qparts + term.zfactors:
-            walk(e)
-    return seen
-
-
-def _tail_fraction(W: int, dg: int, c: int, p: int) -> Fraction:
-    """Exact sum of w^dg * p^((c-1)w) over w >= W, for c <= 0."""
-    y = Fraction(1, p ** (1 - c))
-    poly = [Fraction(1)] if dg == 0 else poly_shift([Fraction(0)] * dg + [Fraction(1)], W)
-    diffs = finite_differences(poly)
-    total = Fraction(0)
-    for j, d in enumerate(diffs):
-        total += d * y ** (W + j) / (1 - y) ** (j + 1)
-    return total
+        if not term.coeff.is_zero():
+            for a in _atoms(term.qparts + term.zfactors):
+                if isinstance(a, OrdExpr):
+                    seen.setdefault(a)
+    return list(seen)
 
 
 def _region_status(x: Fraction, region, depth: int, p: int) -> tuple[str, bool]:
@@ -934,7 +911,9 @@ def brute_force_integrate(
 
     growth = (C, c, dg) asserts |f(x)| <= C * v^dg * q^(c*v) on classes
     where some valuation argument saturates at v >= depth; c <= 0 and
-    dg >= 0 must be integers.
+    dg >= 0 must be integers.  A saturated class of depth d adds its
+    measure times C p^d sum_{v >= d} v^dg p^((c-1)v) to the bound; that
+    tail is weighted_tail(v^dg, d, 1 - c) at q = p, taken once per depth.
     The per-class decay used for the bound is exact when every valuation
     argument is linear in each field variable (shifted coordinates); for
     higher-degree arguments it is a documented assumption.  refine > 0
@@ -959,6 +938,10 @@ def brute_force_integrate(
             f"p^(n*depth) = {p}^{n * depth} exceeds the budget of {budget} points"
         )
     ords = _collect_ords(f)
+    tails = {
+        d: C * p**d * weighted_tail([0] * dg + [1], d, 1 - c).eval_at(p)
+        for d in {depth, depth + refine}
+    }
 
     def scan_class(point: dict, d: int):
         """(value, err, skipped_count, skipped_measure, was_bad) for one class."""
@@ -998,7 +981,7 @@ def brute_force_integrate(
             # membership is ambiguous but f is class-constant
             err += abs(f.eval(point, domain.prime)) * scale
         if saturated:
-            err += C * scale * p**d * _tail_fraction(d, dg, c, p)
+            err += scale * tails[d]
         return value, err, skipped, skipped_measure, True
 
     total = Fraction(0)

@@ -1,16 +1,20 @@
 """Parsers for polynomials and constructible integrands, with rendering.
 
-Polynomial grammar: integer literals, variables x1..xn, + - * ^ and
-parentheses.  The integrand grammar adds q^(...) exponentials, ord(...)
-valuation factors, lin(a,k,n,delta;g) prepared linear forms, and
-value-group variables g1..gm.  Rendering emits canonical text that parses
-back to the same expression.
+Both grammars are one descent, sum -> product -> power -> atom
+(_parse_sum): signed sums of products of factors, each factor an atom or
+a parenthesised sum, optionally raised to a literal exponent ^n.  Only the
+atoms differ.  Polynomial atoms are integer literals and variables x1..xn.
+Integrand atoms are integer literals, q^(...) exponentials, ord(...)
+valuation factors, whose argument is a polynomial in the same grammar, and
+lin(a,k,n,delta;g) prepared linear forms in value-group variables g1..gm.
+Rendering emits canonical text that parses back to the same expression.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .errors import ParseError
 from .integrate import (
@@ -25,7 +29,11 @@ from .integrate import (
 from .polys import Polynomial, signed_join
 from .presburger import PreparedLinear
 
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^();,]|\S")
+_T = TypeVar("_T")
+
+_TOKEN_RE = re.compile(
+    r"(?P<INT>\d+)|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[-+*^();,])|(?P<BAD>\S)"
+)
 
 
 @dataclass(frozen=True)
@@ -38,22 +46,14 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
+    lines = text.split("\n")
+    for lineno, line in enumerate(lines, start=1):
         for match in _TOKEN_RE.finditer(line):
-            lexeme = match.group()
             col = match.start() + 1
-            if lexeme.isdigit():
-                kind = "INT"
-            elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", lexeme):
-                kind = "NAME"
-            elif lexeme in "+-*^();,":
-                kind = "OP"
-            else:
-                raise ParseError(f"unexpected character {lexeme!r}", lineno, col)
-            tokens.append(Token(kind, lexeme, lineno, col))
-    last_line = text.count("\n") + 1
-    last_col = len(text.splitlines()[-1]) + 1 if text.splitlines() else 1
-    tokens.append(Token("EOF", "", last_line, last_col))
+            if match.lastgroup == "BAD":
+                raise ParseError(f"unexpected character {match.group()!r}", lineno, col)
+            tokens.append(Token(match.lastgroup, match.group(), lineno, col))
+    tokens.append(Token("EOF", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
@@ -93,6 +93,10 @@ class _Cursor:
         self.next()
         return sign * int(tok.text)
 
+    def finish(self):
+        if self.peek().kind != "EOF":
+            self.fail(f"unexpected trailing input {self.peek().text!r}")
+
     def fail(self, message: str):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
@@ -108,54 +112,49 @@ def _var_index(name: str) -> tuple[str, int] | None:
     return m.group(1), int(m.group(2))
 
 
-# -- polynomials ---------------------------------------------------------------
-
-
-def parse_polynomial(text: str) -> Polynomial:
-    """Parse an integer polynomial in variables x1..xn; n is the largest
-    index that appears (0 for a constant)."""
-    tokens = _tokenize(text)
+def _x_arity(tokens: list[Token], message: str) -> int:
+    """Largest index n of the variables x1..xn among the tokens; any other
+    name raises ParseError(message.format(name))."""
     nvars = 0
     for tok in tokens:
         if tok.kind == "NAME":
             v = _var_index(tok.text)
             if v is None or v[0] != "x":
-                raise ParseError(
-                    f"unknown symbol {tok.text!r} (variables are x1, x2, ...)",
-                    tok.line,
-                    tok.col,
-                )
+                raise ParseError(message.format(tok.text), tok.line, tok.col)
             nvars = max(nvars, v[1])
-    cur = _Cursor(tokens)
-    poly = _parse_poly_expr(cur, nvars)
-    if cur.peek().kind != "EOF":
-        cur.fail(f"unexpected trailing input {cur.peek().text!r}")
-    return poly
+    return nvars
 
 
-def _parse_poly_expr(cur: _Cursor, nvars: int) -> Polynomial:
+# -- the shared grammar: sum -> product -> power -> atom -------------------------
+
+
+def _parse_sum(cur: _Cursor, atom: Callable[[_Cursor], _T]) -> _T:
     negate = cur.accept("-")
-    total = _parse_poly_term(cur, nvars)
+    total = _parse_product(cur, atom)
     if negate:
         total = -total
     while True:
         if cur.accept("+"):
-            total = total + _parse_poly_term(cur, nvars)
+            total = total + _parse_product(cur, atom)
         elif cur.accept("-"):
-            total = total - _parse_poly_term(cur, nvars)
+            total = total - _parse_product(cur, atom)
         else:
             return total
 
 
-def _parse_poly_term(cur: _Cursor, nvars: int) -> Polynomial:
-    total = _parse_poly_factor(cur, nvars)
+def _parse_product(cur: _Cursor, atom: Callable[[_Cursor], _T]) -> _T:
+    total = _parse_power(cur, atom)
     while cur.accept("*"):
-        total = total * _parse_poly_factor(cur, nvars)
+        total = total * _parse_power(cur, atom)
     return total
 
 
-def _parse_poly_factor(cur: _Cursor, nvars: int) -> Polynomial:
-    base = _parse_poly_atom(cur, nvars)
+def _parse_power(cur: _Cursor, atom: Callable[[_Cursor], _T]) -> _T:
+    if cur.accept("("):
+        base = _parse_sum(cur, atom)
+        cur.expect(")")
+    else:
+        base = atom(cur)
     if cur.accept("^"):
         tok = cur.peek()
         if tok.kind != "INT":
@@ -165,22 +164,34 @@ def _parse_poly_factor(cur: _Cursor, nvars: int) -> Polynomial:
     return base
 
 
-def _parse_poly_atom(cur: _Cursor, nvars: int) -> Polynomial:
-    tok = cur.peek()
-    if tok.kind == "INT":
-        cur.next()
-        return Polynomial.constant(int(tok.text), nvars)
-    if tok.kind == "NAME":
-        v = _var_index(tok.text)
-        if v is not None and v[0] == "x":
+# -- polynomials ---------------------------------------------------------------
+
+
+def parse_polynomial(text: str) -> Polynomial:
+    """Parse an integer polynomial in variables x1..xn; n is the largest
+    index that appears (0 for a constant)."""
+    tokens = _tokenize(text)
+    nvars = _x_arity(tokens, "unknown symbol {!r} (variables are x1, x2, ...)")
+    cur = _Cursor(tokens)
+    poly = _parse_sum(cur, _poly_atom(nvars))
+    cur.finish()
+    return poly
+
+
+def _poly_atom(nvars: int) -> Callable[[_Cursor], Polynomial]:
+    """The polynomial atom; every name it meets was vetted by _x_arity."""
+
+    def atom(cur: _Cursor) -> Polynomial:
+        tok = cur.peek()
+        if tok.kind == "INT":
             cur.next()
-            return Polynomial.variable(v[1] - 1, nvars)
-        raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col)
-    if cur.accept("("):
-        inner = _parse_poly_expr(cur, nvars)
-        cur.expect(")")
-        return inner
-    cur.fail("expected an integer, a variable, or '('")
+            return Polynomial.constant(int(tok.text), nvars)
+        if tok.kind == "NAME":
+            cur.next()
+            return Polynomial.variable(_var_index(tok.text)[1] - 1, nvars)
+        cur.fail("expected an integer, a variable, or '('")
+
+    return atom
 
 
 # -- integrands ------------------------------------------------------------------
@@ -190,46 +201,9 @@ def parse_integrand(text: str) -> ConstructibleExpr:
     """Parse a constructible function over variables x1..xn (field sort)
     and g1..gm (value-group sort)."""
     cur = _Cursor(_tokenize(text))
-    expr = _parse_c_expr(cur)
-    if cur.peek().kind != "EOF":
-        cur.fail(f"unexpected trailing input {cur.peek().text!r}")
+    expr = _parse_sum(cur, _parse_c_atom)
+    cur.finish()
     return expr
-
-
-def _parse_c_expr(cur: _Cursor) -> ConstructibleExpr:
-    negate = cur.accept("-")
-    total = _parse_c_term(cur)
-    if negate:
-        total = -total
-    while True:
-        if cur.accept("+"):
-            total = total + _parse_c_term(cur)
-        elif cur.accept("-"):
-            total = total - _parse_c_term(cur)
-        else:
-            return total
-
-
-def _parse_c_term(cur: _Cursor) -> ConstructibleExpr:
-    total = _parse_c_factor(cur)
-    while cur.accept("*"):
-        total = total * _parse_c_factor(cur)
-    return total
-
-
-def _parse_c_factor(cur: _Cursor) -> ConstructibleExpr:
-    base = _parse_c_atom(cur)
-    if cur.accept("^"):
-        tok = cur.peek()
-        if tok.kind != "INT":
-            raise ParseError("expected an exponent after '^'", tok.line, tok.col)
-        cur.next()
-        power = int(tok.text)
-        out = ConstructibleExpr.constant(1)
-        for _ in range(power):
-            out = out * base
-        return out
-    return base
 
 
 def _parse_c_atom(cur: _Cursor) -> ConstructibleExpr:
@@ -252,10 +226,6 @@ def _parse_c_atom(cur: _Cursor) -> ConstructibleExpr:
             tok.line,
             tok.col,
         )
-    if cur.accept("("):
-        inner = _parse_c_expr(cur)
-        cur.expect(")")
-        return inner
     cur.fail("expected an integrand factor")
 
 
@@ -309,9 +279,14 @@ def _parse_int_atom(cur: _Cursor) -> IntExpr:
                 depth += 1
             elif t.kind == "OP" and t.text == ")":
                 depth -= 1
-        inner_tokens = cur.tokens[start : cur.pos - 1]
-        poly, names = _poly_from_tokens(inner_tokens, cur)
-        return OrdExpr(poly, names)
+        nvars = _x_arity(
+            cur.tokens[start : cur.pos - 1],
+            "valuation arguments are polynomials in x1, x2, ...",
+        )
+        cur.pos = start
+        poly = _parse_sum(cur, _poly_atom(nvars))
+        cur.expect(")")
+        return OrdExpr(poly, tuple(f"x{i + 1}" for i in range(nvars)))
     if tok.kind == "NAME" and tok.text == "lin":
         cur.next()
         cur.expect("(")
@@ -348,25 +323,6 @@ def _parse_int_atom(cur: _Cursor) -> IntExpr:
     cur.fail("expected ord(...), lin(...), an integer, or '('")
 
 
-def _poly_from_tokens(tokens: list[Token], outer: _Cursor) -> tuple[Polynomial, tuple[str, ...]]:
-    nvars = 0
-    for tok in tokens:
-        if tok.kind == "NAME":
-            v = _var_index(tok.text)
-            if v is None or v[0] != "x":
-                raise ParseError(
-                    "valuation arguments are polynomials in x1, x2, ...",
-                    tok.line,
-                    tok.col,
-                )
-            nvars = max(nvars, v[1])
-    sub = _Cursor(tokens + [Token("EOF", "", tokens[-1].line if tokens else 1, tokens[-1].col + len(tokens[-1].text) if tokens else 1)])
-    poly = _parse_poly_expr(sub, nvars)
-    if sub.peek().kind != "EOF":
-        sub.fail(f"unexpected trailing input {sub.peek().text!r}")
-    return poly, tuple(f"x{i + 1}" for i in range(nvars))
-
-
 # -- rendering -------------------------------------------------------------------
 
 
@@ -388,16 +344,8 @@ def render_intexpr(e: IntExpr, parenthesize: bool = False) -> str:
             body = f"{e.scalar}*{inner}"
         return f"({body})" if parenthesize and e.scalar < 0 else body
     if isinstance(e, IntSum):
-        parts = []
-        for part in e.parts:
-            text = render_intexpr(part, parenthesize=isinstance(part, IntSum))
-            if parts and text.startswith("-"):
-                parts.append(f"- {text[1:]}")
-            elif parts:
-                parts.append(f"+ {text}")
-            else:
-                parts.append(text)
-        body = " ".join(parts)
+        texts = (render_intexpr(p, parenthesize=isinstance(p, IntSum)) for p in e.parts)
+        body = signed_join((t.startswith("-"), t.removeprefix("-")) for t in texts)
         return f"({body})" if parenthesize else body
     raise TypeError(f"not an integer expression: {e!r}")
 

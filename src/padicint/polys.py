@@ -43,7 +43,7 @@ class Polynomial:
                 raise ValueError("exponents must be >= 0")
             c = Fraction(c)
             if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
+                clean[exps] = clean[exps] + c if exps in clean else c
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
     @classmethod
@@ -73,7 +73,7 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out[e] + c if e in out else c
         return Polynomial(self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
@@ -88,7 +88,8 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
         return Polynomial(self.nvars, out)
 
     def __pow__(self, n: int) -> "Polynomial":
@@ -158,7 +159,8 @@ class Polynomial:
                 new = list(exps)
                 new[index] = j
                 key = tuple(new)
-                out[key] = out.get(key, Fraction(0)) + coeff * binom * c ** (e - j)
+                term = coeff * binom * c ** (e - j)
+                out[key] = out[key] + term if key in out else term
                 binom = binom * (e - j) // (j + 1)
         return Polynomial(self.nvars, out)
 

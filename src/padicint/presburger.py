@@ -189,20 +189,13 @@ def cells_disjoint(c1: GammaCell, c2: GammaCell) -> bool:
 def geom_sum(cell: GammaCell, N: int) -> AqElem:
     """Exact sum of (q^-N)^tau over the reindexed cell, tau = (gamma-res)/mod.
 
-    The bounded closed form is (x^a - x^(b+1)) / (1 - x) with x = q^-N and
-    inclusive tau-range [a, b]; it matches direct enumeration term for term
-    (both endpoints contribute).
+    This is weighted_sum with the constant weight 1; on a bounded cell the
+    closed form is (x^a - x^(b+1)) / (1 - x) with x = q^-N and inclusive
+    tau-range [a, b].
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if cell.is_empty():
-        return AqElem.zero()
-    a, b = cell.tau_bounds()
-    if a is None:
-        raise DivergentSum("cell is unbounded below in the summation index")
-    if b is None:
-        return AqElem.q_power(-N * a) * AqElem.geom(N)
-    return (AqElem.q_power(-N * a) - AqElem.q_power(-N * (b + 1))) * AqElem.geom(N)
+    return weighted_sum(cell, [1], N)
 
 
 def weighted_tail(poly: Sequence[Rat], a: int, N: int) -> AqElem:

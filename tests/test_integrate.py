@@ -194,6 +194,14 @@ def test_oracle_refine_shrinks_tail():
     )
     assert refined.tail_bound < base.tail_bound
     assert abs(refined.value - Fraction(2, 3)) <= refined.tail_bound
+    # exact bounds, so the tail taken at depth + refine is pinned too
+    assert base.tail_bound == Fraction(1, 192)
+    assert refined.tail_bound == Fraction(1, 12288)
+    for refine, bound in ((0, Fraction(13, 576)), (2, Fraction(19, 9216))):
+        r = brute_force_integrate(
+            ORD_TIMES_NORM, unit_ball_domain(P2), 4, growth=(1, -1, 1), refine=refine
+        )
+        assert r.tail_bound == bound
 
 
 def test_oracle_on_general_polynomial_argument():

@@ -26,6 +26,10 @@ def test_polynomial_error_positions():
     with pytest.raises(ParseError) as err:
         parse_polynomial("(x1 + 2")
     assert err.value.column == 8
+    # an empty ord() argument is reported at its closing parenthesis
+    with pytest.raises(ParseError) as err:
+        parse_integrand("q^(1)*ord()")
+    assert (err.value.line, err.value.column) == (1, 11)
 
 
 def test_polynomial_grammar():
@@ -105,3 +109,7 @@ def test_multiline_error_position():
         parse_polynomial("x1 +\n x2 + $")
     assert err.value.line == 2
     assert err.value.column == 7
+    # EOF after a final newline sits at the start of the empty last line
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x1 +\n")
+    assert (err.value.line, err.value.column) == (2, 1)

@@ -18,9 +18,11 @@ Value-group sums are evaluated in closed form; bounds that reference outer
 variables (prepared linear forms, modulus-1 cells only) produce new terms
 in those variables, which keeps the class closed under the iteration.
 
-A residue-enumeration oracle integrates the same expressions numerically
-with certified error bounds, independently of the symbolic path; only the
-bound's tail sum is the closed form weighted_tail, evaluated at q = p.
+A residue-class oracle integrates the same expressions numerically with
+certified error bounds, independently of the symbolic path: it walks the
+classes x0 + p^k Z_p^n as a tree and sums each class once f is constant
+on it.  Only the bound's tail sum is the closed form weighted_tail,
+evaluated at q = p.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     json_fields,
 )
 from .kcells import KCell, kcells_disjoint
-from .padic import DEFAULT_BUDGET, INFINITY, Prime, enumerate_residues, rational_ord
+from .padic import DEFAULT_BUDGET, INFINITY, Prime, rational_ord
 from .polys import Polynomial, binom_int, difference_polys, finite_differences, poly_mul
 from .presburger import GammaCell, PreparedLinear, cells_disjoint, intersect_cells, weighted_tail
 
@@ -846,16 +848,13 @@ def _collect_ords(f: ConstructibleExpr) -> list[OrdExpr]:
     return list(seen)
 
 
-def _region_status(x: Fraction, region, depth: int, p: int) -> tuple[str, bool]:
-    """Classify the residue class of x at the given depth against a region.
-
-    Returns (status, lift_member): status is "in" when the whole class lies
-    in one cell, "out" when it provably misses every cell, else "boundary";
-    lift_member is pointwise membership of the lift itself.
-    """
+def _region_status(x: int, region, depth: int, p: int) -> str:
+    """Classify the residue class of x at the given depth against a region:
+    "in" when the whole class lies in one cell, "out" when it provably
+    misses every cell, else "boundary".  "in" and "out" hold for every
+    subclass at a greater depth too."""
     if region is UNIT_BALL:
-        return "in", True
-    lift_member = any(cell.contains_value(x) for cell in region)
+        return "in"
     boundary = False
     for cell in region:
         if cell.ac_value.r == 0:
@@ -865,7 +864,7 @@ def _region_status(x: Fraction, region, depth: int, p: int) -> tuple[str, bool]:
         g = cell.gamma_cell()
         if rho is not INFINITY and rho <= depth - M - 1:
             if cell.contains_value(x):
-                return "in", lift_member
+                return "in"
         elif rho is not INFINITY and rho < depth:
             # the valuation is class-uniform but the angular value is not
             if g.contains(rho):
@@ -874,7 +873,12 @@ def _region_status(x: Fraction, region, depth: int, p: int) -> tuple[str, bool]:
             # members' valuations range over [depth, infinity]
             if intersect_cells(g, GammaCell(depth - 1, None)) is not None:
                 boundary = True
-    return ("boundary" if boundary else "out"), lift_member
+    return "boundary" if boundary else "out"
+
+
+def _lift_member(x: int, region) -> bool:
+    """Pointwise membership of the class representative itself."""
+    return region is UNIT_BALL or any(cell.contains_value(x) for cell in region)
 
 
 def _validate_oracle_domain(f: ConstructibleExpr, domain: Domain):
@@ -896,6 +900,10 @@ def _validate_oracle_domain(f: ConstructibleExpr, domain: Domain):
     missing = f.free_vars() - set(domain.names())
     if missing:
         raise DomainError(f"integrand mentions undeclared variables: {sorted(missing)}")
+    # the descent reads a field variable only through valuations
+    misread = sorted(v for v in domain.names() if f.sorts.get(v) == GAMMA_SORT)
+    if misread:
+        raise DomainError(f"integrand uses field variables as value-group variables: {misread}")
 
 
 def brute_force_integrate(
@@ -909,6 +917,15 @@ def brute_force_integrate(
     """Average f over lifts of residue classes mod p^depth, with a bound on
     the distance to the true integral.
 
+    The classes are walked as a tree: x0 + p^k Z_p^n splits into its p^n
+    subclasses at level k + 1.  A class stops early once it is decided:
+    when some variable's region misses it, it adds 0; when it lies inside
+    every region and every valuation argument g has ord g(x0) < k, f is
+    constant on it and it adds f(x0) p^(-n k), exactly the sum of its
+    subclasses mod p^depth.  Only classes still undecided at depth are
+    scanned one by one, so the work scales with those, not with p^(n
+    depth); the budget still caps p^(n depth).
+
     growth = (C, c, dg) asserts |f(x)| <= C * v^dg * q^(c*v) on classes
     where some valuation argument saturates at v >= depth; c <= 0 and
     dg >= 0 must be integers.  A saturated class of depth d adds its
@@ -917,7 +934,7 @@ def brute_force_integrate(
     The per-class decay used for the bound is exact when every valuation
     argument is linear in each field variable (shifted coordinates); for
     higher-degree arguments it is a documented assumption.  refine > 0
-    re-enumerates bad classes once at depth + refine.
+    continues the walk below each bad class to depth + refine.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -930,47 +947,64 @@ def brute_force_integrate(
     if C < 0 or dg < 0:
         raise ValueError("growth bound must have C >= 0 and dg >= 0")
     _validate_oracle_domain(f, domain)
-    p = domain.prime.p
+    prime = domain.prime
+    p = prime.p
     names = domain.names()
+    regions = [v.region for v in domain.variables]
     n = len(names)
     if p ** (n * depth) > budget:
         raise BudgetExceeded(
             f"p^(n*depth) = {p}^{n * depth} exceeds the budget of {budget} points"
         )
-    ords = _collect_ords(f)
+    args = [(oe.poly, [names.index(name) for name in oe.vars]) for oe in _collect_ords(f)]
     tails = {
         d: C * p**d * weighted_tail([0] * dg + [1], d, 1 - c).eval_at(p)
         for d in {depth, depth + refine}
     }
+    lifts = list(itertools.product(range(p), repeat=n))
 
-    def scan_class(point: dict, d: int):
-        """(value, err, skipped_count, skipped_measure, was_bad) for one class."""
+    def subclasses(point: tuple, k: int) -> list:
+        step = p**k
+        return [(tuple(x + t * step for x, t in zip(point, lift)), k + 1) for lift in lifts]
+
+    def walk(stack: list, last: int, bad: list) -> Fraction:
+        """f's exact sum over the decided classes below the (point, level)
+        pairs on the stack; classes undecided at level last go to bad as
+        (point, saturated)."""
+        total = Fraction(0)
+        while stack:
+            point, k = stack.pop()
+            statuses = []
+            for x, region in zip(point, regions):
+                status = _region_status(x, region, k, p)
+                if status == "out":
+                    break
+                statuses.append(status)
+            else:
+                mod = p**k
+                saturated = any(
+                    g.eval_int([point[i] for i in index]) % mod == 0 for g, index in args
+                )
+                if not saturated and all(s == "in" for s in statuses):
+                    total += f.eval(dict(zip(names, point)), prime) * Fraction(1, p ** (n * k))
+                elif k < last:
+                    stack.extend(subclasses(point, k))
+                else:
+                    bad.append((point, saturated))
+        return total
+
+    def scan_bad(point: tuple, saturated: bool, d: int):
+        """(value, err, skipped_count, skipped_measure) for one bad class."""
         scale = Fraction(1, p ** (n * d))
-        statuses = []
-        for v in domain.variables:
-            status, member = _region_status(point[v.name], v.region, d, p)
-            if status == "out":
-                return Fraction(0), Fraction(0), 0, Fraction(0), False
-            statuses.append((status, member))
-        saturated = False
-        for oe in ords:
-            values = [point[name] for name in oe.vars]
-            ov = rational_ord(oe.poly.eval(values), p)
-            if ov is INFINITY or ov >= d:
-                saturated = True
-                break
-        bad = saturated or any(s == "boundary" for s, _ in statuses)
-        if not bad:
-            return f.eval(point, domain.prime) * scale, Fraction(0), 0, Fraction(0), False
-        lift_in = all(member for _, member in statuses)
+        values = dict(zip(names, point))
         value = Fraction(0)
         err = Fraction(0)
         skipped = 0
         skipped_measure = Fraction(0)
         contribution = None
-        if lift_in:
+        if all(_lift_member(x, region) for x, region in zip(point, regions)):
             try:
-                contribution = f.eval(point, domain.prime)
+                contribution = f.eval(values, prime)
             except UndefinedAtPoint:
                 skipped += 1
                 skipped_measure = scale
@@ -979,44 +1013,34 @@ def brute_force_integrate(
             err += abs(contribution) * scale
         elif not saturated:
             # membership is ambiguous but f is class-constant
-            err += abs(f.eval(point, domain.prime)) * scale
+            err += abs(f.eval(values, prime)) * scale
         if saturated:
             err += scale * tails[d]
-        return value, err, skipped, skipped_measure, True
+        return value, err, skipped, skipped_measure
 
-    total = Fraction(0)
+    bad: list = []
+    total = walk([((0,) * n, 0)], depth, bad)
     err_total = Fraction(0)
     skipped_total = 0
     skipped_measure_total = Fraction(0)
-    bad_total = 0
-    for residues in enumerate_residues(n, depth, domain.prime, budget):
-        point = {name: Fraction(r) for name, r in zip(names, residues)}
-        value, err, skipped, smeasure, bad = scan_class(point, depth)
-        if bad and refine > 0:
-            value, err, skipped, smeasure = Fraction(0), Fraction(0), 0, Fraction(0)
-            step = p**depth
-            for deltas in itertools.product(range(p**refine), repeat=n):
-                sub = {
-                    name: point[name] + delta * step
-                    for name, delta in zip(names, deltas)
-                }
-                v2, e2, s2, m2, _ = scan_class(sub, depth + refine)
-                value += v2
-                err += e2
-                skipped += s2
-                smeasure += m2
-        total += value
-        err_total += err
-        skipped_total += skipped
-        skipped_measure_total += smeasure
-        if bad:
-            bad_total += 1
+    for point, saturated in bad:
+        if refine > 0:
+            finer: list = []
+            total += walk(subclasses(point, depth), depth + refine, finer)
+            scans = [scan_bad(sub, sat, depth + refine) for sub, sat in finer]
+        else:
+            scans = [scan_bad(point, saturated, depth)]
+        for value, err, skipped, smeasure in scans:
+            total += value
+            err_total += err
+            skipped_total += skipped
+            skipped_measure_total += smeasure
     return OracleResult(
         value=total,
         tail_bound=err_total,
         depth=depth,
         classes=p ** (n * depth),
         skipped=skipped_total,
-        boundary=bad_total,
+        boundary=len(bad),
         skipped_measure=skipped_measure_total,
     )

@@ -78,32 +78,47 @@ class SeriesTable:
 def series_table(
     f: Polynomial, prime: Prime, mmax: int, budget: int = DEFAULT_BUDGET
 ) -> SeriesTable:
-    """Count N_0..N_mmax by lifting: every solution mod p^(m+1) reduces to
-    one mod p^m, so only p^n candidate lifts per known solution are tested.
-    Agrees with count_Nm everywhere; radically cheaper when solutions are
-    sparse."""
+    """Count N_0..N_mmax by lifting solutions mod p^m to mod p^(m+1).
+
+    The solutions mod p are enumerated once.  By Hensel's lemma one whose
+    gradient is nonzero mod p has exactly p^((n-1)(m-1)) lifts mod p^m,
+    so it adds that to every N_m and is never lifted.  Only the singular
+    solutions (gradient = 0 mod p) are kept.  For m >= 2, f is constant
+    mod p^m on base + p^(m-1) Z_p^n when base is singular, so one
+    evaluation decides whether all p^n lifts are solutions or none are.
+    The budget bounds that singular frontier: lifting to depth m raises
+    BudgetExceeded when p^n times the singular solutions mod p^(m-1)
+    exceeds it.  Agrees with count_Nm everywhere."""
     if not f.is_integral():
         raise ValueError("counting requires integer coefficients")
     p = prime.p
     n = f.nvars
+    gradient = [f.derivative(i) for i in range(n)]
+    lifts = list(itertools.product(range(p), repeat=n))
     counts = [1]
-    solutions: list[tuple[int, ...]] = [(0,) * n]
-    deltas = list(itertools.product(range(p), repeat=n))
+    smooth = 0  # solutions mod p^m above a nonsingular solution mod p
+    frontier: list[tuple[int, ...]] = [(0,) * n]  # singular solutions mod p^(m-1)
     for m in range(1, mmax + 1):
-        if p**n * len(solutions) > budget:
+        if p**n * len(frontier) > budget:
             raise BudgetExceeded(
-                f"lifting to depth {m} would test more than {budget} candidates"
+                f"lifting to depth {m} could keep more than {budget} singular solutions"
             )
-        mod = p**m
-        step = p ** (m - 1)
-        lifted = []
-        for base in solutions:
-            for delta in deltas:
-                cand = tuple(b + d * step for b, d in zip(base, delta))
-                if f.eval_mod(cand, mod) == 0:
-                    lifted.append(cand)
-        solutions = lifted
-        counts.append(len(solutions))
+        if m == 1:
+            roots = [x for x in lifts if f.eval_mod(x, p) == 0]
+            frontier = [x for x in roots if not any(d.eval_mod(x, p) for d in gradient)]
+            smooth = len(roots) - len(frontier)
+        else:
+            if smooth:  # a nonsingular root needs n >= 1
+                smooth *= p ** (n - 1)
+            mod = p**m
+            step = p ** (m - 1)
+            frontier = [
+                tuple(b + t * step for b, t in zip(base, lift))
+                for base in frontier
+                if f.eval_mod(base, mod) == 0
+                for lift in lifts
+            ]
+        counts.append(smooth + len(frontier))
     return SeriesTable(prime, f, counts)
 
 
@@ -420,16 +435,23 @@ def poincare_report(
 ) -> PoincareReport:
     """Counts, rational fit, and measure-identity checks in one bundle.
 
-    Identity checks enumerate p^(n m) points, so they run only up to
-    check_mmax (default: as far as the budget allows, at most mmax)."""
+    The identity check at m enumerates the p^(n m) points twice, so checks
+    run for m up to check_mmax (at most mmax) within the budget.  Without
+    check_mmax they run for m = 0 and 1 and then for every further m while
+    all the points they enumerate stay within the sum of the table's
+    counts, so that checking costs no more than counting."""
     table = series_table(f, prime, mmax, budget)
     rational = fit_rational(table, guard)
     checks = []
     p = prime.p
     n = f.nvars
     limit = mmax if check_mmax is None else min(check_mmax, mmax)
+    allowance = sum(table.counts)
+    enumerated = 0
     for m in range(0, limit + 1):
-        if p ** (n * m) > budget:
+        points = p ** (n * m)
+        enumerated += 2 * points
+        if points > budget or (check_mmax is None and m > 1 and enumerated > allowance):
             break
         checks.append((m, measure_identity_check(f, prime, m, budget)))
     return PoincareReport(table, rational, checks, guard)

@@ -107,8 +107,14 @@ class Polynomial:
     def mentions(self, index: int) -> bool:
         return any(e[index] > 0 for e in self.terms)
 
-    def degree_in(self, index: int) -> int:
-        return max((e[index] for e in self.terms), default=0)
+    def derivative(self, index: int) -> "Polynomial":
+        """The partial derivative in x_index."""
+        out = {}
+        for exps, c in self.terms.items():
+            e = exps[index]
+            if e:
+                out[exps[:index] + (e - 1,) + exps[index + 1 :]] = c * e
+        return Polynomial(self.nvars, out)
 
     def eval(self, values: Sequence[Rat]) -> Fraction:
         total = Fraction(0)

@@ -28,7 +28,7 @@ from .integrate import (
 from .kcells import KCell, kcell_measure, partition_unit_ball
 from .padic import AngularResidue, Prime
 from .polys import Polynomial, poly_eval
-from .poincare import RationalFunctionT, fit_rational, measure_identity_check, series_table
+from .poincare import RationalFunctionT, count_Nm, fit_rational, measure_identity_check, series_table
 from .presburger import (
     GammaCell,
     gamma_weight_sum,
@@ -311,6 +311,56 @@ def check_poincare() -> tuple[str, bool, str]:
     return "poincare.counting_vs_symbolic", True, ""
 
 
+# "general" draws a sparse polynomial; the other shapes have a gradient
+# that vanishes mod p on some or all of their solutions mod p
+POLYNOMIAL_SHAPES = ("zero", "p-constant", "p*x1", "x1^2+x2^2", "x1^p", "general")
+
+
+def random_polynomial(rng: random.Random, p: int, shape: str = "general") -> Polynomial:
+    """An integer polynomial in 1-3 variables of the given shape.
+
+    "p-constant" is p, 2p, -p or p^2; "x1^2+x2^2" is singular mod 2.  A
+    general polynomial sums 1-4 monomials with exponents 0..p per variable
+    and coefficients in -3..3, a third of them multiplied by p."""
+    n = rng.randint(2 if shape == "x1^2+x2^2" else 1, 3)
+    x1 = Polynomial.variable(0, n)
+    if shape == "zero":
+        return Polynomial(n)
+    if shape == "p-constant":
+        return Polynomial.constant(rng.choice((p, 2 * p, -p, p * p)), n)
+    if shape == "p*x1":
+        return Polynomial.constant(p, n) * x1
+    if shape == "x1^2+x2^2":
+        return x1 * x1 + Polynomial.variable(1, n) ** 2
+    if shape == "x1^p":
+        return x1**p
+    if shape != "general":
+        raise ValueError(f"unknown polynomial shape {shape!r}")
+    terms: dict = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, p) for _ in range(n))
+        c = rng.randint(-3, 3) * (p if rng.random() < 1 / 3 else 1)
+        terms[exps] = terms.get(exps, 0) + c
+    return Polynomial(n, terms)
+
+
+def check_lifting(general: int = 6, points: int = 729) -> tuple[str, bool, str]:
+    """series_table against count_Nm for every m with p^(n m) <= points."""
+    rng = random.Random(SEED + 5)
+    for p in (2, 3):
+        prime = Prime(p)
+        shapes = POLYNOMIAL_SHAPES[:-1] + ("general",) * general
+        for shape in shapes:
+            f = random_polynomial(rng, p, shape)
+            mmax = 0
+            while p ** (f.nvars * (mmax + 1)) <= points:
+                mmax += 1
+            counts = [count_Nm(f, prime, m) for m in range(mmax + 1)]
+            if series_table(f, prime, mmax).counts != counts:
+                return "poincare.lifting_vs_enumeration", False, f"{f.render()} p={p}"
+    return "poincare.lifting_vs_enumeration", True, ""
+
+
 ALL_CHECKS = [
     check_presburger_sums,
     check_presburger_additivity,
@@ -323,6 +373,7 @@ ALL_CHECKS = [
     check_integration_additivity,
     check_integration_fubini,
     check_poincare,
+    check_lifting,
 ]
 
 

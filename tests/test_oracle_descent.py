@@ -1,0 +1,217 @@
+"""The oracle's residue-class descent against the flat scan it replaced.
+
+flat_oracle below is the oracle as it was before the descent: it scans
+every class mod p^depth and re-enumerates every bad one at depth + refine.
+It is kept here as the reference; every OracleResult field must agree.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from padicint import (
+    AngularResidue,
+    AqElem,
+    ConstructibleExpr,
+    Domain,
+    DomainError,
+    IntScale,
+    KCell,
+    OrdExpr,
+    Polynomial,
+    Prime,
+    Term,
+    UNIT_BALL,
+    UndefinedAtPoint,
+    brute_force_integrate,
+    identity_lin,
+)
+from padicint.kcells import kcells_disjoint
+from padicint.integrate import OracleResult, _collect_ords, _lift_member, _region_status
+from padicint.padic import INFINITY, rational_ord
+from padicint.presburger import weighted_tail
+
+K = "K"
+
+
+def flat_oracle(f, domain, depth, growth=(1, 0, 0), refine=0) -> OracleResult:
+    C, c, dg = (Fraction(x) for x in growth)
+    c, dg = int(c), int(dg)
+    p = domain.prime.p
+    names = domain.names()
+    n = len(names)
+    ords = _collect_ords(f)
+    tails = {
+        d: C * p**d * weighted_tail([0] * dg + [1], d, 1 - c).eval_at(p)
+        for d in {depth, depth + refine}
+    }
+
+    def scan_class(point: dict, d: int):
+        scale = Fraction(1, p ** (n * d))
+        statuses = []
+        for v in domain.variables:
+            status = _region_status(point[v.name], v.region, d, p)
+            if status == "out":
+                return Fraction(0), Fraction(0), 0, Fraction(0), False
+            statuses.append((status, _lift_member(point[v.name], v.region)))
+        saturated = False
+        for oe in ords:
+            values = [point[name] for name in oe.vars]
+            ov = rational_ord(oe.poly.eval(values), p)
+            if ov is INFINITY or ov >= d:
+                saturated = True
+                break
+        bad = saturated or any(s == "boundary" for s, _ in statuses)
+        if not bad:
+            return f.eval(point, domain.prime) * scale, Fraction(0), 0, Fraction(0), False
+        lift_in = all(member for _, member in statuses)
+        value = Fraction(0)
+        err = Fraction(0)
+        skipped = 0
+        skipped_measure = Fraction(0)
+        contribution = None
+        if lift_in:
+            try:
+                contribution = f.eval(point, domain.prime)
+            except UndefinedAtPoint:
+                skipped += 1
+                skipped_measure = scale
+        if contribution is not None:
+            value = contribution * scale
+            err += abs(contribution) * scale
+        elif not saturated:
+            err += abs(f.eval(point, domain.prime)) * scale
+        if saturated:
+            err += scale * tails[d]
+        return value, err, skipped, skipped_measure, True
+
+    total = Fraction(0)
+    err_total = Fraction(0)
+    skipped_total = 0
+    skipped_measure_total = Fraction(0)
+    bad_total = 0
+    for residues in itertools.product(range(p**depth), repeat=n):
+        point = {name: Fraction(r) for name, r in zip(names, residues)}
+        value, err, skipped, smeasure, bad = scan_class(point, depth)
+        if bad and refine > 0:
+            value, err, skipped, smeasure = Fraction(0), Fraction(0), 0, Fraction(0)
+            step = p**depth
+            for deltas in itertools.product(range(p**refine), repeat=n):
+                sub = {name: point[name] + delta * step for name, delta in zip(names, deltas)}
+                v2, e2, s2, m2, _ = scan_class(sub, depth + refine)
+                value += v2
+                err += e2
+                skipped += s2
+                smeasure += m2
+        total += value
+        err_total += err
+        skipped_total += skipped
+        skipped_measure_total += smeasure
+        if bad:
+            bad_total += 1
+    return OracleResult(
+        value=total,
+        tail_bound=err_total,
+        depth=depth,
+        classes=p ** (n * depth),
+        skipped=skipped_total,
+        boundary=bad_total,
+        skipped_measure=skipped_measure_total,
+    )
+
+
+def _random_region(rng: random.Random, prime: Prime):
+    if rng.random() < 0.3:
+        return UNIT_BALL
+    p = prime.p
+    cells = []
+    for _ in range(rng.randint(1, 2)):
+        M = rng.randint(1, 2)
+        center = Fraction(rng.randint(0, 2 * p * p), rng.choice([1, 1, 1 + p]))
+        if rng.random() < 0.1:
+            cell = KCell(center, None, None, 1, 0, M, AngularResidue(M, 0), prime)
+        else:
+            lower = rng.randint(-1, 2)
+            upper = lower + rng.randint(1, 4) if rng.random() < 0.6 else None
+            mod = rng.randint(1, 2)
+            unit = rng.choice([r for r in range(1, p**M) if r % p])
+            cell = KCell(center, lower, upper, mod, rng.randrange(mod), M, AngularResidue(M, unit), prime)
+        if all(kcells_disjoint(cell, other) for other in cells):
+            cells.append(cell)
+    return cells
+
+
+def _random_argument(rng: random.Random, names: list, p: int) -> OrdExpr:
+    """ord((x - a)^e) in one variable, or ord(x1 * x2^e) on two."""
+    n = len(names)
+    if n == 2 and rng.random() < 0.3:
+        return OrdExpr(Polynomial(2, {(1, rng.randint(1, 2)): 1}), tuple(names))
+    name = rng.choice(names)
+    shifted = Polynomial(1, {(1,): 1, (0,): -rng.randint(0, p * p)})
+    return OrdExpr(shifted ** rng.randint(1, 2), (name,))
+
+
+def _random_integrand(rng: random.Random, names: list, p: int) -> ConstructibleExpr:
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        coeff = AqElem.from_rational(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+        args = [_random_argument(rng, names, p) for _ in range(rng.randint(0, 2))]
+        qparts = tuple(IntScale(-rng.randint(0, 2), a) for a in args)
+        zfactors = tuple(a for a in args if rng.random() < 0.5)
+        terms.append(Term(coeff, qparts=qparts, zfactors=zfactors))
+    return ConstructibleExpr(terms)
+
+
+def test_descent_equals_flat_scan_on_random_domains():
+    rng = random.Random(20261018)
+    seen_skipped = seen_boundary = seen_refined = 0
+    for _ in range(160):
+        prime = Prime(rng.choice((2, 3)))
+        p = prime.p
+        n = rng.randint(1, 2)
+        names = [f"x{i + 1}" for i in range(n)]
+        domain = Domain([(name, K, _random_region(rng, prime)) for name in names], prime)
+        f = _random_integrand(rng, names, p)
+        # keep p^(n (depth + refine)) at most 2^10 or 3^6 for the flat scan
+        top = (10 if p == 2 else 6) // n
+        refine = rng.randint(0, 2)
+        depth = rng.randint(1, top - refine)
+        growth = (Fraction(rng.randint(1, 4), rng.randint(1, 2)), rng.randint(-2, 0), rng.randint(0, 1))
+        descent = brute_force_integrate(f, domain, depth, growth=growth, refine=refine)
+        assert descent == flat_oracle(f, domain, depth, growth=growth, refine=refine), (
+            domain.to_json(), depth, refine, growth,
+        )
+        seen_skipped += descent.skipped > 0
+        seen_boundary += descent.boundary > 0
+        seen_refined += refine > 0 and descent.boundary > 0
+    assert seen_skipped >= 10 and seen_boundary >= 40 and seen_refined >= 20
+
+
+def test_descent_evaluates_few_classes(monkeypatch):
+    p, n, depth = 3, 2, 5
+    ords = [OrdExpr(Polynomial.variable(0, 1), (name,)) for name in ("x1", "x2")]
+    f = ConstructibleExpr([Term(AqElem.one(), qparts=tuple(IntScale(-1, a) for a in ords))])
+    domain = Domain([("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL)], Prime(p))
+    calls = 0
+    real_eval = ConstructibleExpr.eval
+
+    def counting_eval(self, point, prime):
+        nonlocal calls
+        calls += 1
+        return real_eval(self, point, prime)
+
+    monkeypatch.setattr(ConstructibleExpr, "eval", counting_eval)
+    result = brute_force_integrate(f, domain, depth, growth=(1, -1, 0))
+    # the flat scan evaluated f once per class: 3^10 = 59,049 times
+    assert result.classes == p ** (n * depth)
+    assert 0 < calls < p ** (n * depth) // 20
+    assert abs(result.value - Fraction(9, 16)) <= result.tail_bound
+
+
+def test_field_variable_read_as_value_group_variable_is_refused():
+    f = ConstructibleExpr([Term(AqElem.one(), zfactors=(identity_lin("x1"),))])
+    domain = Domain([("x1", K, UNIT_BALL)], Prime(2))
+    with pytest.raises(DomainError, match="value-group"):
+        brute_force_integrate(f, domain, 3)

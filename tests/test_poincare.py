@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import padicint.poincare as poincare_module
 from padicint import (
     BudgetExceeded,
     Polynomial,
@@ -15,6 +19,7 @@ from padicint import (
     poincare_report,
     series_table,
 )
+from padicint.selfcheck import POLYNOMIAL_SHAPES, random_polynomial
 
 P2, P3 = Prime(2), Prime(3)
 X = Polynomial.variable(0, 1)
@@ -181,3 +186,49 @@ def test_report_for_xy():
     assert rep.rational.reproduces(rep.table.counts)
     assert [m for m, _ in rep.checks] == [0, 1, 2, 3, 4]
     assert all(ok for _, ok in rep.checks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.sampled_from(POLYNOMIAL_SHAPES), st.integers(0, 2**32))
+def test_lifting_matches_enumeration(p, shape, seed):
+    # the generator of `padicint check`, at up to 3^8 points per count
+    f = random_polynomial(random.Random(seed), p, shape)
+    prime = Prime(p)
+    mmax = 0
+    while p ** (f.nvars * (mmax + 1)) <= 3**8:
+        mmax += 1
+    table = series_table(f, prime, mmax)
+    assert table.counts == [count_Nm(f, prime, m) for m in range(mmax + 1)], f.render()
+
+
+def test_lifting_budget_bounds_the_singular_frontier():
+    # x1 is nonsingular everywhere: nothing is kept, so a tiny budget lasts
+    assert series_table(X, P3, 40, budget=3).counts == [1] * 41
+    # x1^2 at p = 3 keeps every solution: N_4 = 9 of them, 27 lifts > 20
+    assert series_table(X2, P3, 4, budget=20).counts == [1, 1, 3, 3, 9]
+    with pytest.raises(BudgetExceeded):
+        series_table(X2, P3, 5, budget=20)
+
+
+def test_default_checks_enumerate_no_more_than_the_counts(monkeypatch):
+    # x1*x2 at p = 3, mmax 11: the default used to check every m with
+    # 9^m <= 10^8 and ran for minutes
+    enumerated = 0
+    real = poincare_module.enumerate_residues
+
+    def counting(*args):
+        nonlocal enumerated
+        for point in real(*args):
+            enumerated += 1
+            yield point
+
+    monkeypatch.setattr(poincare_module, "enumerate_residues", counting)
+    rep = poincare_report(XY, P3, 11)
+    assert [m for m, _ in rep.checks] == list(range(7))
+    assert all(ok for _, ok in rep.checks)
+    # each check at m >= 1 enumerates its 9^m points twice
+    assert enumerated == 2 * sum(9**m for m in range(1, 7))
+    assert enumerated <= sum(rep.table.counts) < enumerated + 2 * 9**7
+    # m = 0 and 1 always run; an explicit check_mmax is honoured
+    assert [m for m, _ in poincare_report(X, P2, 8).checks] == [0, 1]
+    assert [m for m, _ in poincare_report(X, P2, 8, check_mmax=8).checks] == list(range(9))

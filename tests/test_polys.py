@@ -113,3 +113,12 @@ def test_polydiv_by_sparse_divisors(case):
     quot, rem = polydiv(num, b)
     assert quot == a
     assert rem == r + [0] * (len(num) - len(r))
+
+
+def test_partial_derivative():
+    f = Polynomial(2, {(2, 1): 3, (1, 0): 1, (0, 0): -5})
+    assert f.derivative(0) == Polynomial(2, {(1, 1): 6, (0, 0): 1})
+    assert f.derivative(1) == Polynomial(2, {(2, 0): 3})
+    assert Polynomial.constant(7, 2).derivative(1).is_zero()
+    # d/dx x^p = p x^(p-1) vanishes mod p
+    assert (Polynomial.variable(0, 1) ** 5).derivative(0) == Polynomial(1, {(4,): 5})

@@ -876,6 +876,19 @@ def _region_status(x: int, region, depth: int, p: int) -> str:
     return "boundary" if boundary else "out"
 
 
+def _class_status(point: tuple, regions: list, depth: int, p: int) -> str:
+    """_region_status of a class across all variables: "out" as soon as one
+    region misses it, "in" when every region contains it, else "boundary"."""
+    status = "in"
+    for x, region in zip(point, regions):
+        s = _region_status(x, region, depth, p)
+        if s == "out":
+            return "out"
+        if s == "boundary":
+            status = "boundary"
+    return status
+
+
 def _lift_member(x: int, region) -> bool:
     """Pointwise membership of the class representative itself."""
     return region is UNIT_BALL or any(cell.contains_value(x) for cell in region)
@@ -930,11 +943,13 @@ def brute_force_integrate(
     where some valuation argument saturates at v >= depth; c <= 0 and
     dg >= 0 must be integers.  A saturated class of depth d adds its
     measure times C p^d sum_{v >= d} v^dg p^((c-1)v) to the bound; that
-    tail is weighted_tail(v^dg, d, 1 - c) at q = p, taken once per depth.
+    tail is weighted_tail(v^dg, d, 1 - c) at q = p.
     The per-class decay used for the bound is exact when every valuation
     argument is linear in each field variable (shifted coordinates); for
     higher-degree arguments it is a documented assumption.  refine > 0
-    continues the walk below each bad class to depth + refine.
+    continues the walk below each class undecided at depth (these are the
+    boundary classes) to depth + refine, and the classes undecided there
+    are scanned and bounded at depth + refine instead.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -957,90 +972,52 @@ def brute_force_integrate(
             f"p^(n*depth) = {p}^{n * depth} exceeds the budget of {budget} points"
         )
     args = [(oe.poly, [names.index(name) for name in oe.vars]) for oe in _collect_ords(f)]
-    tails = {
-        d: C * p**d * weighted_tail([0] * dg + [1], d, 1 - c).eval_at(p)
-        for d in {depth, depth + refine}
-    }
+    last = depth + refine
+    tail = C * p**last * weighted_tail([0] * dg + [1], last, 1 - c).eval_at(p)
+    scale = Fraction(1, p ** (n * last))
     lifts = list(itertools.product(range(p), repeat=n))
-
-    def subclasses(point: tuple, k: int) -> list:
-        step = p**k
-        return [(tuple(x + t * step for x, t in zip(point, lift)), k + 1) for lift in lifts]
-
-    def walk(stack: list, last: int, bad: list) -> Fraction:
-        """f's exact sum over the decided classes below the (point, level)
-        pairs on the stack; classes undecided at level last go to bad as
-        (point, saturated)."""
-        total = Fraction(0)
-        while stack:
-            point, k = stack.pop()
-            statuses = []
-            for x, region in zip(point, regions):
-                status = _region_status(x, region, k, p)
-                if status == "out":
-                    break
-                statuses.append(status)
-            else:
-                mod = p**k
-                saturated = any(
-                    g.eval_int([point[i] for i in index]) % mod == 0 for g, index in args
-                )
-                if not saturated and all(s == "in" for s in statuses):
-                    total += f.eval(dict(zip(names, point)), prime) * Fraction(1, p ** (n * k))
-                elif k < last:
-                    stack.extend(subclasses(point, k))
-                else:
-                    bad.append((point, saturated))
-        return total
-
-    def scan_bad(point: tuple, saturated: bool, d: int):
-        """(value, err, skipped_count, skipped_measure) for one bad class."""
-        scale = Fraction(1, p ** (n * d))
+    total = Fraction(0)
+    err_total = Fraction(0)
+    skipped = 0
+    boundary = 0
+    stack = [((0,) * n, 0)]
+    while stack:
+        point, k = stack.pop()
+        status = _class_status(point, regions, k, p)
+        if status == "out":
+            continue
+        mod = p**k
+        saturated = any(g.eval_int([point[i] for i in index]) % mod == 0 for g, index in args)
         values = dict(zip(names, point))
-        value = Fraction(0)
-        err = Fraction(0)
-        skipped = 0
-        skipped_measure = Fraction(0)
+        if status == "in" and not saturated:
+            total += f.eval(values, prime) * Fraction(1, p ** (n * k))
+            continue
+        if k == depth:
+            boundary += 1
+        if k < last:
+            stack.extend((tuple(x + t * mod for x, t in zip(point, lift)), k + 1) for lift in lifts)
+            continue
+        # a class still undecided at the last level is scanned on its own
         contribution = None
         if all(_lift_member(x, region) for x, region in zip(point, regions)):
             try:
                 contribution = f.eval(values, prime)
             except UndefinedAtPoint:
                 skipped += 1
-                skipped_measure = scale
         if contribution is not None:
-            value = contribution * scale
-            err += abs(contribution) * scale
+            total += contribution * scale
+            err_total += abs(contribution) * scale
         elif not saturated:
             # membership is ambiguous but f is class-constant
-            err += abs(f.eval(values, prime)) * scale
+            err_total += abs(f.eval(values, prime)) * scale
         if saturated:
-            err += scale * tails[d]
-        return value, err, skipped, skipped_measure
-
-    bad: list = []
-    total = walk([((0,) * n, 0)], depth, bad)
-    err_total = Fraction(0)
-    skipped_total = 0
-    skipped_measure_total = Fraction(0)
-    for point, saturated in bad:
-        if refine > 0:
-            finer: list = []
-            total += walk(subclasses(point, depth), depth + refine, finer)
-            scans = [scan_bad(sub, sat, depth + refine) for sub, sat in finer]
-        else:
-            scans = [scan_bad(point, saturated, depth)]
-        for value, err, skipped, smeasure in scans:
-            total += value
-            err_total += err
-            skipped_total += skipped
-            skipped_measure_total += smeasure
+            err_total += scale * tail
     return OracleResult(
         value=total,
         tail_bound=err_total,
         depth=depth,
         classes=p ** (n * depth),
-        skipped=skipped_total,
-        boundary=len(bad),
-        skipped_measure=skipped_measure_total,
+        skipped=skipped,
+        boundary=boundary,
+        skipped_measure=skipped * scale,
     )

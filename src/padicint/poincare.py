@@ -12,7 +12,7 @@ never as a rational function.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -58,11 +58,15 @@ def count_Nm(f: Polynomial, prime: Prime, m: int, budget: int = DEFAULT_BUDGET) 
 
 @dataclass
 class SeriesTable:
-    """A prefix N_0..N_mmax of the congruence counts for one polynomial."""
+    """A prefix N_0..N_mmax of the congruence counts for one polynomial.
+
+    evaluations is the number of points at which series_table evaluated f
+    to build the counts (0 for a table given directly)."""
 
     prime: Prime
     f: Polynomial
     counts: list[int]
+    evaluations: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not self.counts or self.counts[0] != 1:
@@ -88,7 +92,9 @@ def series_table(
     evaluation decides whether all p^n lifts are solutions or none are.
     The budget bounds that singular frontier: lifting to depth m raises
     BudgetExceeded when p^n times the singular solutions mod p^(m-1)
-    exceeds it.  Agrees with count_Nm everywhere."""
+    exceeds it.  The table records the points evaluated: p^n at m = 1
+    and one per singular solution lifted after that.  Agrees with
+    count_Nm everywhere."""
     if not f.is_integral():
         raise ValueError("counting requires integer coefficients")
     p = prime.p
@@ -96,6 +102,7 @@ def series_table(
     gradient = [f.derivative(i) for i in range(n)]
     lifts = list(itertools.product(range(p), repeat=n))
     counts = [1]
+    evaluations = 0
     smooth = 0  # solutions mod p^m above a nonsingular solution mod p
     frontier: list[tuple[int, ...]] = [(0,) * n]  # singular solutions mod p^(m-1)
     for m in range(1, mmax + 1):
@@ -104,6 +111,7 @@ def series_table(
                 f"lifting to depth {m} could keep more than {budget} singular solutions"
             )
         if m == 1:
+            evaluations += len(lifts)
             roots = [x for x in lifts if f.eval_mod(x, p) == 0]
             frontier = [x for x in roots if not any(d.eval_mod(x, p) for d in gradient)]
             smooth = len(roots) - len(frontier)
@@ -112,6 +120,7 @@ def series_table(
                 smooth *= p ** (n - 1)
             mod = p**m
             step = p ** (m - 1)
+            evaluations += len(frontier)
             frontier = [
                 tuple(b + t * step for b, t in zip(base, lift))
                 for base in frontier
@@ -119,7 +128,7 @@ def series_table(
                 for lift in lifts
             ]
         counts.append(smooth + len(frontier))
-    return SeriesTable(prime, f, counts)
+    return SeriesTable(prime, f, counts, evaluations)
 
 
 def measure_identity_check(
@@ -438,20 +447,19 @@ def poincare_report(
     The identity check at m enumerates the p^(n m) points twice, so checks
     run for m up to check_mmax (at most mmax) within the budget.  Without
     check_mmax they run for m = 0 and 1 and then for every further m while
-    all the points they enumerate stay within the sum of the table's
-    counts, so that checking costs no more than counting."""
+    all the points they enumerate stay within the points series_table
+    evaluated, so that checking costs no more than counting."""
     table = series_table(f, prime, mmax, budget)
     rational = fit_rational(table, guard)
     checks = []
     p = prime.p
     n = f.nvars
     limit = mmax if check_mmax is None else min(check_mmax, mmax)
-    allowance = sum(table.counts)
     enumerated = 0
     for m in range(0, limit + 1):
         points = p ** (n * m)
         enumerated += 2 * points
-        if points > budget or (check_mmax is None and m > 1 and enumerated > allowance):
+        if points > budget or (check_mmax is None and m > 1 and enumerated > table.evaluations):
             break
         checks.append((m, measure_identity_check(f, prime, m, budget)))
     return PoincareReport(table, rational, checks, guard)

@@ -19,7 +19,7 @@ from padicint import (
     poincare_report,
     series_table,
 )
-from padicint.selfcheck import POLYNOMIAL_SHAPES, random_polynomial
+from padicint.selfcheck import POLYNOMIAL_SHAPES, lifting_matches_enumeration, random_polynomial
 
 P2, P3 = Prime(2), Prime(3)
 X = Polynomial.variable(0, 1)
@@ -193,12 +193,7 @@ def test_report_for_xy():
 def test_lifting_matches_enumeration(p, shape, seed):
     # the generator of `padicint check`, at up to 3^8 points per count
     f = random_polynomial(random.Random(seed), p, shape)
-    prime = Prime(p)
-    mmax = 0
-    while p ** (f.nvars * (mmax + 1)) <= 3**8:
-        mmax += 1
-    table = series_table(f, prime, mmax)
-    assert table.counts == [count_Nm(f, prime, m) for m in range(mmax + 1)], f.render()
+    assert lifting_matches_enumeration(f, Prime(p), 3**8), f.render()
 
 
 def test_lifting_budget_bounds_the_singular_frontier():
@@ -224,11 +219,21 @@ def test_default_checks_enumerate_no_more_than_the_counts(monkeypatch):
 
     monkeypatch.setattr(poincare_module, "enumerate_residues", counting)
     rep = poincare_report(XY, P3, 11)
-    assert [m for m, _ in rep.checks] == list(range(7))
+    assert [m for m, _ in rep.checks] == list(range(6))
     assert all(ok for _, ok in rep.checks)
-    # each check at m >= 1 enumerates its 9^m points twice
-    assert enumerated == 2 * sum(9**m for m in range(1, 7))
-    assert enumerated <= sum(rep.table.counts) < enumerated + 2 * 9**7
+    # each check at m >= 1 enumerates its 9^m points twice; the lifting
+    # evaluated 9 points mod 3 and one point per singular solution after
+    assert enumerated == 2 * sum(9**m for m in range(1, 6))
+    assert enumerated <= rep.table.evaluations < enumerated + 2 * 9**6
+    # x1 + x2*x3 is nonsingular mod 3, so the lifting evaluates only the 27
+    # points mod 3 and the checks stop after m = 1; the counts' sum, about
+    # 3.5e10 here, would let them run on to m = 5
+    enumerated = 0
+    smooth = Polynomial(3, {(1, 0, 0): 1, (0, 1, 1): 1})
+    rep = poincare_report(smooth, P3, 11)
+    assert rep.table.evaluations == 27
+    assert [m for m, _ in rep.checks] == [0, 1]
+    assert enumerated == 2 * 27
     # m = 0 and 1 always run; an explicit check_mmax is honoured
     assert [m for m, _ in poincare_report(X, P2, 8).checks] == [0, 1]
     assert [m for m, _ in poincare_report(X, P2, 8, check_mmax=8).checks] == list(range(9))

@@ -48,7 +48,10 @@ def _parse_value(text: str) -> Fraction:
 def _budget(args) -> int:
     env = os.environ.get("PADIC_BUDGET")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(f"PADIC_BUDGET must be an integer, not {env!r}")
     if args.budget is not None:
         return args.budget
     return DEFAULT_BUDGET
@@ -65,7 +68,7 @@ def _require_prime(args) -> Prime:
 
 _OPTIONS = {
     "--p": dict(type=int, help="the prime p"),
-    "--budget": dict(type=int, help="enumeration point budget"),
+    "--budget": dict(type=int, help="most oracle classes or enumerated points"),
     "--depth": dict(type=int, help="oracle residue depth"),
     "--guard": dict(type=int, default=5, help="verification margin"),
 }
@@ -108,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--domain", required=True, help="domain JSON file")
     s.add_argument("--oracle", action="store_true", help="residue enumeration instead of the symbolic engine")
     s.add_argument("--growth", default="1,0,0", help="C,c,dg growth bound for the oracle tail")
-    s.add_argument("--refine", type=int, default=0, help="re-enumerate bad classes at depth+refine")
 
     s = command("poincare", "congruence counts and rational fit", "--p", "--budget", "--guard")
     s.add_argument("poly")
@@ -187,7 +189,6 @@ def _cmd_integrate(args) -> int:
             args.depth,
             growth=growth,
             budget=_budget(args),
-            refine=args.refine,
         )
         payload = {
             "value": str(result.value),

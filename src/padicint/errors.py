@@ -6,7 +6,7 @@ class PadicIntError(Exception):
 
 
 class BudgetExceeded(PadicIntError):
-    """An enumeration would visit more points than the configured budget."""
+    """An enumeration would visit more points or classes than the budget allows."""
 
 
 class DivergentSum(PadicIntError):

@@ -925,7 +925,6 @@ def brute_force_integrate(
     depth: int,
     growth: tuple = (1, 0, 0),
     budget: int = DEFAULT_BUDGET,
-    refine: int = 0,
 ) -> OracleResult:
     """Average f over lifts of residue classes mod p^depth, with a bound on
     the distance to the true integral.
@@ -935,21 +934,21 @@ def brute_force_integrate(
     when some variable's region misses it, it adds 0; when it lies inside
     every region and every valuation argument g has ord g(x0) < k, f is
     constant on it and it adds f(x0) p^(-n k), exactly the sum of its
-    subclasses mod p^depth.  Only classes still undecided at depth are
-    scanned one by one, so the work scales with those, not with p^(n
-    depth); the budget still caps p^(n depth).
+    subclasses mod p^depth.  Only classes still undecided at depth (the
+    boundary classes) are scanned one by one, so the work scales with
+    those, not with p^(n depth).  The budget bounds the classes the walk
+    settles (missed, decided or scanned): each split adds p^n - 1 of them,
+    and passing the budget raises BudgetExceeded.  They tile Z_p^n at
+    levels <= depth, so there are never more than p^(n depth).
 
     growth = (C, c, dg) asserts |f(x)| <= C * v^dg * q^(c*v) on classes
     where some valuation argument saturates at v >= depth; c <= 0 and
-    dg >= 0 must be integers.  A saturated class of depth d adds its
-    measure times C p^d sum_{v >= d} v^dg p^((c-1)v) to the bound; that
-    tail is weighted_tail(v^dg, d, 1 - c) at q = p.
+    dg >= 0 must be integers.  A saturated class adds its measure times
+    C p^depth sum_{v >= depth} v^dg p^((c-1)v) to the bound; that tail is
+    weighted_tail(v^dg, depth, 1 - c) at q = p.
     The per-class decay used for the bound is exact when every valuation
     argument is linear in each field variable (shifted coordinates); for
-    higher-degree arguments it is a documented assumption.  refine > 0
-    continues the walk below each class undecided at depth (these are the
-    boundary classes) to depth + refine, and the classes undecided there
-    are scanned and bounded at depth + refine instead.
+    higher-degree arguments it is a documented assumption.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -967,19 +966,15 @@ def brute_force_integrate(
     names = domain.names()
     regions = [v.region for v in domain.variables]
     n = len(names)
-    if p ** (n * depth) > budget:
-        raise BudgetExceeded(
-            f"p^(n*depth) = {p}^{n * depth} exceeds the budget of {budget} points"
-        )
     args = [(oe.poly, [names.index(name) for name in oe.vars]) for oe in _collect_ords(f)]
-    last = depth + refine
-    tail = C * p**last * weighted_tail([0] * dg + [1], last, 1 - c).eval_at(p)
-    scale = Fraction(1, p ** (n * last))
+    tail = C * p**depth * weighted_tail([0] * dg + [1], depth, 1 - c).eval_at(p)
+    scale = Fraction(1, p ** (n * depth))
     lifts = list(itertools.product(range(p), repeat=n))
     total = Fraction(0)
     err_total = Fraction(0)
     skipped = 0
     boundary = 0
+    partition = 1  # classes settled or on the stack; together they tile Z_p^n
     stack = [((0,) * n, 0)]
     while stack:
         point, k = stack.pop()
@@ -992,12 +987,16 @@ def brute_force_integrate(
         if status == "in" and not saturated:
             total += f.eval(values, prime) * Fraction(1, p ** (n * k))
             continue
-        if k == depth:
-            boundary += 1
-        if k < last:
+        if k < depth:
+            partition += len(lifts) - 1
+            if partition > budget:
+                raise BudgetExceeded(
+                    f"the oracle walk to depth {depth} settles more than the budget of {budget} classes"
+                )
             stack.extend((tuple(x + t * mod for x, t in zip(point, lift)), k + 1) for lift in lifts)
             continue
-        # a class still undecided at the last level is scanned on its own
+        # a class still undecided at depth is scanned on its own
+        boundary += 1
         contribution = None
         if all(_lift_member(x, region) for x, region in zip(point, regions)):
             try:

@@ -136,14 +136,15 @@ def measure_identity_check(
 ) -> bool:
     """Check N_m = p^(nm) * mu({x : ord f(x) >= m}).
 
-    The counting half recomputes the right side through the valuation
-    machinery on lifts.  For a monomial in a single variable the measure is
-    also computed symbolically through the integration engine and compared;
-    other shapes are not fiber-reducible and use the counting half only.
+    N_m is series_table's lifted count, which fits in any budget that
+    the counting half does: that half enumerates the p^(n m) points once
+    and tests ord f(x) >= m.  For a monomial in a single variable the
+    measure is also computed symbolically through the integration engine
+    and compared; other shapes use the counting half only.
     """
     p = prime.p
     n = f.nvars
-    Nm = count_Nm(f, prime, m, budget)
+    Nm = series_table(f, prime, m, budget).counts[m]
     if m == 0:
         return Nm == 1
     count = 0
@@ -444,7 +445,7 @@ def poincare_report(
 ) -> PoincareReport:
     """Counts, rational fit, and measure-identity checks in one bundle.
 
-    The identity check at m enumerates the p^(n m) points twice, so checks
+    The identity check at m enumerates the p^(n m) points once, so checks
     run for m up to check_mmax (at most mmax) within the budget.  Without
     check_mmax they run for m = 0 and 1 and then for every further m while
     all the points they enumerate stay within the points series_table
@@ -458,7 +459,7 @@ def poincare_report(
     enumerated = 0
     for m in range(0, limit + 1):
         points = p ** (n * m)
-        enumerated += 2 * points
+        enumerated += points
         if points > budget or (check_mmax is None and m > 1 and enumerated > table.evaluations):
             break
         checks.append((m, measure_identity_check(f, prime, m, budget)))

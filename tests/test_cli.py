@@ -93,7 +93,7 @@ def test_json_output_is_reproducible(capsys):
     assert first == second
 
 
-def test_exit_codes(capsys, tmp_path):
+def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "ord", "--p", "2", "notanumber")
     assert code == 2 and "ParseError" in err
     code, _, err = run(capsys, "poincare", "--p", "2", "--mmax", "3", "x1^")
@@ -106,6 +106,25 @@ def test_exit_codes(capsys, tmp_path):
         capsys, "poincare", "--p", "3", "--mmax", "11", "x1*x2", "--budget", "1000"
     )
     assert code == 3 and "BudgetExceeded" in err
+    # the oracle's budget bounds the classes its walk settles: 17,433 here
+    domfile = write(
+        tmp_path, "dom.json",
+        {"p": 3, "vars": [{"name": name, "sort": "K", "region": "unit_ball"} for name in ("x1", "x2")]},
+    )
+    oracle = (
+        "integrate", "q^(-ord(x1) - ord(x2))", "--domain", domfile,
+        "--oracle", "--depth", "7", "--growth", "1,-1,0",
+    )
+    code, _, err = run(capsys, *oracle, "--budget", "17432")
+    assert code == 3 and "BudgetExceeded" in err and "depth 7" in err and "17432" in err
+    assert run(capsys, *oracle, "--budget", "17433")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*oracle, "--refine", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --refine" in capsys.readouterr().err
+    monkeypatch.setenv("PADIC_BUDGET", "abc")
+    code, out, err = run(capsys, "poincare", "--p", "3", "--mmax", "3", "x1")
+    assert (code, out) == (2, "") and err.startswith("ParseError") and "PADIC_BUDGET" in err
 
 
 def test_budget_env_overrides_flag(capsys, monkeypatch):

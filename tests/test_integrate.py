@@ -7,6 +7,7 @@ from padicint import (
     AngularResidue,
     AqElem,
     BoundRef,
+    BudgetExceeded,
     ConstructibleExpr,
     DivergentSum,
     Domain,
@@ -189,19 +190,32 @@ def test_oracle_agreement_on_explicit_cells():
 
 def test_oracle_refine_shrinks_tail():
     base = brute_force_integrate(ABS_X, unit_ball_domain(P2), 4, growth=(1, -1, 0))
-    refined = brute_force_integrate(
-        ABS_X, unit_ball_domain(P2), 4, growth=(1, -1, 0), refine=3
-    )
+    refined = brute_force_integrate(ABS_X, unit_ball_domain(P2), 7, growth=(1, -1, 0))
     assert refined.tail_bound < base.tail_bound
     assert abs(refined.value - Fraction(2, 3)) <= refined.tail_bound
-    # exact bounds, so the tail taken at depth + refine is pinned too
+    # exact bounds, so the tail taken at the deeper level is pinned too
     assert base.tail_bound == Fraction(1, 192)
     assert refined.tail_bound == Fraction(1, 12288)
-    for refine, bound in ((0, Fraction(13, 576)), (2, Fraction(19, 9216))):
-        r = brute_force_integrate(
-            ORD_TIMES_NORM, unit_ball_domain(P2), 4, growth=(1, -1, 1), refine=refine
-        )
+    for depth, bound in ((4, Fraction(13, 576)), (6, Fraction(19, 9216))):
+        r = brute_force_integrate(ORD_TIMES_NORM, unit_ball_domain(P2), depth, growth=(1, -1, 1))
         assert r.tail_bound == bound
+
+
+def test_oracle_budget_bounds_the_classes_settled():
+    # 2^40 classes mod 2^40, but the walk settles only 41 of them
+    deep = brute_force_integrate(ABS_X, unit_ball_domain(P2), 40, growth=(1, -1, 0), budget=41)
+    assert deep.classes == 2**40
+    assert abs(deep.value - Fraction(2, 3)) <= deep.tail_bound < Fraction(1, 10**23)
+    # q^(-ord x1 - ord x2) on Z_3^2 at depth 7 settles 1 + 8 * 2179 classes:
+    # 2179 undecided classes split at the levels 0..6
+    f = ConstructibleExpr(
+        [Term(AqElem.one(), qparts=(IntScale(-1, ordvar("x1")), IntScale(-1, ordvar("x2"))))]
+    )
+    domain = Domain([("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL)], P3)
+    r = brute_force_integrate(f, domain, 7, growth=(1, -1, 0), budget=17433)
+    assert abs(r.value - Fraction(9, 16)) <= r.tail_bound
+    with pytest.raises(BudgetExceeded, match="depth 7 .* 17432 classes"):
+        brute_force_integrate(f, domain, 7, growth=(1, -1, 0), budget=17432)
 
 
 def test_oracle_on_general_polynomial_argument():

@@ -78,6 +78,17 @@ def test_measure_identity_examples():
     assert measure_identity_check(XY, P2, 2)
 
 
+def test_measure_identity_compares_the_lifted_count(monkeypatch):
+    real = poincare_module.series_table
+
+    def one_too_many(f, prime, mmax, budget):
+        counts = real(f, prime, mmax, budget).counts
+        return SeriesTable(prime, f, counts[:-1] + [counts[-1] + 1])
+
+    monkeypatch.setattr(poincare_module, "series_table", one_too_many)
+    assert not measure_identity_check(XY, P2, 2)
+
+
 def test_measure_identity_corpus():
     for f in CORPUS_1 + CORPUS_2:
         for prime in (P2, P3):
@@ -221,10 +232,10 @@ def test_default_checks_enumerate_no_more_than_the_counts(monkeypatch):
     rep = poincare_report(XY, P3, 11)
     assert [m for m, _ in rep.checks] == list(range(6))
     assert all(ok for _, ok in rep.checks)
-    # each check at m >= 1 enumerates its 9^m points twice; the lifting
+    # each check at m >= 1 enumerates its 9^m points once; the lifting
     # evaluated 9 points mod 3 and one point per singular solution after
-    assert enumerated == 2 * sum(9**m for m in range(1, 6))
-    assert enumerated <= rep.table.evaluations < enumerated + 2 * 9**6
+    assert enumerated == sum(9**m for m in range(1, 6))
+    assert enumerated <= rep.table.evaluations < enumerated + 9**6
     # x1 + x2*x3 is nonsingular mod 3, so the lifting evaluates only the 27
     # points mod 3 and the checks stop after m = 1; the counts' sum, about
     # 3.5e10 here, would let them run on to m = 5
@@ -233,7 +244,7 @@ def test_default_checks_enumerate_no_more_than_the_counts(monkeypatch):
     rep = poincare_report(smooth, P3, 11)
     assert rep.table.evaluations == 27
     assert [m for m, _ in rep.checks] == [0, 1]
-    assert enumerated == 2 * 27
+    assert enumerated == 27
     # m = 0 and 1 always run; an explicit check_mmax is honoured
     assert [m for m, _ in poincare_report(X, P2, 8).checks] == [0, 1]
     assert [m for m, _ in poincare_report(X, P2, 8, check_mmax=8).checks] == list(range(9))

@@ -11,8 +11,11 @@ decided without dividing.  Modulo q^i - 1, q^e is q^(e mod i), for
 negative e too because q is a unit, so the remainder of N is
 sum_r (sum_{e = r mod i} n_e) q^r with 0 <= r < i.  Those monomials are
 independent, so q^i - 1 divides N exactly when every exponent class mod i
-sums to 0.  The quotient is then taken by long division, which runs only
-when it is known to succeed.
+sums to 0.  Only then is the quotient Q = N / (1 - q^-i) built, and it
+needs no division: comparing coefficients in (1 - q^-i) Q = N gives
+Q_e = N_e + Q_(e+i), a running sum down each exponent class from the top
+exponent of N to its bottom exponent plus i.  Multiplying by (1 - q^-i)
+is likewise N - N q^-i, one pass over the terms.
 """
 
 from __future__ import annotations
@@ -28,16 +31,23 @@ Rat = Union[int, Fraction]
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in q with exact rational coefficients."""
+    """Sparse Laurent polynomial in q with exact rational coefficients.
+
+    An integral coefficient is stored as an int, whatever type it came in
+    as, and any other as a Fraction, so the ring's sums and products stay
+    in int arithmetic as long as the values are integers."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, Rat] | None = None):
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Rat] = {}
         if coeffs:
             for e, c in coeffs.items():
-                if c.__class__ is not Fraction:  # Fraction(c) would copy c
-                    c = Fraction(c)
+                if c.__class__ is not int:
+                    if c.__class__ is not Fraction:  # Fraction(c) would copy c
+                        c = Fraction(c)
+                    if c.denominator == 1:
+                        c = c.numerator
                 if c:
                     clean[int(e)] = c
         self.coeffs = clean
@@ -140,24 +150,36 @@ def _dense(poly: LaurentPoly) -> list[Fraction]:
     top = poly.max_exp()
     out = [Fraction(0)] * (top + 1)
     for e, c in poly.coeffs.items():
-        out[e] = c
+        out[e] = Fraction(c)  # int / int would be a float in _polydiv
     return out
 
 
-def _divides(i: int, num: LaurentPoly) -> bool:
-    """Does q^i - 1 divide num?  Exactly when each exponent class mod i
-    sums to 0 (see the module docstring)."""
+def _cancel(i: int, num: LaurentPoly) -> LaurentPoly | None:
+    """num / (1 - q^-i) for num != 0, or None when (1 - q^-i) does not divide
+    num: the exponent-class test, then the running-sum quotient (see the
+    module docstring)."""
+    coeffs = num.coeffs
     sums = [0] * i
-    for e, c in num.coeffs.items():
+    for e, c in coeffs.items():
         sums[e % i] += c
-    return not any(sums)
+    if any(sums):
+        return None
+    # every class sums to 0, so sums starts over as the running sums
+    quot = {}
+    for e in range(max(coeffs), min(coeffs) + i - 1, -1):
+        r = e % i
+        if e in coeffs:
+            sums[r] += coeffs[e]
+        quot[e] = sums[r]
+    return LaurentPoly(quot)
 
 
 class AqElem:
     """Element of Z[q, q^-1, 1/(1-q^-i)] in canonical rational-function form.
 
-    The denominator is a multiset {i: e} of factors (1 - q^-i)^e.  The
-    numerator admits rational coefficients so intermediate constructions
+    The denominator is a multiset {i: e} of factors (1 - q^-i)^e; the
+    constructor drops e = 0 and raises ValueError for a negative or
+    non-integer e.  The numerator admits rational coefficients so intermediate constructions
     (prepared linear forms divide by n) stay representable.
     """
 
@@ -165,10 +187,18 @@ class AqElem:
 
     def __init__(self, num: LaurentPoly, den: Mapping[int, int] | None = None):
         self.num = num
-        self.den = {int(i): int(e) for i, e in (den or {}).items() if e > 0}
-        for i in self.den:
+        self.den = {}
+        for i, e in (den or {}).items():
+            i, k = int(i), int(e)
             if i < 1:
                 raise ValueError("denominator factor index must be >= 1")
+            if k != e or k < 0:
+                raise ValueError(
+                    f"denominator factor (1-q^-{i}) has multiplicity {e!r};"
+                    " it must be an integer >= 0"
+                )
+            if k:
+                self.den[i] = k
         self._canonicalize()
 
     # -- constructors ------------------------------------------------------
@@ -205,11 +235,10 @@ class AqElem:
         while changed:
             changed = False
             for i in sorted(self.den):
-                if not _divides(i, self.num):
+                quot = _cancel(i, self.num)
+                if quot is None:
                     continue
-                # (1 - q^-i) = q^-i (q^i - 1), so cancelling one factor
-                # multiplies the numerator by q^i after exact division.
-                self.num = self.num.divexact(LaurentPoly({i: 1, 0: -1})).shift(i)
+                self.num = quot
                 self.den[i] -= 1
                 if self.den[i] == 0:
                     del self.den[i]
@@ -287,7 +316,7 @@ class AqElem:
         if self.num.is_zero():
             return Fraction(0)
         if set(self.num.coeffs) == {0}:
-            return self.num.coeffs[0]
+            return Fraction(self.num.coeffs[0])
         return None
 
     # -- evaluation and rendering ------------------------------------------
@@ -318,11 +347,17 @@ class AqElem:
 
 
 def _times_den(poly: LaurentPoly, den: Mapping[int, int], have: Mapping[int, int]) -> LaurentPoly:
-    """poly times the factors (1 - q^-i)^e of den that have lacks."""
+    """poly times the factors (1 - q^-i)^e of den that have lacks, each
+    factor as poly - poly q^-i."""
+    coeffs = poly.coeffs
     for i, e in den.items():
         for _ in range(e - have.get(i, 0)):
-            poly = poly * LaurentPoly({0: 1, -i: -1})
-    return poly
+            out = dict(coeffs)
+            for ex, c in coeffs.items():
+                ex -= i
+                out[ex] = out[ex] - c if ex in out else -c
+            coeffs = out
+    return poly if coeffs is poly.coeffs else LaurentPoly(coeffs)
 
 
 def _coerce(value) -> "AqElem":

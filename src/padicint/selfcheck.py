@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .aqring import AqElem
+from .aqring import AqElem, LaurentPoly
 from .integrate import (
     ConstructibleExpr,
     Domain,
@@ -364,7 +364,46 @@ def check_lifting() -> tuple[str, bool, str]:
     return "poincare.lifting_vs_enumeration", True, ""
 
 
+def check_aq_cancellation(samples: int = 60) -> tuple[str, bool, str]:
+    """Canonical forms of M * prod (q^i - 1)^k over denominators up to index
+    24: long division finds no denominator factor left to cancel, and the
+    values at p = 2, 3, 5 are the ones computed directly, so the running-sum
+    quotient of canonicalisation is checked against LaurentPoly.divexact."""
+    rng = random.Random(SEED + 6)
+
+    def indices():
+        return {rng.randint(1, 24): rng.randint(1, 2) for _ in range(rng.randint(0, 3))}
+
+    for _ in range(samples):
+        m = LaurentPoly(
+            {rng.randint(-30, 30): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(rng.randint(1, 5))}
+        )
+        mult, den = indices(), indices()
+        for i in mult:  # cancel some multiplied-in factors whole
+            if rng.random() < 0.5:
+                den[i] = rng.randint(1, 2)
+        num = m
+        for i, k in mult.items():
+            for _ in range(k):
+                num = num * LaurentPoly({i: 1, 0: -1})
+        elem = AqElem(num, den)
+        for i in elem.den:
+            if elem.num.divexact(LaurentPoly({i: 1, 0: -1})) is not None:
+                return "aqring.cancellation_vs_long_division", False, f"{elem.render()}: (1-q^-{i})"
+        for p in (2, 3, 5):
+            value = m.eval(p)
+            for i, k in mult.items():
+                value *= Fraction(p**i - 1) ** k
+            for i, e in den.items():
+                value /= (1 - Fraction(1, p**i)) ** e
+            if elem.eval_at(p) != value:
+                return "aqring.cancellation_vs_long_division", False, f"{elem.render()} p={p}"
+    return "aqring.cancellation_vs_long_division", True, ""
+
+
 ALL_CHECKS = [
+    check_aq_cancellation,
     check_presburger_sums,
     check_presburger_additivity,
     check_wellorder,

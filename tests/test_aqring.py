@@ -1,11 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicint import AqElem, Domain, LaurentPoly, Prime, aq_add, aq_eval, aq_mul, integrate
+from padicint import AqElem, Domain, LaurentPoly, Prime, aq_add, aq_eval, aq_mul, integrate, polys
+from padicint.aqring import _cancel, _times_den
 from padicint.parsing import parse_integrand
 
 
@@ -136,19 +138,25 @@ def _q_minus_one(i):
     return LaurentPoly({i: 1, 0: -1})  # q^i - 1
 
 
-def test_canonicalization_runs_no_failing_long_division(monkeypatch):
+def test_canonicalization_runs_no_long_division(monkeypatch):
     # a dependent-bound sum shaped like the benchmark's cell sums: outer
     # cells of modulus 2 and 4, denominators (1-q^-i) up to i = 20 on the
-    # way; every long division canonicalisation starts must succeed
-    quotients = []
-    divexact = LaurentPoly.divexact
+    # way; canonicalisation cancels them by running sums, without calling
+    # divexact or any polydiv
+    calls = []
 
-    def counting(self, other):
-        quot = divexact(self, other)
-        quotients.append(quot)
-        return quot
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(LaurentPoly, "divexact", counting)
+    monkeypatch.setattr(LaurentPoly, "divexact", counting("divexact", LaurentPoly.divexact))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("padicint"):
+            for attr, value in list(vars(module).items()):
+                if value is polys.polydiv:
+                    monkeypatch.setattr(module, attr, counting("polydiv", value))
     g1_cells = [(0, 14, 2, 1), (0, 15, 4, 0)]  # lower < g1 < upper, g1 = res mod mod
     inner = {
         "lower": {"var": "g1", "a": 2, "k": 0, "n": 1, "delta": -2},
@@ -166,7 +174,7 @@ def test_canonicalization_runs_no_failing_long_division(monkeypatch):
         " - 3*q^(-lin(1,0,1,0;g1) + 1)*lin(2,0,1,1;g1)"
     )
     result = integrate(f, domain)
-    assert quotients and all(quot is not None for quot in quotients)
+    assert calls == []
     q = Fraction(3)
     lattice = sum(
         2 * q ** (-2 * g1 - g2) * g2 - 3 * q ** (1 - g1) * (2 * g1 + 1)
@@ -229,3 +237,72 @@ def test_canonical_form_at_large_indices(a, b):
         assert AqElem(_times_factors(m, {i: k}), {i: k}).den == {}
     if set(mult) & set(den):
         assert sum(i * e for i, e in x.den.items()) < sum(i * e for i, e in den.items())
+
+
+def _assert_normalized(poly):
+    # integral coefficients are ints: the invariant that keeps the
+    # cancel and multiply-in kernels in int arithmetic
+    for c in poly.coeffs.values():
+        assert c.__class__ is int or (c.__class__ is Fraction and c.denominator != 1)
+
+
+# int and Fraction coefficients, integral Fractions among them
+mixed = st.dictionaries(
+    st.integers(-30, 30),
+    st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=4)).filter(bool),
+    min_size=1,
+    max_size=6,
+).map(LaurentPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed, indices, st.data())
+def test_cancel_agrees_with_long_division(m, mult, data):
+    num = _times_factors(m, mult)
+    i = data.draw(st.sampled_from(sorted(mult)) if mult and data.draw(st.booleans()) else st.integers(1, 24))
+    quot = num.divexact(_q_minus_one(i))
+    got = _cancel(i, num)
+    if quot is None:
+        assert got is None
+    else:
+        assert got == quot.shift(i)
+        _assert_normalized(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed, st.integers(1, 24))
+def test_cancel_inverts_the_factor(num, i):
+    assert _cancel(i, num * LaurentPoly({0: 1, -i: -1})) == num
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed, indices, st.data())
+def test_times_den_is_the_generic_product(poly, den, data):
+    have = {i: data.draw(st.integers(0, e)) for i, e in den.items() if data.draw(st.booleans())}
+    expect = poly
+    for i, e in den.items():
+        for _ in range(e - have.get(i, 0)):
+            expect = expect * LaurentPoly({0: 1, -i: -1})
+    got = _times_den(poly, den, have)
+    assert got == expect
+    _assert_normalized(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(built_elems(), built_elems())
+def test_stored_coefficients_stay_normalized(a, b):
+    x, y = a[0], b[0]
+    for elem in (x, y, x + y, x * y, x - y, AqElem(x.num * y.num, x.den)):
+        _assert_normalized(elem.num)
+
+
+@pytest.mark.parametrize("den", [{1: -1}, {2: 1.5}, {2: Fraction(3, 2)}])
+def test_bad_denominator_multiplicity_is_rejected(den):
+    (i,) = den
+    with pytest.raises(ValueError, match=rf"\(1-q\^-{i}\) has multiplicity"):
+        AqElem(LaurentPoly.const(1), den)
+
+
+def test_zero_denominator_multiplicity_is_dropped():
+    assert AqElem(LaurentPoly.const(1), {1: 0, 2: 1}).den == {2: 1}
+    assert AqElem(LaurentPoly.const(3), {4: 0}).as_rational() == 3

@@ -35,7 +35,8 @@ class LaurentPoly:
 
     An integral coefficient is stored as an int, whatever type it came in
     as, and any other as a Fraction, so the ring's sums and products stay
-    in int arithmetic as long as the values are integers."""
+    in int arithmetic as long as the values are integers.  An exponent
+    that is not an integer raises ValueError."""
 
     __slots__ = ("coeffs",)
 
@@ -48,8 +49,12 @@ class LaurentPoly:
                         c = Fraction(c)
                     if c.denominator == 1:
                         c = c.numerator
+                if e.__class__ is not int:
+                    if e != int(e):
+                        raise ValueError(f"exponent {e!r} of q is not an integer")
+                    e = int(e)
                 if c:
-                    clean[int(e)] = c
+                    clean[e] = c
         self.coeffs = clean
 
     @classmethod
@@ -179,7 +184,8 @@ class AqElem:
 
     The denominator is a multiset {i: e} of factors (1 - q^-i)^e; the
     constructor drops e = 0 and raises ValueError for a negative or
-    non-integer e.  The numerator admits rational coefficients so intermediate constructions
+    non-integer e and for an index i that is not an integer >= 1.  The
+    numerator admits rational coefficients so intermediate constructions
     (prepared linear forms divide by n) stay representable.
     """
 
@@ -189,9 +195,11 @@ class AqElem:
         self.num = num
         self.den = {}
         for i, e in (den or {}).items():
+            if int(i) != i or i < 1:
+                raise ValueError(
+                    f"denominator factor (1-q^-i) has index {i!r}; it must be an integer >= 1"
+                )
             i, k = int(i), int(e)
-            if i < 1:
-                raise ValueError("denominator factor index must be >= 1")
             if k != e or k < 0:
                 raise ValueError(
                     f"denominator factor (1-q^-{i}) has multiplicity {e!r};"

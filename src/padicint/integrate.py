@@ -47,7 +47,7 @@ from .errors import (
 from .kcells import KCell, kcells_disjoint
 from .padic import DEFAULT_BUDGET, INFINITY, Prime, rational_ord
 from .polys import Polynomial, binom_int, difference_polys, finite_differences, poly_mul
-from .presburger import GammaCell, PreparedLinear, cells_disjoint, intersect_cells, weighted_tail
+from .presburger import GammaCell, PreparedLinear, cells_disjoint, weighted_tail
 
 K_SORT = "K"
 GAMMA_SORT = "Gamma"
@@ -848,40 +848,30 @@ def _collect_ords(f: ConstructibleExpr) -> list[OrdExpr]:
     return list(seen)
 
 
-def _region_status(x: int, region, depth: int, p: int) -> str:
-    """Classify the residue class of x at the given depth against a region:
-    "in" when the whole class lies in one cell, "out" when it provably
-    misses every cell, else "boundary".  "in" and "out" hold for every
-    subclass at a greater depth too."""
+def _region_status(x: int, region, depth: int) -> str:
+    """Classify the residue class x + p^depth Z_p against a region: "in"
+    when it lies inside one cell, "out" when it misses every cell, else
+    "boundary".  Each cell decides exactly through KCell.ball_status, so
+    "in" and "out" hold for every subclass at a greater depth too."""
     if region is UNIT_BALL:
         return "in"
     boundary = False
     for cell in region:
         if cell.ac_value.r == 0:
             continue  # a single point contributes no measure
-        M = cell.ac_depth
-        rho = rational_ord(x - cell.center, p)
-        g = cell.gamma_cell()
-        if rho is not INFINITY and rho <= depth - M - 1:
-            if cell.contains_value(x):
-                return "in"
-        elif rho is not INFINITY and rho < depth:
-            # the valuation is class-uniform but the angular value is not
-            if g.contains(rho):
-                boundary = True
-        else:
-            # members' valuations range over [depth, infinity]
-            if intersect_cells(g, GammaCell(depth - 1, None)) is not None:
-                boundary = True
+        status = cell.ball_status(x, depth)
+        if status == "in":
+            return "in"
+        boundary = boundary or status == "meets"
     return "boundary" if boundary else "out"
 
 
-def _class_status(point: tuple, regions: list, depth: int, p: int) -> str:
+def _class_status(point: tuple, regions: list, depth: int) -> str:
     """_region_status of a class across all variables: "out" as soon as one
     region misses it, "in" when every region contains it, else "boundary"."""
     status = "in"
     for x, region in zip(point, regions):
-        s = _region_status(x, region, depth, p)
+        s = _region_status(x, region, depth)
         if s == "out":
             return "out"
         if s == "boundary":
@@ -978,7 +968,7 @@ def brute_force_integrate(
     stack = [((0,) * n, 0)]
     while stack:
         point, k = stack.pop()
-        status = _class_status(point, regions, k, p)
+        status = _class_status(point, regions, k)
         if status == "out":
             continue
         mod = p**k

@@ -1,12 +1,20 @@
 """Valuative cells in Q_p with rational centers and exact Haar measures.
 
-A cell fixes a center c, an open valuation range for ord(t - c), a
-congruence on that valuation, and the angular component of t - c at some
-depth M.  Under the normalization mu(Z_p) = 1, each valuation shell with a
-fixed depth-M angular component has measure q^-(gamma + M), so the measure
-of a cell is q^-(res + M) times a geometric sum delegated to presburger.
-The measure never involves the center: Haar measure is translation
-invariant.
+A cell fixes a center c, an open valuation range g for ord(t - c), a
+congruence on that valuation, and the angular component xi of t - c at
+some depth M.  It is the disjoint union of the balls
+
+    c + p^gamma xi + p^(gamma + M) Z_p,   one for each gamma in g,
+
+so under the normalization mu(Z_p) = 1 each shell has measure
+q^-(gamma + M), and the measure of a cell is q^-(res + M) times a
+geometric sum delegated to presburger.  The measure never involves the
+center: Haar measure is translation invariant.
+
+KCell.ball_status(a, r) decides exactly how a ball a + p^r Z_p sits
+against a cell: "in", "out" or "meets".  Disjointness of two cells tests
+the shells of one, as balls, against the other, and the oracle classifies
+its residue classes with the same call.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Optional, Union
 
 from .aqring import AqElem
 from .errors import NULL, InfiniteMeasure, ParseError, json_fields
-from .padic import INFINITY, AngularResidue, PAdicPoint, Prime, rational_ac, rational_ord
+from .padic import AngularResidue, PAdicPoint, Prime, rational_ac, rational_ord
 from .presburger import GammaCell, geom_sum, intersect_cells
 
 
@@ -68,6 +76,29 @@ class KCell:
             return False
         return rational_ac(diff, p, self.ac_depth) == self.ac_value.r
 
+    def ball_status(self, a: Union[Fraction, int], r: int) -> str:
+        """How the ball a + p^r Z_p sits against the cell: "in" when it lies
+        inside, "out" when it misses it, else "meets".
+
+        With w = a - center and e = ord w: when e >= r the ball holds the
+        center and every shell gamma >= r, and never lies inside the cell,
+        which omits the center.  Otherwise ord(t - center) = e on the whole
+        ball and ac(t - center) is known to depth min(M, r - e).  A point
+        cell meets the balls that hold its center and misses the others.
+        """
+        p = self.prime.p
+        w = a - self.center
+        e = rational_ord(w, p)
+        if e >= r:
+            deeper = intersect_cells(self.gamma_cell(), GammaCell(r - 1, None))
+            return "meets" if self.ac_value.r == 0 or deeper is not None else "out"
+        if self.ac_value.r == 0 or not self.gamma_cell().contains(e):
+            return "out"
+        k = min(self.ac_depth, r - e)
+        if rational_ac(w, p, k) != self.ac_value.r % p**k:
+            return "out"
+        return "in" if k == self.ac_depth else "meets"
+
     def to_json(self) -> dict:
         return {
             "center": str(self.center),
@@ -116,99 +147,45 @@ def kcell_measure(cell: KCell) -> AqElem:
     return AqElem.q_power(-(cell.res + cell.ac_depth)) * shells
 
 
-def _ac_values_compatible(c1: KCell, c2: KCell) -> bool:
-    """Can one unit satisfy both angular conditions?  Exactly when the
-    residues agree at the coarser depth."""
-    m = min(c1.ac_depth, c2.ac_depth)
-    pm = c1.prime.p**m
-    return c1.ac_value.r % pm == c2.ac_value.r % pm
-
-
-def _has_member_at_least(cell: GammaCell, bound: int) -> bool:
-    return intersect_cells(cell, GammaCell(bound - 1, None)) is not None
-
-
-def _has_member_at_most(cell: GammaCell, bound: int) -> bool:
-    return intersect_cells(cell, GammaCell(None, bound + 1)) is not None
-
-
 def kcells_disjoint(c1: KCell, c2: KCell) -> bool:
     """Exact disjointness decision.
 
-    For distinct centers, let d = ord(c1 - c2).  A common point t splits by
-    gamma1 = ord(t - c1): for gamma1 >= d + M2 the second cell sees only
-    c1 - c2 (ord d, angular component of c1 - c2); symmetrically with the
-    roles swapped; for gamma1 <= d - M2 both cells read the same unit, so
-    the angular values must agree at the coarser depth; the finitely many
-    remaining gamma1 are settled by enumerating unit classes at a depth
-    where every comparison is class-uniform.
+    c1 is the union of its shells c1 + p^gamma xi1 + p^(gamma + M1) Z_p,
+    and c1 misses c2 exactly when c2.ball_status says "out" for each.  For
+    distinct centers let d = ord(c1 - c2) and m = min(M1, M2).  A shell with
+    gamma <= d - m meets c2 exactly when gamma is in g2 and the angular
+    values agree at depth m, and whether a shell with gamma >= d + M2 meets
+    c2 does not depend on gamma.  So one shell stands for each of those two
+    ranges, and the members of g1 strictly between them are tested one by
+    one: at most M2 + m - 1 of them.
     """
     if c1.prime != c2.prime:
         raise ValueError("cells use different primes")
-    p = c1.prime.p
-    if c1.ac_value.r == 0 and c2.ac_value.r == 0:
-        return c1.center != c2.center
     if c1.ac_value.r == 0:
         return not c2.contains_value(c1.center)
     if c2.ac_value.r == 0:
         return not c1.contains_value(c2.center)
-
+    p = c1.prime.p
     g1, g2 = c1.gamma_cell(), c2.gamma_cell()
+    M1, M2 = c1.ac_depth, c2.ac_depth
+    m = min(M1, M2)
+    both = intersect_cells(g1, g2)
     if c1.center == c2.center:
-        if intersect_cells(g1, g2) is None:
-            return True
-        return not _ac_values_compatible(c1, c2)
+        return both is None or c1.ac_value.r % p**m != c2.ac_value.r % p**m
 
     d = rational_ord(c1.center - c2.center, p)
-    if d is INFINITY:
-        raise ValueError(f"distinct centers {c1.center} and {c2.center} have no finite distance")
-    M1, M2 = c1.ac_depth, c2.ac_depth
-
-    # gamma1 >= d + M2: t sits so deep at c1 that c2 sees only c1 - c2.
-    if (
-        _has_member_at_least(g1, d + M2)
-        and g2.contains(d)
-        and rational_ac(c1.center - c2.center, p, M2) == c2.ac_value.r
-    ):
-        return False
-    # symmetric far region around c2
-    if (
-        _has_member_at_least(g2, d + M1)
-        and g1.contains(d)
-        and rational_ac(c2.center - c1.center, p, M1) == c1.ac_value.r
-    ):
-        return False
-    # gamma1 <= d - M2: both conditions constrain the same unit.
-    both = intersect_cells(g1, g2)
-    if (
-        both is not None
-        and _has_member_at_most(both, d - M2)
-        and _ac_values_compatible(c1, c2)
-    ):
-        return False
-
-    # middle window: enumerate unit classes at a depth that settles every
-    # valuation and angular comparison of interest
-    E = M1 + 2 * M2 + 1
-    for gamma1 in range(d - M2 + 1, d + M2):
-        if not g1.contains(gamma1):
-            continue
-        w = (c1.center - c2.center) / Fraction(p) ** gamma1
-        step = p**M1
-        for j in range(p ** (E - M1)):
-            u = c1.ac_value.r + j * step
-            if u % p == 0:
-                continue
-            v = u + w
-            if v == 0:
-                continue
-            ordv = rational_ord(v, p)
-            gamma2 = gamma1 + ordv
-            if gamma2 >= d + M1:
-                continue  # belongs to the far region already tested
-            if g2.contains(gamma2) and rational_ac(v, p, M2) == c2.ac_value.r:
-                return False
-    return True
+    shells = [gamma for gamma in range(d - m + 1, d + M2) if g1.contains(gamma)]
+    near = None if both is None else intersect_cells(both, GammaCell(None, d - m + 1))
+    if near is not None:
+        shells.append(near.res + near.tau_bounds()[1] * near.mod)
+    far = intersect_cells(g1, GammaCell(d + M2 - 1, None))
+    if far is not None:
+        shells.append(far.res + far.tau_bounds()[0] * far.mod)
+    xi = c1.ac_value.r
+    return all(
+        c2.ball_status(c1.center + Fraction(p) ** gamma * xi, gamma + M1) == "out"
+        for gamma in shells
+    )
 
 
 def partition_unit_ball(M: int, N: int, prime: Prime) -> list[KCell]:

@@ -137,21 +137,19 @@ def measure_identity_check(
     """Check N_m = p^(nm) * mu({x : ord f(x) >= m}).
 
     N_m is series_table's lifted count, which fits in any budget that
-    the counting half does: that half enumerates the p^(n m) points once
-    and tests ord f(x) >= m.  For a monomial in a single variable the
-    measure is also computed symbolically through the integration engine
-    and compared; other shapes use the counting half only.
+    the counting half does.  That half is count_Nm: for integral f and
+    integer x, ord f(x) >= m exactly when f(x) = 0 mod p^m, so the
+    measure is the share of the p^(n m) residues where f vanishes mod
+    p^m.  For a monomial in a single variable the measure is also
+    computed symbolically through the integration engine and compared;
+    other shapes use the counting half only.
     """
     p = prime.p
     n = f.nvars
     Nm = series_table(f, prime, m, budget).counts[m]
     if m == 0:
         return Nm == 1
-    count = 0
-    for residues in enumerate_residues(n, m, prime, budget):
-        if rational_ord(f.eval_int(residues), p) >= m:
-            count += 1
-    ok = Nm == count
+    ok = Nm == count_Nm(f, prime, m, budget)
 
     mono = _single_variable_monomial(f)
     if mono is not None:

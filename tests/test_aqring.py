@@ -306,3 +306,19 @@ def test_bad_denominator_multiplicity_is_rejected(den):
 def test_zero_denominator_multiplicity_is_dropped():
     assert AqElem(LaurentPoly.const(1), {1: 0, 2: 1}).den == {2: 1}
     assert AqElem(LaurentPoly.const(3), {4: 0}).as_rational() == 3
+
+
+def test_non_integer_denominator_index_is_rejected():
+    # int(1.5) would read 1 / (1-q^-1.5) as 1 / (1-q^-1), which is 2 at p = 2
+    with pytest.raises(ValueError, match=r"index 1\.5"):
+        AqElem(LaurentPoly.const(1), {1.5: 1})
+    with pytest.raises(ValueError, match=r"index 0"):
+        AqElem(LaurentPoly.const(1), {0: 1})
+    assert AqElem(LaurentPoly.const(1), {Fraction(2): 1}) == AqElem.geom(2)
+
+
+def test_non_integer_exponent_is_rejected():
+    # int(0.5) would merge q^0.5 into q^0 and drop the constant term
+    with pytest.raises(ValueError, match=r"exponent 0\.5"):
+        LaurentPoly({0: 1, 0.5: 2})
+    assert LaurentPoly({Fraction(2): 3}) == LaurentPoly.monomial(2, 3)

@@ -188,6 +188,17 @@ def test_oracle_agreement_on_explicit_cells():
                 assert abs(symbolic - r.value) <= r.tail_bound, (cell, depth)
 
 
+def test_oracle_charges_only_classes_that_straddle_the_cell():
+    # {ord x >= 0, ac_1 x = 1} at p = 3: 1 + 3Z_3 and 3 + 9Z_3 lie inside,
+    # 2 + 3Z_3 and 6 + 9Z_3 outside; only 9Z_3, which holds the center,
+    # straddles the boundary at depth 2
+    cell = KCell(Fraction(0), -1, None, 1, 0, 1, AngularResidue(1, 1), P3)
+    r = brute_force_integrate(ONE, Domain([("x1", K, [cell])], P3), 2)
+    assert r.value == Fraction(4, 9)
+    assert r.tail_bound == Fraction(1, 9)
+    assert r.boundary == 1
+
+
 def test_oracle_refine_shrinks_tail():
     base = brute_force_integrate(ABS_X, unit_ball_domain(P2), 4, growth=(1, -1, 0))
     refined = brute_force_integrate(ABS_X, unit_ball_domain(P2), 7, growth=(1, -1, 0))

@@ -127,6 +127,11 @@ def test_disjointness_examples():
     a = mk(0, 5, None, 1, 0, 1, 1, P2)
     b = mk(1, 5, None, 1, 0, 1, 1, P2)
     assert kcells_disjoint(a, b)
+    # depth-3 angular values 37 and 109 at p = 5 around the centers 0 and 5
+    a = mk(0, -1, None, 1, 0, 3, 37, P5)
+    b = mk(5, -1, None, 1, 0, 3, 109, P5)
+    assert kcells_disjoint(a, b)
+    assert kcells_disjoint(b, a)
 
 
 def test_disjointness_degenerate_cases():
@@ -206,3 +211,85 @@ def test_json_round_trip():
     data = cell.to_json()
     assert data["center"] == "7/3"
     assert KCell.from_json(data) == cell
+
+
+# -- ball_status and disjointness against enumeration ------------------------
+#
+# A cell with an integer center and upper + M <= D is a union of residue
+# classes mod p^D, and so is a ball a + p^r Z_p with r <= D, so both are
+# decided exactly by their sets of residues mod p^D.  A point cell {c} with
+# 0 <= c < p^D is the residue c itself.
+
+_ENUM_DEPTH = {2: 9, 3: 6}
+
+
+def _bounded_cell(rng, prime, D):
+    p = prime.p
+    M = rng.randint(1, 2)
+    center = rng.randrange(p * p)
+    if rng.random() < 0.1:
+        return mk(center, None, None, 1, 0, M, 0, prime)
+    units = [r for r in range(1, p**M) if r % p != 0]
+    lower = rng.randint(-1, D - M - 3)
+    upper = rng.randint(lower + 1, D - M)
+    mod = rng.randint(1, 3)
+    return mk(center, lower, upper, mod, rng.randrange(mod), M, rng.choice(units), prime)
+
+
+def _residues(cell, D):
+    p = cell.prime.p
+    if cell.ac_value.r == 0:
+        return frozenset([int(cell.center)])
+    return frozenset(t for t in range(p**D) if cell.contains_value(t))
+
+
+def _cell_pool(seed):
+    rng = random.Random(seed)
+    pool = []
+    for prime in (P2, P3):
+        D = _ENUM_DEPTH[prime.p]
+        for _ in range(25):
+            cell = _bounded_cell(rng, prime, D)
+            pool.append((cell, D, _residues(cell, D)))
+    return pool
+
+
+def test_ball_status_matches_enumeration():
+    rng = random.Random(59)
+    seen = set()
+    for cell, D, members in _cell_pool(59):
+        if cell.ac_value.r == 0:
+            continue
+        p = cell.prime.p
+        for _ in range(30):
+            r = rng.randint(0, D)
+            a = rng.randrange(p**D)
+            ball = {a % p**r + j * p**r for j in range(p ** (D - r))}
+            inside = len(ball & members)
+            status = cell.ball_status(a, r)
+            expected = "out" if inside == 0 else "in" if inside == len(ball) else "meets"
+            assert status == expected, (cell, a, r)
+            seen.add(status)
+    assert seen == {"in", "out", "meets"}
+
+
+def test_ball_status_of_point_cells():
+    for center in (Fraction(0), Fraction(6), Fraction(5, 7)):
+        point = mk(center, None, None, 1, 0, 1, 0, P3)
+        for r in range(5):
+            for a in range(-30, 30):
+                holds = rational_ord(a - center, 3) >= r
+                assert point.ball_status(a, r) == ("meets" if holds else "out"), (center, a, r)
+
+
+def test_disjointness_matches_enumeration():
+    pool = _cell_pool(61)
+    seen = set()
+    for c1, D, m1 in pool:
+        for c2, _, m2 in pool:
+            if c1.prime != c2.prime:
+                continue
+            disjoint = not (m1 & m2)
+            assert kcells_disjoint(c1, c2) == disjoint, (c1, c2)
+            seen.add(disjoint)
+    assert seen == {True, False}

@@ -2,7 +2,9 @@
 
 flat_oracle below is the oracle as it was before the descent: it scans
 every class mod p^depth and re-enumerates every bad one at depth + refine.
-It is kept here as the reference.  The descent to depth + refine must
+It is kept here as the reference, and it classifies each class with the
+oracle's own _region_status, which is exact: a class is "boundary" only
+when it really straddles a cell boundary.  The descent to depth + refine must
 agree with it on the value, the tail bound and the skipped classes and
 measure, and on every OracleResult field when refine = 0.
 """
@@ -54,7 +56,7 @@ def flat_oracle(f, domain, depth, growth=(1, 0, 0), refine=0) -> OracleResult:
         scale = Fraction(1, p ** (n * d))
         statuses = []
         for v in domain.variables:
-            status = _region_status(point[v.name], v.region, d, p)
+            status = _region_status(point[v.name], v.region, d)
             if status == "out":
                 return Fraction(0), Fraction(0), 0, Fraction(0), False
             statuses.append((status, _lift_member(point[v.name], v.region)))

@@ -467,12 +467,7 @@ class Domain:
     def to_json(self) -> dict:
         out = []
         for v in self.variables:
-            if v.region is UNIT_BALL:
-                region = "unit_ball"
-            elif v.sort == K_SORT:
-                region = [c.to_json() for c in v.region]
-            else:
-                region = [c.to_json() for c in v.region]
+            region = "unit_ball" if v.region is UNIT_BALL else [c.to_json() for c in v.region]
             out.append({"name": v.name, "sort": v.sort, "region": region})
         return {"p": self.prime.p, "vars": out}
 
@@ -500,19 +495,26 @@ class Domain:
 # -- the symbolic integrator ---------------------------------------------------
 
 
-def integrate(f: ConstructibleExpr, domain: Domain) -> AqElem:
-    """Exact integral of f over the domain, Haar measure on field variables
-    (normalized so the unit ball has measure 1) and counting measure on
-    value-group variables."""
-    names = set(domain.names())
-    missing = f.free_vars() - names
+def _check_integrand(f: ConstructibleExpr, domain: Domain):
+    """Every variable of f is declared, with the sort f uses it at."""
+    missing = f.free_vars() - set(domain.names())
     if missing:
         raise DomainError(f"integrand mentions undeclared variables: {sorted(missing)}")
     for name, sort in f.sorts.items():
         for v in domain.variables:
             if v.name == name and v.sort != sort:
-                raise DomainError(f"variable {name} has sort {v.sort} in the domain")
+                used = "value-group" if sort == GAMMA_SORT else "field"
+                raise DomainError(
+                    f"variable {name} has sort {v.sort} in the domain, "
+                    f"but the integrand uses it as a {used} variable"
+                )
 
+
+def integrate(f: ConstructibleExpr, domain: Domain) -> AqElem:
+    """Exact integral of f over the domain, Haar measure on field variables
+    (normalized so the unit ball has measure 1) and counting measure on
+    value-group variables."""
+    _check_integrand(f, domain)
     terms = list(f.terms)
     for var in reversed(domain.variables):
         if var.sort == K_SORT:
@@ -900,13 +902,7 @@ def _validate_oracle_domain(f: ConstructibleExpr, domain: Domain):
             a, _ = cell.gamma_cell().tau_bounds()
             if cell.res + a * cell.mod < 0:
                 raise DomainError("cell reaches valuations below 0")
-    missing = f.free_vars() - set(domain.names())
-    if missing:
-        raise DomainError(f"integrand mentions undeclared variables: {sorted(missing)}")
-    # the descent reads a field variable only through valuations
-    misread = sorted(v for v in domain.names() if f.sorts.get(v) == GAMMA_SORT)
-    if misread:
-        raise DomainError(f"integrand uses field variables as value-group variables: {misread}")
+    _check_integrand(f, domain)
 
 
 def brute_force_integrate(

@@ -1,12 +1,12 @@
 """Congruence counting and certified rational generating functions.
 
 N_m counts solutions of f = 0 in (Z/p^m)^n.  The generating function
-sum N_m T^m is fitted by exact rational linear algebra on the count table:
-the minimal verified linear recurrence yields numerator and denominator,
-and the denominator is then factored, when possible, into the shape
-prod (1 - p^-mi * T^Ni) by bounded exhaustive search.  A fit that fails
-verification on the held-out guard entries is reported as UNDETERMINED,
-never as a rational function.
+sum N_m T^m is fitted on the count table: Berlekamp-Massey over Q finds
+the minimal linear recurrence of the entries before the guard, which
+yields numerator and denominator, and the denominator is then factored,
+when possible, into the shape prod (1 - p^-mi * T^Ni) by bounded
+exhaustive search.  A fit that fails verification on the held-out guard
+entries is reported as UNDETERMINED, never as a rational function.
 """
 
 from __future__ import annotations
@@ -89,10 +89,11 @@ def series_table(
     so it adds that to every N_m and is never lifted.  Only the singular
     solutions (gradient = 0 mod p) are kept.  For m >= 2, f is constant
     mod p^m on base + p^(m-1) Z_p^n when base is singular, so one
-    evaluation decides whether all p^n lifts are solutions or none are.
-    The budget bounds that singular frontier: lifting to depth m raises
-    BudgetExceeded when p^n times the singular solutions mod p^(m-1)
-    exceeds it.  The table records the points evaluated: p^n at m = 1
+    evaluation decides whether all p^n lifts are solutions or none are;
+    at m = mmax the passing bases are counted, and their lifts are never
+    built.  The budget bounds that singular frontier: lifting to depth m
+    raises BudgetExceeded when p^n times the singular solutions mod
+    p^(m-1) exceeds it.  The table records the points evaluated: p^n at m = 1
     and one per singular solution lifted after that.  Agrees with
     count_Nm everywhere."""
     if not f.is_integral():
@@ -115,19 +116,21 @@ def series_table(
             roots = [x for x in lifts if f.eval_mod(x, p) == 0]
             frontier = [x for x in roots if not any(d.eval_mod(x, p) for d in gradient)]
             smooth = len(roots) - len(frontier)
-        else:
-            if smooth:  # a nonsingular root needs n >= 1
-                smooth *= p ** (n - 1)
-            mod = p**m
+            counts.append(len(roots))
+            continue
+        if smooth:  # a nonsingular root needs n >= 1
+            smooth *= p ** (n - 1)
+        mod = p**m
+        evaluations += len(frontier)
+        passing = [base for base in frontier if f.eval_mod(base, mod) == 0]
+        counts.append(smooth + p**n * len(passing))
+        if m < mmax:  # the top level is counted, never stored
             step = p ** (m - 1)
-            evaluations += len(frontier)
             frontier = [
                 tuple(b + t * step for b, t in zip(base, lift))
-                for base in frontier
-                if f.eval_mod(base, mod) == 0
+                for base in passing
                 for lift in lifts
             ]
-        counts.append(smooth + len(frontier))
     return SeriesTable(prime, f, counts, evaluations)
 
 
@@ -201,8 +204,9 @@ class RationalFunctionT:
 
     shape lists (mi, Ni) pairs with D = prod (1 - p^-mi T^Ni) when the
     bounded search certifies that factorization (mi may be negative, in
-    which case p^-mi is a positive power of p); shape is None when the
-    denominator does not factor this way within the search window.
+    which case p^-mi is a positive power of p); shape is [] for D = 1, the
+    empty product, and None when the denominator does not factor this way
+    within the search window.
     """
 
     num: list[Fraction]
@@ -235,7 +239,7 @@ class RationalFunctionT:
                     parts.append(f"(1 - {tpow})")
                 else:
                     parts.append(f"(1 - {coef}*{tpow})")
-            return "".join(parts)
+            return "".join(parts) or "1"
         return _poly_in_T(self.den)
 
     def __repr__(self):
@@ -263,41 +267,27 @@ def _poly_in_T(coeffs: list[Fraction]) -> str:
     return signed_join(terms)
 
 
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """One exact solution of rows * x = rhs (free variables set to 0),
-    or None when the system is inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(aug)):
-            if aug[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
+def _minimal_recurrence(s: list[Fraction]) -> tuple[int, list[Fraction]]:
+    """Berlekamp-Massey over Q: the least L and c_1..c_L with
+    s[m] = sum c_i s[m-i] for every L <= m < len(s)."""
+    n = len(s)
+    conn = [Fraction(1)] + [Fraction(0)] * n  # 1 - sum c_i T^i, the current recurrence
+    prev = conn[:]  # the recurrence before the last change of L
+    L, shift, prev_disc = 0, 1, Fraction(1)
+    for m in range(n):
+        disc = sum(conn[i] * s[m - i] for i in range(L + 1))
+        if disc == 0:
+            shift += 1
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][ncols] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for row_idx, col in enumerate(pivots):
-        solution[col] = aug[row_idx][ncols]
-    return solution
+        scale = disc / prev_disc
+        old = conn[:]
+        for i in range(n + 1 - shift):
+            conn[i + shift] -= scale * prev[i]
+        if 2 * L <= m:
+            L, prev, prev_disc, shift = m + 1 - L, old, disc, 1
+        else:
+            shift += 1
+    return L, [-c for c in conn[1 : L + 1]]
 
 
 def fit_rational(
@@ -305,43 +295,32 @@ def fit_rational(
 ) -> Union[RationalFunctionT, _Undetermined]:
     """Minimal verified linear recurrence, reconstructed as Q(T)/D(T).
 
-    Orders 1..(len-guard)/2 are tried on the prefix that excludes the final
-    guard entries; a candidate recurrence must then hold on every entry of
-    the full table, and the reconstructed rational function must reproduce
-    the table exactly.  Anything less is UNDETERMINED.
+    Berlekamp-Massey finds the least order L of a recurrence on the prefix
+    that excludes the final guard entries.  When 2L <= len(prefix) the
+    recurrence of order L is unique (Massey 1969).  If it fails on a guard
+    entry, every recurrence that holds on the whole table has order at
+    least len(prefix) + 1 - L, more than len(prefix)/2, which the prefix
+    cannot determine.  So the fit is UNDETERMINED when 2L > len(prefix),
+    and when Q/D does not reproduce every entry of the table, guard
+    entries included; since Q is D times the counts, truncated below T^L,
+    that reproduction is exactly the recurrence holding on every entry.
     """
     if guard < 3:
         raise ValueError("guard must be >= 3")
     counts = [Fraction(c) for c in table.counts]
     prefix = len(counts) - guard
-    max_order = prefix // 2
-    for L in range(1, max_order + 1):
-        rows = []
-        rhs = []
-        for m in range(L, prefix):
-            rows.append([counts[m - i] for i in range(1, L + 1)])
-            rhs.append(counts[m])
-        coeffs = _solve_linear(rows, rhs)
-        if coeffs is None:
-            continue
-        if not _recurrence_holds(counts, coeffs):
-            continue
-        den = [Fraction(1)] + [-c for c in coeffs]
-        num = _truncated_product(counts, den, L)
-        candidate = RationalFunctionT(num, den, table.prime)
-        if not candidate.reproduces(table.counts):
-            continue
-        candidate.shape = _certify_shape(den, table.prime.p, table.f.nvars)
-        return candidate
-    return UNDETERMINED
-
-
-def _recurrence_holds(counts: list[Fraction], coeffs: list[Fraction]) -> bool:
-    L = len(coeffs)
-    for m in range(L, len(counts)):
-        if counts[m] != sum(coeffs[i - 1] * counts[m - i] for i in range(1, L + 1)):
-            return False
-    return True
+    if prefix < 2:  # an order-1 recurrence is fitted on two entries
+        return UNDETERMINED
+    L, coeffs = _minimal_recurrence(counts[:prefix])
+    if L > prefix // 2:
+        return UNDETERMINED
+    den = trim([Fraction(1)] + [-c for c in coeffs])
+    num = _truncated_product(counts, den, L)
+    candidate = RationalFunctionT(num, den, table.prime)
+    if not candidate.reproduces(table.counts):
+        return UNDETERMINED
+    candidate.shape = _certify_shape(candidate.den, table.prime.p, table.f.nvars)
+    return candidate
 
 
 def _truncated_product(counts: list[Fraction], den: list[Fraction], L: int) -> list[Fraction]:
@@ -419,10 +398,8 @@ class PoincareReport:
                 den = f"({den})"
             lines.append(f"P(T) = ({self.rational.render_num()}) / {den}")
             if self.rational.shape is not None:
-                lines.append(
-                    "shape: "
-                    + " ".join(f"(1 - p^{-mi}*T^{Ni})" for mi, Ni in self.rational.shape)
-                )
+                factors = " ".join(f"(1 - p^{-mi}*T^{Ni})" for mi, Ni in self.rational.shape)
+                lines.append("shape: " + (factors or "1"))
             else:
                 lines.append("shape: generic denominator (no product certificate)")
         else:

@@ -291,14 +291,22 @@ def check_integration_fubini() -> tuple[str, bool, str]:
 def check_poincare() -> tuple[str, bool, str]:
     x = Polynomial.variable(0, 1)
     xy = Polynomial(2, {(1, 1): 1})
-    cases = [(x * x, Prime(3), 9, 11), (x, Prime(2), 9, 11), (xy, Prime(2), 8, 10)]
-    for f, prime, m1, m2 in cases:
+    # each denominator is the known closed form, a product of (1 - p^-mi T^Ni)
+    cases = [
+        (x * x, Prime(3), 9, 11, [1, 0, -3]),
+        (x, Prime(2), 9, 11, [1, -1]),
+        (xy, Prime(2), 8, 10, [1, -4, 4]),
+        (x * x + Polynomial.constant(1, 1), Prime(3), 9, 11, [1]),
+    ]
+    for f, prime, m1, m2, den in cases:
         t1 = series_table(f, prime, m1)
         t2 = series_table(f, prime, m2)
         fit1 = fit_rational(t1, guard=5)
         fit2 = fit_rational(t2, guard=5)
         if not isinstance(fit1, RationalFunctionT) or not isinstance(fit2, RationalFunctionT):
             return "poincare.fit", False, f"{f.render()} p={prime.p}"
+        if fit1.den != den or fit1.shape is None:
+            return "poincare.fit", False, f"{f.render()} p={prime.p}: D = {fit1.render_den()}"
         if fit1.num != fit2.num or fit1.den != fit2.den:
             return "poincare.fit_stability", False, f"{f.render()} p={prime.p}"
         if not fit1.reproduces(t2.counts[: len(t1.counts)]):

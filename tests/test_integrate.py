@@ -445,6 +445,16 @@ def test_domain_validation():
         integrate(ORD_X, Domain([("x2", K, UNIT_BALL)], P2))
 
 
+def test_symbolic_engine_and_oracle_refuse_a_sort_clash_alike():
+    f = ConstructibleExpr([Term(AqElem.one(), zfactors=(identity_lin("x1"),))])
+    domain = Domain([("x1", K, UNIT_BALL)], P2)
+    clash = "x1 has sort K in the domain, but the integrand uses it as a value-group variable"
+    with pytest.raises(DomainError, match=clash):
+        integrate(f, domain)
+    with pytest.raises(DomainError, match=clash):
+        brute_force_integrate(f, domain, 3)
+
+
 def test_oracle_domain_validation():
     gdom = Domain([("g1", G, [GammaCell(0, 5, 1, 0)])], P2)
     with pytest.raises(DomainError):

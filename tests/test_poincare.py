@@ -19,6 +19,8 @@ from padicint import (
     poincare_report,
     series_table,
 )
+from padicint.cli import main
+from padicint.polys import poly_mul, trim
 from padicint.selfcheck import POLYNOMIAL_SHAPES, lifting_matches_enumeration, random_polynomial
 
 P2, P3 = Prime(2), Prime(3)
@@ -120,6 +122,10 @@ def test_fit_x_squared_at_3():
 def test_fit_insufficient_data():
     table = SeriesTable(P2, X, [1, 1, 1])
     assert fit_rational(table, guard=3) is UNDETERMINED
+    # an order-1 recurrence needs two entries before the guard
+    for guard in (3, 5):
+        assert fit_rational(SeriesTable(P2, X, [1] * (guard + 1)), guard) is UNDETERMINED
+        assert fit_rational(SeriesTable(P2, X, [1] * (guard + 2)), guard).den == [1, -1]
 
 
 def test_fit_rejects_unverified_recurrences():
@@ -150,12 +156,71 @@ def test_fit_reproduces_all_entries():
         assert fit.shape is not None
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
+    st.sampled_from((3, 5)),
+    st.data(),
+)
+def test_fit_recovers_n_over_d(roots, guard, data):
+    # D = prod (1 - a T) over distinct a > 0, deg N < deg D, N(0) = 1 and
+    # N has no negative coefficient, so N(1/a) > 0 and N/D is in lowest
+    # terms.  Each count is then at least 1 and at most (sum a + max N)
+    # <= 19 times the one before, within the cap 2^5 of five variables.
+    deg = len(roots)
+    num = [1] + data.draw(st.lists(st.integers(0, 4), min_size=deg - 1, max_size=deg - 1))
+    den = [Fraction(1)]
+    for a in roots:
+        den = poly_mul(den, [1, -a])
+    length = 2 * deg + guard + data.draw(st.integers(0, 3))
+    counts = RationalFunctionT(num, den, P2).expand(length)
+    f = Polynomial(5)
+    table = SeriesTable(P2, f, [int(c) for c in counts])
+    fit = fit_rational(table, guard)
+    assert isinstance(fit, RationalFunctionT)
+    assert fit.num == trim(num) and fit.den == den
+    raised = list(table.counts)
+    raised[data.draw(st.integers(length - guard, length - 1))] += 1
+    assert fit_rational(SeriesTable(P2, f, raised), guard) is UNDETERMINED
+
+
+def test_fit_of_a_constant_series_has_the_empty_product_as_denominator(capsys):
+    # -1 is not a square mod 3, so N_m = 0 for m >= 1 and P(T) = 1; the
+    # fitted recurrence N_m = 0 * N_(m-1) used to leave D = 1 + 0*T,
+    # which no product certificate matched
+    rep = poincare_report(X2 + Polynomial.constant(1, 1), P3, 9)
+    assert rep.rational.num == [1] and rep.rational.den == [1]
+    assert rep.rational.shape == []
+    assert rep.rational.render_den() == "1"
+    assert rep.to_json()["rational"] == {"num": "1", "den": "1"}
+    assert rep.to_json()["shape"] == []
+    assert rep.render().splitlines()[2:4] == ["P(T) = (1) / 1", "shape: 1"]
+    assert main(["poincare", "--p", "3", "--mmax", "9", "x1^2+1", "--json"]) == 0
+    assert '"rational":{"den":"1","num":"1"},"shape":[]' in capsys.readouterr().out
+
+
+def test_fit_numerator_may_have_the_degree_of_the_denominator():
+    # N = 1, 3, 3, 3, ...: the minimal recurrence N_m = N_(m-1) + 0*N_(m-2)
+    # has order 2, and D keeps only 1 - T
+    rep = poincare_report(Polynomial(1, {(1,): 3}), P3, 9)
+    assert rep.rational.num == [1, 2] and rep.rational.den == [1, -1]
+    assert rep.rational.shape == [(0, 1)]
+    assert rep.to_json()["rational"] == {"num": "1 + 2*T", "den": "(1 - T)"}
+    assert rep.to_json()["shape"] == [[0, 1]]
+
+
 def test_fit_order_cap_via_guard():
     # ten entries with a five-entry guard cap the tested order at two, so a
     # genuine order-three recurrence is reported as undetermined, not guessed
     table = series_table(X3, P2, 9)
     assert fit_rational(table, guard=5) is UNDETERMINED
     assert isinstance(fit_rational(series_table(X3, P2, 10), guard=5), RationalFunctionT)
+    # the Pell numbers follow N_m = 2 N_(m-1) + N_(m-2), guard entries
+    # included, but three entries before the guard fit a line of order-2
+    # recurrences; four entries determine it
+    pell = [1, 2, 5, 12, 29, 70, 169]
+    assert fit_rational(SeriesTable(P2, XY, pell[:6]), guard=3) is UNDETERMINED
+    assert fit_rational(SeriesTable(P2, XY, pell), guard=3).den == [1, -2, -1]
 
 
 def test_fit_stability_under_extension():

@@ -20,14 +20,17 @@ in those variables, which keeps the class closed under the iteration.
 
 A residue-class oracle integrates the same expressions numerically with
 certified error bounds, independently of the symbolic path: it walks the
-classes x0 + p^k Z_p^n as a tree and sums each class once f is constant
-on it.  Only the bound's tail sum is the closed form weighted_tail,
-evaluated at q = p.
+boxes x0 + (p^k1 Z_p x ... x p^kn Z_p) as a tree, splitting one coordinate
+at a time, and sums a box once f is constant on it.  f is evaluated, there
+and in ConstructibleExpr.eval, by one integer pass of its compiled terms
+(_Compiled) over the values of its ord and lin leaves.  Only the bound's
+tail sum is the closed form weighted_tail, evaluated at q = p.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -136,29 +139,52 @@ def _expr_neg(e: IntExpr) -> IntExpr:
     return IntScale(-1, e)
 
 
-def _eval_intexpr(e: IntExpr, point: dict, prime: Prime) -> int:
-    """Exact integer value; valuation of zero raises UndefinedAtPoint."""
+def _affine(e: IntExpr, index: dict) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """e as c0 + sum of c_j * atom_j over the atoms numbered by index:
+    (c0, ((j, c_j), ...))."""
     if isinstance(e, IntConst):
-        return e.value
-    if isinstance(e, LinExpr):
-        if e.var not in point:
-            raise DomainError(f"no value assigned to variable {e.var}")
-        return e.form.eval(int(point[e.var]))
-    if isinstance(e, OrdExpr):
-        values = []
-        for name in e.vars:
-            if name not in point:
-                raise DomainError(f"no value assigned to variable {name}")
-            values.append(Fraction(point[name]))
-        v = rational_ord(e.poly.eval(values), prime.p)
-        if v is INFINITY:
-            raise UndefinedAtPoint("ord of zero inside a term with nonzero coefficient")
-        return v
-    if isinstance(e, IntSum):
-        return sum(_eval_intexpr(p, point, prime) for p in e.parts)
+        return e.value, ()
+    if isinstance(e, (LinExpr, OrdExpr)):
+        return 0, ((index[e], 1),)
     if isinstance(e, IntScale):
-        return e.scalar * _eval_intexpr(e.arg, point, prime)
+        c, lin = _affine(e.arg, index)
+        return e.scalar * c, tuple((j, e.scalar * a) for j, a in lin)
+    if isinstance(e, IntSum):
+        c, lin = 0, {}
+        for part in e.parts:
+            pc, plin = _affine(part, index)
+            c += pc
+            for j, a in plin:
+                lin[j] = lin.get(j, 0) + a
+        return c, tuple(lin.items())
     raise TypeError(f"not an integer expression: {e!r}")
+
+
+def _atom_value(a: Union[LinExpr, OrdExpr], point: dict, p: int) -> int:
+    """The integer value of an ord or lin leaf at a point.  An ord leaf reads
+    only the variables its polynomial mentions; ord of zero raises
+    UndefinedAtPoint."""
+    if isinstance(a, LinExpr):
+        if a.var not in point:
+            raise DomainError(f"no value assigned to variable {a.var}")
+        return a.form.eval(int(point[a.var]))
+    values = []
+    for j, name in enumerate(a.vars):
+        if not a.poly.mentions(j):
+            values.append(0)
+        elif name not in point:
+            raise DomainError(f"no value assigned to variable {name}")
+        else:
+            values.append(Fraction(point[name]))
+    v = rational_ord(a.poly.eval(values), p)
+    if v is INFINITY:
+        if a.poly.is_zero():
+            raise UndefinedAtPoint(
+                "ord(0): the ord argument is the zero polynomial, whose valuation "
+                "is undefined at every point"
+            )
+        raise UndefinedAtPoint("ord of zero inside a term with nonzero coefficient")
+    return v
 
 
 # -- terms and expressions -----------------------------------------------------
@@ -287,19 +313,12 @@ class ConstructibleExpr:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, point: dict, prime: Prime) -> Fraction:
-        """Exact value at a fully instantiated point, with q = p."""
+        """Exact value at a fully instantiated point, with q = p: the atom
+        values at the point, then the integer pass of _Compiled."""
         p = prime.p
-        total = Fraction(0)
-        for term in self.terms:
-            if term.coeff.is_zero():
-                continue
-            exponent = sum(_eval_intexpr(e, point, prime) for e in term.qparts)
-            value = term.coeff.eval_at(prime)
-            value *= Fraction(p) ** exponent
-            for f in term.zfactors:
-                value *= _eval_intexpr(f, point, prime)
-            total += value
-        return total
+        compiled = _Compiled(self.terms)
+        values = [_atom_value(a, point, p) for a in compiled.atoms]
+        return compiled.value(values, [t.coeff.eval_at(prime) for t in compiled.terms], p)
 
 
 def _merge_sorts(a: dict, b: dict) -> dict:
@@ -312,6 +331,44 @@ def _merge_sorts(a: dict, b: dict) -> dict:
 
 def eval_constructible(f: ConstructibleExpr, point: dict, prime: Prime) -> Fraction:
     return f.eval(point, prime)
+
+
+class _Compiled:
+    """The nonzero terms of f over their distinct ord and lin leaves (the
+    atoms, first seen first).  A term's q-exponent and each of its factors
+    are affine forms c0 + sum c_j atom_j, so the terms at a point take one
+    integer pass over the atom values."""
+
+    __slots__ = ("terms", "atoms", "forms")
+
+    def __init__(self, terms: Sequence[Term]):
+        self.terms = [t for t in terms if not t.coeff.is_zero()]
+        index: dict = {}
+        for t in self.terms:
+            for a in _atoms(t.qparts + t.zfactors):
+                index.setdefault(a, len(index))
+        self.atoms = list(index)
+        self.forms = [
+            (_affine(IntSum(t.qparts), index), tuple(_affine(z, index) for z in t.zfactors))
+            for t in self.terms
+        ]
+
+    def powers(self, values: Sequence[int]) -> list[tuple[int, int]]:
+        """(q-exponent, product of the factors) of each term at the atom values."""
+        out = []
+        for (c, lin), factors in self.forms:
+            z = 1
+            for fc, flin in factors:
+                z *= fc + sum(a * values[j] for j, a in flin)
+            out.append((c + sum(a * values[j] for j, a in lin), z))
+        return out
+
+    def value(self, values: Sequence[int], coeffs: Sequence[Fraction], p: int) -> Fraction:
+        """f at the atom values, given each term's coefficient at q = p."""
+        total = Fraction(0)
+        for coeff, (e, z) in zip(coeffs, self.powers(values)):
+            total += coeff * Fraction(p) ** e * z
+        return total
 
 
 # -- domains -------------------------------------------------------------------
@@ -522,15 +579,12 @@ def integrate(f: ConstructibleExpr, domain: Domain) -> AqElem:
         else:
             terms = _integrate_gamma_var(terms, var, domain.prime)
 
+    # every variable is summed out; the ord leaves left are constants
+    compiled = _Compiled(terms)
+    values = [_atom_value(a, {}, domain.prime.p) for a in compiled.atoms]
     total = AqElem.zero()
-    for term in terms:
-        if term.coeff.is_zero():
-            continue
-        exponent = sum(_eval_intexpr(e, {}, domain.prime) for e in term.qparts)
-        value = term.coeff * AqElem.q_power(exponent)
-        for fac in term.zfactors:
-            value = value * AqElem.from_rational(_eval_intexpr(fac, {}, domain.prime))
-        total = total + value
+    for term, (e, z) in zip(compiled.terms, compiled.powers(values)):
+        total = total + term.coeff * AqElem.q_power(e, z)
     return total
 
 
@@ -839,17 +893,6 @@ class OracleResult:
     skipped_measure: Fraction
 
 
-def _collect_ords(f: ConstructibleExpr) -> list[OrdExpr]:
-    """The distinct valuation factors of f's nonzero terms, first seen first."""
-    seen: dict[OrdExpr, None] = {}
-    for term in f.terms:
-        if not term.coeff.is_zero():
-            for a in _atoms(term.qparts + term.zfactors):
-                if isinstance(a, OrdExpr):
-                    seen.setdefault(a)
-    return list(seen)
-
-
 def _region_status(x: int, region, depth: int) -> str:
     """Classify the residue class x + p^depth Z_p against a region: "in"
     when it lies inside one cell, "out" when it misses every cell, else
@@ -866,19 +909,6 @@ def _region_status(x: int, region, depth: int) -> str:
             return "in"
         boundary = boundary or status == "meets"
     return "boundary" if boundary else "out"
-
-
-def _class_status(point: tuple, regions: list, depth: int) -> str:
-    """_region_status of a class across all variables: "out" as soon as one
-    region misses it, "in" when every region contains it, else "boundary"."""
-    status = "in"
-    for x, region in zip(point, regions):
-        s = _region_status(x, region, depth)
-        if s == "out":
-            return "out"
-        if s == "boundary":
-            status = "boundary"
-    return status
 
 
 def _lift_member(x: int, region) -> bool:
@@ -915,17 +945,26 @@ def brute_force_integrate(
     """Average f over lifts of residue classes mod p^depth, with a bound on
     the distance to the true integral.
 
-    The classes are walked as a tree: x0 + p^k Z_p^n splits into its p^n
-    subclasses at level k + 1.  A class stops early once it is decided:
-    when some variable's region misses it, it adds 0; when it lies inside
-    every region and every valuation argument g has ord g(x0) < k, f is
-    constant on it and it adds f(x0) p^(-n k), exactly the sum of its
-    subclasses mod p^depth.  Only classes still undecided at depth (the
-    boundary classes) are scanned one by one, so the work scales with
-    those, not with p^(n depth).  The budget bounds the classes the walk
-    settles (missed, decided or scanned): each split adds p^n - 1 of them,
-    and passing the budget raises BudgetExceeded.  They tile Z_p^n at
-    levels <= depth, so there are never more than p^(n depth).
+    The classes are walked as a tree of boxes a + (p^k1 Z_p x ... x p^kn
+    Z_p).  A box is decided when some variable's region misses it (it adds
+    0), or when it lies inside every region and every valuation argument g
+    has ord g(a) below the least k_i of the coordinates g mentions (below
+    depth when it mentions none): then f is constant on the box, and it
+    adds f(a) p^(-sum k), exactly the sum of its classes mod p^depth.
+    Otherwise the box splits into p boxes along one coordinate, the least
+    refined of those whose region status is "boundary" or that a saturated
+    argument mentions.  A box with no such coordinate left below depth
+    stands for its p^(n depth - sum k) classes mod p^depth, which share its
+    status, membership and value, so the result equals a scan of all
+    p^(n depth) classes.  The budget bounds the boxes the walk settles
+    (missed, decided or scanned): each split adds p - 1 of them, and
+    passing the budget raises BudgetExceeded.  They tile Z_p^n, so there
+    are never more than p^(n depth).
+
+    Each box costs one integer pass: g(a) is computed once as an int for
+    the saturation test, and a decided box is recorded by the ords of
+    those ints and sum k.  f is evaluated once per distinct record, and
+    the sum stays int numerators per term and power of p until the end.
 
     growth = (C, c, dg) asserts |f(x)| <= C * v^dg * q^(c*v) on classes
     where some valuation argument saturates at v >= depth; c <= 0 and
@@ -952,53 +991,71 @@ def brute_force_integrate(
     names = domain.names()
     regions = [v.region for v in domain.variables]
     n = len(names)
-    args = [(oe.poly, [names.index(name) for name in oe.vars]) for oe in _collect_ords(f)]
-    tail = C * p**depth * weighted_tail([0] * dg + [1], depth, 1 - c).eval_at(p)
-    scale = Fraction(1, p ** (n * depth))
-    lifts = list(itertools.product(range(p), repeat=n))
-    total = Fraction(0)
-    err_total = Fraction(0)
-    skipped = 0
-    boundary = 0
-    partition = 1  # classes settled or on the stack; together they tile Z_p^n
-    stack = [((0,) * n, 0)]
+    compiled = _Compiled(f.terms)  # the oracle's domain makes every atom an OrdExpr
+    args = []  # (g, its variables' coordinates, the coordinates g mentions)
+    for oe in compiled.atoms:
+        index = [names.index(name) for name in oe.vars]
+        args.append((oe.poly, index, tuple(i for j, i in enumerate(index) if oe.poly.mentions(j))))
+    powers = [p**k for k in range(depth + 1)]
+    decided: Counter = Counter()  # (ords of the arguments, sum k) -> boxes whose f adds to value
+    scanned: Counter = Counter()  # the same for boxes at depth whose |f| adds to the bound
+    skipped = boundary = saturated_classes = 0
+    partition = 1  # boxes settled or on the stack; together they tile Z_p^n
+    statuses = tuple(_region_status(0, region, 0) for region in regions)
+    stack = [] if "out" in statuses else [((0,) * n, (0,) * n, statuses)]
     while stack:
-        point, k = stack.pop()
-        status = _class_status(point, regions, k)
-        if status == "out":
+        point, ks, statuses = stack.pop()
+        values = [g.eval_int([point[i] for i in index]) for g, index, _ in args]
+        split = {i for i, status in enumerate(statuses) if status == "boundary"}
+        saturated = False
+        for value, (_, _, mentioned) in zip(values, args):
+            if value % powers[min((ks[i] for i in mentioned), default=depth)] == 0:
+                saturated = True
+                split.update(mentioned)
+        if not (saturated or split):
+            decided[tuple(rational_ord(v, p) for v in values), sum(ks)] += 1
             continue
-        mod = p**k
-        saturated = any(g.eval_int([point[i] for i in index]) % mod == 0 for g, index in args)
-        values = dict(zip(names, point))
-        if status == "in" and not saturated:
-            total += f.eval(values, prime) * Fraction(1, p ** (n * k))
-            continue
-        if k < depth:
-            partition += len(lifts) - 1
+        below = [i for i in split if ks[i] < depth]
+        if below:
+            i = min(below, key=lambda i: (ks[i], i))
+            partition += p - 1
             if partition > budget:
                 raise BudgetExceeded(
                     f"the oracle walk to depth {depth} settles more than the budget of {budget} classes"
                 )
-            stack.extend((tuple(x + t * mod for x, t in zip(point, lift)), k + 1) for lift in lifts)
+            k = ks[i]
+            child_ks = ks[:i] + (k + 1,) + ks[i + 1 :]
+            for t in range(p):
+                x = point[i] + t * powers[k]
+                status = _region_status(x, regions[i], k + 1)
+                if status != "out":
+                    child = point[:i] + (x,) + point[i + 1 :]
+                    stack.append((child, child_ks, statuses[:i] + (status,) + statuses[i + 1 :]))
             continue
-        # a class still undecided at depth is scanned on its own
-        boundary += 1
-        contribution = None
+        # the box's classes mod p^depth are scanned as one
+        s = sum(ks)
+        weight = p ** (n * depth - s)
+        boundary += weight
         if all(_lift_member(x, region) for x, region in zip(point, regions)):
-            try:
-                contribution = f.eval(values, prime)
-            except UndefinedAtPoint:
-                skipped += 1
-        if contribution is not None:
-            total += contribution * scale
-            err_total += abs(contribution) * scale
+            if 0 in values:
+                skipped += weight  # f is undefined at the lift
+            else:
+                ords = tuple(rational_ord(v, p) for v in values)
+                decided[ords, s] += 1
+                scanned[ords, s] += 1
         elif not saturated:
             # membership is ambiguous but f is class-constant
-            err_total += abs(f.eval(values, prime)) * scale
+            scanned[tuple(rational_ord(v, p) for v in values), s] += 1
         if saturated:
-            err_total += scale * tail
+            saturated_classes += weight
+    coeffs = [t.coeff.eval_at(prime) for t in compiled.terms]
+    scale = Fraction(1, p ** (n * depth))
+    tail = C * p**depth * weighted_tail([0] * dg + [1], depth, 1 - c).eval_at(p)
+    err_total = saturated_classes * scale * tail
+    for (ords, s), count in scanned.items():
+        err_total += abs(compiled.value(ords, coeffs, p)) * Fraction(count, p**s)
     return OracleResult(
-        value=total,
+        value=_class_sum(compiled, coeffs, decided, p),
         tail_bound=err_total,
         depth=depth,
         classes=p ** (n * depth),
@@ -1006,3 +1063,19 @@ def brute_force_integrate(
         boundary=boundary,
         skipped_measure=skipped * scale,
     )
+
+
+def _class_sum(compiled: _Compiled, coeffs: Sequence[Fraction], classes: Counter, p: int) -> Fraction:
+    """The sum of count * p^-s * f over classes[(atom values, s)] = count.
+    Each term's sum stays int numerators keyed by the power of p until one
+    Fraction per term at the end."""
+    sums = [defaultdict(int) for _ in coeffs]
+    for (values, s), count in classes.items():
+        for acc, (e, z) in zip(sums, compiled.powers(values)):
+            acc[e - s] += count * z
+    total = Fraction(0)
+    for coeff, acc in zip(coeffs, sums):
+        if acc:
+            low = min(acc)
+            total += coeff * Fraction(p) ** low * sum(z * p ** (e - low) for e, z in acc.items())
+    return total

@@ -96,8 +96,7 @@ def rational_ord(value: Union[Fraction, int], p: int) -> ExtendedInteger:
     """p-adic valuation of an exact rational; INFINITY iff value == 0."""
     if value == 0:
         return INFINITY
-    value = Fraction(value)
-    v = 0
+    v = 0  # an int is its own numerator, over denominator 1
     num = value.numerator
     while num % p == 0:
         num //= p

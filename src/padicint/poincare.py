@@ -425,6 +425,10 @@ def poincare_report(
     check_mmax they run for m = 0 and 1 and then for every further m while
     all the points they enumerate stay within the points series_table
     evaluated, so that checking costs no more than counting."""
+    if mmax < 0:
+        raise ValueError("mmax must be >= 0")
+    if check_mmax is not None and check_mmax < 0:
+        raise ValueError("check_mmax must be >= 0")
     table = series_table(f, prime, mmax, budget)
     rational = fit_rational(table, guard)
     checks = []

@@ -106,7 +106,11 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         capsys, "poincare", "--p", "3", "--mmax", "11", "x1*x2", "--budget", "1000"
     )
     assert code == 3 and "BudgetExceeded" in err
-    # the oracle's budget bounds the classes its walk settles: 17,433 here
+    code, out, err = run(capsys, "poincare", "--p", "3", "--mmax", "-1", "x1")
+    assert (code, out) == (1, "") and err.startswith("ValueError") and "mmax" in err
+    code, out, err = run(capsys, "poincare", "--p", "3", "--mmax", "3", "--check-mmax", "-3", "x1")
+    assert (code, out) == (1, "") and "check_mmax must be >= 0" in err
+    # the oracle's budget bounds the boxes its walk settles: 225 here
     domfile = write(
         tmp_path, "dom.json",
         {"p": 3, "vars": [{"name": name, "sort": "K", "region": "unit_ball"} for name in ("x1", "x2")]},
@@ -115,9 +119,11 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         "integrate", "q^(-ord(x1) - ord(x2))", "--domain", domfile,
         "--oracle", "--depth", "7", "--growth", "1,-1,0",
     )
-    code, _, err = run(capsys, *oracle, "--budget", "17432")
-    assert code == 3 and "BudgetExceeded" in err and "depth 7" in err and "17432" in err
-    assert run(capsys, *oracle, "--budget", "17433")[0] == 0
+    code, _, err = run(capsys, *oracle, "--budget", "224")
+    assert code == 3 and "BudgetExceeded" in err and "depth 7" in err and "224" in err
+    assert run(capsys, *oracle, "--budget", "225")[0] == 0
+    code, out, err = run(capsys, "integrate", "q^(-ord(0*x1))", "--domain", domfile)
+    assert (code, out) == (1, "") and err.startswith("UndefinedAtPoint") and "zero polynomial" in err
     with pytest.raises(SystemExit) as exc:
         main([*oracle, "--refine", "1"])
     assert exc.value.code == 2

@@ -217,16 +217,18 @@ def test_oracle_budget_bounds_the_classes_settled():
     deep = brute_force_integrate(ABS_X, unit_ball_domain(P2), 40, growth=(1, -1, 0), budget=41)
     assert deep.classes == 2**40
     assert abs(deep.value - Fraction(2, 3)) <= deep.tail_bound < Fraction(1, 10**23)
-    # q^(-ord x1 - ord x2) on Z_3^2 at depth 7 settles 1 + 8 * 2179 classes:
-    # 2179 undecided classes split at the levels 0..6
+    # q^(-ord x1 - ord x2) on Z_3^2 at depth 7 settles 15^2 = 225 boxes: each
+    # coordinate is split only while its own argument is saturated, which
+    # cuts Z_3 into 3^7 Z_3 and the 2 * 7 classes a + 3^k Z_3 with 0 < a < 3^k
+    # and ord a = k - 1, and the walk settles the products of those pieces
     f = ConstructibleExpr(
         [Term(AqElem.one(), qparts=(IntScale(-1, ordvar("x1")), IntScale(-1, ordvar("x2"))))]
     )
     domain = Domain([("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL)], P3)
-    r = brute_force_integrate(f, domain, 7, growth=(1, -1, 0), budget=17433)
+    r = brute_force_integrate(f, domain, 7, growth=(1, -1, 0), budget=225)
     assert abs(r.value - Fraction(9, 16)) <= r.tail_bound
-    with pytest.raises(BudgetExceeded, match="depth 7 .* 17432 classes"):
-        brute_force_integrate(f, domain, 7, growth=(1, -1, 0), budget=17432)
+    with pytest.raises(BudgetExceeded, match="depth 7 .* 224 classes"):
+        brute_force_integrate(f, domain, 7, growth=(1, -1, 0), budget=224)
 
 
 def test_oracle_on_general_polynomial_argument():

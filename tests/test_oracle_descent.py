@@ -33,8 +33,9 @@ from padicint import (
     identity_lin,
 )
 from padicint.kcells import kcells_disjoint
-from padicint.integrate import OracleResult, _collect_ords, _lift_member, _region_status
+from padicint.integrate import OracleResult, _Compiled, _lift_member, _region_status
 from padicint.padic import INFINITY, rational_ord
+from padicint.parsing import parse_integrand
 from padicint.presburger import weighted_tail
 
 K = "K"
@@ -46,7 +47,7 @@ def flat_oracle(f, domain, depth, growth=(1, 0, 0), refine=0) -> OracleResult:
     p = domain.prime.p
     names = domain.names()
     n = len(names)
-    ords = _collect_ords(f)
+    ords = _Compiled(f.terms).atoms
     tails = {
         d: C * p**d * weighted_tail([0] * dg + [1], d, 1 - c).eval_at(p)
         for d in {depth, depth + refine}
@@ -168,16 +169,40 @@ def _random_integrand(rng: random.Random, names: list, p: int) -> ConstructibleE
     return ConstructibleExpr(terms)
 
 
+def _parsed_integrand(rng: random.Random, p: int) -> ConstructibleExpr:
+    """A two-variable integrand built by the parser, so every ord lists x1
+    and x2 while its polynomial mentions at most one of them.  The argument
+    in x_i can vanish; the other one, p*x + 1 in the other variable or the
+    constant p, has the same valuation everywhere, so below the root only
+    x_i's argument saturates, and the constant at depth 1."""
+    i = rng.randint(1, 2)
+
+    def arg(poly: str, var: int) -> str:
+        return f"ord({poly}{' + 0*x2' if var == 1 else ''})"
+
+    sat = arg(f"(x{i} - {rng.randint(0, p * p)})^{rng.randint(1, 2)}", i)
+    unit = arg(f"{p}*x{3 - i} + 1" if rng.random() < 0.7 else f"{p} + 0*x{3 - i}", 3 - i)
+    text = f"{rng.randint(1, 5)}*q^(-{rng.randint(1, 2)}*{sat})*{unit}"
+    if rng.random() < 0.5:
+        text += f" + {rng.randint(1, 5)}*q^(-{rng.randint(1, 2)}*{sat} - {unit})*{sat}"
+    f = parse_integrand(text)
+    assert all(a.vars == ("x1", "x2") for a in _Compiled(f.terms).atoms)
+    return f
+
+
 def test_descent_equals_flat_scan_on_random_domains():
     rng = random.Random(20261018)
     seen_skipped = seen_boundary = seen_refined = 0
-    for _ in range(160):
+    parsed_skipped = parsed_boundary = 0
+    # the last 80 cases integrate parsed integrands over two variables
+    for case in range(240):
+        parsed = case >= 160
         prime = Prime(rng.choice((2, 3)))
         p = prime.p
-        n = rng.randint(1, 2)
+        n = 2 if parsed else rng.randint(1, 2)
         names = [f"x{i + 1}" for i in range(n)]
         domain = Domain([(name, K, _random_region(rng, prime)) for name in names], prime)
-        f = _random_integrand(rng, names, p)
+        f = _parsed_integrand(rng, p) if parsed else _random_integrand(rng, names, p)
         # keep p^(n (depth + refine)) at most 2^10 or 3^6 for the flat scan
         top = (10 if p == 2 else 6) // n
         refine = rng.randint(0, 2)
@@ -190,10 +215,26 @@ def test_descent_equals_flat_scan_on_random_domains():
             assert descent == flat, where
         fields = ("value", "tail_bound", "skipped", "skipped_measure")
         assert [getattr(descent, k) for k in fields] == [getattr(flat, k) for k in fields], where
+        if parsed:
+            parsed_skipped += descent.skipped > 0
+            parsed_boundary += descent.boundary > 0
+            continue
         seen_skipped += descent.skipped > 0
         seen_boundary += descent.boundary > 0
         seen_refined += refine > 0 and descent.boundary > 0
     assert seen_skipped >= 10 and seen_boundary >= 40 and seen_refined >= 20
+    assert parsed_skipped >= 10 and parsed_boundary >= 40
+
+
+def test_descent_keeps_an_argument_in_both_coordinates_saturated():
+    # ord(x1) refines x1 ahead of x2, and x1 + x2 is decided only below the
+    # lesser of the two refinements, never the greater
+    ball = [("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL)]
+    for text in ("q^(-ord(x1) - ord(x1 + x2))", "3*q^(-2*ord(x1) - ord(x1 - x2 - 1))*ord(x1 - x2 - 1)"):
+        f = parse_integrand(text)
+        for p, depth in ((2, 4), (3, 3)):
+            domain = Domain(ball, Prime(p))
+            assert brute_force_integrate(f, domain, depth) == flat_oracle(f, domain, depth), (text, p)
 
 
 def test_descent_evaluates_few_classes(monkeypatch):
@@ -202,18 +243,22 @@ def test_descent_evaluates_few_classes(monkeypatch):
     f = ConstructibleExpr([Term(AqElem.one(), qparts=tuple(IntScale(-1, a) for a in ords))])
     domain = Domain([("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL)], Prime(p))
     calls = 0
-    real_eval = ConstructibleExpr.eval
+    real_powers = _Compiled.powers
 
-    def counting_eval(self, point, prime):
+    def counting_powers(self, values):
         nonlocal calls
         calls += 1
-        return real_eval(self, point, prime)
+        return real_powers(self, values)
 
-    monkeypatch.setattr(ConstructibleExpr, "eval", counting_eval)
-    result = brute_force_integrate(f, domain, depth, growth=(1, -1, 0))
-    # the flat scan evaluated f once per class: 3^10 = 59,049 times
+    monkeypatch.setattr(_Compiled, "powers", counting_powers)
+    result = brute_force_integrate(f, domain, depth, growth=(1, -1, 0), budget=121)
+    # the flat scan evaluated f once per class: 3^10 = 59,049 times, and the
+    # walk that split both coordinates 1,897 times.  The box walk settles
+    # 11^2 = 121 boxes and evaluates f once per pair (ord x1, ord x2) of a
+    # decided box, with both ords in 0..4
     assert result.classes == p ** (n * depth)
     assert 0 < calls < p ** (n * depth) // 20
+    assert calls == 25
     assert abs(result.value - Fraction(9, 16)) <= result.tail_bound
 
 

@@ -246,6 +246,15 @@ def test_report_for_x():
     assert data["rational"] == {"num": "1", "den": "(1 - T)"}
 
 
+def test_report_rejects_negative_orders():
+    with pytest.raises(ValueError, match="mmax must be >= 0"):
+        poincare_report(X, P3, -1)
+    with pytest.raises(ValueError, match="check_mmax must be >= 0"):
+        poincare_report(X, P3, 3, check_mmax=-3)
+    # zero is a valid order: the table holds N_0 alone, and one check runs
+    assert poincare_report(X, P3, 3, check_mmax=0).checks == [(0, True)]
+
+
 def test_report_for_x_squared():
     rep = poincare_report(X2, P3, 11)
     assert isinstance(rep.rational, RationalFunctionT)

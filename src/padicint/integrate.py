@@ -1050,8 +1050,10 @@ def brute_force_integrate(
             saturated_classes += weight
     coeffs = [t.coeff.eval_at(prime) for t in compiled.terms]
     scale = Fraction(1, p ** (n * depth))
-    tail = C * p**depth * weighted_tail([0] * dg + [1], depth, 1 - c).eval_at(p)
-    err_total = saturated_classes * scale * tail
+    err_total = Fraction(0)
+    if saturated_classes:
+        tail = C * p**depth * weighted_tail([0] * dg + [1], depth, 1 - c).eval_at(p)
+        err_total += saturated_classes * scale * tail
     for (ords, s), count in scanned.items():
         err_total += abs(compiled.value(ords, coeffs, p)) * Fraction(count, p**s)
     return OracleResult(

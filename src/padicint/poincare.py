@@ -12,6 +12,7 @@ entries is reported as UNDETERMINED, never as a rational function.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -60,13 +61,15 @@ def count_Nm(f: Polynomial, prime: Prime, m: int, budget: int = DEFAULT_BUDGET) 
 class SeriesTable:
     """A prefix N_0..N_mmax of the congruence counts for one polynomial.
 
-    evaluations is the number of points at which series_table evaluated f
-    to build the counts (0 for a table given directly)."""
+    evaluations is the number of residue classes at which series_table
+    evaluated f, and nonsingular the number of roots mod p whose gradient
+    is nonzero mod p (both 0 for a table given directly)."""
 
     prime: Prime
     f: Polynomial
     counts: list[int]
     evaluations: int = field(default=0, compare=False)
+    nonsingular: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not self.counts or self.counts[0] != 1:
@@ -82,56 +85,72 @@ class SeriesTable:
 def series_table(
     f: Polynomial, prime: Prime, mmax: int, budget: int = DEFAULT_BUDGET
 ) -> SeriesTable:
-    """Count N_0..N_mmax by lifting solutions mod p^m to mod p^(m+1).
+    """Count N_0..N_mmax on a tree of residue classes B = b + p^k Z_p^n,
+    refining only the classes that Hensel's lemma leaves undecided.
 
-    The solutions mod p are enumerated once.  By Hensel's lemma one whose
-    gradient is nonzero mod p has exactly p^((n-1)(m-1)) lifts mod p^m,
-    so it adds that to every N_m and is never lifted.  Only the singular
-    solutions (gradient = 0 mod p) are kept.  For m >= 2, f is constant
-    mod p^m on base + p^(m-1) Z_p^n when base is singular, so one
-    evaluation decides whether all p^n lifts are solutions or none are;
-    at m = mmax the passing bases are counted, and their lifts are never
-    built.  The budget bounds that singular frontier: lifting to depth m
-    raises BudgetExceeded when p^n times the singular solutions mod
-    p^(m-1) exceeds it.  The table records the points evaluated: p^n at m = 1
-    and one per singular solution lifted after that.  Agrees with
-    count_Nm everywhere."""
+    Let d = min(ord grad f(b), k).  By Taylor's formula f = f(b) mod
+    p^(k+d) on B, and:
+      - if ord f(b) < k + d, ord f is constant on B;
+      - else if d < k, f = p^(k+d) g on B with g nonsingular mod p, so B
+        holds p^(n(m-k)) solutions mod p^m for m <= k + d and
+        p^(n d + (n-1)(m-k-d)) for m >= k + d (at k = 1, d = 0 these are
+        the lifts of a nonsingular root mod p);
+      - else d = k and f = 0 mod p^(2k) on B: B is undecided and splits
+        into its p^n classes mod p^(k+1), unless 2k >= mmax already
+        decides every count.
+    Each class adds its solutions mod p^m to N_m for every m >= k it
+    decides (m = k alone when it splits), so each solution is counted
+    once.  The budget bounds the undecided frontier: splitting level k
+    raises BudgetExceeded when p^n times its undecided classes exceeds it.
+    The table records the classes evaluated and the nonsingular roots mod
+    p.  Agrees with count_Nm everywhere."""
     if not f.is_integral():
         raise ValueError("counting requires integer coefficients")
+    if mmax < 0:
+        raise ValueError("mmax must be >= 0")
     p = prime.p
     n = f.nvars
     gradient = [f.derivative(i) for i in range(n)]
     lifts = list(itertools.product(range(p), repeat=n))
-    counts = [1]
+    # (k, e, hensel) -> classes mod p^k with p^(n(m-k)) solutions mod p^m
+    # for k <= m <= e; past e only a Hensel class has any
+    decided: Counter = Counter()
     evaluations = 0
-    smooth = 0  # solutions mod p^m above a nonsingular solution mod p
-    frontier: list[tuple[int, ...]] = [(0,) * n]  # singular solutions mod p^(m-1)
-    for m in range(1, mmax + 1):
+    k, frontier = 0, [(0,) * n]  # the undecided classes mod p^k
+    while frontier and 2 * k < mmax:
         if p**n * len(frontier) > budget:
             raise BudgetExceeded(
-                f"lifting to depth {m} could keep more than {budget} singular solutions"
+                f"lifting to depth {k + 1} could split more than {budget} undecided classes"
             )
-        if m == 1:
-            evaluations += len(lifts)
-            roots = [x for x in lifts if f.eval_mod(x, p) == 0]
-            frontier = [x for x in roots if not any(d.eval_mod(x, p) for d in gradient)]
-            smooth = len(roots) - len(frontier)
-            counts.append(len(roots))
-            continue
-        if smooth:  # a nonsingular root needs n >= 1
-            smooth *= p ** (n - 1)
-        mod = p**m
-        evaluations += len(frontier)
-        passing = [base for base in frontier if f.eval_mod(base, mod) == 0]
-        counts.append(smooth + p**n * len(passing))
-        if m < mmax:  # the top level is counted, never stored
-            step = p ** (m - 1)
-            frontier = [
-                tuple(b + t * step for b, t in zip(base, lift))
-                for base in passing
-                for lift in lifts
-            ]
-    return SeriesTable(prime, f, counts, evaluations)
+        decided[k, k, False] += len(frontier)  # each is a solution mod p^k
+        evaluations += p**n * len(frontier)
+        step, k = p**k, k + 1
+        undecided = []
+        for base in frontier:
+            for lift in lifts:
+                b = tuple(x + t * step for x, t in zip(base, lift))
+                v = min(rational_ord(f.eval_mod(b, p ** (2 * k)), p), 2 * k)
+                if v < k:
+                    continue  # ord f < k on the class: no solution mod p^k
+                d = min([k] + [rational_ord(g.eval_mod(b, p**k), p) for g in gradient])
+                if v < k + d:
+                    decided[k, v, False] += 1
+                elif d < k:
+                    decided[k, k + d, True] += 1
+                else:
+                    undecided.append(b)
+        frontier = undecided
+    decided[k, 2 * k, False] += len(frontier)  # f = 0 mod p^(2k), and 2k >= mmax
+    counts = [0] * (mmax + 1)
+    for (level, e, hensel), classes in decided.items():
+        for m in range(level, mmax + 1):
+            if m <= e:
+                counts[m] += classes * p ** (n * (m - level))
+            elif hensel:
+                counts[m] += classes * p ** (n * (e - level) + (n - 1) * (m - e))
+            else:
+                break
+    return SeriesTable(prime, f, counts, evaluations, decided[1, 1, True])
 
 
 def measure_identity_check(
@@ -423,8 +442,9 @@ def poincare_report(
     The identity check at m enumerates the p^(n m) points once, so checks
     run for m up to check_mmax (at most mmax) within the budget.  Without
     check_mmax they run for m = 0 and 1 and then for every further m while
-    all the points they enumerate stay within the points series_table
-    evaluated, so that checking costs no more than counting."""
+    all the points they enumerate stay within the p^n points mod p plus the
+    singular solutions mod p^m for 1 <= m < mmax, that is N_m less the
+    p^((n-1)(m-1)) lifts of each nonsingular root mod p."""
     if mmax < 0:
         raise ValueError("mmax must be >= 0")
     if check_mmax is not None and check_mmax < 0:
@@ -434,12 +454,17 @@ def poincare_report(
     checks = []
     p = prime.p
     n = f.nvars
+    singular, smooth = p**n, table.nonsingular
+    for m in range(1, mmax):
+        singular += table.counts[m] - smooth
+        if smooth:  # a nonsingular root needs n >= 1
+            smooth *= p ** (n - 1)
     limit = mmax if check_mmax is None else min(check_mmax, mmax)
     enumerated = 0
     for m in range(0, limit + 1):
         points = p ** (n * m)
         enumerated += points
-        if points > budget or (check_mmax is None and m > 1 and enumerated > table.evaluations):
+        if points > budget or (check_mmax is None and m > 1 and enumerated > singular):
             break
         checks.append((m, measure_identity_check(f, prime, m, budget)))
     return PoincareReport(table, rational, checks, guard)

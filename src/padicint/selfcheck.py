@@ -363,7 +363,7 @@ def lifting_matches_enumeration(f: Polynomial, prime: Prime, points: int) -> boo
 
 def check_lifting() -> tuple[str, bool, str]:
     rng = random.Random(SEED + 5)
-    for p in (2, 3):
+    for p in (2, 3, 5):
         prime = Prime(p)
         for shape in POLYNOMIAL_SHAPES[:-1] + ("general",) * 6:
             f = random_polynomial(rng, p, shape)

@@ -103,7 +103,7 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "ord", "4")
     assert code == 1
     code, _, err = run(
-        capsys, "poincare", "--p", "3", "--mmax", "11", "x1*x2", "--budget", "1000"
+        capsys, "poincare", "--p", "3", "--mmax", "11", "(x1-x2)^2", "--budget", "1000"
     )
     assert code == 3 and "BudgetExceeded" in err
     code, out, err = run(capsys, "poincare", "--p", "3", "--mmax", "-1", "x1")
@@ -134,14 +134,15 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
 
 
 def test_budget_env_overrides_flag(capsys, monkeypatch):
-    monkeypatch.setenv("PADIC_BUDGET", "10")
-    code, _, err = run(
-        capsys, "poincare", "--p", "3", "--mmax", "11", "x1^2", "--budget", "10000000"
-    )
-    assert code == 3
+    # (x1-x2)^2 at p = 3, mmax 6 splits 81 undecided classes' children last
+    args = ("poincare", "--p", "3", "--mmax", "6", "(x1-x2)^2")
+    monkeypatch.setenv("PADIC_BUDGET", "80")
+    code, _, err = run(capsys, *args, "--budget", "10000000")
+    assert code == 3 and "80" in err
+    monkeypatch.setenv("PADIC_BUDGET", "81")
+    assert run(capsys, *args, "--budget", "80")[0] == 0
     monkeypatch.delenv("PADIC_BUDGET")
-    code, _, _ = run(capsys, "poincare", "--p", "3", "--mmax", "6", "x1^2")
-    assert code == 0
+    assert run(capsys, *args, "--budget", "80")[0] == 3
 
 
 def test_check_subcommand_runs_clean(capsys):

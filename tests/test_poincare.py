@@ -282,12 +282,49 @@ def test_lifting_matches_enumeration(p, shape, seed):
 
 
 def test_lifting_budget_bounds_the_singular_frontier():
-    # x1 is nonsingular everywhere: nothing is kept, so a tiny budget lasts
+    # x1 is nonsingular everywhere: only Z_3 is split, so a tiny budget lasts
     assert series_table(X, P3, 40, budget=3).counts == [1] * 41
-    # x1^2 at p = 3 keeps every solution: N_4 = 9 of them, 27 lifts > 20
-    assert series_table(X2, P3, 4, budget=20).counts == [1, 1, 3, 3, 9]
-    with pytest.raises(BudgetExceeded):
-        series_table(X2, P3, 5, budget=20)
+    # (x1 - x2)^2 at p = 3 leaves the 3^k classes mod 3^k on the line
+    # x1 = x2 undecided; mmax 6 splits them up to k = 2, 9 * 9 = 81 children
+    # within a budget of 100, and mmax 7 would split the 27 at k = 3
+    line = Polynomial(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1})
+    assert series_table(line, P3, 6, budget=100).counts == [1, 3, 27, 81, 729, 2187, 19683]
+    with pytest.raises(BudgetExceeded, match="depth 4"):
+        series_table(line, P3, 7, budget=100)
+
+
+def test_series_table_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="mmax must be >= 0"):
+        series_table(X, P3, -2)
+    assert series_table(X, P3, 0).counts == [1]
+
+
+def test_lifting_matches_enumeration_on_every_shape():
+    # 540 seeded cases, each count up to 3^7 points compared with count_Nm
+    rng = random.Random(20261018)
+    for p in (2, 3, 5):
+        for shape in POLYNOMIAL_SHAPES:
+            for _ in range(30):
+                f = random_polynomial(rng, p, shape)
+                assert lifting_matches_enumeration(f, Prime(p), 3**7), (f.render(), p)
+
+
+def test_lifting_decides_most_classes_by_hensel():
+    # these counts took the frontier lifting 15 s and 30 s
+    x1x2x3 = Polynomial(3, {(1, 1, 1): 1})
+    assert series_table(x1x2x3, P2, 10).counts == [
+        1, 7, 44, 256, 1408, 7424, 37888, 188416, 917504, 4390912, 20709376
+    ]
+    cusp = Polynomial(2, {(2, 0): 1, (0, 3): -1})
+    assert series_table(cusp, P3, 13).counts == [
+        1, 3, 15, 45, 135, 405, 2673, 8019, 37179, 111537, 334611, 1003833, 6200145,
+        18600435,
+    ]
+    # x1*x2 leaves one class undecided per level: 9 children at each of
+    # k = 1..6, where one point per singular solution made 531,451
+    assert series_table(XY, P3, 11).evaluations == 54
+    # the frontier lifting passed the default budget of 10^8 here
+    assert series_table(cusp, P3, 14).counts[14] == 84499119
 
 
 def test_default_checks_enumerate_no_more_than_the_counts(monkeypatch):
@@ -306,10 +343,14 @@ def test_default_checks_enumerate_no_more_than_the_counts(monkeypatch):
     rep = poincare_report(XY, P3, 11)
     assert [m for m, _ in rep.checks] == list(range(6))
     assert all(ok for _, ok in rep.checks)
-    # each check at m >= 1 enumerates its 9^m points once; the lifting
-    # evaluated 9 points mod 3 and one point per singular solution after
+    # each check at m >= 1 enumerates its 9^m points once, within the 9
+    # points mod 3 and the singular solutions mod 3^m for m < 11: N_m less
+    # the 3^(m-1) lifts of each of the 4 nonsingular roots mod 3
     assert enumerated == sum(9**m for m in range(1, 6))
-    assert enumerated <= rep.table.evaluations < enumerated + 9**6
+    singular = 9 + sum(rep.table.counts[m] - 4 * 3 ** (m - 1) for m in range(1, 11))
+    assert (rep.table.nonsingular, singular) == (4, 531451)
+    assert enumerated <= singular < enumerated + 9**6
+    assert rep.table.evaluations == 54
     # x1 + x2*x3 is nonsingular mod 3, so the lifting evaluates only the 27
     # points mod 3 and the checks stop after m = 1; the counts' sum, about
     # 3.5e10 here, would let them run on to m = 5

@@ -310,7 +310,8 @@ def test_lifting_matches_enumeration_on_every_shape():
 
 
 def test_lifting_decides_most_classes_by_hensel():
-    # these counts took the frontier lifting 15 s and 30 s
+    # deep tables with millions of singular solutions: the walk keeps
+    # only the classes that Hensel's lemma leaves undecided
     x1x2x3 = Polynomial(3, {(1, 1, 1): 1})
     assert series_table(x1x2x3, P2, 10).counts == [
         1, 7, 44, 256, 1408, 7424, 37888, 188416, 917504, 4390912, 20709376
@@ -321,9 +322,10 @@ def test_lifting_decides_most_classes_by_hensel():
         18600435,
     ]
     # x1*x2 leaves one class undecided per level: 9 children at each of
-    # k = 1..6, where one point per singular solution made 531,451
+    # k = 1..6, against 531,442 singular solutions mod 3^m for 1 <= m < 11
     assert series_table(XY, P3, 11).evaluations == 54
-    # the frontier lifting passed the default budget of 10^8 here
+    # the 17,537,553 singular solutions mod 3^13 have 9 times as many
+    # lifts, more than the default budget of 10^8
     assert series_table(cusp, P3, 14).counts[14] == 84499119
 
 

@@ -334,10 +334,18 @@ class AqElem:
         p = prime.p if isinstance(prime, Prime) else int(prime)
         if p < 2:
             raise ValueError("q must be specialized to an integer >= 2")
-        value = self.num.eval(p)
+        coeffs = self.num.coeffs
+        if not coeffs:
+            return Fraction(0)
+        # sum c_e p^(e - lo) is an int unless a coefficient is a Fraction;
+        # then p^lo and each (p^i / (p^i - 1))^e go into one ratio
+        lo = min(coeffs)
+        top = sum(c * p ** (e - lo) for e, c in coeffs.items())
+        num, den = (p**lo, 1) if lo >= 0 else (1, p**-lo)
         for i, e in self.den.items():
-            value /= (1 - Fraction(p) ** (-i)) ** e
-        return value
+            num *= p ** (i * e)
+            den *= (p**i - 1) ** e
+        return Fraction(top * num, den)
 
     def render(self) -> str:
         num = self.num.render()

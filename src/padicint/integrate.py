@@ -819,7 +819,7 @@ def _range_sum(
 
 
 def _negate(parts):
-    return [(aq * AqElem.from_rational(-1), q, z) for aq, q, z in parts]
+    return [(-aq, q, z) for aq, q, z in parts]
 
 
 def _bound_plus(bound: Union[int, IntExpr], c: int) -> Union[int, IntExpr]:

@@ -5,8 +5,13 @@ may be absent.  Reindexing gamma = k + n*tau turns every sum over a cell
 into a sum over an integer range of tau; closed forms for geometric and
 polynomially-weighted sums land in the coefficient ring of aqring.
 
-The dense polynomial helpers these sums stand on (shift, finite
-differences, binomial coefficients) live in polys.
+Every such sum reduces to the tail sum_{tau >= a} P(tau) x^tau with
+x = q^-N, which is x^a A(x) / (1 - x)^(D+1) for D = deg P and a numerator
+A of degree at most D read off P(a), ..., P(a + D) (see weighted_tail).
+It is built as one element, so it is canonicalised once; a reduced
+numerator over a power of (1 - q^-N) is unique for its value, so the form
+is the one a term-by-term sum would reach.  The dense helpers behind the
+N = 0 sums (finite differences, binomial coefficients) live in polys.
 
 The well-order here is the zigzag 0, 1, -1, 2, -2, ... under which every
 nonempty cell union has a least element computable from at most two
@@ -17,14 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .aqring import AqElem
+from .aqring import AqElem, LaurentPoly
 from .errors import NULL, DivergentSum, DomainError, EmptySet, json_fields
 from .padic import INFINITY, ExtendedInteger
-from .polys import binom_int, finite_differences, poly_shift
-from .polys import poly_eval  # noqa: F401  (perfbench/tracing.py wraps presburger.poly_eval)
+from .polys import binom_int, finite_differences
+from .polys import poly_eval, poly_shift  # noqa: F401  (perfbench/tracing.py wraps both by these names)
 
 Rat = Union[int, Fraction]
 
@@ -201,15 +206,31 @@ def geom_sum(cell: GammaCell, N: int) -> AqElem:
 def weighted_tail(poly: Sequence[Rat], a: int, N: int) -> AqElem:
     """Exact sum of poly(tau) * q^(-N tau) over tau >= a, for N >= 1.
 
-    Expands poly(a + s) in the binomial basis C(s, j); each basis sum is
-    q^(-N(a+j)) / (1 - q^-N)^(j+1).
+    With x = q^-N and D = deg poly, (1 - x)^(D+1) times the series is
+    x^a A(x) with A_i = sum_{k=0..i} (-1)^k C(D+1, k) poly(a + i - k) for
+    i = 0..D; the coefficients from i = D + 1 on are (D+1)-th differences
+    of a degree-D polynomial, which vanish.  Integral coefficients are
+    evaluated as ints.  The canonical form equals the binomial basis sum
+    over j of (delta^j poly)(a) x^(a+j) / (1 - x)^(j+1): both carry only
+    the index N, and the reduced form over it is unique.
     """
-    diffs = finite_differences(poly_shift(poly, a))
-    total = AqElem.zero()
-    for j, c in enumerate(diffs):
-        if c != 0:
-            total = total + AqElem.q_power(-N * (a + j), c) * AqElem.geom(N, j + 1)
-    return total
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    coeffs = [c.numerator if c.__class__ is Fraction and c.denominator == 1 else c for c in poly]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if not coeffs:
+        return AqElem.zero()
+    deg = len(coeffs) - 1
+    values = []  # poly(a), ..., poly(a + deg) by Horner's rule
+    for t in range(a, a + deg + 1):
+        v = 0
+        for c in reversed(coeffs):
+            v = v * t + c
+        values.append(v)
+    signed = [(-1) ** k * comb(deg + 1, k) for k in range(deg + 1)]
+    num = {-N * (a + i): sum(signed[k] * values[i - k] for k in range(i + 1)) for i in range(deg + 1)}
+    return AqElem(LaurentPoly(num), {N: deg + 1})
 
 
 def weighted_sum(cell: GammaCell, poly: Sequence[Rat], N: int) -> AqElem:

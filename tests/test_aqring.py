@@ -322,3 +322,20 @@ def test_non_integer_exponent_is_rejected():
     with pytest.raises(ValueError, match=r"exponent 0\.5"):
         LaurentPoly({0: 1, 0.5: 2})
     assert LaurentPoly({Fraction(2): 3}) == LaurentPoly.monomial(2, 3)
+
+
+def _eval_per_term(elem, p):
+    value = sum((Fraction(c) * Fraction(p) ** e for e, c in elem.num.coeffs.items()), Fraction(0))
+    for i, e in elem.den.items():
+        value /= (1 - Fraction(1, p**i)) ** e
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed | st.just(LaurentPoly()), indices, st.sampled_from([2, 3, 5, 7]))
+def test_eval_at_is_the_per_term_value(num, den, p):
+    elem = AqElem(num, den)
+    got = elem.eval_at(p)
+    assert got.__class__ is Fraction
+    assert got == _eval_per_term(elem, p)
+    assert AqElem(num, den).eval_at(Prime(p)) == got

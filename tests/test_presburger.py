@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicint import (
     AqElem,
@@ -23,7 +25,8 @@ from padicint import (
     wellorder_min,
     wellorder_min_product,
 )
-from padicint.presburger import wellorder_key
+from padicint.polys import finite_differences, poly_shift
+from padicint.presburger import weighted_tail, wellorder_key
 
 
 def brute_members(cell: GammaCell, lo=-500, hi=500):
@@ -133,6 +136,48 @@ def test_weighted_sum_divergence_rules():
         weighted_sum(GammaCell(None, None, 1, 0), [0, 1], 2)
     # zero weight sums to zero even on infinite cells
     assert weighted_sum(GammaCell(0, None, 1, 0), [0], 0).is_zero()
+
+
+def _binomial_basis_tail(poly, a, N):
+    """The tail in the binomial basis: poly(a + s) = sum_j d_j C(s, j), and
+    each basis sum is q^(-N(a+j)) / (1 - q^-N)^(j+1), added one by one."""
+    total = AqElem.zero()
+    for j, c in enumerate(finite_differences(poly_shift(poly, a))):
+        if c != 0:
+            total = total + AqElem.q_power(-N * (a + j), c) * AqElem.geom(N, j + 1)
+    return total
+
+
+tail_coeffs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(tail_coeffs, min_size=1, max_size=7),
+    st.integers(0, 3),
+    st.integers(-10, 40),
+    st.integers(1, 5),
+)
+def test_weighted_tail_is_the_binomial_basis_canonical_form(poly, zeros, a, N):
+    poly = poly + [Fraction(0)] * zeros  # trailing zeros leave the degree alone
+    got, want = weighted_tail(poly, a, N), _binomial_basis_tail(poly, a, N)
+    assert got.num.coeffs == want.num.coeffs
+    assert {e: type(c) for e, c in got.num.coeffs.items()} == {
+        e: type(c) for e, c in want.num.coeffs.items()
+    }
+    assert got.den == want.den
+    assert got.render() == want.render()
+
+
+def test_weighted_tail_edge_cases():
+    for zero in ([], [0], [Fraction(0), 0, Fraction(0)]):
+        assert weighted_tail(zero, 3, 2).is_zero()
+    # sum_{tau >= 0} tau^2 x^tau = x (1 + x) / (1 - x)^3 with x = q^-1
+    assert weighted_tail([0, 0, 1, 0, 0], 0, 1).render() == "(q^-1 + q^-2) / (1-q^-1)^3"
+    assert weighted_tail([Fraction(6, 2)], -2, 3).render() == "3*q^6 / (1-q^-3)"
+    for N in (0, -1):
+        with pytest.raises(ValueError):
+            weighted_tail([1, 2], 0, N)
 
 
 def test_gamma_weight_sum_additive_over_refinements():

@@ -16,6 +16,13 @@ needs no division: comparing coefficients in (1 - q^-i) Q = N gives
 Q_e = N_e + Q_(e+i), a running sum down each exponent class from the top
 exponent of N to its bottom exponent plus i.  Multiplying by (1 - q^-i)
 is likewise N - N q^-i, one pass over the terms.
+
+Canonicalisation runs only where a factor can cancel.  A monomial c q^k
+is a unit, so (1 - q^-i) divides N exactly when it divides c q^k N: the
+product of a canonical element with a unit, and a negation, keep the
+denominator and return the scaled, shifted or negated numerator as it
+stands.  Nothing is tried on an element without a denominator, or on a
+monomial numerator.
 """
 
 from __future__ import annotations
@@ -151,11 +158,11 @@ class LaurentPoly:
         return f"LaurentPoly({self.render()})"
 
 
-def _dense(poly: LaurentPoly) -> list[Fraction]:
+def _dense(poly: LaurentPoly) -> list[Rat]:
     top = poly.max_exp()
-    out = [Fraction(0)] * (top + 1)
+    out = [0] * (top + 1)
     for e, c in poly.coeffs.items():
-        out[e] = Fraction(c)  # int / int would be a float in _polydiv
+        out[e] = c
     return out
 
 
@@ -207,7 +214,17 @@ class AqElem:
                 )
             if k:
                 self.den[i] = k
-        self._canonicalize()
+        if self.den:
+            self._canonicalize()
+
+    @classmethod
+    def _reduced(cls, num: LaurentPoly, den: dict[int, int]) -> "AqElem":
+        """The element num / den from parts already in canonical form,
+        without checking or cancelling; den is shared, never copied."""
+        out = object.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -239,7 +256,8 @@ class AqElem:
         if self.num.is_zero():
             self.den = {}
             return
-        changed = True
+        # a monomial is a unit, so no factor (1 - q^-i) divides it
+        changed = len(self.num.coeffs) > 1
         while changed:
             changed = False
             for i in sorted(self.den):
@@ -262,6 +280,10 @@ class AqElem:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num.coeffs:
+            return self
+        if not self.num.coeffs:
+            return other
         merged = dict(self.den)
         for i, e in other.den.items():
             merged[i] = max(merged.get(i, 0), e)
@@ -272,7 +294,7 @@ class AqElem:
     __radd__ = __add__
 
     def __neg__(self) -> "AqElem":
-        return AqElem(-self.num, self.den)
+        return AqElem._reduced(-self.num, self.den)
 
     def __sub__(self, other) -> "AqElem":
         other = _coerce(other)
@@ -290,12 +312,23 @@ class AqElem:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.den and len(other.num.coeffs) == 1:
+            return self._times_unit(other.num)
+        if not self.den and len(self.num.coeffs) == 1:
+            return other._times_unit(self.num)
         merged = dict(self.den)
         for i, e in other.den.items():
             merged[i] = merged.get(i, 0) + e
         return AqElem(self.num * other.num, merged)
 
     __rmul__ = __mul__
+
+    def _times_unit(self, unit: LaurentPoly) -> "AqElem":
+        """self times the monomial c q^k: the numerator shifted and scaled
+        over the same denominator, which stays canonical."""
+        ((k, c),) = unit.coeffs.items()
+        num = LaurentPoly({e + k: v * c for e, v in self.num.coeffs.items()})
+        return AqElem._reduced(num, self.den)
 
     def __pow__(self, n: int) -> "AqElem":
         if n < 0:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .aqring import AqElem
+from .aqring import AqElem, LaurentPoly
 from .errors import (
     BudgetExceeded,
     DivergentSum,
@@ -582,9 +582,28 @@ def integrate(f: ConstructibleExpr, domain: Domain) -> AqElem:
     # every variable is summed out; the ord leaves left are constants
     compiled = _Compiled(terms)
     values = [_atom_value(a, {}, domain.prime.p) for a in compiled.atoms]
+    powers = compiled.powers(values)
+    return _sum_terms((t.coeff, e, z) for t, (e, z) in zip(compiled.terms, powers))
+
+
+def _sum_terms(parts: Iterable[tuple[AqElem, int, int]]) -> AqElem:
+    """The sum of coeff * z * q^e over the parts: one numerator per
+    distinct denominator, canonicalised once, then the few group results
+    added.  (A fold would merge denominators and cancel at every add; one
+    common denominator measured slower.)  The reduced form reached may
+    differ from a fold's, as factors (1 - q^-i) are not coprime."""
+    groups: dict[tuple, dict] = {}
+    for coeff, e, z in parts:
+        if not z:
+            continue
+        acc = groups.setdefault(tuple(coeff.den.items()), {})
+        for ex, c in coeff.num.coeffs.items():
+            ex += e
+            c *= z
+            acc[ex] = acc[ex] + c if ex in acc else c
     total = AqElem.zero()
-    for term, (e, z) in zip(compiled.terms, compiled.powers(values)):
-        total = total + term.coeff * AqElem.q_power(e, z)
+    for den, acc in groups.items():
+        total = total + AqElem(LaurentPoly(acc), dict(den))
     return total
 
 
@@ -750,19 +769,19 @@ def _sum_over_gamma(
             e0 += c
             e1 += s
             qsyms += syms
-        factor_pieces: list[list[tuple[list[Fraction], Optional[IntExpr]]]] = []
+        factor_pieces: list[list[tuple[list[int], Optional[IntExpr]]]] = []
         for fac in term.zfactors:
             c, s, syms = _subst_gamma(fac, var, k, n)
-            pieces: list[tuple[list[Fraction], Optional[IntExpr]]] = []
+            pieces: list[tuple[list[int], Optional[IntExpr]]] = []
             if c != 0 or s != 0 or not syms:
-                pieces.append(([Fraction(c), Fraction(s)], None))
+                pieces.append(([c, s], None))
             for sym in syms:
-                pieces.append(([Fraction(1)], sym))
+                pieces.append(([1], sym))
             factor_pieces.append(pieces)
 
         base = term.coeff * AqElem.q_power(e0)
         for choice in itertools.product(*factor_pieces):
-            poly = [Fraction(1)]
+            poly = [1]
             syms_chosen: tuple[IntExpr, ...] = ()
             for piece_poly, sym in choice:
                 poly = poly_mul(poly, piece_poly)
@@ -776,7 +795,7 @@ def _sum_over_gamma(
 
 
 def _range_sum(
-    poly: list[Fraction],
+    poly: list[int],
     e1: int,
     a: Union[None, int, IntExpr],
     b: Union[None, int, IntExpr],
@@ -830,7 +849,7 @@ def _bound_neg(bound: Union[int, IntExpr]) -> Union[int, IntExpr]:
     return -bound if isinstance(bound, int) else _expr_neg(bound)
 
 
-def _tail_any(poly: list[Fraction], bound: Union[int, IntExpr], N: int):
+def _tail_any(poly: list[int], bound: Union[int, IntExpr], N: int):
     """Triples for sum of poly(tau) q^(-N tau) over tau >= bound, N >= 1."""
     if isinstance(bound, int):
         return [(weighted_tail(poly, bound, N), (), ())]
@@ -845,7 +864,7 @@ def _tail_any(poly: list[Fraction], bound: Union[int, IntExpr], N: int):
     return parts
 
 
-def _faulhaber_at(diffs: list[Fraction], bound: Union[int, IntExpr], sign: int):
+def _faulhaber_at(diffs: list[int], bound: Union[int, IntExpr], sign: int):
     """Triples for sign * F(bound) with F(s) = sum_j diffs[j] * C(s, j+1)."""
     parts = []
     for j, d in enumerate(diffs):
@@ -857,14 +876,15 @@ def _faulhaber_at(diffs: list[Fraction], bound: Union[int, IntExpr], sign: int):
                 parts.append((AqElem.from_rational(value), (), ()))
         else:
             # expand C(s, j+1) = s(s-1)...(s-j)/(j+1)! in powers of s
-            coeffs = [Fraction(1)]
+            coeffs = [1]
             for i in range(j + 1):
-                coeffs = poly_mul(coeffs, [Fraction(-i), Fraction(1)])
+                coeffs = poly_mul(coeffs, [-i, 1])
             fact = 1
             for i in range(2, j + 2):
                 fact *= i
             for power, r in enumerate(coeffs):
-                val = d * r / fact * sign
+                val = d * r * sign
+                val = val // fact if val % fact == 0 else Fraction(val, fact)
                 if val != 0:
                     parts.append((AqElem.from_rational(val), (), (bound,) * power))
     return parts

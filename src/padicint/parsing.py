@@ -13,8 +13,7 @@ Rendering emits canonical text that parses back to the same expression.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .errors import ParseError
 from .integrate import (
@@ -36,8 +35,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # INT NAME OP EOF
     text: str
     line: int

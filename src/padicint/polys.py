@@ -8,7 +8,9 @@ are dropped.
 
 The dense univariate helpers take coefficient lists, lowest degree first:
 evaluation, shift, product, exact long division, and the finite
-differences behind the closed-form sums in the binomial basis.  They serve
+differences behind the closed-form sums in the binomial basis.  They
+compute in the type they are given, so int input stays int; only the
+quotients of the long division are Fractions.  They serve
 presburger's weighted sums, the symbolic integrator, the Aq ring's
 canonical form and the Poincare denominator search.
 
@@ -208,7 +210,7 @@ def signed_join(terms: Iterable[tuple[bool, str]]) -> str:
 # -- dense univariate polynomials (coefficient lists, lowest degree first) ---
 
 
-def trim(coeffs: list[Fraction]) -> list[Fraction]:
+def trim(coeffs: list[Rat]) -> list[Rat]:
     """Drop trailing zero coefficients in place, keeping at least one."""
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
@@ -222,34 +224,35 @@ def poly_eval(coeffs: Sequence[Rat], x: Rat) -> Fraction:
     return total
 
 
-def poly_shift(coeffs: Sequence[Rat], c: Rat) -> list[Fraction]:
+def poly_shift(coeffs: Sequence[Rat], c: Rat) -> list[Rat]:
     """Coefficients of p(x + c)."""
-    out = [Fraction(0)]
+    out = [0]
     for coeff in reversed(list(coeffs)):
         # out = out * (x + c) + coeff
-        new = [Fraction(0)] * (len(out) + 1)
+        new = [0] * (len(out) + 1)
         for i, v in enumerate(out):
             new[i + 1] += v
-            new[i] += v * Fraction(c)
-        new[0] += Fraction(coeff)
+            new[i] += v * c
+        new[0] += coeff
         out = trim(new)
     return out
 
 
-def poly_mul(a: Sequence[Rat], b: Sequence[Rat]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def poly_mul(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return trim(out)
 
 
-def polydiv(num: Sequence[Fraction], den: Sequence[Fraction]):
+def polydiv(num: Sequence[Rat], den: Sequence[Rat]):
     """Long division: (quotient, remainder), or (None, num) when deg num <
-    deg den.  The remainder keeps the length of num."""
+    deg den.  The remainder keeps the length of num.  The divisions go
+    through a Fraction, so int input divides exactly."""
     num = list(num)
     dd = len(den) - 1
-    lead = den[dd]
+    lead = Fraction(den[dd])
     if len(num) - 1 < dd:
         return None, num
     quot = [Fraction(0)] * (len(num) - dd)
@@ -263,10 +266,10 @@ def polydiv(num: Sequence[Fraction], den: Sequence[Fraction]):
     return quot, num
 
 
-def difference_polys(coeffs: Sequence[Rat]) -> list[list[Fraction]]:
+def difference_polys(coeffs: Sequence[Rat]) -> list[list[Rat]]:
     """The forward differences p, delta p, ..., delta^deg p as coefficient
-    lists, where (delta p)(x) = p(x + 1) - p(x)."""
-    cur = [Fraction(c) for c in coeffs] or [Fraction(0)]
+    lists, where (delta p)(x) = p(x + 1) - p(x).  int input stays int."""
+    cur = list(coeffs) or [0]
     out = [cur]
     while len(cur) > 1:
         cur = trim([a - b for a, b in zip(poly_shift(cur, 1), cur)])
@@ -274,18 +277,19 @@ def difference_polys(coeffs: Sequence[Rat]) -> list[list[Fraction]]:
     return out
 
 
-def finite_differences(coeffs: Sequence[Rat]) -> list[Fraction]:
+def finite_differences(coeffs: Sequence[Rat]) -> list[Rat]:
     """Values (delta^j p)(0) for j = 0..deg(p): the coefficients of p in the
     binomial basis C(x, j)."""
     return [d[0] for d in difference_polys(coeffs)]
 
 
-def binom_int(s: int, k: int) -> Fraction:
-    """Binomial coefficient as the polynomial s(s-1)...(s-k+1)/k!, any int s."""
+def binom_int(s: int, k: int) -> int:
+    """Binomial coefficient as the polynomial s(s-1)...(s-k+1)/k!, any int
+    s: a product of k consecutive integers, so k! divides it exactly."""
     num = 1
     for i in range(k):
         num *= s - i
     den = 1
     for i in range(2, k + 1):
         den *= i
-    return Fraction(num, den)
+    return num // den

@@ -251,7 +251,7 @@ def weighted_sum(cell: GammaCell, poly: Sequence[Rat], N: int) -> AqElem:
             raise DivergentSum("N = 0 diverges on an infinite cell")
         # discrete antiderivative F with F(s+1) - F(s) = poly(s)
         diffs = finite_differences(poly)
-        total = Fraction(0)
+        total = 0
         for j, d in enumerate(diffs):
             total += d * (binom_int(b + 1, j + 1) - binom_int(a, j + 1))
         return AqElem.from_rational(total)

@@ -339,3 +339,38 @@ def test_eval_at_is_the_per_term_value(num, den, p):
     assert got.__class__ is Fraction
     assert got == _eval_per_term(elem, p)
     assert AqElem(num, den).eval_at(Prime(p)) == got
+
+
+def _stored(elem):
+    """The stored form, coefficient types and denominator order included."""
+    return {e: (c.__class__, c) for e, c in elem.num.coeffs.items()}, list(elem.den.items())
+
+
+units = st.tuples(
+    st.integers(-30, 30),
+    st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=4)).filter(bool),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    (mixed | st.just(LaurentPoly())).flatmap(lambda num: indices.map(lambda den: AqElem(num, den)))
+    | built_elems().map(lambda built: built[0]),
+    units,
+)
+def test_unit_products_and_negation_keep_the_canonical_form(x, unit):
+    # x is canonical and c q^k a unit, so the skipped canonicalisation
+    # would have found nothing to cancel
+    k, c = unit
+    u = qp(k, c)
+    products = [
+        (x * u, x.num * u.num),
+        (u * x, u.num * x.num),
+        (x * c, x.num * LaurentPoly.const(c)),
+        (-x, -x.num),
+    ]
+    for got, num in products:
+        assert _stored(got) == _stored(AqElem(num, x.den))
+        for p in (2, 3):
+            assert got.eval_at(p) == AqElem(num, x.den).eval_at(p)
+    assert (-(-x)) == x and _stored(-(-x)) == _stored(x)

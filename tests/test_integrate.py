@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicint import (
     AngularResidue,
@@ -31,6 +33,9 @@ from padicint import (
     integrate,
     partition_unit_ball,
 )
+from padicint.aqring import LaurentPoly
+from padicint.integrate import _sum_terms
+from padicint.parsing import parse_integrand
 
 P2, P3 = Prime(2), Prime(3)
 K, G = "K", "Gamma"
@@ -379,6 +384,20 @@ def test_dependent_bounds_weighted_and_counting():
     assert integrate(ONE, tri2).as_rational() == sum(max(0, a - 1) for a in range(1, 8))
 
 
+def test_dependent_bound_weights_expand_with_rational_coefficients():
+    # the inner sum of g2^2 over 0 < g2 < g1 is a cubic in g1 whose
+    # coefficients (1/3, -1/2, 1/6) are not integers
+    tri = Domain(
+        [
+            ("g1", G, [GammaCell(0, 8, 1, 0)]),
+            ("g2", G, [DomainGammaCell(0, BoundRef("g1", PreparedLinear(1, 0, 1, 0)), 1, 0)]),
+        ],
+        P2,
+    )
+    f = parse_integrand("lin(1,0,1,0;g2)^2")
+    assert integrate(f, tri).as_rational() == sum(b * b for a in range(1, 8) for b in range(1, a))
+
+
 def test_symbolic_bounds_need_modulus_one():
     tri = Domain(
         [
@@ -487,3 +506,62 @@ def test_domain_json_round_trip():
     )
     again = Domain.from_json(dom.to_json())
     assert again.to_json() == dom.to_json()
+
+
+# -- the final sum ---------------------------------------------------------------
+
+_sum_coeffs = st.builds(
+    AqElem,
+    st.dictionaries(
+        st.integers(-8, 8),
+        st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=3)).filter(bool),
+        min_size=1,
+        max_size=4,
+    ).map(LaurentPoly),
+    st.dictionaries(st.integers(1, 6), st.integers(1, 2), max_size=2),
+)
+_sum_parts = st.lists(st.tuples(_sum_coeffs, st.integers(-8, 8), st.integers(-3, 3)), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sum_parts, st.integers(0, 8))
+def test_grouped_sum_is_the_left_fold(parts, cancelled):
+    # the negatives of the first parts cancel them in their groups
+    every = cancelled >= len(parts)
+    parts = parts + [(-c, e, z) for c, e, z in parts[:cancelled]]
+    fold = AqElem.zero()
+    for c, e, z in parts:
+        fold = fold + c * AqElem.q_power(e, z)
+    got = _sum_terms(parts)
+    assert got == fold
+    for p in (2, 3, 5):
+        assert got.eval_at(p) == fold.eval_at(p)
+    for i in got.den:
+        assert got.num.divexact(LaurentPoly({i: 1, 0: -1})) is None
+    if every:
+        assert got.is_zero() and got.den == {}
+
+
+def test_grouped_sum_render_is_pinned():
+    # two value-group sums whose groups meet over (1-q^-2) and (1-q^-4):
+    # the grouped sum keeps that denominator, while the one-at-a-time
+    # fold reached the equal (1-q^-1)(1-q^-4) form
+    f = parse_integrand(
+        "q^(-2*lin(1,0,1,0;g1) - lin(1,0,1,0;g2) - 1)*lin(1,0,2,-1;g2)"
+        " + 3*q^(-lin(1,0,1,0;g1) - 2*lin(1,0,1,0;g2) + 1)*lin(-2,0,1,3;g1)*lin(3,0,1,-1;g2)"
+    )
+    domain = Domain(
+        [("g1", G, [GammaCell(3, None, 1, 0)]), ("g2", G, [GammaCell(0, 5, 2, 0)])], P2
+    )
+    result = integrate(f, domain)
+    assert result.render() == (
+        "(-75*q^-7 - 105*q^-8 - 60*q^-9 - 60*q^-10 - 150*q^-11 - 186*q^-12 - 131*q^-13"
+        " - 132*q^-14 + 33*q^-15 + 99*q^-16 - q^-17) / (1-q^-2)(1-q^-4)"
+    )
+    assert result.eval_at(2) == Fraction(-11465, 6144)
+    folded = AqElem(
+        LaurentPoly({-7: -75, -8: -30, -9: -30, -10: -30, -11: -120, -12: -66, -13: -65,
+                     -14: -67, -15: 100, -16: -1}),
+        {1: 1, 4: 1},
+    )
+    assert result == folded

@@ -122,3 +122,61 @@ def test_partial_derivative():
     assert Polynomial.constant(7, 2).derivative(1).is_zero()
     # d/dx x^p = p x^(p-1) vanishes mod p
     assert (Polynomial.variable(0, 1) ** 5).derivative(0) == Polynomial(1, {(4,): 5})
+
+
+def _exact(coeffs, kinds):
+    return all(c.__class__ in kinds for c in coeffs)
+
+
+int_polys = st.lists(st.integers(-50, 50), min_size=1, max_size=6)
+
+
+@settings(max_examples=60)
+@given(int_polys, int_polys, st.integers(-50, 50))
+def test_dense_helpers_keep_int_input_int(a, b, c):
+    assert _exact(poly_mul(a, b), {int})
+    assert _exact(poly_shift(a, c), {int})
+    for d in difference_polys(a):
+        assert _exact(d, {int})
+    assert _exact(finite_differences(a), {int})
+    assert poly_eval(poly_mul(a, b), 3) == poly_eval(a, 3) * poly_eval(b, 3)
+    assert poly_eval(poly_shift(a, c), 2) == poly_eval(a, 2 + c)
+
+
+@settings(max_examples=60)
+@given(polys, polys, rationals)
+def test_dense_helpers_keep_fraction_input_exact(a, b, c):
+    assert _exact(poly_mul(a, b), {int, Fraction})
+    assert _exact(poly_shift(a, c), {int, Fraction})
+    for d in difference_polys(a):
+        assert _exact(d, {int, Fraction})
+
+
+@settings(max_examples=60)
+@given(int_polys.filter(lambda a: a[-1] != 0), int_polys.filter(lambda b: b[-1] != 0))
+def test_polydiv_is_exact_on_int_lists(a, b):
+    num = [int(c) for c in poly_mul(a, b)]  # int lists whatever poly_mul returns
+    quot, rem = polydiv(num, b)
+    assert quot == a
+    assert all(r == 0 for r in rem)
+    assert not any(isinstance(c, float) for c in quot + rem)
+
+
+def test_polydiv_int_quotient_is_a_fraction_not_a_float():
+    quot, rem = polydiv([1, 1], [0, 2])  # x + 1 = (1/2)(2x) + 1
+    assert quot == [Fraction(1, 2)] and rem == [1, 0]
+    assert not any(isinstance(c, float) for c in quot + rem)
+
+
+def test_binom_int_is_the_falling_factorial_over_k_factorial():
+    for s in range(-20, 21):
+        for k in range(9):
+            falling = 1
+            for i in range(k):
+                falling *= s - i
+            fact = 1
+            for i in range(2, k + 1):
+                fact *= i
+            got = binom_int(s, k)
+            assert got.__class__ is int
+            assert got == Fraction(falling, fact)

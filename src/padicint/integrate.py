@@ -14,9 +14,10 @@ cell with a depth-M angular condition the fiber {t in cell : ord(t - c) =
 gamma} has measure q^-(gamma + M).  The unit ball is one ac-free cell whose
 fibers {ord t = gamma >= 0} have measure (1 - q^-1) q^-gamma, so its
 integrals are uniform in q (the integrand never reads the angular part).
-Value-group sums are evaluated in closed form; bounds that reference outer
-variables (prepared linear forms, modulus-1 cells only) produce new terms
-in those variables, which keeps the class closed under the iteration.
+Every value-group sum is G(b+1) - G(a) for the antidifference G of
+presburger.  Bounds that reference outer variables (prepared linear forms,
+modulus-1 cells only) produce one new term per power of the bound, in
+those variables, which keeps the class closed under the iteration.
 
 A residue-class oracle integrates the same expressions numerically with
 certified error bounds, independently of the symbolic path: it walks the
@@ -49,8 +50,8 @@ from .errors import (
 )
 from .kcells import KCell, kcells_disjoint
 from .padic import DEFAULT_BUDGET, INFINITY, Prime, rational_ord
-from .polys import Polynomial, binom_int, difference_polys, finite_differences, poly_mul
-from .presburger import GammaCell, PreparedLinear, cells_disjoint, weighted_tail
+from .polys import Polynomial, poly_mul
+from .presburger import Antidifference, GammaCell, PreparedLinear, cells_disjoint, tau_range, weighted_tail
 
 K_SORT = "K"
 GAMMA_SORT = "Gamma"
@@ -126,17 +127,6 @@ def _expr_add_int(e: IntExpr, c: int) -> IntExpr:
         f = e.form
         return LinExpr(PreparedLinear(f.a, f.k, f.n, f.delta + c), e.var)
     return IntSum((e, IntConst(c)))
-
-
-def _expr_neg(e: IntExpr) -> IntExpr:
-    if isinstance(e, IntConst):
-        return IntConst(-e.value)
-    if isinstance(e, LinExpr):
-        f = e.form
-        return LinExpr(PreparedLinear(-f.a, f.k, f.n, -f.delta), e.var)
-    if isinstance(e, IntScale):
-        return IntScale(-e.scalar, e.arg)
-    return IntScale(-1, e)
 
 
 def _affine(e: IntExpr, index: dict) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -737,24 +727,21 @@ def _sum_over_gamma(
     """Sum the terms over one value-group variable ranging over a cell."""
     n, k = cell.mod, cell.res
 
-    def tau_bound(bound: Bound, side: str) -> Union[None, int, IntExpr]:
-        if bound is None:
-            return None
-        if isinstance(bound, int):
-            if side == "lower":
-                return (bound - k) // n + 1
-            return -((k - bound) // n) - 1
+    def symbolic(bound: BoundRef, shift: int) -> IntExpr:
         if n != 1:
             raise NotFiberReducible(
                 "symbolic bounds require a modulus-1 cell (the floor of a "
                 "linear form is only piecewise linear)"
             )
-        shift = 1 if side == "lower" else -1
         f = bound.form
         return LinExpr(PreparedLinear(f.a, f.k, f.n, f.delta + shift), bound.var)
 
-    a = tau_bound(cell.lower, "lower")
-    b = tau_bound(cell.upper, "upper")
+    concrete = [None if isinstance(x, BoundRef) else x for x in (cell.lower, cell.upper)]
+    a, b = tau_range(*concrete, n, k)
+    if isinstance(cell.lower, BoundRef):
+        a = symbolic(cell.lower, 1)
+    if isinstance(cell.upper, BoundRef):
+        b = symbolic(cell.upper, -1)
     if isinstance(a, int) and isinstance(b, int) and a > b:
         return []
 
@@ -800,94 +787,45 @@ def _range_sum(
     a: Union[None, int, IntExpr],
     b: Union[None, int, IntExpr],
 ):
-    """Closed form for sum of poly(tau) * q^(e1*tau) over a <= tau <= b.
+    """Sum of poly(tau) * q^(e1*tau) over a <= tau <= b as G(b+1) - G(a),
+    for the antidifference G of presburger, which is 0 at an absent end.
 
     Yields triples (AqElem multiplier, extra q-exponent parts, extra
-    integer factors); symbolic endpoints contribute prepared-form parts.
-    When both endpoints are symbolic the range is assumed nonempty for
-    every realized value of the outer variables (telescoping convention).
+    integer factors), the lower endpoint's first.  With a symbolic endpoint
+    the range may be empty for some outer values (a > b + 1); there the
+    parts add up to -(sum over b < tau < a), not 0.
     """
     if all(c == 0 for c in poly):
         return []
     if a is None and b is None:
         raise DivergentSum("sum over all integers diverges")
-    if e1 <= -1:
-        if a is None:
-            raise DivergentSum("sum is unbounded below and the weight grows")
-        parts = _tail_any(poly, a, -e1)
-        if b is not None:
-            parts += _negate(_tail_any(poly, _bound_plus(b, 1), -e1))
-        return parts
-    if e1 >= 1:
-        if b is None:
-            raise DivergentSum("sum is unbounded above and the weight grows")
-        flipped = [c if i % 2 == 0 else -c for i, c in enumerate(poly)]
-        parts = _tail_any(flipped, _bound_neg(b), e1)
-        if a is not None:
-            parts += _negate(_tail_any(flipped, _bound_plus(_bound_neg(a), 1), e1))
-        return parts
-    # e1 == 0: plain polynomial summation over a finite range
-    if a is None or b is None:
+    if e1 <= -1 and a is None:
+        raise DivergentSum("sum is unbounded below and the weight grows")
+    if e1 >= 1 and b is None:
+        raise DivergentSum("sum is unbounded above and the weight grows")
+    if e1 == 0 and (a is None or b is None):
         raise DivergentSum("constant weight diverges on an infinite cell")
-    diffs = finite_differences(poly)
-    # discrete antiderivative F(s) = sum_j d_j * C(s, j+1); the sum over
-    # [a, b] telescopes to F(b+1) - F(a)
-    parts = _faulhaber_at(diffs, _bound_plus(b, 1), 1)
-    parts += _faulhaber_at(diffs, a, -1)
-    return parts
-
-
-def _negate(parts):
-    return [(-aq, q, z) for aq, q, z in parts]
-
-
-def _bound_plus(bound: Union[int, IntExpr], c: int) -> Union[int, IntExpr]:
-    return bound + c if isinstance(bound, int) else _expr_add_int(bound, c)
-
-
-def _bound_neg(bound: Union[int, IntExpr]) -> Union[int, IntExpr]:
-    return -bound if isinstance(bound, int) else _expr_neg(bound)
-
-
-def _tail_any(poly: list[int], bound: Union[int, IntExpr], N: int):
-    """Triples for sum of poly(tau) q^(-N tau) over tau >= bound, N >= 1."""
-    if isinstance(bound, int):
-        return [(weighted_tail(poly, bound, N), (), ())]
-    # c_j(A) = (delta^j poly)(A) as polynomials in the symbolic bound A
+    G = Antidifference(poly, e1)
     parts = []
-    for j, diff in enumerate(difference_polys(poly)):
-        for power, r in enumerate(diff):
-            if r == 0:
-                continue
-            aq = AqElem.q_power(-N * j, r) * AqElem.geom(N, j + 1)
-            parts.append((aq, (IntScale(-N, bound),), (bound,) * power))
+    if a is not None:
+        parts += _antidifference_at(G, a, -1)
+    if b is not None:
+        parts += _antidifference_at(G, b + 1 if isinstance(b, int) else _expr_add_int(b, 1), 1)
     return parts
 
 
-def _faulhaber_at(diffs: list[int], bound: Union[int, IntExpr], sign: int):
-    """Triples for sign * F(bound) with F(s) = sum_j diffs[j] * C(s, j+1)."""
-    parts = []
-    for j, d in enumerate(diffs):
-        if d == 0:
-            continue
-        if isinstance(bound, int):
-            value = d * binom_int(bound, j + 1) * sign
-            if value != 0:
-                parts.append((AqElem.from_rational(value), (), ()))
-        else:
-            # expand C(s, j+1) = s(s-1)...(s-j)/(j+1)! in powers of s
-            coeffs = [1]
-            for i in range(j + 1):
-                coeffs = poly_mul(coeffs, [-i, 1])
-            fact = 1
-            for i in range(2, j + 2):
-                fact *= i
-            for power, r in enumerate(coeffs):
-                val = d * r * sign
-                val = val // fact if val % fact == 0 else Fraction(val, fact)
-                if val != 0:
-                    parts.append((AqElem.from_rational(val), (), (bound,) * power))
-    return parts
+def _antidifference_at(G: Antidifference, A: Union[int, IntExpr], sign: int):
+    """Triples for sign * G(A): one element at an int A, else one term per
+    power A^s with the q-part e1*A."""
+    if isinstance(A, int):
+        value = G.at(A, sign)
+        return [] if value.is_zero() else [(value, (), ())]
+    qpart = (IntScale(G.e1, A),) if G.e1 else ()
+    return [
+        (AqElem(LaurentPoly({e: sign * c for e, c in num.items()}), G.den), qpart, (A,) * s)
+        for s, num in enumerate(G.nums())
+        if num
+    ]
 
 
 # -- the residue-enumeration oracle ---------------------------------------------

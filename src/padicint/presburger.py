@@ -5,13 +5,12 @@ may be absent.  Reindexing gamma = k + n*tau turns every sum over a cell
 into a sum over an integer range of tau; closed forms for geometric and
 polynomially-weighted sums land in the coefficient ring of aqring.
 
-Every such sum reduces to the tail sum_{tau >= a} P(tau) x^tau with
-x = q^-N, which is x^a A(x) / (1 - x)^(D+1) for D = deg P and a numerator
-A of degree at most D read off P(a), ..., P(a + D) (see weighted_tail).
-It is built as one element, so it is canonicalised once; a reduced
-numerator over a power of (1 - q^-N) is unique for its value, so the form
-is the one a term-by-term sum would reach.  The dense helpers behind the
-N = 0 sums (finite differences, binomial coefficients) live in polys.
+Every such sum, and every value-group sum integrate builds, is G(b+1) -
+G(a) for the antidifference G of P(tau) q^(e1 tau), any sign of e1.  At
+an integer endpoint G is one element over the single index |e1|, so it is
+canonicalised once; a reduced numerator over a power of (1 - q^-N) is
+unique for its value, so the form is the one a term-by-term sum would
+reach.  The dense helpers behind it live in polys.
 
 The well-order here is the zigzag 0, 1, -1, 2, -2, ... under which every
 nonempty cell union has a least element computable from at most two
@@ -22,16 +21,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from functools import lru_cache
+from math import comb, factorial, gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .aqring import AqElem, LaurentPoly
 from .errors import NULL, DivergentSum, DomainError, EmptySet, json_fields
 from .padic import INFINITY, ExtendedInteger
-from .polys import binom_int, finite_differences
+from .polys import binom_int, difference_polys, finite_differences, poly_mul
 from .polys import poly_eval, poly_shift  # noqa: F401  (perfbench/tracing.py wraps both by these names)
 
 Rat = Union[int, Fraction]
+
+
+def tau_range(
+    lower: Optional[int], upper: Optional[int], mod: int, res: int
+) -> tuple[Optional[int], Optional[int]]:
+    """Inclusive bounds of tau = (gamma - res)/mod over the gamma = res mod
+    mod with lower < gamma < upper; None means unbounded."""
+    a = None if lower is None else (lower - res) // mod + 1
+    b = None if upper is None else -((res - upper) // mod) - 1
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -61,13 +71,7 @@ class GammaCell:
 
     def tau_bounds(self) -> tuple[Optional[int], Optional[int]]:
         """Inclusive bounds of tau = (gamma - res)/mod; None means unbounded."""
-        a = None
-        if self.lower is not None:
-            a = (self.lower - self.res) // self.mod + 1
-        b = None
-        if self.upper is not None:
-            b = -((self.res - self.upper) // self.mod) - 1
-        return a, b
+        return tau_range(self.lower, self.upper, self.mod, self.res)
 
     def is_empty(self) -> bool:
         a, b = self.tau_bounds()
@@ -203,38 +207,101 @@ def geom_sum(cell: GammaCell, N: int) -> AqElem:
     return weighted_sum(cell, [1], N)
 
 
-def weighted_tail(poly: Sequence[Rat], a: int, N: int) -> AqElem:
-    """Exact sum of poly(tau) * q^(-N tau) over tau >= a, for N >= 1.
+@lru_cache(maxsize=None)
+def _term_numerators(deg: int, e1: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For e1 != 0, the numerators over (1 - u)^(deg+1), u = q^-|e1|, of
+    the terms j = 0..deg of the antidifference, as (exponent of q, coeff)
+    pairs: -u^j (1 - u)^(deg-j) for e1 < 0, (-1)^j u (1 - u)^(deg-j) for
+    e1 > 0."""
+    N = abs(e1)
+    out = []
+    for j in range(deg + 1):
+        sign, lead = (-1, j) if e1 < 0 else ((-1) ** j, 1)
+        out.append(tuple(
+            (-N * (lead + k), sign * (-1) ** k * comb(deg - j, k)) for k in range(deg - j + 1)
+        ))
+    return tuple(out)
 
-    With x = q^-N and D = deg poly, (1 - x)^(D+1) times the series is
-    x^a A(x) with A_i = sum_{k=0..i} (-1)^k C(D+1, k) poly(a + i - k) for
-    i = 0..D; the coefficients from i = D + 1 on are (D+1)-th differences
-    of a degree-D polynomial, which vanish.  Integral coefficients are
-    evaluated as ints.  The canonical form equals the binomial basis sum
-    over j of (delta^j poly)(a) x^(a+j) / (1 - x)^(j+1): both carry only
-    the index N, and the reduced form over it is unique.
+
+class Antidifference:
+    """The antidifference G of P(A) q^(e1 A): G(A+1) - G(A) = P(A) q^(e1 A).
+
+    For e1 != 0, with x = q^e1, xE - 1 = (x - 1) + x*delta gives G(A) =
+    x^A sum_j (-x)^j (delta^j P)(A) / (x - 1)^(j+1): the numerators of
+    _term_numerators over den = (1 - q^-|e1|)^(D+1).  G is 0 where the
+    weight decays.  For e1 = 0, G(A) = sum_j (delta^j P)(0) C(A, j+1).
+
+    at(A) evaluates G at an integer from the differences of P(A), ...,
+    P(A + D) as numbers, in O(D^2) where evaluating nums() costs O(D^3);
+    nums() expands G in powers of a symbolic A.
     """
+
+    __slots__ = ("e1", "coeffs", "den", "terms")
+
+    def __init__(self, poly: Sequence[Rat], e1: int):
+        coeffs = [c.numerator if c.__class__ is Fraction and c.denominator == 1 else c for c in poly]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.e1, self.coeffs = e1, coeffs
+        self.den = {abs(e1): len(coeffs)} if e1 and coeffs else {}
+        self.terms = _term_numerators(len(coeffs) - 1, e1) if self.den else ()
+
+    def at(self, A: int, sign: int = 1) -> AqElem:
+        """sign * G(A) as one element, canonicalised once."""
+        coeffs = self.coeffs
+        if not self.den:
+            total = sum(d * binom_int(A, j + 1) for j, d in enumerate(finite_differences(coeffs)))
+            return AqElem.from_rational(sign * total)
+        values = []  # sign * P(A), ..., sign * P(A + D), then their differences
+        for t in range(A, A + len(coeffs)):
+            v = 0
+            for c in reversed(coeffs):
+                v = v * t + c
+            values.append(sign * v)
+        acc: dict[int, Rat] = {}
+        shift = self.e1 * A
+        for term in self.terms:
+            d = values[0]  # sign * (delta^j P)(A)
+            for e, w in term:
+                e += shift
+                acc[e] = acc[e] + w * d if e in acc else w * d
+            values = [y - x for x, y in zip(values, values[1:])]
+        return AqElem(LaurentPoly(acc), self.den)
+
+    def nums(self) -> list[dict[int, Rat]]:
+        """G(A) = q^(e1 A) sum_s A^s nums[s] / den: one numerator (exponent
+        of q -> coeff, empty where A^s does not occur) per power of A."""
+        if not self.coeffs:
+            return []
+        diffs = difference_polys(self.coeffs)
+        if not self.den:
+            # C(A, j+1) = A (A-1) ... (A-j) / (j+1)!
+            rows = [0] * (len(diffs) + 1)
+            falling = [1]
+            for j, diff in enumerate(diffs):
+                falling = poly_mul(falling, [-j, 1])
+                for s, r in enumerate(falling):
+                    rows[s] += Fraction(diff[0] * r, factorial(j + 1))
+            return [{0: c} if c else {} for c in rows]
+        acc: list[dict[int, Rat]] = [{} for _ in diffs]
+        for diff, term in zip(diffs, self.terms):
+            for e, w in term:
+                for s, r in enumerate(diff):
+                    acc[s][e] = acc[s].get(e, 0) + w * r
+        return [{e: c for e, c in num.items() if c} for num in acc]
+
+
+def weighted_tail(poly: Sequence[Rat], a: int, N: int) -> AqElem:
+    """Exact sum of poly(tau) * q^(-N tau) over tau >= a, for N >= 1: -G(a)
+    for the antidifference G with e1 = -N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    coeffs = [c.numerator if c.__class__ is Fraction and c.denominator == 1 else c for c in poly]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    if not coeffs:
-        return AqElem.zero()
-    deg = len(coeffs) - 1
-    values = []  # poly(a), ..., poly(a + deg) by Horner's rule
-    for t in range(a, a + deg + 1):
-        v = 0
-        for c in reversed(coeffs):
-            v = v * t + c
-        values.append(v)
-    signed = [(-1) ** k * comb(deg + 1, k) for k in range(deg + 1)]
-    num = {-N * (a + i): sum(signed[k] * values[i - k] for k in range(i + 1)) for i in range(deg + 1)}
-    return AqElem(LaurentPoly(num), {N: deg + 1})
+    return Antidifference(poly, -N).at(a, -1)
 
 
 def weighted_sum(cell: GammaCell, poly: Sequence[Rat], N: int) -> AqElem:
-    """Exact sum of poly(tau) * (q^-N)^tau over the reindexed cell.
+    """Exact sum of poly(tau) * (q^-N)^tau over the reindexed cell, G(b+1)
+    - G(a) for the antidifference G with e1 = -N.
 
     N = 0 is permitted only on bounded cells (plain polynomial summation);
     denominators of the result are powers of (1 - q^-N).
@@ -246,20 +313,13 @@ def weighted_sum(cell: GammaCell, poly: Sequence[Rat], N: int) -> AqElem:
     if all(Fraction(c) == 0 for c in poly):
         return AqElem.zero()
     a, b = cell.tau_bounds()
-    if N == 0:
-        if a is None or b is None:
-            raise DivergentSum("N = 0 diverges on an infinite cell")
-        # discrete antiderivative F with F(s+1) - F(s) = poly(s)
-        diffs = finite_differences(poly)
-        total = 0
-        for j, d in enumerate(diffs):
-            total += d * (binom_int(b + 1, j + 1) - binom_int(a, j + 1))
-        return AqElem.from_rational(total)
+    if N == 0 and (a is None or b is None):
+        raise DivergentSum("N = 0 diverges on an infinite cell")
     if a is None:
         raise DivergentSum("cell is unbounded below in the summation index")
-    if b is None:
-        return weighted_tail(poly, a, N)
-    return weighted_tail(poly, a, N) - weighted_tail(poly, b + 1, N)
+    G = Antidifference(poly, -N)
+    tail = G.at(a, -1)
+    return tail if b is None else tail + G.at(b + 1)
 
 
 def gamma_weight_sum(cell: GammaCell, N: int = 1) -> AqElem:

@@ -34,7 +34,7 @@ from padicint import (
     partition_unit_ball,
 )
 from padicint.aqring import LaurentPoly
-from padicint.integrate import _sum_terms
+from padicint.integrate import LinExpr, _range_sum, _sum_terms
 from padicint.parsing import parse_integrand
 
 P2, P3 = Prime(2), Prime(3)
@@ -565,3 +565,70 @@ def test_grouped_sum_render_is_pinned():
         {1: 1, 4: 1},
     )
     assert result == folded
+
+
+def _endpoint(kind, slope, value):
+    """An int, None or a LinExpr slope*g1 + value endpoint."""
+    if kind == "int":
+        return value
+    if kind == "none":
+        return None
+    return LinExpr(PreparedLinear(slope, 0, 1, value), "g1")
+
+
+def _endpoint_value(end, g1):
+    return end if end is None or isinstance(end, int) else end.form.eval(g1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+    st.integers(-2, 2),
+    st.sampled_from(["int", "none", "symbolic"]),
+    st.sampled_from(["int", "none", "symbolic"]),
+    st.sampled_from([-1, 1, 2]),
+    st.sampled_from([-1, 1, 2]),
+    st.integers(-6, 6),
+    st.integers(0, 8),
+)
+def test_range_sum_matches_enumeration(poly, e1, lo_kind, hi_kind, lo_slope, hi_slope, a, width):
+    lower = _endpoint(lo_kind, lo_slope, a)
+    upper = _endpoint(hi_kind, hi_slope, a + width)
+    converges = (
+        (lower is not None or e1 >= 1)
+        and (upper is not None or e1 <= -1)
+        and (lower is not None or upper is not None)
+    )
+    if not any(poly):
+        assert _range_sum(poly, e1, lower, upper) == []
+        return
+    if not converges:
+        with pytest.raises(DivergentSum):
+            _range_sum(poly, e1, lower, upper)
+        return
+    closed = ConstructibleExpr([Term(aq, q, z) for aq, q, z in _range_sum(poly, e1, lower, upper)])
+    for g1 in range(4):
+        lo, hi = _endpoint_value(lower, g1), _endpoint_value(upper, g1)
+        if lo is not None and hi is not None and lo > hi:
+            continue
+        # 400 terms from the finite end leave a tail far below 2^-300
+        lo = hi - 400 if lo is None else lo
+        hi = lo + 400 if hi is None else hi
+        for prime in (P2, P3):
+            direct = sum(
+                sum(c * t**i for i, c in enumerate(poly)) * Fraction(prime.p) ** (e1 * t)
+                for t in range(lo, hi + 1)
+            )
+            got = closed.eval({"g1": g1}, prime)
+            if lower is None or upper is None:
+                assert abs(got - direct) < Fraction(1, 2**300)
+            else:
+                assert got == direct
+
+
+def test_zero_weight_over_an_infinite_range_gives_no_terms():
+    # a zero weight returns before any divergence check
+    for e1 in (-1, 0, 1):
+        assert _range_sum([0, 0], e1, None, None) == []
+        assert _range_sum([0], e1, None, 4) == []
+        assert _range_sum([0], e1, identity_lin("g1"), None) == []

@@ -26,7 +26,8 @@ from padicint import (
     wellorder_min_product,
 )
 from padicint.polys import finite_differences, poly_shift
-from padicint.presburger import weighted_tail, wellorder_key
+from padicint.aqring import LaurentPoly
+from padicint.presburger import Antidifference, weighted_tail, wellorder_key
 
 
 def brute_members(cell: GammaCell, lo=-500, hi=500):
@@ -178,6 +179,39 @@ def test_weighted_tail_edge_cases():
     for N in (0, -1):
         with pytest.raises(ValueError):
             weighted_tail([1, 2], 0, N)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(tail_coeffs, min_size=1, max_size=5),
+    st.integers(-3, 3),
+    st.integers(-10, 10),
+)
+def test_antidifference_steps_by_the_summand(poly, e1, A):
+    G = Antidifference(poly, e1)
+    here, there = G.at(A), G.at(A + 1)
+    summand = sum(Fraction(c) * A**i for i, c in enumerate(poly))
+    for p in (2, 3, 5):
+        assert there.eval_at(p) - here.eval_at(p) == summand * Fraction(p) ** (e1 * A)
+    # the symbolic form, one numerator per power of A, is the same element
+    symbolic = AqElem.zero()
+    for s, num in enumerate(G.nums()):
+        symbolic = symbolic + AqElem(LaurentPoly(num), G.den) * AqElem.q_power(e1 * A, A**s)
+    assert symbolic == here
+    assert G.at(A, -1) == -here
+    if e1 != 0 and all(isinstance(c, int) for c in poly):
+        assert all(type(c) is int for num in G.nums() for c in num.values())
+
+
+def test_antidifference_vanishes_where_the_weight_decays():
+    # sum_{tau >= a} tau q^-tau is -G(a); sum_{tau <= b} q^(2 tau) is G(b+1)
+    assert Antidifference([0, 1], -1).at(3, -1) == weighted_tail([0, 1], 3, 1)
+    G = Antidifference([1], 2)
+    assert G.at(0).render() == "q^-2 / (1-q^-2)"
+    assert G.at(0).eval_at(3) == Fraction(1, 8)  # sum of 9^tau over tau <= -1
+    # the counting sum: sum_{0 <= tau <= 9} tau^2 = 285
+    assert (Antidifference([0, 0, 1], 0).at(10) - Antidifference([0, 0, 1], 0).at(0)).as_rational() == 285
+    assert not Antidifference([0, Fraction(0)], 2).nums()
 
 
 def test_gamma_weight_sum_additive_over_refinements():

@@ -22,7 +22,9 @@ is a unit, so (1 - q^-i) divides N exactly when it divides c q^k N: the
 product of a canonical element with a unit, and a negation, keep the
 denominator and return the scaled, shifted or negated numerator as it
 stands.  Nothing is tried on an element without a denominator, or on a
-monomial numerator.
+monomial numerator.  Likewise a negated numerator, and an all-int quotient
+or unit product, are stored as they are computed (LaurentPoly._reduced),
+without normalising their coefficients again.
 """
 
 from __future__ import annotations
@@ -65,6 +67,15 @@ class LaurentPoly:
         self.coeffs = clean
 
     @classmethod
+    def _reduced(cls, coeffs: dict[int, Rat]) -> "LaurentPoly":
+        """The polynomial with coeffs already normal (int exponents, nonzero
+        int or non-integral Fraction coefficients), unchecked; coeffs is
+        shared, never copied."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def const(cls, c: Rat) -> "LaurentPoly":
         return cls({0: c})
 
@@ -90,7 +101,7 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._reduced({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -182,8 +193,20 @@ def _cancel(i: int, num: LaurentPoly) -> LaurentPoly | None:
         r = e % i
         if e in coeffs:
             sums[r] += coeffs[e]
-        quot[e] = sums[r]
-    return LaurentPoly(quot)
+        if sums[r]:
+            quot[e] = sums[r]
+    return _nonzero(quot)
+
+
+_INT = frozenset((int,))
+
+
+def _nonzero(coeffs: dict[int, Rat]) -> LaurentPoly:
+    """LaurentPoly(coeffs) for int exponents and nonzero coefficients,
+    unchecked when every coefficient is an int and so already normal."""
+    if _INT.issuperset(map(type, coeffs.values())):
+        return LaurentPoly._reduced(coeffs)
+    return LaurentPoly(coeffs)
 
 
 class AqElem:
@@ -327,7 +350,7 @@ class AqElem:
         """self times the monomial c q^k: the numerator shifted and scaled
         over the same denominator, which stays canonical."""
         ((k, c),) = unit.coeffs.items()
-        num = LaurentPoly({e + k: v * c for e, v in self.num.coeffs.items()})
+        num = _nonzero({e + k: v * c for e, v in self.num.coeffs.items()})
         return AqElem._reduced(num, self.den)
 
     def __pow__(self, n: int) -> "AqElem":

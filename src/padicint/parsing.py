@@ -2,21 +2,33 @@
 
 Both grammars are one descent, sum -> product -> power -> atom
 (_parse_sum): signed sums of products of factors, each factor an atom or
-a parenthesised sum, optionally raised to a literal exponent ^n.  Only the
-atoms differ.  Polynomial atoms are integer literals and variables x1..xn.
-Integrand atoms are integer literals, q^(...) exponentials, ord(...)
-valuation factors, whose argument is a polynomial in the same grammar, and
-lin(a,k,n,delta;g) prepared linear forms in value-group variables g1..gm.
-Rendering emits canonical text that parses back to the same expression.
+a parenthesised sum, optionally raised to a literal exponent ^n.  Only
+the atoms and the algebra differ.  Polynomial atoms are integer literals
+and variables x1..xn.  Integrand atoms are integer literals, q^(...)
+exponentials, ord(...) valuation factors, whose argument is a polynomial
+in the same grammar, and lin(a,k,n,delta;g) prepared linear forms in
+value-group variables g1..gm.
+
+The descent makes one pass over the token texts and works on plain data:
+a polynomial is {exponent tuple: int}, an integrand a list of (int
+coefficient, qparts, zfactors) triples, never combined or reordered.  One
+Polynomial or one ConstructibleExpr is built at the end, equal term by
+term to what their own algebra gives for the text.  Token positions are
+computed only when a ParseError is raised.  Rendering emits canonical
+text that parses back to the same expression (see render_constructible).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple, TypeVar
+from fractions import Fraction
+from itertools import zip_longest
 
+from .aqring import AqElem
 from .errors import ParseError
 from .integrate import (
+    GAMMA_SORT,
+    K_SORT,
     ConstructibleExpr,
     IntConst,
     IntExpr,
@@ -24,301 +36,326 @@ from .integrate import (
     IntSum,
     LinExpr,
     OrdExpr,
+    Term,
 )
 from .polys import Polynomial, signed_join
 from .presburger import PreparedLinear
 
-_T = TypeVar("_T")
-
-_TOKEN_RE = re.compile(
-    r"(?P<INT>\d+)|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[-+*^();,])|(?P<BAD>\S)"
-)
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^();,]")
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_\-+*^();,]")
+_VAR_RE = re.compile(r"([xg])([1-9][0-9]*)")
 
 
-class Token(NamedTuple):
-    kind: str  # INT NAME OP EOF
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    lines = text.split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        for match in _TOKEN_RE.finditer(line):
-            col = match.start() + 1
-            if match.lastgroup == "BAD":
-                raise ParseError(f"unexpected character {match.group()!r}", lineno, col)
-            tokens.append(Token(match.lastgroup, match.group(), lineno, col))
-    tokens.append(Token("EOF", "", len(lines), len(lines[-1]) + 1))
+def _tokenize(text: str) -> list[str]:
+    """The token texts, then "" for the end.  Only an operator token's text
+    can equal an operator, and only an integer's starts with a digit."""
+    bad = _BAD_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", *_line_col(text, bad.start()))
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
 
 
-class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def accept(self, text: str) -> bool:
-        if self.peek().kind == "OP" and self.peek().text == text:
-            self.next()
-            return True
-        return False
-
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == text:
-            return self.next()
-        raise ParseError(f"expected {text!r}", tok.line, tok.col)
-
-    def expect_int(self) -> int:
-        sign = 1
-        if self.accept("-"):
-            sign = -1
-        tok = self.peek()
-        if tok.kind != "INT":
-            raise ParseError("expected an integer", tok.line, tok.col)
-        self.next()
-        return sign * int(tok.text)
-
-    def finish(self):
-        if self.peek().kind != "EOF":
-            self.fail(f"unexpected trailing input {self.peek().text!r}")
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-_VAR_RE = re.compile(r"([xg])([1-9][0-9]*)$")
+class _Fail(Exception):
+    """A parse error at a token index; parse_* turn it into a ParseError."""
+
+    def __init__(self, message: str, index: int):
+        self.message = message
+        self.index = index
+
+    def error(self, text: str) -> ParseError:
+        offsets = [m.start() for m in _TOKEN_RE.finditer(text)]
+        offset = offsets[self.index] if self.index < len(offsets) else len(text)
+        return ParseError(self.message, *_line_col(text, offset))
 
 
-def _var_index(name: str) -> tuple[str, int] | None:
-    m = _VAR_RE.fullmatch(name)
-    if not m:
-        return None
-    return m.group(1), int(m.group(2))
+def _is_name(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
 
 
-def _x_arity(tokens: list[Token], message: str) -> int:
-    """Largest index n of the variables x1..xn among the tokens; any other
-    name raises ParseError(message.format(name))."""
-    nvars = 0
-    for tok in tokens:
-        if tok.kind == "NAME":
-            v = _var_index(tok.text)
-            if v is None or v[0] != "x":
-                raise ParseError(message.format(tok.text), tok.line, tok.col)
-            nvars = max(nvars, v[1])
-    return nvars
+def _first_bad_name(tokens: list[str], start: int, stop: int, message: str) -> _Fail | None:
+    """A _Fail at the first name in tokens[start:stop] that is not a field
+    variable x1, x2, ..., with message.format(name)."""
+    for j in range(start, stop):
+        tok = tokens[j]
+        if _is_name(tok) and (tok[0] != "x" or not _VAR_RE.fullmatch(tok)):
+            return _Fail(message.format(tok), j)
+    return None
 
 
 # -- the shared grammar: sum -> product -> power -> atom -------------------------
+#
+# Each function takes the tokens and an index and returns (value, next
+# index).  alg is the algebra: atom(tokens, i), add, neg, mul, and one(i)
+# for a factor from tokens[i] raised to ^0.  a - b is a + (-b), and a^n
+# is a * a * ... * a, as in Polynomial and ConstructibleExpr.
 
 
-def _parse_sum(cur: _Cursor, atom: Callable[[_Cursor], _T]) -> _T:
-    negate = cur.accept("-")
-    total = _parse_product(cur, atom)
+def _parse_all(tokens: list[str], alg):
+    value, i = _parse_sum(tokens, 0, alg)
+    if tokens[i]:
+        raise _Fail(f"unexpected trailing input {tokens[i]!r}", i)
+    return value
+
+
+def _parse_sum(tokens: list[str], i: int, alg):
+    negate = tokens[i] == "-"
+    total, i = _parse_product(tokens, i + negate, alg)
     if negate:
-        total = -total
-    while True:
-        if cur.accept("+"):
-            total = total + _parse_product(cur, atom)
-        elif cur.accept("-"):
-            total = total - _parse_product(cur, atom)
-        else:
-            return total
+        total = alg.neg(total)
+    while tokens[i] == "+" or tokens[i] == "-":
+        op = tokens[i]
+        rhs, i = _parse_product(tokens, i + 1, alg)
+        total = alg.add(total, rhs if op == "+" else alg.neg(rhs))
+    return total, i
 
 
-def _parse_product(cur: _Cursor, atom: Callable[[_Cursor], _T]) -> _T:
-    total = _parse_power(cur, atom)
-    while cur.accept("*"):
-        total = total * _parse_power(cur, atom)
-    return total
+def _parse_product(tokens: list[str], i: int, alg):
+    total, i = _parse_power(tokens, i, alg)
+    while tokens[i] == "*":
+        rhs, i = _parse_power(tokens, i + 1, alg)
+        total = alg.mul(total, rhs)
+    return total, i
 
 
-def _parse_power(cur: _Cursor, atom: Callable[[_Cursor], _T]) -> _T:
-    if cur.accept("("):
-        base = _parse_sum(cur, atom)
-        cur.expect(")")
+def _parse_power(tokens: list[str], i: int, alg):
+    start = i
+    if tokens[i] == "(":
+        base, i = _parse_sum(tokens, i + 1, alg)
+        i = _expect(tokens, i, ")")
     else:
-        base = atom(cur)
-    if cur.accept("^"):
-        tok = cur.peek()
-        if tok.kind != "INT":
-            raise ParseError("expected an exponent after '^'", tok.line, tok.col)
-        cur.next()
-        return base ** int(tok.text)
-    return base
+        base, i = alg.atom(tokens, i)
+    if tokens[i] != "^":
+        return base, i
+    if not tokens[i + 1][:1].isdigit():
+        raise _Fail("expected an exponent after '^'", i + 1)
+    n = int(tokens[i + 1])
+    out = base if n else alg.one(start)
+    for _ in range(n - 1):
+        out = alg.mul(out, base)
+    return out, i + 2
+
+
+def _expect(tokens: list[str], i: int, op: str) -> int:
+    if tokens[i] != op:
+        raise _Fail(f"expected {op!r}", i)
+    return i + 1
+
+
+def _expect_int(tokens: list[str], i: int) -> tuple[int, int]:
+    sign = -1 if tokens[i] == "-" else 1
+    i += sign < 0
+    if not tokens[i][:1].isdigit():
+        raise _Fail("expected an integer", i)
+    return sign * int(tokens[i]), i + 1
 
 
 # -- polynomials ---------------------------------------------------------------
+
+
+class _PolyTerms:
+    """The polynomial algebra on {exponent tuple: int}, exponent tuples
+    without trailing zeros, zero coefficients dropped after each step as
+    Polynomial does; nvars is the largest variable index read."""
+
+    def __init__(self):
+        self.nvars = 0
+
+    def atom(self, tokens, i):
+        tok = tokens[i]
+        if tok[:1].isdigit():
+            c = int(tok)
+            return ({(): c} if c else {}), i + 1
+        m = _VAR_RE.fullmatch(tok) if tok[:1] == "x" else None
+        if m is None:
+            raise _Fail("expected an integer, a variable, or '('", i)
+        index = int(m.group(2))
+        if index > self.nvars:
+            self.nvars = index
+        return {(0,) * (index - 1) + (1,): 1}, i + 1
+
+    def neg(self, a):
+        return {e: -c for e, c in a.items()}
+
+    def add(self, a, b):
+        out = dict(a)
+        for e, c in b.items():
+            out[e] = out[e] + c if e in out else c
+        return {e: c for e, c in out.items() if c}
+
+    def mul(self, a, b):
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple([x + y for x, y in zip_longest(e1, e2, fillvalue=0)])
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
+        return {e: c for e, c in out.items() if c}
+
+    def one(self, start):
+        return {(): 1}
+
+    def polynomial(self, terms: dict) -> Polynomial:
+        n = self.nvars
+        padded = {e + (0,) * (n - len(e)): Fraction(c) for e, c in terms.items()}
+        return Polynomial._reduced(n, padded)
 
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse an integer polynomial in variables x1..xn; n is the largest
     index that appears (0 for a constant)."""
     tokens = _tokenize(text)
-    nvars = _x_arity(tokens, "unknown symbol {!r} (variables are x1, x2, ...)")
-    cur = _Cursor(tokens)
-    poly = _parse_sum(cur, _poly_atom(nvars))
-    cur.finish()
-    return poly
-
-
-def _poly_atom(nvars: int) -> Callable[[_Cursor], Polynomial]:
-    """The polynomial atom; every name it meets was vetted by _x_arity."""
-
-    def atom(cur: _Cursor) -> Polynomial:
-        tok = cur.peek()
-        if tok.kind == "INT":
-            cur.next()
-            return Polynomial.constant(int(tok.text), nvars)
-        if tok.kind == "NAME":
-            cur.next()
-            return Polynomial.variable(_var_index(tok.text)[1] - 1, nvars)
-        cur.fail("expected an integer, a variable, or '('")
-
-    return atom
+    alg = _PolyTerms()
+    try:
+        terms = _parse_all(tokens, alg)
+    except _Fail as fail:
+        # an unknown name anywhere is reported before any syntax error
+        message = "unknown symbol {!r} (variables are x1, x2, ...)"
+        raise (_first_bad_name(tokens, 0, len(tokens), message) or fail).error(text) from None
+    return alg.polynomial(terms)
 
 
 # -- integrands ------------------------------------------------------------------
 
 
+class _IntegrandTerms:
+    """The integrand algebra on lists of (int coefficient, qparts, zfactors)
+    triples.  sorts gets each variable when an atom naming it is read,
+    which is the order ConstructibleExpr's + and * merge them in; a factor
+    raised to ^0 takes back the variables first read inside it, as the
+    ConstructibleExpr.constant(1) it becomes has none."""
+
+    def __init__(self):
+        self.sorts: dict[str, str] = {}
+        self.read_at: list[int] = []  # the token index where each key of sorts was read
+
+    def declare(self, names: tuple[str, ...], sort: str, i: int):
+        for name in names:
+            if name not in self.sorts:
+                self.sorts[name] = sort
+                self.read_at.append(i)
+
+    def atom(self, tokens, i):
+        tok = tokens[i]
+        if tok[:1].isdigit():
+            return [(int(tok), (), ())], i + 1
+        if tok == "q":
+            i = _expect(tokens, _expect(tokens, i + 1, "^"), "(")
+            exponent, i = _parse_int_expr(tokens, i, self)
+            return [(1, (exponent,), ())], _expect(tokens, i, ")")
+        if tok == "ord" or tok == "lin":
+            factor, i = _parse_int_atom(tokens, i, self)
+            return [(1, (), (factor,))], i
+        if _is_name(tok):
+            raise _Fail(f"unknown symbol {tok!r} (expected q, ord, lin, or an integer)", i)
+        raise _Fail("expected an integrand factor", i)
+
+    def neg(self, a):
+        return [(-c, q, z) for c, q, z in a]
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return [(c1 * c2, q1 + q2, z1 + z2) for c1, q1, z1 in a for c2, q2, z2 in b]
+
+    def one(self, start):
+        while self.read_at and self.read_at[-1] >= start:
+            self.read_at.pop()
+            self.sorts.popitem()
+        return [(1, (), ())]
+
+
 def parse_integrand(text: str) -> ConstructibleExpr:
     """Parse a constructible function over variables x1..xn (field sort)
     and g1..gm (value-group sort)."""
-    cur = _Cursor(_tokenize(text))
-    expr = _parse_sum(cur, _parse_c_atom)
-    cur.finish()
-    return expr
+    tokens = _tokenize(text)
+    alg = _IntegrandTerms()
+    try:
+        triples = _parse_all(tokens, alg)
+    except _Fail as fail:
+        raise fail.error(text) from None
+    terms = [Term(AqElem.from_rational(c), q, z) for c, q, z in triples]
+    return ConstructibleExpr(terms, alg.sorts)
 
 
-def _parse_c_atom(cur: _Cursor) -> ConstructibleExpr:
-    tok = cur.peek()
-    if tok.kind == "INT":
-        cur.next()
-        return ConstructibleExpr.constant(int(tok.text))
-    if tok.kind == "NAME":
-        if tok.text == "q":
-            cur.next()
-            cur.expect("^")
-            cur.expect("(")
-            exponent = _parse_int_expr(cur)
-            cur.expect(")")
-            return ConstructibleExpr.q_exponent(exponent)
-        if tok.text in ("ord", "lin"):
-            return ConstructibleExpr.factor(_parse_int_atom(cur))
-        raise ParseError(
-            f"unknown symbol {tok.text!r} (expected q, ord, lin, or an integer)",
-            tok.line,
-            tok.col,
-        )
-    cur.fail("expected an integrand factor")
+def _parse_int_expr(tokens: list[str], i: int, alg: _IntegrandTerms) -> tuple[IntExpr, int]:
+    sign = -1 if tokens[i] == "-" else 1
+    part, i = _parse_int_term(tokens, i + (sign < 0), sign, alg)
+    parts = [part]
+    while tokens[i] == "+" or tokens[i] == "-":
+        part, i = _parse_int_term(tokens, i + 1, 1 if tokens[i] == "+" else -1, alg)
+        parts.append(part)
+    return (parts[0] if len(parts) == 1 else IntSum(tuple(parts))), i
 
 
-def _parse_int_expr(cur: _Cursor) -> IntExpr:
-    parts: list[IntExpr] = []
-    sign = -1 if cur.accept("-") else 1
-    parts.append(_parse_int_term(cur, sign))
-    while True:
-        if cur.accept("+"):
-            parts.append(_parse_int_term(cur, 1))
-        elif cur.accept("-"):
-            parts.append(_parse_int_term(cur, -1))
-        else:
-            break
-    if len(parts) == 1:
-        return parts[0]
-    return IntSum(tuple(parts))
+def _parse_int_term(
+    tokens: list[str], i: int, sign: int, alg: _IntegrandTerms
+) -> tuple[IntExpr, int]:
+    scalar = sign
+    if tokens[i][:1].isdigit():
+        scalar = sign * int(tokens[i])
+        if tokens[i + 1] != "*":
+            return IntConst(scalar), i + 1
+        i += 2
+    atom, i = _parse_int_atom(tokens, i, alg)
+    return (atom if scalar == 1 else IntScale(scalar, atom)), i
 
 
-def _parse_int_term(cur: _Cursor, sign: int) -> IntExpr:
-    tok = cur.peek()
-    if tok.kind == "INT":
-        cur.next()
-        value = int(tok.text)
-        if cur.accept("*"):
-            atom = _parse_int_atom(cur)
-            return _scaled(sign * value, atom)
-        return IntConst(sign * value)
-    atom = _parse_int_atom(cur)
-    return _scaled(sign, atom)
-
-
-def _scaled(scalar: int, atom: IntExpr) -> IntExpr:
-    if scalar == 1:
-        return atom
-    return IntScale(scalar, atom)
-
-
-def _parse_int_atom(cur: _Cursor) -> IntExpr:
-    tok = cur.peek()
-    if tok.kind == "NAME" and tok.text == "ord":
-        cur.next()
-        cur.expect("(")
-        start = cur.pos
-        depth = 1
-        while depth:
-            t = cur.next()
-            if t.kind == "EOF":
-                raise ParseError("unbalanced parentheses in ord(...)", t.line, t.col)
-            if t.kind == "OP" and t.text == "(":
-                depth += 1
-            elif t.kind == "OP" and t.text == ")":
-                depth -= 1
-        nvars = _x_arity(
-            cur.tokens[start : cur.pos - 1],
-            "valuation arguments are polynomials in x1, x2, ...",
-        )
-        cur.pos = start
-        poly = _parse_sum(cur, _poly_atom(nvars))
-        cur.expect(")")
-        return OrdExpr(poly, tuple(f"x{i + 1}" for i in range(nvars)))
-    if tok.kind == "NAME" and tok.text == "lin":
-        cur.next()
-        cur.expect("(")
-        a = cur.expect_int()
-        cur.expect(",")
-        k = cur.expect_int()
-        cur.expect(",")
-        n = cur.expect_int()
-        cur.expect(",")
-        delta = cur.expect_int()
-        cur.expect(";")
-        name_tok = cur.peek()
-        v = _var_index(name_tok.text) if name_tok.kind == "NAME" else None
-        if v is None or v[0] != "g":
-            raise ParseError(
-                "prepared forms apply to value-group variables g1, g2, ...",
-                name_tok.line,
-                name_tok.col,
-            )
-        cur.next()
-        cur.expect(")")
+def _parse_int_atom(tokens: list[str], i: int, alg: _IntegrandTerms) -> tuple[IntExpr, int]:
+    tok = tokens[i]
+    if tok == "ord":
+        return _parse_ord(tokens, _expect(tokens, i + 1, "("), alg)
+    if tok == "lin":
+        at, args = _expect(tokens, i + 1, "("), []
+        for sep in ",,,;":
+            value, at = _expect_int(tokens, at)
+            args.append(value)
+            at = _expect(tokens, at, sep)
+        name = tokens[at]
+        m = _VAR_RE.fullmatch(name)
+        if m is None or m.group(1) != "g":
+            raise _Fail("prepared forms apply to value-group variables g1, g2, ...", at)
+        i = _expect(tokens, at + 1, ")")
         try:
-            form = PreparedLinear(a, k, n, delta)
+            form = PreparedLinear(*args)
         except ValueError as exc:
-            raise ParseError(str(exc), name_tok.line, name_tok.col)
-        return LinExpr(form, name_tok.text)
-    if tok.kind == "INT":
-        cur.next()
-        return IntConst(int(tok.text))
-    if cur.accept("("):
-        inner = _parse_int_expr(cur)
-        cur.expect(")")
-        return inner
-    cur.fail("expected ord(...), lin(...), an integer, or '('")
+            raise _Fail(str(exc), at)
+        alg.declare((name,), GAMMA_SORT, at)
+        return LinExpr(form, name), i
+    if tok[:1].isdigit():
+        return IntConst(int(tok)), i + 1
+    if tok == "(":
+        inner, i = _parse_int_expr(tokens, i + 1, alg)
+        return inner, _expect(tokens, i, ")")
+    raise _Fail("expected ord(...), lin(...), an integer, or '('", i)
+
+
+def _parse_ord(tokens: list[str], start: int, alg: _IntegrandTerms) -> tuple[OrdExpr, int]:
+    """The polynomial argument of ord( from tokens[start] to its ')'.  On an
+    error an unbalanced argument is reported first, then the first name in
+    it that is not a field variable, then the error met."""
+    poly = _PolyTerms()
+    try:
+        terms, i = _parse_sum(tokens, start, poly)
+        end = _expect(tokens, i, ")")
+    except _Fail as fail:
+        depth, j = 1, start
+        while depth:
+            if not tokens[j]:
+                raise _Fail("unbalanced parentheses in ord(...)", j)
+            depth += (tokens[j] == "(") - (tokens[j] == ")")
+            j += 1
+        message = "valuation arguments are polynomials in x1, x2, ..."
+        raise _first_bad_name(tokens, start, j - 1, message) or fail
+    names = tuple(f"x{k + 1}" for k in range(poly.nvars))
+    alg.declare(names, K_SORT, start)
+    return OrdExpr(poly.polynomial(terms), names), end
 
 
 # -- rendering -------------------------------------------------------------------
@@ -333,14 +370,17 @@ def render_intexpr(e: IntExpr, parenthesize: bool = False) -> str:
     if isinstance(e, OrdExpr):
         return f"ord({e.poly.render(e.vars)})"
     if isinstance(e, IntScale):
-        inner = render_intexpr(e.arg, parenthesize=isinstance(e.arg, IntSum))
+        # a literal after a scalar is a nonnegative int; anything else but an
+        # atom is parenthesised, so the text parses back to this IntScale
+        inner = render_intexpr(e.arg)
+        literal = isinstance(e.arg, IntConst)
+        if not isinstance(e.arg, (OrdExpr, LinExpr)) and not (literal and e.arg.value >= 0):
+            inner = f"({inner})"
         if e.scalar == 1:
-            body = inner
-        elif e.scalar == -1:
-            body = f"-{inner}"
-        else:
-            body = f"{e.scalar}*{inner}"
-        return f"({body})" if parenthesize and e.scalar < 0 else body
+            return inner
+        if e.scalar == -1 and not literal:
+            return f"-{inner}"
+        return f"{e.scalar}*{inner}"
     if isinstance(e, IntSum):
         texts = (render_intexpr(p, parenthesize=isinstance(p, IntSum)) for p in e.parts)
         body = signed_join((t.startswith("-"), t.removeprefix("-")) for t in texts)
@@ -349,7 +389,10 @@ def render_intexpr(e: IntExpr, parenthesize: bool = False) -> str:
 
 
 def render_constructible(expr: ConstructibleExpr) -> str:
-    """Canonical text for a parsed expression; parses back to equal terms."""
+    """Canonical text for a parsed expression.  It parses back to equal
+    terms, except that an ord argument loses the variables it names only
+    to the power 0 or with coefficient 0; the text of the result is the
+    same again."""
     rendered = []
     for term in expr.terms:
         coeff = term.coeff.as_rational()

@@ -49,6 +49,15 @@ class Polynomial:
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
     @classmethod
+    def _reduced(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
+        """The polynomial with terms already in canonical form (exponent
+        tuples of length nvars, nonzero Fraction coefficients), unchecked."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
+    @classmethod
     def constant(cls, c: Rat, nvars: int = 0) -> "Polynomial":
         return cls(nvars, {(0,) * nvars: c})
 

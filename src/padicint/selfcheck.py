@@ -15,9 +15,12 @@ from .aqring import AqElem, LaurentPoly
 from .integrate import (
     ConstructibleExpr,
     Domain,
+    IntConst,
     IntScale,
+    IntSum,
     K_SORT,
     GAMMA_SORT,
+    LinExpr,
     OrdExpr,
     Term,
     UNIT_BALL,
@@ -31,6 +34,7 @@ from .polys import Polynomial, poly_eval
 from .poincare import RationalFunctionT, count_Nm, fit_rational, measure_identity_check, series_table
 from .presburger import (
     GammaCell,
+    PreparedLinear,
     gamma_weight_sum,
     geom_sum,
     weighted_sum,
@@ -408,6 +412,155 @@ def check_aq_cancellation(samples: int = 60) -> tuple[str, bool, str]:
             if elem.eval_at(p) != value:
                 return "aqring.cancellation_vs_long_division", False, f"{elem.render()} p={p}"
     return "aqring.cancellation_vs_long_division", True, ""
+
+
+# -- random parser inputs ----------------------------------------------------
+#
+# Each generator returns a text and the value that the same sums, products
+# and powers give in the algebra of Polynomial or ConstructibleExpr, folded
+# in the order the grammar reads them (README "Grammar").  Separators are
+# "", " " or a newline; exponents stay at most 3, so an integrand keeps to
+# a few hundred terms.
+
+
+def _sep(rng: random.Random) -> str:
+    return rng.choice(("", "", " ", " ", " ", "\n"))
+
+
+def _random_sum(rng: random.Random, leaf, depth: int):
+    """(text, build) of [-] product {(+|-) product}; build() folds the
+    products left to right, negating the first one after a leading '-'."""
+    parts = [_random_product(rng, leaf, depth) for _ in range(rng.randint(1, 3))]
+    signs = [rng.random() < 0.3] + [rng.random() < 0.5 for _ in parts[1:]]
+    text = ("-" + _sep(rng) if signs[0] else "") + parts[0][0]
+    for negative, (t, _) in zip(signs[1:], parts[1:]):
+        text += _sep(rng) + ("-" if negative else "+") + _sep(rng) + t
+
+    def build():
+        total = parts[0][1]()
+        if signs[0]:
+            total = -total
+        for negative, (_, b) in zip(signs[1:], parts[1:]):
+            total = total - b() if negative else total + b()
+        return total
+
+    return text, build
+
+
+def _random_product(rng: random.Random, leaf, depth: int):
+    factors = [_random_power(rng, leaf, depth) for _ in range(rng.randint(1, 3))]
+    text = (_sep(rng) + "*" + _sep(rng)).join(t for t, _ in factors)
+
+    def build():
+        total = factors[0][1]()
+        for _, b in factors[1:]:
+            total = total * b()
+        return total
+
+    return text, build
+
+
+def _random_power(rng: random.Random, leaf, depth: int):
+    if depth and rng.random() < 0.3:
+        inner, base = _random_sum(rng, leaf, depth - 1)
+        text = "(" + _sep(rng) + inner + _sep(rng) + ")"
+    else:
+        text, base = leaf()
+    if rng.random() < 0.25:
+        n = rng.randint(0, 3)
+        return text + _sep(rng) + "^" + _sep(rng) + str(n), lambda: base() ** n
+    return text, base
+
+
+def random_polynomial_text(
+    rng: random.Random, nvars: int = 3, depth: int = 2
+) -> tuple[str, Polynomial]:
+    """A polynomial text over x1..x{nvars} and its Polynomial, whose arity
+    is the largest index the text names (0 when it names none); depth
+    bounds the nesting of parentheses."""
+    arity = [0]
+
+    def leaf():
+        if rng.random() < 0.4:
+            c = rng.randint(0, 9)
+            return str(c), lambda: Polynomial.constant(c, arity[0])
+        i = rng.randint(1, nvars)
+        arity[0] = max(arity[0], i)
+        return f"x{i}", lambda: Polynomial.variable(i - 1, arity[0])
+
+    text, build = _random_sum(rng, leaf, depth)
+    return text, build()
+
+
+def _random_ord(rng: random.Random) -> tuple[str, OrdExpr]:
+    text, poly = random_polynomial_text(rng, depth=1)
+    names = tuple(f"x{i + 1}" for i in range(poly.nvars))
+    return "ord(" + _sep(rng) + text + _sep(rng) + ")", OrdExpr(poly, names)
+
+
+def _random_lin(rng: random.Random) -> tuple[str, LinExpr]:
+    a, k, n, delta = rng.randint(-3, 3), rng.randint(0, 3), rng.randint(1, 3), rng.randint(-3, 3)
+    var = f"g{rng.randint(1, 2)}"
+    return f"lin({a},{k},{n},{delta};{var})", LinExpr(PreparedLinear(a, k, n, delta), var)
+
+
+def _random_int_atom(rng: random.Random, depth: int, literal: bool):
+    """An ord, lin, literal (only where literal is set) or parenthesised
+    integer expression, and its IntExpr."""
+    roll = rng.random()
+    if depth and roll < 0.2:
+        inner, e = _random_int_expr(rng, depth - 1)
+        return "(" + inner + ")", e
+    if literal and roll < 0.4:
+        c = rng.randint(0, 5)
+        return str(c), IntConst(c)
+    return _random_ord(rng) if roll < 0.7 else _random_lin(rng)
+
+
+def _random_int_expr(rng: random.Random, depth: int) -> tuple[str, object]:
+    """An exponent text and its IntExpr: one part per signed term, an
+    IntSum of two or more.  A term is a literal c (IntConst(+-c)), c*atom
+    (IntScale(+-c, atom), the atom alone for +1) or an atom that is not a
+    literal (IntScale(-1, atom) after a '-')."""
+    texts, parts = [], []
+    for i in range(rng.randint(1, 3)):
+        sign = -1 if rng.random() < 0.4 else 1
+        roll = rng.random()
+        if roll < 0.25:
+            c = rng.randint(0, 9)
+            text, part = str(c), IntConst(sign * c)
+        else:
+            text, atom = _random_int_atom(rng, depth, literal=roll < 0.5)
+            scalar = sign
+            if roll < 0.5:
+                c = rng.randint(0, 5)
+                text, scalar = f"{c}{_sep(rng)}*{_sep(rng)}{text}", sign * c
+            part = atom if scalar == 1 else IntScale(scalar, atom)
+        sign_text = ("-" if sign < 0 else "") if i == 0 else ("-" if sign < 0 else "+")
+        texts.append(sign_text + _sep(rng) + text)
+        parts.append(part)
+    expr = parts[0] if len(parts) == 1 else IntSum(tuple(parts))
+    return _sep(rng).join(texts), expr
+
+
+def random_integrand_text(rng: random.Random) -> tuple[str, ConstructibleExpr]:
+    """An integrand text over x1..x3 and g1, g2 and the ConstructibleExpr
+    that constant, q_exponent, factor, +, -, * and ** give for it."""
+
+    def leaf():
+        roll = rng.random()
+        if roll < 0.25:
+            c = rng.randint(0, 9)
+            return str(c), lambda: ConstructibleExpr.constant(c)
+        if roll < 0.55:
+            text, e = _random_int_expr(rng, 1)
+            text = "q" + _sep(rng) + "^" + _sep(rng) + "(" + text + ")"
+            return text, lambda: ConstructibleExpr.q_exponent(e)
+        text, e = _random_ord(rng) if roll < 0.8 else _random_lin(rng)
+        return text, lambda: ConstructibleExpr.factor(e)
+
+    text, build = _random_sum(rng, leaf, 1)
+    return text, build()
 
 
 ALL_CHECKS = [

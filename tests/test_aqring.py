@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicint import AqElem, Domain, LaurentPoly, Prime, aq_add, aq_eval, aq_mul, integrate, polys
-from padicint.aqring import _cancel, _times_den
+from padicint.aqring import _cancel, _times_den, _nonzero
 from padicint.parsing import parse_integrand
 
 
@@ -374,3 +374,25 @@ def test_unit_products_and_negation_keep_the_canonical_form(x, unit):
         for p in (2, 3):
             assert got.eval_at(p) == AqElem(num, x.den).eval_at(p)
     assert (-(-x)) == x and _stored(-(-x)) == _stored(x)
+
+
+def _items(poly):
+    """The stored coefficients in order, with their types."""
+    return [(e, c.__class__, c) for e, c in poly.coeffs.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed, units, st.integers(1, 24))
+def test_unchecked_numerators_are_the_normal_form(num, unit, i):
+    # negation, the unit product and the cancel quotient skip LaurentPoly's
+    # normalisation; each stores what LaurentPoly(coeffs) would
+    k, c = unit
+    assert _items(-num) == _items(LaurentPoly({e: -v for e, v in num.coeffs.items()}))
+    raw = {e + k: v * c for e, v in num.coeffs.items()}
+    assert _items(_nonzero(raw)) == _items(LaurentPoly(raw))
+    x = AqElem._reduced(num, {})
+    assert _items((x * qp(k, c)).num) == _items(LaurentPoly(raw))
+    quot = _cancel(i, num * LaurentPoly({0: 1, -i: -1}))
+    expect = {e: v for e, v in quot.coeffs.items()}
+    assert _items(quot) == _items(LaurentPoly(expect))
+    assert sorted(_items(quot)) == sorted(_items(num))

@@ -1,9 +1,15 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicint import ParseError, Polynomial, Prime
+from padicint import OrdExpr, ParseError, Polynomial, Prime
+from padicint.integrate import _atoms
 from padicint.parsing import parse_integrand, parse_polynomial, render_constructible
+from padicint.selfcheck import random_integrand_text, random_polynomial_text
 
 P2 = Prime(2)
 
@@ -113,3 +119,130 @@ def test_multiline_error_position():
     with pytest.raises(ParseError) as err:
         parse_polynomial("x1 +\n")
     assert (err.value.line, err.value.column) == (2, 1)
+
+
+# Every ParseError raise site of both grammars, with its message, line and
+# column.  Inside ord(...) an unbalanced argument is reported first, then
+# the first name that is not a field variable, then any syntax error; in a
+# polynomial text the first unknown name anywhere comes before a syntax
+# error.
+ERROR_CASES = [
+    ("poly", "x1 + $", "unexpected character '$'", 1, 6),
+    ("integrand", "ord(x1) # 2", "unexpected character '#'", 1, 9),
+    ("poly", "x1^", "expected an exponent after '^'", 1, 4),
+    ("poly", "x1^x2", "expected an exponent after '^'", 1, 4),
+    ("integrand", "ord(x1)^", "expected an exponent after '^'", 1, 9),
+    ("integrand", "ord(x1)^-1", "expected an exponent after '^'", 1, 9),
+    ("integrand", "ord(x1^)", "expected an exponent after '^'", 1, 8),
+    ("poly", "x1 + y", "unknown symbol 'y' (variables are x1, x2, ...)", 1, 6),
+    ("poly", "x1 + + y", "unknown symbol 'y' (variables are x1, x2, ...)", 1, 8),
+    ("poly", "x1 x2 + g1", "unknown symbol 'g1' (variables are x1, x2, ...)", 1, 9),
+    ("integrand", "foo(x1)", "unknown symbol 'foo' (expected q, ord, lin, or an integer)", 1, 1),
+    ("integrand", "x1", "unknown symbol 'x1' (expected q, ord, lin, or an integer)", 1, 1),
+    ("integrand", "ord(g1)", "valuation arguments are polynomials in x1, x2, ...", 1, 5),
+    ("integrand", "ord(x1 + + y)", "valuation arguments are polynomials in x1, x2, ...", 1, 12),
+    ("integrand", "ord(x1 ord(x2))", "valuation arguments are polynomials in x1, x2, ...", 1, 8),
+    ("integrand", "q^ord(x1)", "expected '('", 1, 3),
+    ("integrand", "q(1)", "expected '^'", 1, 2),
+    ("integrand", "q^(1", "expected ')'", 1, 5),
+    ("integrand", "q^(ord(x1)*2)", "expected ')'", 1, 11),
+    ("integrand", "q^(1) + q^()", "expected ord(...), lin(...), an integer, or '('", 1, 12),
+    ("integrand", "ord(x1", "unbalanced parentheses in ord(...)", 1, 7),
+    ("integrand", "2*ord(x1 + (x2)", "unbalanced parentheses in ord(...)", 1, 16),
+    ("integrand", "ord(y + +", "unbalanced parentheses in ord(...)", 1, 10),
+    ("poly", "(x1 + 2", "expected ')'", 1, 8),
+    ("integrand", "ord(x1 x2)", "expected ')'", 1, 8),
+    ("integrand", "ord()", "expected an integer, a variable, or '('", 1, 5),
+    ("integrand", "q^(1)*ord()", "expected an integer, a variable, or '('", 1, 11),
+    ("poly", "", "expected an integer, a variable, or '('", 1, 1),
+    ("integrand", "", "expected an integrand factor", 1, 1),
+    ("integrand", "1 + ", "expected an integrand factor", 1, 5),
+    ("integrand", "lin(1,0,1,0;x1)", "prepared forms apply to value-group variables g1, g2, ...", 1, 13),
+    ("integrand", "lin(1,0,1,0;3)", "prepared forms apply to value-group variables g1, g2, ...", 1, 13),
+    ("integrand", "lin(1,0,1,0)", "expected ';'", 1, 12),
+    ("integrand", "lin(1,0,1;g1)", "expected ','", 1, 10),
+    ("integrand", "lin(a,0,1,0;g1)", "expected an integer", 1, 5),
+    ("integrand", "lin(1,0,0,0;g1)", "n must be >= 1", 1, 13),
+    ("integrand", "lin(1,-1,1,0;g1)", "k must be >= 0", 1, 14),
+    ("poly", "x1 x2", "unexpected trailing input 'x2'", 1, 4),
+    ("poly", "x1)", "unexpected trailing input ')'", 1, 3),
+    ("integrand", "ord(x1) ord(x2)", "unexpected trailing input 'ord'", 1, 9),
+    ("poly", "x1 +\n x2 + $", "unexpected character '$'", 2, 7),
+    ("poly", "x1 +\n", "expected an integer, a variable, or '('", 2, 1),
+    ("poly", "x1 +\n\n  x2 y", "unknown symbol 'y' (variables are x1, x2, ...)", 3, 6),
+    ("integrand", "ord(x1)\n  + q^(\n  ord(x2) +\n  )", "expected ord(...), lin(...), an integer, or '('", 4, 3),
+    ("integrand", "ord(x1) +\n\n  lin(1,0,0,0;g1)", "n must be >= 1", 3, 15),
+    ("integrand", "ord(x1 +\n  x2\n", "unbalanced parentheses in ord(...)", 3, 1),
+    ("integrand", "q^(1) *\nord(x1 +\n y)", "valuation arguments are polynomials in x1, x2, ...", 3, 2),
+]
+
+
+@pytest.mark.parametrize("grammar, text, message, line, column", ERROR_CASES)
+def test_parse_error_message_and_position(grammar, text, message, line, column):
+    parse = parse_polynomial if grammar == "poly" else parse_integrand
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
+def _stored(expr):
+    return [(t.coeff.num.coeffs, t.coeff.den, t.qparts, t.zfactors) for t in expr.terms]
+
+
+def _ords(expr):
+    return [a for t in expr.terms for a in _atoms(t.qparts + t.zfactors) if isinstance(a, OrdExpr)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_parse_integrand_matches_the_algebra(seed):
+    text, expr = random_integrand_text(random.Random(seed))
+    parsed = parse_integrand(text)
+    assert parsed == expr
+    assert _stored(parsed) == _stored(expr)
+    # the key order decides which variable a sort-mismatch DomainError names
+    assert list(parsed.sorts.items()) == list(expr.sorts.items())
+    # The rendering parses back to the same terms, except that an ord
+    # argument loses a variable it names only to the power 0 or with
+    # coefficient 0; its text is a fixed point either way.
+    rendered = render_constructible(parsed)
+    again = parse_integrand(rendered)
+    assert render_constructible(again) == rendered
+    assert [t.coeff for t in again.terms] == [t.coeff for t in parsed.terms]
+    if all(a.poly.mentions(a.poly.nvars - 1) for a in _ords(parsed) if a.poly.nvars):
+        assert again == parsed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_parse_polynomial_matches_the_algebra(seed):
+    text, poly = random_polynomial_text(random.Random(seed))
+    parsed = parse_polynomial(text)
+    assert parsed == poly and parsed.nvars == poly.nvars
+    assert list(parsed.terms.items()) == list(poly.terms.items())
+
+
+# The token alphabet of the fuzz test.  A digit never follows a name or a
+# digit directly, so names stay x1 and g1 and literals one digit long; a
+# space keeps them apart, and every exponent is then clamped to at most 2.
+_FUZZ_TOKENS = ["q", "^", "(", ")", "ord", "lin", "x1", "g1", "0", "7", "-", "+", "*", ",", ";", "\n", " "]
+
+
+def _fuzz_text(tokens) -> str:
+    text = ""
+    for tok in tokens:
+        if tok[0].isdigit() and text[-1:].isalnum():
+            text += " "
+        text += tok
+    return re.sub(r"\^(\s*)(\d+)", lambda m: "^" + m.group(1) + min(m.group(2), "2"), text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=18).map(_fuzz_text))
+def test_parsers_raise_only_parse_errors(text):
+    for parse in (parse_integrand, parse_polynomial):
+        try:
+            parse(text)
+        except ParseError:
+            pass

@@ -368,7 +368,11 @@ def render_intexpr(e: IntExpr, parenthesize: bool = False) -> str:
         f = e.form
         return f"lin({f.a},{f.k},{f.n},{f.delta};{e.var})"
     if isinstance(e, OrdExpr):
-        return f"ord({e.poly.render(e.vars)})"
+        text = e.poly.render(e.vars)
+        if e.poly.nvars and not e.poly.mentions(e.poly.nvars - 1):
+            # the parser reads the arity from the largest index named
+            text += f" + 0*{e.vars[-1]}"
+        return f"ord({text})"
     if isinstance(e, IntScale):
         # a literal after a scalar is a nonnegative int; anything else but an
         # atom is parenthesised, so the text parses back to this IntScale
@@ -389,10 +393,8 @@ def render_intexpr(e: IntExpr, parenthesize: bool = False) -> str:
 
 
 def render_constructible(expr: ConstructibleExpr) -> str:
-    """Canonical text for a parsed expression.  It parses back to equal
-    terms, except that an ord argument loses the variables it names only
-    to the power 0 or with coefficient 0; the text of the result is the
-    same again."""
+    """Canonical text for a parsed expression, which parses back to equal
+    terms."""
     rendered = []
     for term in expr.terms:
         coeff = term.coeff.as_rational()

@@ -1,17 +1,26 @@
-"""Deterministic oracle-vs-symbolic cross-validation suite.
+"""Deterministic oracle-vs-symbolic cross-validation suite, and the one home
+of its random generators.
 
 Each check pits a closed-form computation against an independent
-enumeration on a seeded random sample.  The CLI `check` subcommand runs
-everything here and exits nonzero on any mismatch; the test suite runs
-larger versions of the same comparisons.
+enumeration, an identity or a second route through the library, on a
+seeded sample, and reports under one fixed name whether it passed and, if
+not, which comparison failed.  The CLI `check` subcommand runs every check
+at its default size and exits nonzero on any mismatch; the test suite runs
+the same checks at larger sizes, and its property tests draw from the same
+generators: random_gamma_cell, random_kcell, random_region,
+random_built_elem, random_polynomial and the parser-text generators.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import math
 import random
 from fractions import Fraction
 
 from .aqring import AqElem, LaurentPoly
+from .errors import DivergentSum
 from .integrate import (
     ConstructibleExpr,
     Domain,
@@ -28,7 +37,7 @@ from .integrate import (
     identity_lin,
     integrate,
 )
-from .kcells import KCell, kcell_measure, partition_unit_ball
+from .kcells import KCell, kcell_measure, kcells_disjoint, partition_unit_ball
 from .padic import AngularResidue, Prime
 from .polys import Polynomial, poly_eval
 from .poincare import RationalFunctionT, count_Nm, fit_rational, measure_identity_check, series_table
@@ -45,105 +54,262 @@ from .presburger import (
 SEED = 20240811
 
 
-def _random_bounded_cell(rng: random.Random) -> GammaCell:
-    mod = rng.randint(1, 4)
-    res = rng.randrange(mod)
-    lower = rng.randint(-8, 6)
-    upper = lower + rng.randint(1, 12)
-    return GammaCell(lower, upper, mod, res)
+def _named(name: str):
+    """Report a check as (name, passed, detail) under one fixed name.  The
+    wrapped function returns None when every comparison holds, else the
+    detail of the first one that failed."""
+
+    def wrap(check):
+        @functools.wraps(check)
+        def run(*args) -> tuple[str, bool, str]:
+            detail = check(*args)
+            return name, detail is None, detail or ""
+
+        return run
+
+    return wrap
 
 
-def check_presburger_sums(samples: int = 60) -> tuple[str, bool, str]:
+# -- random cells and ring elements -------------------------------------------
+
+
+def random_gamma_cell(rng: random.Random, span: int, open_ends: float) -> GammaCell:
+    """A value-group cell with modulus 1..6, lower bound in -span..span and
+    upper bound 0..3*span above it; each bound is dropped (None) with
+    probability open_ends."""
+    mod = rng.randint(1, 6)
+    lower = rng.randint(-span, span)
+    upper = lower + rng.randint(0, 3 * span)
+    if rng.random() < open_ends:
+        lower = None
+    if rng.random() < open_ends:
+        upper = None
+    return GammaCell(lower, upper, mod, rng.randrange(mod))
+
+
+def random_kcell(rng: random.Random, prime: Prime, depth: int | None = None) -> KCell:
+    """A field cell with angular depth M in 1..2, a unit angular value and
+    modulus 1..3, centred at n/d with n in -6..6+2p^2 and d in {1, 1, 1+p},
+    so the centre lies in Z_p but need not be an integer.  One cell in ten
+    is the point cell {centre}.
+
+    Without depth, the lower bound is in -4..4 (below -1 the cell leaves
+    Z_p) and the upper bound 1..6 above it, or None one time in three.
+    With depth, the cell lies in Z_p and upper + M <= depth, so it is a
+    union of residue classes mod p^depth."""
+    p = prime.p
+    M = rng.randint(1, 2)
+    center = Fraction(rng.randint(-6, 6 + 2 * p * p), rng.choice((1, 1, 1 + p)))
+    if rng.random() < 0.1:
+        return KCell(center, None, None, 1, 0, M, AngularResidue(M, 0), prime)
+    if depth is None:
+        lower = rng.randint(-4, 4)
+        upper = lower + rng.randint(1, 6) if rng.random() < 2 / 3 else None
+    else:
+        lower = rng.randint(-1, depth - M - 2)
+        upper = rng.randint(lower + 1, depth - M)
+    mod = rng.randint(1, 3)
+    unit = rng.choice([r for r in range(1, p**M) if r % p])
+    return KCell(center, lower, upper, mod, rng.randrange(mod), M, AngularResidue(M, unit), prime)
+
+
+def random_region(rng: random.Random, prime: Prime):
+    """A region of one field variable inside Z_p: UNIT_BALL three times in
+    ten, else one or two pairwise disjoint cells of random_kcell."""
+    if rng.random() < 0.3:
+        return UNIT_BALL
+    cells = []
+    for _ in range(rng.randint(1, 2)):
+        cell = random_kcell(rng, prime)
+        while cell.lower is not None and cell.lower < -1:
+            cell = random_kcell(rng, prime)
+        if all(kcells_disjoint(cell, other) for other in cells):
+            cells.append(cell)
+    return cells
+
+
+def _times_factors(num: LaurentPoly, mult: dict[int, int]) -> LaurentPoly:
+    for i, k in mult.items():
+        for _ in range(k):
+            num = num * LaurentPoly({i: 1, 0: -1})
+    return num
+
+
+def random_built_elem(rng: random.Random):
+    """M * prod (q^i - 1)^k over a denominator prod (1 - q^-i)^e, with
+    indices i up to 24 (the sizes the benchmark's cell sums reach) and
+    0-3 factors on each side.  M has 1-5 terms q^-30..q^30 with nonzero
+    coefficients n/d, |n/d| <= 9, d <= 4.  Each multiplied-in index also
+    enters the denominator with probability 1/2, so that canonicalisation
+    has factors to cancel.
+
+    Returns (element, {p: its value at p computed directly} for p = 2, 3,
+    5, M, the factors {i: k}, the denominator {i: e})."""
+
+    def indices():
+        return {rng.randint(1, 24): rng.randint(1, 2) for _ in range(rng.randint(0, 3))}
+
+    def coeff():
+        d = rng.randint(1, 4)
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9 * d), d)
+
+    m = LaurentPoly({rng.randint(-30, 30): coeff() for _ in range(rng.randint(1, 5))})
+    mult, den = indices(), indices()
+    for i in mult:
+        if rng.random() < 0.5:
+            den[i] = rng.randint(1, 2)
+    values = {}
+    for p in (2, 3, 5):
+        value = m.eval(p)
+        for i, k in mult.items():
+            value *= Fraction(p**i - 1) ** k
+        for i, e in den.items():
+            value /= (1 - Fraction(1, p**i)) ** e
+        values[p] = value
+    return AqElem(_times_factors(m, mult), den), values, m, mult, den
+
+
+# -- the checks ------------------------------------------------------------------
+
+
+@_named("aqring.cancellation_vs_long_division")
+def check_aq_cancellation():
+    """Canonical forms of 60 pairs of built elements x, y and of x + y and
+    x * y: long division finds no denominator factor left to cancel, and
+    the values at p = 2, 3, 5 are the ones computed directly, so the
+    running-sum quotient of canonicalisation is checked against
+    LaurentPoly.divexact.  A multiplied-in factor alone over its own
+    denominator clears it, and among others the denominator loses degree
+    (a smaller factor dividing it may cancel first)."""
+    rng = random.Random(SEED + 6)
+    for _ in range(60):
+        x, xv, m, mult, den = random_built_elem(rng)
+        y, yv, *_ = random_built_elem(rng)
+        for what, elem, values in (
+            ("x", x, xv),
+            ("x + y", x + y, {p: xv[p] + yv[p] for p in xv}),
+            ("x * y", x * y, {p: xv[p] * yv[p] for p in xv}),
+        ):
+            for i in elem.den:
+                if elem.num.divexact(LaurentPoly({i: 1, 0: -1})) is not None:
+                    return f"{what} = {elem.render()}: (1-q^-{i}) is left to cancel"
+            for p, value in values.items():
+                if elem.eval_at(p) != value:
+                    return f"{what} = {elem.render()} at p={p}"
+        for i, k in mult.items():
+            if AqElem(_times_factors(m, {i: k}), {i: k}).den:
+                return f"{m.render()} * (q^{i} - 1)^{k} over (1-q^-{i})^{k}"
+        degree = sum(i * e for i, e in x.den.items())
+        if set(mult) & set(den) and degree >= sum(i * e for i, e in den.items()):
+            return f"{x.render()}: no factor of {den} cancelled"
+    return None
+
+
+def _power_sum(weights: list[int], first: int, y: int) -> Fraction:
+    """The sum of weights[i] * y^-(first + i), by Horner's rule in int
+    arithmetic."""
+    total = 0
+    for w in weights:
+        total = total * y + w
+    return total / Fraction(y) ** (first + len(weights) - 1)
+
+
+@_named("presburger.sums_vs_enumeration")
+def check_presburger_sums(samples: int = 60):
+    """On bounded cells, geom_sum for N = 1..3 and weighted_sum for
+    N = 0..3 (weights of degree 0..3 with coefficients n/d, |n| <= 4,
+    d <= 3) against the sums over the members.  On the unbounded tail of
+    each cell, geom_sum against its first 5, 15 and 30 terms plus the
+    exact remainder.  All at q = 2, 3, 5."""
     rng = random.Random(SEED)
     for _ in range(samples):
-        cell = _random_bounded_cell(rng)
-        for N in (1, 2, 3):
-            closed = geom_sum(cell, N)
-            deg = rng.randint(0, 2)
-            poly = [Fraction(rng.randint(-3, 3)) for _ in range(deg + 1)]
+        cell = random_gamma_cell(rng, 10, 0.0)
+        poly = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        scale = math.lcm(*(c.denominator for c in poly))
+        taus = [(g - cell.res) // cell.mod for g in cell.members()]
+        weights = [int(poly_eval(poly, t) * scale) for t in taus]
+        first = taus[0] if taus else 0
+        for N in range(4):
+            closed = geom_sum(cell, N) if N else None
             weighted = weighted_sum(cell, poly, N)
             for q in (2, 3, 5):
-                direct = sum(
-                    (Fraction(q) ** (-N * ((g - cell.res) // cell.mod)) for g in cell.members()),
-                    Fraction(0),
-                )
-                if closed.eval_at(q) != direct:
-                    return "presburger.geom_sum", False, f"{cell} N={N} q={q}"
-                wdirect = sum(
-                    (
-                        poly_eval(poly, (g - cell.res) // cell.mod)
-                        * Fraction(q) ** (-N * ((g - cell.res) // cell.mod))
-                        for g in cell.members()
-                    ),
-                    Fraction(0),
-                )
-                if weighted.eval_at(q) != wdirect:
-                    return "presburger.weighted_sum", False, f"{cell} N={N} q={q}"
-    # tails of unbounded cells
-    for _ in range(20):
-        mod = rng.randint(1, 3)
-        cell = GammaCell(rng.randint(-1, 6), None, mod, rng.randrange(mod))
-        N = rng.randint(1, 3)
-        closed = geom_sum(cell, N)
-        a, _ = cell.tau_bounds()
-        for q in (2, 3):
-            depth = 30
-            partial = sum(
-                (Fraction(q) ** (-N * (a + j)) for j in range(depth)), Fraction(0)
-            )
-            tail = Fraction(q) ** (-N * depth) / (1 - Fraction(q) ** (-N))
-            if abs(closed.eval_at(q) - partial) > tail:
-                return "presburger.tail", False, f"{cell} N={N} q={q}"
-    return "presburger.sums_vs_enumeration", True, ""
+                if closed is not None and closed.eval_at(q) != _power_sum([1] * len(taus), first, q**N):
+                    return f"geom_sum {cell} N={N} q={q}"
+                if weighted.eval_at(q) * scale != _power_sum(weights, first, q**N):
+                    return f"weighted_sum {cell} {poly} N={N} q={q}"
+        tail = GammaCell(cell.lower, None, cell.mod, cell.res)
+        least = cell.lower + 1 + (cell.res - cell.lower - 1) % cell.mod
+        a = (least - cell.res) // cell.mod
+        if tail.tau_bounds()[0] != a:
+            return f"tau_bounds {tail}: first tau {a}"
+        for N in (1, 2, 3):
+            closed = geom_sum(tail, N)
+            for q in (2, 3, 5):
+                y, value = q**N, closed.eval_at(q)
+                for depth in (5, 15, 30):
+                    rest = Fraction(y) ** -(a + depth) / (1 - Fraction(1, y))
+                    if value - _power_sum([1] * depth, a, y) != rest:
+                        return f"tail {tail} N={N} q={q} depth={depth}"
+    return None
 
 
-def check_presburger_additivity(samples: int = 25) -> tuple[str, bool, str]:
+def _weight_sum(cell: GammaCell):
+    """gamma_weight_sum(cell, 1), or None where it diverges."""
+    try:
+        return gamma_weight_sum(cell, 1)
+    except DivergentSum:
+        return None
+
+
+@_named("presburger.additivity")
+def check_presburger_additivity(samples: int = 25):
+    """gamma_weight_sum of a cell, bounded or not, against the sum over its
+    refinements into residue classes modulo 2*mod and 3*mod; where it
+    diverges, a refinement diverges too."""
     rng = random.Random(SEED + 1)
     for _ in range(samples):
-        cell = _random_bounded_cell(rng)
-        # refine into residue classes modulo 2*mod
-        parts = [
-            GammaCell(cell.lower, cell.upper, 2 * cell.mod, cell.res),
-            GammaCell(cell.lower, cell.upper, 2 * cell.mod, cell.res + cell.mod),
-        ]
-        whole = gamma_weight_sum(cell, 1)
-        split = gamma_weight_sum(parts[0], 1) + gamma_weight_sum(parts[1], 1)
-        if whole != split:
-            return "presburger.additivity", False, str(cell)
-    return "presburger.additivity", True, ""
+        cell = random_gamma_cell(rng, 10, 0.3)
+        whole = _weight_sum(cell)
+        for k in (2, 3):
+            parts = [
+                _weight_sum(GammaCell(cell.lower, cell.upper, k * cell.mod, cell.res + i * cell.mod))
+                for i in range(k)
+            ]
+            split = None if None in parts else sum(parts, AqElem.zero())
+            if whole != split:
+                return f"{cell} split {k} ways"
+    return None
 
 
-def check_wellorder(samples: int = 120, window: int = 2000) -> tuple[str, bool, str]:
+@_named("presburger.wellorder_min")
+def check_wellorder(samples: int = 120):
+    """wellorder_min of 1-3 cells against a scan of 0, 1, -1, 2, -2, ...
+    over the first 2*10^4 + 1 keys; a minimum the scan misses lies past it."""
     rng = random.Random(SEED + 2)
+    scan_keys = 2 * 10**4 + 1
     for _ in range(samples):
-        cells = []
-        for _ in range(rng.randint(1, 3)):
-            mod = rng.randint(1, 5)
-            lower = rng.randint(-window // 2, window // 4) if rng.random() < 0.8 else None
-            upper = (
-                (lower if lower is not None else 0) + rng.randint(1, window // 2)
-                if rng.random() < 0.8
-                else None
-            )
-            cells.append(GammaCell(lower, upper, mod, rng.randrange(mod)))
-        nonempty = [c for c in cells if not c.is_empty()]
-        if not nonempty:
+        cells = [random_gamma_cell(rng, 4000, 0.2) for _ in range(rng.randint(1, 3))]
+        cells = [c for c in cells if not c.is_empty()]
+        if not cells:
             continue
-        computed = wellorder_min(nonempty)
+        computed = wellorder_min(cells)
         scan = None
-        for key in range(0, 4 * window + 1):
-            candidate = (key + 1) // 2 if key % 2 else -(key // 2)
-            if any(c.contains(candidate) for c in nonempty):
-                scan = candidate
+        for key in range(scan_keys):
+            g = (key + 1) // 2 if key % 2 else -(key // 2)
+            if any(c.contains(g) for c in cells):
+                scan = g
                 break
         if scan is not None and computed != scan:
-            return "presburger.wellorder_min", False, f"{nonempty} -> {computed} vs {scan}"
-        if scan is None and wellorder_key(computed) <= 4 * window:
-            return "presburger.wellorder_min", False, f"scan missed {computed}"
-    return "presburger.wellorder_min", True, ""
+            return f"{cells} -> {computed} vs {scan}"
+        if scan is None and wellorder_key(computed) < scan_keys:
+            return f"{cells}: the scan missed {computed}"
+    return None
 
 
-def check_partition_normalization() -> tuple[str, bool, str]:
+@_named("kcells.normalization")
+def check_partition_normalization():
+    """partition_unit_ball(M, N) at p = 2, 3, 5, M = 1, 2 and N = 1..3:
+    the measures sum to 1 and the cells are pairwise disjoint."""
     for p in (2, 3, 5):
         prime = Prime(p)
         for M in (1, 2):
@@ -151,176 +317,196 @@ def check_partition_normalization() -> tuple[str, bool, str]:
                 cells = partition_unit_ball(M, N, prime)
                 total = sum((kcell_measure(c).eval_at(p) for c in cells), Fraction(0))
                 if total != 1:
-                    return "kcells.normalization", False, f"p={p} M={M} N={N}: {total}"
-    return "kcells.normalization", True, ""
+                    return f"p={p} M={M} N={N}: total measure {total}"
+                for i, c in enumerate(cells):
+                    for other in cells[i + 1 :]:
+                        if not kcells_disjoint(c, other):
+                            return f"p={p} M={M} N={N}: {c} meets {other}"
+    return None
 
 
-def check_translation_invariance(samples: int = 20) -> tuple[str, bool, str]:
+@_named("kcells.translation")
+def check_translation_invariance(samples: int = 20):
+    """The measure of a cell at p = 2, 3 against the measures of 100 copies
+    moved to centres n/d, |n| <= 10^9, d <= 10^4."""
     rng = random.Random(SEED + 3)
     for p in (2, 3):
         prime = Prime(p)
         for _ in range(samples):
-            mod = rng.randint(1, 3)
-            cell = _random_kcell(rng, prime, mod)
+            cell = random_kcell(rng, prime)
             reference = kcell_measure(cell)
-            for _ in range(10):
-                center = Fraction(rng.randint(-50, 50), rng.choice([1, 1, 3, 7]))
-                moved = KCell(
-                    center,
-                    cell.lower,
-                    cell.upper,
-                    cell.mod,
-                    cell.res,
-                    cell.ac_depth,
-                    cell.ac_value,
-                    prime,
-                )
-                if kcell_measure(moved) != reference:
-                    return "kcells.translation", False, str(cell)
-    return "kcells.translation", True, ""
+            for _ in range(100):
+                center = Fraction(rng.randint(-(10**9), 10**9), rng.randint(1, 10**4))
+                if kcell_measure(dataclasses.replace(cell, center=center)) != reference:
+                    return f"{cell} moved to {center}"
+    return None
 
 
-def _random_kcell(rng: random.Random, prime: Prime, mod: int) -> KCell:
-    res = rng.randrange(mod)
-    lower = rng.randint(-1, 4)
-    upper = lower + rng.randint(1, 6) if rng.random() < 0.7 else None
-    M = rng.randint(1, 2)
-    p = prime.p
-    units = [r for r in range(1, p**M) if r % p != 0]
-    xi = rng.choice(units)
-    return KCell(Fraction(0), lower, upper, mod, res, M, AngularResidue(M, xi), prime)
-
-
-def check_counting_oracle(samples: int = 12) -> tuple[str, bool, str]:
+@_named("kcells.counting")
+def check_counting_oracle(samples: int = 12):
+    """The measure of a bounded cell of positive measure at p = 2, 3 times
+    p^D against a count of the residue classes mod p^D that lie in it, one
+    point tested per class; D = upper + M + 1 resolves every membership
+    test.  The classes cover the ball c + p^lower Z_p around the centre c,
+    which holds the cell and the shell ord(t - c) = lower outside it.  Each
+    is tested at a + p^lower s with a = c mod p^lower an integer, so that
+    t - c is computed by the cell, not given to it."""
     rng = random.Random(SEED + 4)
     for p in (2, 3):
         prime = Prime(p)
-        for _ in range(samples):
-            mod = rng.randint(1, 3)
-            cell = _random_kcell(rng, prime, mod)
-            if cell.upper is None:
-                cell = KCell(
-                    cell.center, cell.lower, cell.lower + 4, cell.mod, cell.res,
-                    cell.ac_depth, cell.ac_value, prime,
-                )
-            center = Fraction(rng.randint(0, 8), rng.choice([1, 1, 1 + p]))
-            cell = KCell(
-                center, cell.lower, cell.upper, cell.mod, cell.res,
-                cell.ac_depth, cell.ac_value, prime,
-            )
-            depth = cell.upper + cell.ac_depth + 1
-            count = sum(1 for r in range(p**depth) if cell.contains_value(r))
+        counted = 0
+        while counted < samples:
+            cell = random_kcell(rng, prime)
+            if cell.upper is None or cell.ac_value.r == 0:
+                continue
+            counted += 1
+            depth, c = cell.upper + cell.ac_depth + 1, cell.center
+            # a + p^lower s is (a + num s) / den
+            num, den = p ** max(cell.lower, 0), p ** max(-cell.lower, 0)
+            a = c.numerator * pow(c.denominator, -1, num) % num
+            classes = range(p ** (depth - cell.lower))
+            count = sum(1 for s in classes if cell.contains_value(Fraction(a + num * s, den)))
             expect = kcell_measure(cell).eval_at(p) * p**depth
             if count != expect:
-                return "kcells.counting", False, f"{cell}: {count} vs {expect}"
-    return "kcells.counting", True, ""
+                return f"{cell}: {count} residues vs {expect}"
+    return None
 
 
-def _corpus(prime: Prime):
-    one = ConstructibleExpr.constant(1)
+def _corpus():
+    """The integrands of one field variable x1 that the oracle checks, as
+    (name, integrand, growth claim (C, c, dg) for brute_force_integrate)."""
     ox = OrdExpr(Polynomial.variable(0, 1), ("x1",))
-    absx = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, ox),))])
-    iord = ConstructibleExpr([Term(AqElem.one(), zfactors=(ox,))])
-    mixed = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, ox),), zfactors=(ox,))])
-    sq = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-2, ox),))])
     return [
-        ("1", one, (1, 0, 0)),
-        ("|x|", absx, (1, -1, 0)),
-        ("ord x", iord, (1, 0, 1)),
-        ("ord(x) q^-ord x", mixed, (1, -1, 1)),
-        ("q^-2 ord x", sq, (1, -2, 0)),
+        ("1", ConstructibleExpr.constant(1), (1, 0, 0)),
+        ("|x|", ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, ox),))]), (1, -1, 0)),
+        ("ord x", ConstructibleExpr([Term(AqElem.one(), zfactors=(ox,))]), (1, 0, 1)),
+        (
+            "ord(x) q^-ord x",
+            ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, ox),), zfactors=(ox,))]),
+            (1, -1, 1),
+        ),
+        ("q^-2 ord x", ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-2, ox),))]), (1, -2, 0)),
     ]
 
 
-def check_integration_oracle() -> tuple[str, bool, str]:
+@_named("integrate.oracle_agreement")
+def check_integration_oracle():
+    """integrate against brute_force_integrate at depths 4..8 on the unit
+    ball at p = 2, 3, for every integrand of _corpus: they differ by no
+    more than the oracle's tail bound.  |x| and ord x integrate to p/(p+1)
+    and 1/(p-1)."""
     for p in (2, 3):
         prime = Prime(p)
         domain = Domain([("x1", K_SORT, UNIT_BALL)], prime)
-        for name, f, growth in _corpus(prime):
+        closed = {"|x|": Fraction(p, p + 1), "ord x": Fraction(1, p - 1)}
+        for name, f, growth in _corpus():
             symbolic = integrate(f, domain).eval_at(prime)
-            for depth in (4, 5, 6):
+            if symbolic != closed.get(name, symbolic):
+                return f"{name} p={p}: {symbolic}"
+            for depth in range(4, 9):
                 oracle = brute_force_integrate(f, domain, depth, growth=growth)
                 if abs(symbolic - oracle.value) > oracle.tail_bound:
-                    return (
-                        "integrate.oracle_agreement",
-                        False,
-                        f"{name} p={p} depth={depth}",
-                    )
-    return "integrate.oracle_agreement", True, ""
+                    return f"{name} p={p} depth={depth}"
+    return None
 
 
-def check_integration_linearity() -> tuple[str, bool, str]:
-    prime = Prime(3)
-    domain = Domain([("x1", K_SORT, UNIT_BALL)], prime)
-    corpus = _corpus(prime)
+@_named("integrate.linearity")
+def check_integration_linearity():
+    """integrate(a f + b g) = a integrate(f) + b integrate(g) on the unit
+    ball at p = 2, 3, with f = |x|, g = ord x, a = q^-1 and b = 3."""
+    corpus = _corpus()
     f, g = corpus[1][1], corpus[2][1]
-    a = AqElem.q_power(-1)
-    b = AqElem.from_rational(3)
-    lhs = integrate(f.scale(a) + g.scale(b), domain)
-    rhs = integrate(f, domain) * a + integrate(g, domain) * b
-    if lhs != rhs:
-        return "integrate.linearity", False, ""
-    return "integrate.linearity", True, ""
+    a, b = AqElem.q_power(-1), AqElem.from_rational(3)
+    for p in (2, 3):
+        domain = Domain([("x1", K_SORT, UNIT_BALL)], Prime(p))
+        if integrate(f.scale(a) + g.scale(b), domain) != integrate(f, domain) * a + integrate(g, domain) * b:
+            return f"p={p}"
+    return None
 
 
-def check_integration_additivity() -> tuple[str, bool, str]:
+@_named("integrate.additivity")
+def check_integration_additivity():
+    """q^-g1 over g1 >= 1 against its sum over the even and the odd g1; |x|
+    over the unit ball at p = 3 against its sum over partition_unit_ball(1,
+    2), which carries its cell count as a literal and so agrees at q = 3,
+    and against (1 - q^-1) / (1 - q^-2)."""
     prime = Prime(2)
     f = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, identity_lin("g1")),))])
-    whole = GammaCell(0, None, 1, 0)
-    even = GammaCell(0, None, 2, 0)
-    odd = GammaCell(0, None, 2, 1)
-    d_whole = Domain([("g1", GAMMA_SORT, [whole])], prime)
-    d_split = Domain([("g1", GAMMA_SORT, [even, odd])], prime)
+    d_whole = Domain([("g1", GAMMA_SORT, [GammaCell(0, None, 1, 0)])], prime)
+    d_split = Domain([("g1", GAMMA_SORT, [GammaCell(0, None, 2, 0), GammaCell(0, None, 2, 1)])], prime)
     if integrate(f, d_whole) != integrate(f, d_split):
-        return "integrate.additivity", False, ""
-    return "integrate.additivity", True, ""
-
-
-def check_integration_fubini() -> tuple[str, bool, str]:
+        return "value group: g1 >= 1 vs even and odd g1"
     prime = Prime(3)
-    g1 = identity_lin("g1")
-    g2 = identity_lin("g2")
+    absx = _corpus()[1][1]
+    ball = integrate(absx, Domain([("x1", K_SORT, UNIT_BALL)], prime))
+    cells = integrate(absx, Domain([("x1", K_SORT, partition_unit_ball(1, 2, prime))], prime))
+    if cells.eval_at(prime) != ball.eval_at(prime):
+        return "field: unit ball vs partition_unit_ball(1, 2) at p=3"
+    if ball != (1 - AqElem.q_power(-1)) * AqElem.geom(2):
+        return f"field: |x| over the unit ball is {ball.render()}"
+    return None
+
+
+@_named("integrate.fubini")
+def check_integration_fubini():
+    """Both orders of integration of q^(-g1 - 2 g2) g2 over 0 < g1 < 9,
+    g1 odd, and g2 >= 0 at p = 3, and of q^(-ord x1 - ord x2) over the unit
+    ball of Z_2^2, whose value is (2/3)^2."""
+    g1, g2 = identity_lin("g1"), identity_lin("g2")
     f = ConstructibleExpr(
         [Term(AqElem.one(), qparts=(IntScale(-1, g1), IntScale(-2, g2)), zfactors=(g2,))]
     )
-    c1 = GammaCell(0, 9, 2, 1)
-    c2 = GammaCell(-1, None, 1, 0)
+    c1, c2 = GammaCell(0, 9, 2, 1), GammaCell(-1, None, 1, 0)
+    prime = Prime(3)
     one_way = Domain([("g1", GAMMA_SORT, [c1]), ("g2", GAMMA_SORT, [c2])], prime)
     other = Domain([("g2", GAMMA_SORT, [c2]), ("g1", GAMMA_SORT, [c1])], prime)
     if integrate(f, one_way) != integrate(f, other):
-        return "integrate.fubini", False, ""
-    return "integrate.fubini", True, ""
+        return "value group: g1, g2 vs g2, g1"
+    ords = [OrdExpr(Polynomial.variable(0, 1), (name,)) for name in ("x1", "x2")]
+    f = ConstructibleExpr([Term(AqElem.one(), qparts=tuple(IntScale(-1, o) for o in ords))])
+    prime = Prime(2)
+    one_way = integrate(f, Domain([("x1", K_SORT, UNIT_BALL), ("x2", K_SORT, UNIT_BALL)], prime))
+    other = integrate(f, Domain([("x2", K_SORT, UNIT_BALL), ("x1", K_SORT, UNIT_BALL)], prime))
+    if one_way != other or one_way.eval_at(prime) != Fraction(4, 9):
+        return f"field: x1, x2 gives {one_way.render()}, x2, x1 {other.render()}"
+    return None
 
 
-def check_poincare() -> tuple[str, bool, str]:
+@_named("poincare.counting_vs_symbolic")
+def check_poincare(mmax: int = 3):
+    """fit_rational on the lifted counts finds each known denominator, a
+    product of (1 - p^-mi T^Ni), and a shape for it; two more counts give
+    the same fit, which reproduces them.  measure_identity_check holds for
+    x1, x1^2, x1^3, x1 x2, x1^2 + x2^2 and x1^2 - x2^2 at p = 2, 3 and
+    m = 0..mmax."""
     x = Polynomial.variable(0, 1)
     xy = Polynomial(2, {(1, 1): 1})
-    # each denominator is the known closed form, a product of (1 - p^-mi T^Ni)
     cases = [
-        (x * x, Prime(3), 9, 11, [1, 0, -3]),
-        (x, Prime(2), 9, 11, [1, -1]),
-        (xy, Prime(2), 8, 10, [1, -4, 4]),
-        (x * x + Polynomial.constant(1, 1), Prime(3), 9, 11, [1]),
+        (x, Prime(2), 9, [1, -1]),
+        (x * x, Prime(3), 9, [1, 0, -3]),
+        (x**3, Prime(2), 10, [1, 0, 0, -4]),
+        (xy, Prime(2), 8, [1, -4, 4]),
+        (x * x + Polynomial.constant(1, 1), Prime(3), 9, [1]),
     ]
-    for f, prime, m1, m2, den in cases:
-        t1 = series_table(f, prime, m1)
-        t2 = series_table(f, prime, m2)
-        fit1 = fit_rational(t1, guard=5)
-        fit2 = fit_rational(t2, guard=5)
+    for f, prime, m, den in cases:
+        where = f"{f.render()} p={prime.p}"
+        t1, t2 = series_table(f, prime, m), series_table(f, prime, m + 2)
+        fit1, fit2 = fit_rational(t1, guard=5), fit_rational(t2, guard=5)
         if not isinstance(fit1, RationalFunctionT) or not isinstance(fit2, RationalFunctionT):
-            return "poincare.fit", False, f"{f.render()} p={prime.p}"
+            return f"fit: {where} undetermined"
         if fit1.den != den or fit1.shape is None:
-            return "poincare.fit", False, f"{f.render()} p={prime.p}: D = {fit1.render_den()}"
+            return f"fit: {where}: D = {fit1.render_den()}"
         if fit1.num != fit2.num or fit1.den != fit2.den:
-            return "poincare.fit_stability", False, f"{f.render()} p={prime.p}"
+            return f"fit stability: {where}"
         if not fit1.reproduces(t2.counts[: len(t1.counts)]):
-            return "poincare.fit_reproduction", False, f"{f.render()} p={prime.p}"
-    for f in (x, x * x, xy):
+            return f"fit reproduction: {where}"
+    squares = [Polynomial(2, {(2, 0): 1, (0, 2): sign}) for sign in (1, -1)]
+    for f in [x, x * x, x**3, xy] + squares:
         for p in (2, 3):
-            for m in (1, 2, 3):
+            for m in range(mmax + 1):
                 if not measure_identity_check(f, Prime(p), m):
-                    return "poincare.measure_identity", False, f"{f.render()} p={p} m={m}"
-    return "poincare.counting_vs_symbolic", True, ""
+                    return f"measure identity: {f.render()} p={p} m={m}"
+    return None
 
 
 # "general" draws a sparse polynomial; the other shapes have a gradient
@@ -365,53 +551,18 @@ def lifting_matches_enumeration(f: Polynomial, prime: Prime, points: int) -> boo
     return series_table(f, prime, mmax).counts == counts
 
 
-def check_lifting() -> tuple[str, bool, str]:
+@_named("poincare.lifting_vs_enumeration")
+def check_lifting():
+    """lifting_matches_enumeration at p = 2, 3, 5, up to 729 points per
+    count, for one polynomial of each special shape and six general ones."""
     rng = random.Random(SEED + 5)
     for p in (2, 3, 5):
         prime = Prime(p)
         for shape in POLYNOMIAL_SHAPES[:-1] + ("general",) * 6:
             f = random_polynomial(rng, p, shape)
             if not lifting_matches_enumeration(f, prime, 729):
-                return "poincare.lifting_vs_enumeration", False, f"{f.render()} p={p}"
-    return "poincare.lifting_vs_enumeration", True, ""
-
-
-def check_aq_cancellation(samples: int = 60) -> tuple[str, bool, str]:
-    """Canonical forms of M * prod (q^i - 1)^k over denominators up to index
-    24: long division finds no denominator factor left to cancel, and the
-    values at p = 2, 3, 5 are the ones computed directly, so the running-sum
-    quotient of canonicalisation is checked against LaurentPoly.divexact."""
-    rng = random.Random(SEED + 6)
-
-    def indices():
-        return {rng.randint(1, 24): rng.randint(1, 2) for _ in range(rng.randint(0, 3))}
-
-    for _ in range(samples):
-        m = LaurentPoly(
-            {rng.randint(-30, 30): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-             for _ in range(rng.randint(1, 5))}
-        )
-        mult, den = indices(), indices()
-        for i in mult:  # cancel some multiplied-in factors whole
-            if rng.random() < 0.5:
-                den[i] = rng.randint(1, 2)
-        num = m
-        for i, k in mult.items():
-            for _ in range(k):
-                num = num * LaurentPoly({i: 1, 0: -1})
-        elem = AqElem(num, den)
-        for i in elem.den:
-            if elem.num.divexact(LaurentPoly({i: 1, 0: -1})) is not None:
-                return "aqring.cancellation_vs_long_division", False, f"{elem.render()}: (1-q^-{i})"
-        for p in (2, 3, 5):
-            value = m.eval(p)
-            for i, k in mult.items():
-                value *= Fraction(p**i - 1) ** k
-            for i, e in den.items():
-                value /= (1 - Fraction(1, p**i)) ** e
-            if elem.eval_at(p) != value:
-                return "aqring.cancellation_vs_long_division", False, f"{elem.render()} p={p}"
-    return "aqring.cancellation_vs_long_division", True, ""
+                return f"{f.render()} p={p}"
+    return None
 
 
 # -- random parser inputs ----------------------------------------------------

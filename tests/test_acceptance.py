@@ -1,40 +1,33 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
+Criteria 1-5 and 7 run checks of padicint.selfcheck at their own sizes.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines and timings.
 """
 
-import random
 import time
-from fractions import Fraction
 
 from padicint import (
-    AngularResidue,
     AqElem,
-    ConstructibleExpr,
-    Domain,
     GammaCell,
-    IntScale,
-    KCell,
-    OrdExpr,
     Polynomial,
     Prime,
     RationalFunctionT,
-    Term,
-    UNIT_BALL,
-    brute_force_integrate,
     fit_rational,
     geom_sum,
-    integrate,
-    kcell_measure,
-    measure_identity_check,
-    partition_unit_ball,
     poincare_report,
     series_table,
-    wellorder_min,
+)
+from padicint.selfcheck import (
+    check_integration_oracle,
+    check_partition_normalization,
+    check_poincare,
+    check_presburger_sums,
+    check_translation_invariance,
+    check_wellorder,
 )
 
-P2, P3, P5 = Prime(2), Prime(3), Prime(5)
+P2, P3 = Prime(2), Prime(3)
 
 
 def _report(name: str, started: float, limit: float):
@@ -45,125 +38,29 @@ def _report(name: str, started: float, limit: float):
 
 def test_criterion_1_geometric_sums():
     started = time.time()
-    rng = random.Random(1001)
-    for _ in range(200):
-        mod = rng.randint(1, 5)
-        lower = rng.randint(-10, 10)
-        cell = GammaCell(lower, lower + rng.randint(1, 30), mod, rng.randrange(mod))
-        for N in (1, 2, 3):
-            closed = geom_sum(cell, N)
-            for q in (2, 3, 5):
-                direct = sum(
-                    (
-                        Fraction(q) ** (-N * ((g - cell.res) // cell.mod))
-                        for g in cell.members()
-                    ),
-                    Fraction(0),
-                )
-                assert closed.eval_at(q) == direct
-    for _ in range(50):
-        mod = rng.randint(1, 4)
-        cell = GammaCell(rng.randint(-1, 10), None, mod, rng.randrange(mod))
-        N = rng.randint(1, 3)
-        a, _ = cell.tau_bounds()
-        closed = geom_sum(cell, N)
-        depth = 30
-        for q in (2, 3, 5):
-            partial = sum(
-                (Fraction(q) ** (-N * (a + j)) for j in range(depth)), Fraction(0)
-            )
-            bound = Fraction(q) ** (-N * depth) / (1 - Fraction(q) ** (-N))
-            assert abs(closed.eval_at(q) - partial) <= bound
+    _, ok, detail = check_presburger_sums(200)
+    assert ok, detail
     _report("criterion 1: geometric sums vs enumeration", started, 10)
 
 
 def test_criterion_2_normalization_and_additivity():
     started = time.time()
-    for prime in (P2, P3, P5):
-        for M in (1, 2):
-            for N in (1, 2, 3):
-                cells = partition_unit_ball(M, N, prime)
-                total = sum(
-                    (kcell_measure(c).eval_at(prime) for c in cells), Fraction(0)
-                )
-                assert total == 1
+    _, ok, detail = check_partition_normalization()
+    assert ok, detail
     _report("criterion 2: partition measures sum to 1", started, 5)
 
 
 def test_criterion_3_translation_invariance():
     started = time.time()
-    rng = random.Random(1003)
-    for index in range(50):
-        prime = (P2, P3)[index % 2]
-        p = prime.p
-        mod = rng.randint(1, 3)
-        M = rng.randint(1, 2)
-        units = [r for r in range(1, p**M) if r % p != 0]
-        lower = rng.randint(-4, 4)
-        upper = lower + rng.randint(1, 6) if rng.random() < 0.6 else None
-        base = KCell(
-            Fraction(0), lower, upper, mod, rng.randrange(mod),
-            M, AngularResidue(M, rng.choice(units)), prime,
-        )
-        reference = kcell_measure(base)
-        for _ in range(100):
-            center = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**4))
-            moved = KCell(
-                center, base.lower, base.upper, base.mod, base.res,
-                base.ac_depth, base.ac_value, prime,
-            )
-            assert kcell_measure(moved) == reference
+    _, ok, detail = check_translation_invariance(25)
+    assert ok, detail
     _report("criterion 3: measures are translation invariant", started, 5)
 
 
 def test_criterion_4_integration_oracle_agreement():
     started = time.time()
-
-    def ordx():
-        return OrdExpr(Polynomial.variable(0, 1), ("x1",))
-
-    corpus = [
-        ("1", ConstructibleExpr.constant(1), (1, 0, 0), None),
-        (
-            "|x|",
-            ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, ordx()),))]),
-            (1, -1, 0),
-            lambda p: Fraction(p, p + 1),
-        ),
-        (
-            "ord x",
-            ConstructibleExpr([Term(AqElem.one(), zfactors=(ordx(),))]),
-            (1, 0, 1),
-            lambda p: Fraction(1, p - 1),
-        ),
-        (
-            "ord(x) q^-ord x",
-            ConstructibleExpr(
-                [Term(AqElem.one(), qparts=(IntScale(-1, ordx()),), zfactors=(ordx(),))]
-            ),
-            (1, -1, 1),
-            None,
-        ),
-        (
-            "q^-2 ord x",
-            ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-2, ordx()),))]),
-            (1, -2, 0),
-            None,
-        ),
-    ]
-    for prime in (P2, P3):
-        domain = Domain([("x1", "K", UNIT_BALL)], prime)
-        for name, f, growth, closed in corpus:
-            symbolic = integrate(f, domain).eval_at(prime)
-            if closed is not None:
-                assert symbolic == closed(prime.p), name
-            for depth in range(4, 9):
-                oracle = brute_force_integrate(f, domain, depth, growth=growth)
-                assert abs(symbolic - oracle.value) <= oracle.tail_bound, (
-                    name,
-                    prime.p,
-                    depth,
-                )
+    _, ok, detail = check_integration_oracle()
+    assert ok, detail
     _report("criterion 4: symbolic integrals match the oracle", started, 30)
 
 
@@ -177,10 +74,8 @@ CORPUS_2 = [
 
 def test_criterion_5_counting_identity():
     started = time.time()
-    for f in CORPUS_1 + CORPUS_2:
-        for prime in (P2, P3):
-            for m in range(0, 6):
-                assert measure_identity_check(f, prime, m), (f.render(), prime.p, m)
+    _, ok, detail = check_poincare(5)
+    assert ok, detail
     _report("criterion 5: counting identity against both engines", started, 60)
 
 
@@ -207,34 +102,8 @@ def test_criterion_6_rationality():
 
 def test_criterion_7_wellorder():
     started = time.time()
-    rng = random.Random(1007)
-    window = 10**4
-    checked = 0
-    while checked < 500:
-        cells = []
-        for _ in range(rng.randint(1, 3)):
-            mod = rng.randint(1, 6)
-            lower = rng.randint(-4000, 2000) if rng.random() < 0.8 else None
-            upper = (
-                (lower if lower is not None else -4000) + rng.randint(1, 5000)
-                if rng.random() < 0.8
-                else None
-            )
-            cells.append(GammaCell(lower, upper, mod, rng.randrange(mod)))
-        cells = [c for c in cells if not c.is_empty()]
-        if not cells:
-            continue
-        computed = wellorder_min(cells)
-        if not -window <= computed <= window:
-            continue
-        checked += 1
-        scan = None
-        for key in range(0, 2 * window + 1):
-            candidate = (key + 1) // 2 if key % 2 else -(key // 2)
-            if any(c.contains(candidate) for c in cells):
-                scan = candidate
-                break
-        assert scan == computed, (cells, scan, computed)
+    _, ok, detail = check_wellorder(500)
+    assert ok, detail
     _report("criterion 7: zigzag minima match the brute scan", started, 5)
 
 

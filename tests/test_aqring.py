@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from padicint import AqElem, Domain, LaurentPoly, Prime, aq_add, aq_eval, aq_mul, integrate, polys
 from padicint.aqring import _cancel, _times_den, _nonzero
 from padicint.parsing import parse_integrand
+from padicint.selfcheck import _times_factors, check_aq_cancellation, random_built_elem
 
 
 def geo(i, e=1):
@@ -185,58 +186,16 @@ def test_canonicalization_runs_no_long_division(monkeypatch):
     assert result.eval_at(3) == lattice
 
 
-# numerators M * prod (q^i - 1)^k over denominators up to index 24: the
-# sizes the benchmark's cell sums reach, well past those of _random_elem
-laurent = st.dictionaries(
-    st.integers(-30, 30), st.fractions(-9, 9, max_denominator=4).filter(bool), min_size=1, max_size=5
-).map(LaurentPoly)
+# denominators and multiplied-in factors up to index 24, the sizes the
+# benchmark's cell sums reach
 indices = st.dictionaries(st.integers(1, 24), st.integers(1, 2), max_size=3)
+# the elements of selfcheck.random_built_elem, drawn by seed
+built_elems = st.integers(0, 2**32).map(lambda seed: random_built_elem(random.Random(seed))[0])
 
 
-@st.composite
-def built_elems(draw):
-    """(element, its values at p = 2, 3, 5 computed directly, M, the
-    multiplied-in factors {i: k}, the denominator it was built over)."""
-    m, mult, den = draw(laurent), draw(indices), draw(indices)
-    values = {}
-    for p in (2, 3, 5):
-        value = m.eval(p)
-        for i, k in mult.items():
-            value *= Fraction(p**i - 1) ** k
-        for i, e in den.items():
-            value /= (1 - Fraction(1, p**i)) ** e
-        values[p] = value
-    return AqElem(_times_factors(m, mult), den), values, m, mult, den
-
-
-def _times_factors(num, mult):
-    for i, k in mult.items():
-        for _ in range(k):
-            num = num * _q_minus_one(i)
-    return num
-
-
-def _assert_canonical(elem, values):
-    for i in elem.den:
-        assert elem.num.divexact(_q_minus_one(i)) is None
-    for p, value in values.items():
-        assert elem.eval_at(p) == value
-
-
-@settings(max_examples=60, deadline=None)
-@given(built_elems(), built_elems())
-def test_canonical_form_at_large_indices(a, b):
-    (x, xv, m, mult, den), (y, yv, *_) = a, b
-    _assert_canonical(x, xv)
-    _assert_canonical(x + y, {p: xv[p] + yv[p] for p in xv})
-    _assert_canonical(x * y, {p: xv[p] * yv[p] for p in xv})
-    # a multiplied-in factor is cancelled: alone over its own denominator
-    # it clears it, and among others the denominator loses degree (a
-    # smaller factor dividing it may cancel first)
-    for i, k in mult.items():
-        assert AqElem(_times_factors(m, {i: k}), {i: k}).den == {}
-    if set(mult) & set(den):
-        assert sum(i * e for i, e in x.den.items()) < sum(i * e for i, e in den.items())
+def test_canonical_form_at_large_indices():
+    _, ok, detail = check_aq_cancellation()
+    assert ok, detail
 
 
 def _assert_normalized(poly):
@@ -289,9 +248,8 @@ def test_times_den_is_the_generic_product(poly, den, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(built_elems(), built_elems())
-def test_stored_coefficients_stay_normalized(a, b):
-    x, y = a[0], b[0]
+@given(built_elems, built_elems)
+def test_stored_coefficients_stay_normalized(x, y):
     for elem in (x, y, x + y, x * y, x - y, AqElem(x.num * y.num, x.den)):
         _assert_normalized(elem.num)
 
@@ -355,7 +313,7 @@ units = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(
     (mixed | st.just(LaurentPoly())).flatmap(lambda num: indices.map(lambda den: AqElem(num, den)))
-    | built_elems().map(lambda built: built[0]),
+    | built_elems,
     units,
 )
 def test_unit_products_and_negation_keep_the_canonical_form(x, unit):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from padicint import geom_sum, selfcheck
 from padicint.cli import main
 
 
@@ -145,12 +146,44 @@ def test_budget_env_overrides_flag(capsys, monkeypatch):
     assert run(capsys, *args, "--budget", "80")[0] == 3
 
 
+CHECK_NAMES = [
+    "aqring.cancellation_vs_long_division",
+    "presburger.sums_vs_enumeration",
+    "presburger.additivity",
+    "presburger.wellorder_min",
+    "kcells.normalization",
+    "kcells.translation",
+    "kcells.counting",
+    "integrate.oracle_agreement",
+    "integrate.linearity",
+    "integrate.additivity",
+    "integrate.fubini",
+    "poincare.counting_vs_symbolic",
+    "poincare.lifting_vs_enumeration",
+]
+
+
 def test_check_subcommand_runs_clean(capsys):
     code, out, _ = run(capsys, "check", "--json")
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is True
-    assert len(data["checks"]) >= 10
+    assert data["checks"] == [[name, True] for name in CHECK_NAMES]
+
+
+def test_a_failing_check_keeps_its_name(monkeypatch):
+    # so the keys of `check --json` change only when a check is added or
+    # removed; the failing comparison is named in the detail
+    monkeypatch.setattr(selfcheck, "geom_sum", lambda cell, N: geom_sum(cell, N) + 1)
+    results = selfcheck.run_all_checks()
+    failing = "presburger.sums_vs_enumeration"
+    assert [(name, ok) for name, ok, _ in results] == [(name, name != failing) for name in CHECK_NAMES]
+    assert results[1][2].startswith("geom_sum ")
+    assert all(detail == "" for _, ok, detail in results if ok)
+    monkeypatch.setattr(selfcheck, "measure_identity_check", lambda f, prime, m: False)
+    name, ok, detail = selfcheck.check_poincare()
+    assert (name, ok) == ("poincare.counting_vs_symbolic", False)
+    assert detail == "measure identity: x1 p=2 m=0"
 
 
 def test_malformed_json_is_a_named_parse_error(capsys, tmp_path):

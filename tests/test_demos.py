@@ -1,5 +1,6 @@
-"""Every demo still runs against the library: a change to the API that
-breaks a demo fails here."""
+"""Every demo still runs against the library and prints, byte for byte, the
+stdout checked in under tests/demo_stdout: a change to the API that breaks
+a demo, or to a rendering that a demo prints, fails here."""
 
 import os
 import subprocess
@@ -21,7 +22,8 @@ def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
         [sys.executable, os.path.join("demos", demo)],
-        cwd=ROOT, capture_output=True, text=True, timeout=300, env=env,
+        cwd=ROOT, capture_output=True, timeout=300, env=env,
     )
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert proc.stdout.strip()
+    assert proc.returncode == 0, (proc.stdout[-2000:] + proc.stderr[-2000:]).decode()
+    with open(os.path.join(ROOT, "tests", "demo_stdout", demo[:-3] + ".txt"), "rb") as f:
+        assert proc.stdout == f.read()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -31,11 +32,19 @@ from padicint import (
     eval_constructible,
     identity_lin,
     integrate,
-    partition_unit_ball,
 )
 from padicint.aqring import LaurentPoly
 from padicint.integrate import LinExpr, _range_sum, _sum_terms
 from padicint.parsing import parse_integrand
+from padicint.selfcheck import (
+    _corpus,
+    check_integration_additivity,
+    check_integration_fubini,
+    check_integration_linearity,
+    check_integration_oracle,
+    random_kcell,
+    random_region,
+)
 
 P2, P3 = Prime(2), Prime(3)
 K, G = "K", "Gamma"
@@ -49,21 +58,8 @@ def unit_ball_domain(prime, var="x1"):
     return Domain([(var, K, UNIT_BALL)], prime)
 
 
-ONE = ConstructibleExpr.constant(1)
-ABS_X = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, ordvar()),))])
-ORD_X = ConstructibleExpr([Term(AqElem.one(), zfactors=(ordvar(),))])
-ORD_TIMES_NORM = ConstructibleExpr(
-    [Term(AqElem.one(), qparts=(IntScale(-1, ordvar()),), zfactors=(ordvar(),))]
-)
-NORM_SQ = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-2, ordvar()),))])
-
-CORPUS = [
-    (ONE, (1, 0, 0)),
-    (ABS_X, (1, -1, 0)),
-    (ORD_X, (1, 0, 1)),
-    (ORD_TIMES_NORM, (1, -1, 1)),
-    (NORM_SQ, (1, -2, 0)),
-]
+# 1, |x|, ord x, ord(x) |x| and |x|^2 in x1: the oracle corpus of selfcheck
+ONE, ABS_X, ORD_X, ORD_TIMES_NORM, NORM_SQ = (f for _, f, _ in _corpus())
 
 
 def test_eval_examples():
@@ -110,17 +106,8 @@ def test_integrate_over_explicit_cells_matches_measure():
 
     rng = random.Random(61)
     for prime in (P2, P3):
-        p = prime.p
         for _ in range(30):
-            M = rng.randint(1, 2)
-            units = [r for r in range(1, p**M) if r % p != 0]
-            mod = rng.randint(1, 3)
-            lower = rng.randint(-1, 3)
-            upper = lower + rng.randint(1, 5) if rng.random() < 0.6 else None
-            cell = KCell(
-                Fraction(rng.randint(0, 5)), lower, upper, mod, rng.randrange(mod),
-                M, AngularResidue(M, rng.choice(units)), prime,
-            )
+            cell = random_kcell(rng, prime)
             dom = Domain([("x1", K, [cell])], prime)
             assert integrate(ONE, dom) == kcell_measure(cell)
 
@@ -136,13 +123,8 @@ def test_oracle_examples():
 
 
 def test_oracle_agreement_corpus():
-    for prime in (P2, P3):
-        dom = unit_ball_domain(prime)
-        for f, growth in CORPUS:
-            symbolic = integrate(f, dom).eval_at(prime)
-            for depth in range(4, 9):
-                r = brute_force_integrate(f, dom, depth, growth=growth)
-                assert abs(symbolic - r.value) <= r.tail_bound
+    _, ok, detail = check_integration_oracle()
+    assert ok, detail
 
 
 def test_oracle_skipped_measure_reported():
@@ -156,36 +138,21 @@ def test_oracle_agreement_on_explicit_cells():
     # its boundary-class accounting; the bound must still hold
     rng = random.Random(71)
     for prime in (P2, P3):
-        p = prime.p
-        for _ in range(12):
-            M = rng.randint(1, 2)
-            units = [r for r in range(1, p**M) if r % p != 0]
-            lower = rng.randint(-1, 2)
-            upper = lower + rng.randint(1, 3) if rng.random() < 0.7 else None
-            center = Fraction(rng.randint(0, 6), rng.choice([1, 1, 1 + p]))
-            cell = KCell(
-                center, lower, upper, rng.randint(1, 2), 0,
-                M, AngularResidue(M, rng.choice(units)), prime,
-            )
-            dom = Domain([("x1", K, [cell])], prime)
+        for _ in range(18):
+            region = random_region(rng, prime)
+            dom = Domain([("x1", K, region)], prime)
             # the constant works on any center; ord(x1) needs center 0
-            cases = [CORPUS[0]]
-            if center == 0:
-                cases.append(CORPUS[1])
+            cases = [(ONE, (1, 0, 0))]
+            if region is UNIT_BALL or all(cell.center == 0 for cell in region):
+                cases.append((ABS_X, (1, -1, 0)))
             for f, growth in cases:
                 symbolic = integrate(f, dom).eval_at(prime)
                 for depth in (5, 7):
                     r = brute_force_integrate(f, dom, depth, growth=growth)
-                    assert abs(symbolic - r.value) <= r.tail_bound, (cell, depth)
+                    assert abs(symbolic - r.value) <= r.tail_bound, (region, depth)
         # centered cells with the norm integrand
         for _ in range(6):
-            M = rng.randint(1, 2)
-            units = [r for r in range(1, p**M) if r % p != 0]
-            lower = rng.randint(-1, 2)
-            cell = KCell(
-                Fraction(0), lower, lower + rng.randint(1, 3), rng.randint(1, 2), 0,
-                M, AngularResidue(M, rng.choice(units)), prime,
-            )
+            cell = dataclasses.replace(random_kcell(rng, prime, 7), center=Fraction(0))
             dom = Domain([("x1", K, [cell])], prime)
             symbolic = integrate(ABS_X, dom).eval_at(prime)
             for depth in (5, 7):
@@ -248,46 +215,18 @@ def test_oracle_on_general_polynomial_argument():
 
 
 def test_linearity():
-    a = AqElem.q_power(-1)
-    b = AqElem.from_rational(3)
-    for prime in (P2, P3):
-        dom = unit_ball_domain(prime)
-        lhs = integrate(ABS_X.scale(a) + ORD_X.scale(b), dom)
-        rhs = integrate(ABS_X, dom) * a + integrate(ORD_X, dom) * b
-        assert lhs == rhs
+    _, ok, detail = check_integration_linearity()
+    assert ok, detail
 
 
 def test_domain_additivity():
-    f = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, identity_lin("g1")),))])
-    whole = Domain([("g1", G, [GammaCell(0, None, 1, 0)])], P2)
-    split = Domain([("g1", G, [GammaCell(0, None, 2, 0), GammaCell(0, None, 2, 1)])], P2)
-    assert integrate(f, whole) == integrate(f, split)
-    # field-side additivity: unit ball vs its standard partition.  The
-    # partition's result carries its cell count p - 1 = 2 as a literal, so
-    # the two elements agree at q = 3, not as elements of the ring.
-    cells = partition_unit_ball(1, 2, P3)
-    dom_cells = Domain([("x1", K, cells)], P3)
-    ball = integrate(ABS_X, unit_ball_domain(P3))
-    assert integrate(ABS_X, dom_cells).eval_at(P3) == ball.eval_at(P3)
-    assert ball == (1 - AqElem.q_power(-1)) * AqElem.geom(2)
+    _, ok, detail = check_integration_additivity()
+    assert ok, detail
 
 
 def test_fubini_product_domains():
-    g1, g2 = identity_lin("g1"), identity_lin("g2")
-    f = ConstructibleExpr(
-        [Term(AqElem.one(), qparts=(IntScale(-1, g1), IntScale(-2, g2)), zfactors=(g2,))]
-    )
-    c1 = GammaCell(0, 9, 2, 1)
-    c2 = GammaCell(-1, None, 1, 0)
-    forward = Domain([("g1", G, [c1]), ("g2", G, [c2])], P3)
-    backward = Domain([("g2", G, [c2]), ("g1", G, [c1])], P3)
-    assert integrate(f, forward) == integrate(f, backward)
-    # two field variables
-    f2 = ConstructibleExpr(
-        [Term(AqElem.one(), qparts=(IntScale(-1, ordvar("x1")), IntScale(-1, ordvar("x2"))))]
-    )
-    fwd = Domain([("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL)], P2)
-    assert integrate(f2, fwd).eval_at(P2) == Fraction(4, 9)
+    _, ok, detail = check_integration_fubini()
+    assert ok, detail
 
 
 def _weighted_ord_product(n):

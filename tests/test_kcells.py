@@ -16,6 +16,12 @@ from padicint import (
     partition_unit_ball,
     rational_ord,
 )
+from padicint.selfcheck import (
+    check_counting_oracle,
+    check_partition_normalization,
+    check_translation_invariance,
+    random_kcell,
+)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -62,24 +68,8 @@ def test_infinite_measure():
 
 
 def test_measure_is_translation_invariant():
-    rng = random.Random(41)
-    for prime in (P2, P3):
-        p = prime.p
-        for _ in range(50):
-            mod = rng.randint(1, 3)
-            M = rng.randint(1, 2)
-            units = [r for r in range(1, p**M) if r % p != 0]
-            lower = rng.randint(-4, 4)
-            upper = lower + rng.randint(1, 6) if rng.random() < 0.6 else None
-            base = mk(0, lower, upper, mod, rng.randrange(mod), M, rng.choice(units), prime)
-            reference = kcell_measure(base)
-            for _ in range(100):
-                center = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 1000))
-                moved = KCell(
-                    center, base.lower, base.upper, base.mod, base.res,
-                    base.ac_depth, base.ac_value, prime,
-                )
-                assert kcell_measure(moved) == reference
+    _, ok, detail = check_translation_invariance(50)
+    assert ok, detail
 
 
 def test_partition_examples():
@@ -95,15 +85,8 @@ def test_partition_examples():
 
 
 def test_partition_normalization_and_disjointness():
-    for prime in (P2, P3, P5):
-        for M in (1, 2):
-            for N in (1, 2, 3):
-                cells = partition_unit_ball(M, N, prime)
-                total = sum((kcell_measure(c).eval_at(prime) for c in cells), Fraction(0))
-                assert total == 1
-                for i in range(len(cells)):
-                    for j in range(i + 1, len(cells)):
-                        assert kcells_disjoint(cells[i], cells[j])
+    _, ok, detail = check_partition_normalization()
+    assert ok, detail
 
 
 def test_partition_covers_unit_ball_minus_origin():
@@ -145,17 +128,6 @@ def test_disjointness_degenerate_cases():
     assert kcells_disjoint(mk(0, None, None, 1, 0, 1, 0, P2), ball)  # 0 excluded
 
 
-def _random_cell(rng, prime):
-    p = prime.p
-    mod = rng.randint(1, 3)
-    M = rng.randint(1, 2)
-    units = [r for r in range(1, p**M) if r % p != 0]
-    lower = rng.randint(-3, 4)
-    upper = lower + rng.randint(1, 5) if rng.random() < 0.75 else None
-    center = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 1, 1 + p]))
-    return mk(center, lower, upper, mod, rng.randrange(mod), M, rng.choice(units), prime)
-
-
 def test_disjointness_never_contradicts_a_witness():
     # whenever a common rational point is found by sampling, the decision
     # procedure must report overlap
@@ -164,7 +136,7 @@ def test_disjointness_never_contradicts_a_witness():
         p = prime.p
         sample = [Fraction(n, d) for n in range(-40, 41) for d in (1, p, p * p, 3 if p != 3 else 5)]
         for _ in range(150):
-            c1, c2 = _random_cell(rng, prime), _random_cell(rng, prime)
+            c1, c2 = random_kcell(rng, prime), random_kcell(rng, prime)
             witness = next(
                 (t for t in sample if c1.contains_value(t) and c2.contains_value(t)),
                 None,
@@ -188,22 +160,8 @@ def test_disjointness_of_separated_annuli():
 
 
 def test_counting_oracle_exact():
-    # the fraction of residues mod p^D inside a bounded cell equals the
-    # measure exactly once D resolves every membership test
-    rng = random.Random(53)
-    for prime in (P2, P3):
-        p = prime.p
-        for _ in range(25):
-            mod = rng.randint(1, 3)
-            M = rng.randint(1, 2)
-            units = [r for r in range(1, p**M) if r % p != 0]
-            lower = rng.randint(-1, 3)
-            upper = lower + rng.randint(1, 4)
-            center = Fraction(rng.randint(0, 12), rng.choice([1, 1, 1 + p]))
-            cell = mk(center, lower, upper, mod, rng.randrange(mod), M, rng.choice(units), prime)
-            D = upper + M + 1
-            count = sum(1 for r in range(p**D) if cell.contains_value(Fraction(r)))
-            assert Fraction(count, p**D) == kcell_measure(cell).eval_at(prime)
+    _, ok, detail = check_counting_oracle(25)
+    assert ok, detail
 
 
 def test_json_round_trip():
@@ -215,31 +173,20 @@ def test_json_round_trip():
 
 # -- ball_status and disjointness against enumeration ------------------------
 #
-# A cell with an integer center and upper + M <= D is a union of residue
+# A cell with a center in Z_p and upper + M <= D is a union of residue
 # classes mod p^D, and so is a ball a + p^r Z_p with r <= D, so both are
-# decided exactly by their sets of residues mod p^D.  A point cell {c} with
-# 0 <= c < p^D is the residue c itself.
+# decided exactly by their sets of residues mod p^D.  A point cell {c} is
+# the residue of c; the centers of random_kcell are too close together for
+# two of them to share one.
 
 _ENUM_DEPTH = {2: 9, 3: 6}
-
-
-def _bounded_cell(rng, prime, D):
-    p = prime.p
-    M = rng.randint(1, 2)
-    center = rng.randrange(p * p)
-    if rng.random() < 0.1:
-        return mk(center, None, None, 1, 0, M, 0, prime)
-    units = [r for r in range(1, p**M) if r % p != 0]
-    lower = rng.randint(-1, D - M - 3)
-    upper = rng.randint(lower + 1, D - M)
-    mod = rng.randint(1, 3)
-    return mk(center, lower, upper, mod, rng.randrange(mod), M, rng.choice(units), prime)
 
 
 def _residues(cell, D):
     p = cell.prime.p
     if cell.ac_value.r == 0:
-        return frozenset([int(cell.center)])
+        c = cell.center
+        return frozenset([c.numerator * pow(c.denominator, -1, p**D) % p**D])
     return frozenset(t for t in range(p**D) if cell.contains_value(t))
 
 
@@ -249,7 +196,7 @@ def _cell_pool(seed):
     for prime in (P2, P3):
         D = _ENUM_DEPTH[prime.p]
         for _ in range(25):
-            cell = _bounded_cell(rng, prime, D)
+            cell = random_kcell(rng, prime, D)
             pool.append((cell, D, _residues(cell, D)))
     return pool
 

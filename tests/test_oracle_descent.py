@@ -16,13 +16,11 @@ from fractions import Fraction
 import pytest
 
 from padicint import (
-    AngularResidue,
     AqElem,
     ConstructibleExpr,
     Domain,
     DomainError,
     IntScale,
-    KCell,
     OrdExpr,
     Polynomial,
     Prime,
@@ -32,11 +30,11 @@ from padicint import (
     brute_force_integrate,
     identity_lin,
 )
-from padicint.kcells import kcells_disjoint
 from padicint.integrate import OracleResult, _Compiled, _lift_member, _region_status
 from padicint.padic import INFINITY, rational_ord
 from padicint.parsing import parse_integrand
 from padicint.presburger import weighted_tail
+from padicint.selfcheck import random_region
 
 K = "K"
 
@@ -127,27 +125,6 @@ def flat_oracle(f, domain, depth, growth=(1, 0, 0), refine=0) -> OracleResult:
     )
 
 
-def _random_region(rng: random.Random, prime: Prime):
-    if rng.random() < 0.3:
-        return UNIT_BALL
-    p = prime.p
-    cells = []
-    for _ in range(rng.randint(1, 2)):
-        M = rng.randint(1, 2)
-        center = Fraction(rng.randint(0, 2 * p * p), rng.choice([1, 1, 1 + p]))
-        if rng.random() < 0.1:
-            cell = KCell(center, None, None, 1, 0, M, AngularResidue(M, 0), prime)
-        else:
-            lower = rng.randint(-1, 2)
-            upper = lower + rng.randint(1, 4) if rng.random() < 0.6 else None
-            mod = rng.randint(1, 2)
-            unit = rng.choice([r for r in range(1, p**M) if r % p])
-            cell = KCell(center, lower, upper, mod, rng.randrange(mod), M, AngularResidue(M, unit), prime)
-        if all(kcells_disjoint(cell, other) for other in cells):
-            cells.append(cell)
-    return cells
-
-
 def _random_argument(rng: random.Random, names: list, p: int) -> OrdExpr:
     """ord((x - a)^e) in one variable, or ord(x1 * x2^e) on two."""
     n = len(names)
@@ -201,7 +178,7 @@ def test_descent_equals_flat_scan_on_random_domains():
         p = prime.p
         n = 2 if parsed else rng.randint(1, 2)
         names = [f"x{i + 1}" for i in range(n)]
-        domain = Domain([(name, K, _random_region(rng, prime)) for name in names], prime)
+        domain = Domain([(name, K, random_region(rng, prime)) for name in names], prime)
         f = _parsed_integrand(rng, p) if parsed else _random_integrand(rng, names, p)
         # keep p^(n (depth + refine)) at most 2^10 or 3^6 for the flat scan
         top = (10 if p == 2 else 6) // n

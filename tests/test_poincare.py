@@ -21,7 +21,12 @@ from padicint import (
 )
 from padicint.cli import main
 from padicint.polys import poly_mul, trim
-from padicint.selfcheck import POLYNOMIAL_SHAPES, lifting_matches_enumeration, random_polynomial
+from padicint.selfcheck import (
+    POLYNOMIAL_SHAPES,
+    check_poincare,
+    lifting_matches_enumeration,
+    random_polynomial,
+)
 
 P2, P3 = Prime(2), Prime(3)
 X = Polynomial.variable(0, 1)
@@ -91,11 +96,16 @@ def test_measure_identity_compares_the_lifted_count(monkeypatch):
     assert not measure_identity_check(XY, P2, 2)
 
 
-def test_measure_identity_corpus():
-    for f in CORPUS_1 + CORPUS_2:
-        for prime in (P2, P3):
-            for m in range(0, 4):
-                assert measure_identity_check(f, prime, m)
+@pytest.fixture(scope="module")
+def poincare_check():
+    # one run serves test_measure_identity_corpus and
+    # test_fit_stability_under_extension
+    return check_poincare()
+
+
+def test_measure_identity_corpus(poincare_check):
+    _, ok, detail = poincare_check
+    assert ok, detail
 
 
 def test_fit_constant_ones():
@@ -223,14 +233,9 @@ def test_fit_order_cap_via_guard():
     assert fit_rational(SeriesTable(P2, XY, pell), guard=3).den == [1, -2, -1]
 
 
-def test_fit_stability_under_extension():
-    for f, prime, m1 in [(X, P2, 9), (X2, P3, 9), (X3, P2, 10), (XY, P2, 8)]:
-        t1 = series_table(f, prime, m1)
-        t2 = series_table(f, prime, m1 + 2)
-        fit1 = fit_rational(t1, guard=5)
-        fit2 = fit_rational(t2, guard=5)
-        assert isinstance(fit1, RationalFunctionT)
-        assert fit1.num == fit2.num and fit1.den == fit2.den
+def test_fit_stability_under_extension(poincare_check):
+    _, ok, detail = poincare_check
+    assert ok, detail
 
 
 def test_report_for_x():

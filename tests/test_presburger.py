@@ -16,7 +16,6 @@ from padicint import (
     PreparedLinear,
     cell_cardinality,
     cells_disjoint,
-    gamma_weight_sum,
     geom_sum,
     intersect_cells,
     prepared_eval,
@@ -28,6 +27,12 @@ from padicint import (
 from padicint.polys import finite_differences, poly_shift
 from padicint.aqring import LaurentPoly
 from padicint.presburger import Antidifference, weighted_tail, wellorder_key
+from padicint.selfcheck import (
+    check_presburger_additivity,
+    check_presburger_sums,
+    check_wellorder,
+    random_gamma_cell,
+)
 
 
 def brute_members(cell: GammaCell, lo=-500, hi=500):
@@ -43,9 +48,7 @@ def test_cardinality_examples():
 def test_cardinality_matches_enumeration():
     rng = random.Random(5)
     for _ in range(300):
-        mod = rng.randint(1, 6)
-        lower = rng.randint(-30, 20)
-        cell = GammaCell(lower, lower + rng.randint(0, 40), mod, rng.randrange(mod))
+        cell = random_gamma_cell(rng, 30, 0.0)
         assert cell_cardinality(cell) == len(brute_members(cell))
 
 
@@ -59,41 +62,20 @@ def test_geom_sum_examples():
     assert geom_sum(GammaCell(0, 1, 1, 0), 1).is_zero()
 
 
-def test_geom_sum_agrees_with_enumeration():
-    rng = random.Random(11)
-    for _ in range(250):
-        mod = rng.randint(1, 5)
-        lower = rng.randint(-10, 10)
-        cell = GammaCell(lower, lower + rng.randint(1, 25), mod, rng.randrange(mod))
-        for N in (1, 2, 3):
-            closed = geom_sum(cell, N)
-            for q in (2, 3, 5):
-                direct = sum(
-                    (
-                        Fraction(q) ** (-N * ((g - cell.res) // cell.mod))
-                        for g in cell.members()
-                    ),
-                    Fraction(0),
-                )
-                assert closed.eval_at(q) == direct
+@pytest.fixture(scope="module")
+def presburger_sums():
+    # one run serves the three tests below
+    return check_presburger_sums(250)
 
 
-def test_geom_sum_tail_bound():
-    rng = random.Random(13)
-    for _ in range(60):
-        mod = rng.randint(1, 4)
-        cell = GammaCell(rng.randint(-1, 8), None, mod, rng.randrange(mod))
-        N = rng.randint(1, 3)
-        a, _ = cell.tau_bounds()
-        assert a >= 0
-        closed = geom_sum(cell, N)
-        for q in (2, 3, 5):
-            for depth in (5, 15, 30):
-                partial = sum(
-                    (Fraction(q) ** (-N * (a + j)) for j in range(depth)), Fraction(0)
-                )
-                bound = Fraction(q) ** (-N * depth) / (1 - Fraction(q) ** (-N))
-                assert abs(closed.eval_at(q) - partial) <= bound
+def test_geom_sum_agrees_with_enumeration(presburger_sums):
+    _, ok, detail = presburger_sums
+    assert ok, detail
+
+
+def test_geom_sum_tail_bound(presburger_sums):
+    _, ok, detail = presburger_sums
+    assert ok, detail
 
 
 def test_geom_sum_divergent():
@@ -110,24 +92,9 @@ def test_weighted_sum_examples():
     assert s == AqElem.geom(1)
 
 
-def test_weighted_sum_agrees_with_enumeration():
-    rng = random.Random(17)
-    for _ in range(200):
-        mod = rng.randint(1, 4)
-        lower = rng.randint(-8, 8)
-        cell = GammaCell(lower, lower + rng.randint(1, 18), mod, rng.randrange(mod))
-        poly = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
-        for N in (0, 1, 2):
-            closed = weighted_sum(cell, poly, N)
-            for q in (2, 3, 5):
-                direct = Fraction(0)
-                for g in cell.members():
-                    tau = (g - cell.res) // cell.mod
-                    val = Fraction(0)
-                    for c in reversed(poly):
-                        val = val * tau + c
-                    direct += val * Fraction(q) ** (-N * tau)
-                assert closed.eval_at(q) == direct
+def test_weighted_sum_agrees_with_enumeration(presburger_sums):
+    _, ok, detail = presburger_sums
+    assert ok, detail
 
 
 def test_weighted_sum_divergence_rules():
@@ -215,20 +182,8 @@ def test_antidifference_vanishes_where_the_weight_decays():
 
 
 def test_gamma_weight_sum_additive_over_refinements():
-    rng = random.Random(19)
-    for _ in range(120):
-        mod = rng.randint(1, 3)
-        lower = rng.randint(-6, 6)
-        upper = lower + rng.randint(1, 20) if rng.random() < 0.7 else None
-        cell = GammaCell(lower, upper, mod, rng.randrange(mod))
-        pieces = [
-            GammaCell(cell.lower, cell.upper, 3 * cell.mod, cell.res + i * cell.mod)
-            for i in range(3)
-        ]
-        whole = gamma_weight_sum(cell, 1)
-        assert whole == sum(
-            (gamma_weight_sum(piece, 1) for piece in pieces), AqElem.zero()
-        )
+    _, ok, detail = check_presburger_additivity(120)
+    assert ok, detail
 
 
 def test_wellorder_examples():
@@ -263,27 +218,8 @@ def test_wellorder_min_examples():
 
 
 def test_wellorder_min_against_zigzag_scan():
-    rng = random.Random(29)
-    for _ in range(400):
-        cells = []
-        for _ in range(rng.randint(1, 3)):
-            mod = rng.randint(1, 6)
-            lower = rng.randint(-300, 100) if rng.random() < 0.85 else None
-            upper = (
-                (lower if lower is not None else -50) + rng.randint(1, 400)
-                if rng.random() < 0.85
-                else None
-            )
-            cells.append(GammaCell(lower, upper, mod, rng.randrange(mod)))
-        cells = [c for c in cells if not c.is_empty()]
-        if not cells:
-            continue
-        computed = wellorder_min(cells)
-        for key in range(0, 10**4):
-            candidate = (key + 1) // 2 if key % 2 else -(key // 2)
-            if any(c.contains(candidate) for c in cells):
-                assert candidate == computed
-                break
+    _, ok, detail = check_wellorder(400)
+    assert ok, detail
 
 
 def test_wellorder_min_product():
@@ -298,12 +234,9 @@ def test_wellorder_min_product():
     # brute check on a sample
     rng = random.Random(31)
     for _ in range(100):
-        def cell():
-            mod = rng.randint(1, 3)
-            lower = rng.randint(-20, 10)
-            return GammaCell(lower, lower + rng.randint(1, 30), mod, rng.randrange(mod))
-
-        prod = [(cell(), cell()) for _ in range(2)]
+        # members lie in -19..79, and the least one in the well-order within 26
+        # of 0, inside the window of brute_members below
+        prod = [(random_gamma_cell(rng, 20, 0.0), random_gamma_cell(rng, 20, 0.0)) for _ in range(2)]
         prod = [pc for pc in prod if not pc[0].is_empty() and not pc[1].is_empty()]
         if not prod:
             continue
@@ -330,17 +263,7 @@ def test_disjointness_examples():
 def test_disjointness_against_enumeration():
     rng = random.Random(37)
     for _ in range(400):
-        def cell():
-            mod = rng.randint(1, 6)
-            lower = rng.randint(-40, 30) if rng.random() < 0.8 else None
-            upper = (
-                (lower if lower is not None else -40) + rng.randint(1, 60)
-                if rng.random() < 0.8
-                else None
-            )
-            return GammaCell(lower, upper, mod, rng.randrange(mod))
-
-        c1, c2 = cell(), cell()
+        c1, c2 = random_gamma_cell(rng, 40, 0.2), random_gamma_cell(rng, 40, 0.2)
         shared = [g for g in range(-150, 150) if c1.contains(g) and c2.contains(g)]
         if shared:
             assert not cells_disjoint(c1, c2)

@@ -8,24 +8,31 @@ where the exponent L and the factors are built from integer constants,
 prepared linear forms in value-group variables, and valuations ord(g) of
 integer polynomials in field variables.
 
-Integration runs innermost variable first.  A field variable is exchanged
-for its valuation, which turns the integral into a value-group sum.  On a
-cell with a depth-M angular condition the fiber {t in cell : ord(t - c) =
-gamma} has measure q^-(gamma + M).  The unit ball is one ac-free cell whose
-fibers {ord t = gamma >= 0} have measure (1 - q^-1) q^-gamma, so its
-integrals are uniform in q (the integrand never reads the angular part).
-Every value-group sum is G(b+1) - G(a) for the antidifference G of
-presburger.  Bounds that reference outer variables (prepared linear forms,
-modulus-1 cells only) produce one new term per power of the bound, in
-those variables, which keeps the class closed under the iteration.
+Each exponent and factor is read once, by _affine, as an affine form
+c0 + sum c * leaf over its ord and lin leaves, and the integrator carries
+these forms.  Integration runs innermost variable first.  A field variable
+is exchanged for its valuation, which turns the integral into a value-group
+sum: on a fiber each ord leaf that mentions the variable becomes a form in
+the new valuation variable and the other variables' valuations, and one
+substitution puts it in place.  On a cell with a depth-M angular condition
+the fiber {t in cell : ord(t - c) = gamma} has measure q^-(gamma + M).
+The unit ball is one ac-free cell whose fibers {ord t = gamma >= 0} have
+measure (1 - q^-1) q^-gamma, so its integrals are uniform in q (the
+integrand never reads the angular part).  Every value-group sum is
+G(b+1) - G(a) for the antidifference G of presburger, with the weight
+c + s*tau read off each form.  Bounds that reference outer variables
+(prepared linear forms, modulus-1 cells only) are forms too, and produce
+one new term per power of the bound, which keeps the class closed under
+the iteration.
 
 A residue-class oracle integrates the same expressions numerically with
 certified error bounds, independently of the symbolic path: it walks the
 boxes x0 + (p^k1 Z_p x ... x p^kn Z_p) as a tree, splitting one coordinate
-at a time, and sums a box once f is constant on it.  f is evaluated, there
-and in ConstructibleExpr.eval, by one integer pass of its compiled terms
-(_Compiled) over the values of its ord and lin leaves.  Only the bound's
-tail sum is the closed form weighted_tail, evaluated at q = p.
+at a time, and sums a box once f is constant on it.  f is evaluated, there,
+in ConstructibleExpr.eval and for the constant leaves the integrator
+leaves, by one integer pass of the same forms indexed by leaf (_Compiled)
+over the leaf values.  Only the bound's tail sum is the closed form
+weighted_tail, evaluated at q = p.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .aqring import AqElem, LaurentPoly
 from .errors import (
@@ -85,6 +92,11 @@ class OrdExpr:
             raise ValueError("variable names must match the polynomial arity")
         if not self.poly.is_integral():
             raise ValueError("valuation arguments must have integer coefficients")
+        # computed once: ord leaves are dict keys throughout integration
+        object.__setattr__(self, "_hash", hash((self.poly, self.vars)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -105,49 +117,70 @@ def identity_lin(var: str) -> LinExpr:
     return LinExpr(PreparedLinear(1, 0, 1, 0), var)
 
 
-def _atoms(exprs: Iterable[IntExpr]) -> Iterator[Union[LinExpr, OrdExpr]]:
-    """The LinExpr and OrdExpr leaves of integer expressions, left to right."""
-    for e in exprs:
-        if isinstance(e, (LinExpr, OrdExpr)):
-            yield e
-        elif isinstance(e, IntSum):
-            yield from _atoms(e.parts)
-        elif isinstance(e, IntScale):
-            yield from _atoms((e.arg,))
-        elif not isinstance(e, IntConst):
-            raise TypeError(f"not an integer expression: {e!r}")
+Form = tuple[int, dict]
 
 
-def _expr_add_int(e: IntExpr, c: int) -> IntExpr:
-    if c == 0:
-        return e
+def _affine(e: IntExpr) -> Form:
+    """e as an affine form (c0, {leaf: c}), meaning c0 + sum of c * leaf
+    over its ord and lin leaves, first seen first.  A leaf whose
+    coefficients cancel keeps its key at 0, so the keys are every leaf."""
     if isinstance(e, IntConst):
-        return IntConst(e.value + c)
-    if isinstance(e, LinExpr):
-        f = e.form
-        return LinExpr(PreparedLinear(f.a, f.k, f.n, f.delta + c), e.var)
-    return IntSum((e, IntConst(c)))
-
-
-def _affine(e: IntExpr, index: dict) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """e as c0 + sum of c_j * atom_j over the atoms numbered by index:
-    (c0, ((j, c_j), ...))."""
-    if isinstance(e, IntConst):
-        return e.value, ()
+        return e.value, {}
     if isinstance(e, (LinExpr, OrdExpr)):
-        return 0, ((index[e], 1),)
+        return 0, {e: 1}
     if isinstance(e, IntScale):
-        c, lin = _affine(e.arg, index)
-        return e.scalar * c, tuple((j, e.scalar * a) for j, a in lin)
+        c, lin = _affine(e.arg)
+        return e.scalar * c, {a: e.scalar * x for a, x in lin.items()}
     if isinstance(e, IntSum):
         c, lin = 0, {}
         for part in e.parts:
-            pc, plin = _affine(part, index)
+            pc, plin = _affine(part)
             c += pc
-            for j, a in plin:
-                lin[j] = lin.get(j, 0) + a
-        return c, tuple(lin.items())
+            _add_into(lin, plin)
+        return c, lin
     raise TypeError(f"not an integer expression: {e!r}")
+
+
+def _add_into(lin: dict, other: dict, scale: int = 1) -> dict:
+    """lin += scale * other, leaf by leaf."""
+    for a, x in other.items():
+        lin[a] = lin.get(a, 0) + scale * x
+    return lin
+
+
+def _substitute(form: Form, subs: dict) -> Form:
+    """form with each leaf that subs maps to a form replaced by it, in one
+    pass: the new leaves take the old one's place."""
+    c0, out = form[0], {}
+    for leaf, c in form[1].items():
+        sub = subs.get(leaf)
+        if sub is None:
+            out[leaf] = out.get(leaf, 0) + c
+        else:
+            c0 += c * sub[0]
+            _add_into(out, sub[1], c)
+    return c0, out
+
+
+def _term_forms(terms: Sequence["Term"]) -> list[tuple[AqElem, Form, tuple[Form, ...]]]:
+    """Each term as (coefficient, q-exponent form, factor forms)."""
+    return [(t.coeff, _affine(IntSum(t.qparts)), tuple(map(_affine, t.zfactors))) for t in terms]
+
+
+def _leaves(terms: Iterable[tuple[AqElem, Form, Sequence[Form]]]) -> dict:
+    """The distinct leaves of term forms, first seen first (as dict keys)."""
+    return dict.fromkeys(a for _, q, factors in terms for _, lin in (q, *factors) for a in lin)
+
+
+def _leaf_vars(leaves: Iterable[Union[LinExpr, OrdExpr]]) -> set[str]:
+    """The variables that ord and lin leaves read."""
+    out = set()
+    for a in leaves:
+        if isinstance(a, LinExpr):
+            out.add(a.var)
+        else:
+            out.update(name for i, name in enumerate(a.vars) if a.poly.mentions(i))
+    return out
 
 
 def _atom_value(a: Union[LinExpr, OrdExpr], point: dict, p: int) -> int:
@@ -196,13 +229,7 @@ class Term:
         self.zfactors = tuple(zfactors)
 
     def free_vars(self) -> set[str]:
-        out = set()
-        for a in _atoms(self.qparts + self.zfactors):
-            if isinstance(a, LinExpr):
-                out.add(a.var)
-            else:
-                out.update(name for i, name in enumerate(a.vars) if a.poly.mentions(i))
-        return out
+        return _leaf_vars(_affine(IntSum(self.qparts + self.zfactors))[1])
 
     def scaled(self, aq: AqElem) -> "Term":
         return Term(self.coeff * aq, self.qparts, self.zfactors)
@@ -224,7 +251,7 @@ class ConstructibleExpr:
         self.terms = list(terms)
         self.sorts = dict(sorts or {})
         for term in self.terms:
-            for a in _atoms(term.qparts + term.zfactors):
+            for a in _affine(IntSum(term.qparts + term.zfactors))[1]:
                 if isinstance(a, LinExpr):
                     sort, names = GAMMA_SORT, (a.var,)
                 else:
@@ -232,6 +259,14 @@ class ConstructibleExpr:
                 for v in names:
                     if self.sorts.setdefault(v, sort) != sort:
                         raise ValueError(f"{v} used both as field and value-group variable")
+
+    @classmethod
+    def _declared(cls, terms: list[Term], sorts: dict[str, str]) -> "ConstructibleExpr":
+        """The expression over terms whose variables sorts already holds, unchecked."""
+        out = object.__new__(cls)
+        out.terms = terms
+        out.sorts = sorts
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -256,7 +291,7 @@ class ConstructibleExpr:
 
     def __add__(self, other: "ConstructibleExpr") -> "ConstructibleExpr":
         sorts = _merge_sorts(self.sorts, other.sorts)
-        return ConstructibleExpr(self.terms + other.terms, sorts)
+        return ConstructibleExpr._declared(self.terms + other.terms, sorts)
 
     def __neg__(self) -> "ConstructibleExpr":
         return self.scale(AqElem.from_rational(-1))
@@ -266,17 +301,12 @@ class ConstructibleExpr:
 
     def __mul__(self, other: "ConstructibleExpr") -> "ConstructibleExpr":
         sorts = _merge_sorts(self.sorts, other.sorts)
-        terms = []
-        for t1 in self.terms:
-            for t2 in other.terms:
-                terms.append(
-                    Term(
-                        t1.coeff * t2.coeff,
-                        t1.qparts + t2.qparts,
-                        t1.zfactors + t2.zfactors,
-                    )
-                )
-        return ConstructibleExpr(terms, sorts)
+        terms = [
+            Term(t1.coeff * t2.coeff, t1.qparts + t2.qparts, t1.zfactors + t2.zfactors)
+            for t1 in self.terms
+            for t2 in other.terms
+        ]
+        return ConstructibleExpr._declared(terms, sorts)
 
     def __pow__(self, n: int) -> "ConstructibleExpr":
         if n < 0:
@@ -287,13 +317,10 @@ class ConstructibleExpr:
         return out
 
     def scale(self, aq: AqElem) -> "ConstructibleExpr":
-        return ConstructibleExpr([t.scaled(aq) for t in self.terms], self.sorts)
+        return ConstructibleExpr._declared([t.scaled(aq) for t in self.terms], self.sorts)
 
     def free_vars(self) -> set[str]:
-        out = set()
-        for t in self.terms:
-            out |= t.free_vars()
-        return out
+        return _leaf_vars(_leaves(_term_forms(self.terms)))
 
     def __eq__(self, other):
         if not isinstance(other, ConstructibleExpr):
@@ -303,12 +330,9 @@ class ConstructibleExpr:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, point: dict, prime: Prime) -> Fraction:
-        """Exact value at a fully instantiated point, with q = p: the atom
-        values at the point, then the integer pass of _Compiled."""
-        p = prime.p
-        compiled = _Compiled(self.terms)
-        values = [_atom_value(a, point, p) for a in compiled.atoms]
-        return compiled.value(values, [t.coeff.eval_at(prime) for t in compiled.terms], p)
+        """Exact value at a fully instantiated point, with q = p: the integer
+        pass of _Compiled over the leaf values at the point."""
+        return _Compiled(_term_forms(self.terms)).at(point, prime)
 
 
 def _merge_sorts(a: dict, b: dict) -> dict:
@@ -324,24 +348,23 @@ def eval_constructible(f: ConstructibleExpr, point: dict, prime: Prime) -> Fract
 
 
 class _Compiled:
-    """The nonzero terms of f over their distinct ord and lin leaves (the
-    atoms, first seen first).  A term's q-exponent and each of its factors
-    are affine forms c0 + sum c_j atom_j, so the terms at a point take one
+    """The nonzero terms (coefficient, q-exponent form, factor forms) over
+    their distinct ord and lin leaves (the atoms, first seen first), each
+    form indexed as (c0, ((j, c_j), ...)): the terms at a point take one
     integer pass over the atom values."""
 
-    __slots__ = ("terms", "atoms", "forms")
+    __slots__ = ("coeffs", "atoms", "forms")
 
-    def __init__(self, terms: Sequence[Term]):
-        self.terms = [t for t in terms if not t.coeff.is_zero()]
+    def __init__(self, terms: Sequence[tuple[AqElem, Form, Sequence[Form]]]):
+        terms = [t for t in terms if not t[0].is_zero()]
         index: dict = {}
-        for t in self.terms:
-            for a in _atoms(t.qparts + t.zfactors):
-                index.setdefault(a, len(index))
+
+        def indexed(form: Form):
+            return form[0], tuple((index.setdefault(a, len(index)), c) for a, c in form[1].items())
+
+        self.coeffs = [coeff for coeff, _, _ in terms]
+        self.forms = [(indexed(q), tuple(indexed(z) for z in factors)) for _, q, factors in terms]
         self.atoms = list(index)
-        self.forms = [
-            (_affine(IntSum(t.qparts), index), tuple(_affine(z, index) for z in t.zfactors))
-            for t in self.terms
-        ]
 
     def powers(self, values: Sequence[int]) -> list[tuple[int, int]]:
         """(q-exponent, product of the factors) of each term at the atom values."""
@@ -359,6 +382,11 @@ class _Compiled:
         for coeff, (e, z) in zip(coeffs, self.powers(values)):
             total += coeff * Fraction(p) ** e * z
         return total
+
+    def at(self, point: dict, prime: Prime) -> Fraction:
+        """f at a fully instantiated point, with q = p."""
+        values = [_atom_value(a, point, prime.p) for a in self.atoms]
+        return self.value(values, [c.eval_at(prime) for c in self.coeffs], prime.p)
 
 
 # -- domains -------------------------------------------------------------------
@@ -542,9 +570,11 @@ class Domain:
 # -- the symbolic integrator ---------------------------------------------------
 
 
-def _check_integrand(f: ConstructibleExpr, domain: Domain):
-    """Every variable of f is declared, with the sort f uses it at."""
-    missing = f.free_vars() - set(domain.names())
+def _check_integrand(f: ConstructibleExpr, domain: Domain) -> list:
+    """Every variable of f is declared, with the sort f uses it at; returns
+    the terms of f as forms."""
+    forms = _term_forms(f.terms)
+    missing = _leaf_vars(_leaves(forms)) - set(domain.names())
     if missing:
         raise DomainError(f"integrand mentions undeclared variables: {sorted(missing)}")
     for name, sort in f.sorts.items():
@@ -555,14 +585,14 @@ def _check_integrand(f: ConstructibleExpr, domain: Domain):
                     f"variable {name} has sort {v.sort} in the domain, "
                     f"but the integrand uses it as a {used} variable"
                 )
+    return forms
 
 
 def integrate(f: ConstructibleExpr, domain: Domain) -> AqElem:
     """Exact integral of f over the domain, Haar measure on field variables
     (normalized so the unit ball has measure 1) and counting measure on
     value-group variables."""
-    _check_integrand(f, domain)
-    terms = list(f.terms)
+    terms = _check_integrand(f, domain)
     for var in reversed(domain.variables):
         if var.sort == K_SORT:
             terms = _integrate_field_var(terms, var, domain.prime)
@@ -572,8 +602,7 @@ def integrate(f: ConstructibleExpr, domain: Domain) -> AqElem:
     # every variable is summed out; the ord leaves left are constants
     compiled = _Compiled(terms)
     values = [_atom_value(a, {}, domain.prime.p) for a in compiled.atoms]
-    powers = compiled.powers(values)
-    return _sum_terms((t.coeff, e, z) for t, (e, z) in zip(compiled.terms, powers))
+    return _sum_terms((c, e, z) for c, (e, z) in zip(compiled.coeffs, compiled.powers(values)))
 
 
 def _sum_terms(parts: Iterable[tuple[AqElem, int, int]]) -> AqElem:
@@ -597,33 +626,34 @@ def _sum_terms(parts: Iterable[tuple[AqElem, int, int]]) -> AqElem:
     return total
 
 
-def _integrate_field_var(terms: list[Term], var: DomainVar, prime: Prime) -> list[Term]:
+def _integrate_field_var(terms: list, var: DomainVar, prime: Prime) -> list:
     """Exchange the field variable t for gamma = ord(t - center), one fiber
     family (center, gamma-cell, shell measure) at a time."""
-    gamma_name = f"__ord_{var.name}"
-    lin = IntScale(-1, identity_lin(gamma_name))
+    gamma = identity_lin(f"__ord_{var.name}")
     if var.region is UNIT_BALL:
         # {ord t = gamma} without an angular condition: (1 - q^-1) q^-gamma
-        fibers = [(Fraction(0), DomainGammaCell(-1, None, 1, 0), (lin,), _AC_FREE_SHELL)]
+        fibers = [(Fraction(0), DomainGammaCell(-1, None, 1, 0), 0, _AC_FREE_SHELL)]
     else:
         # a depth-M angular condition leaves q^-(gamma + M); {center} is null
         fibers = [
-            (c.center, DomainGammaCell(c.lower, c.upper, c.mod, c.res),
-             (lin, IntConst(-c.ac_depth)), None)
+            (c.center, DomainGammaCell(c.lower, c.upper, c.mod, c.res), -c.ac_depth, None)
             for c in var.region if c.ac_value.r != 0
         ]
-    out: list[Term] = []
+    out: list = []
     for center, gcell, shell_q, shell_coeff in fibers:
+        ords = [a for a in _leaves(terms) if isinstance(a, OrdExpr)]
+        subs = {a: _reduce_ord(a, var.name, center, gamma, prime) for a in ords}  # None: t is absent
         rewritten = []
-        for term in terms:
-            qparts = tuple(
-                _reduce_ord(e, var.name, center, gamma_name, prime) for e in term.qparts
-            ) + shell_q
-            zfactors = tuple(_reduce_ord(e, var.name, center, gamma_name, prime) for e in term.zfactors)
-            coeff = term.coeff if shell_coeff is None else term.coeff * shell_coeff
-            rewritten.append(Term(coeff, qparts, zfactors))
+        for coeff, q, factors in terms:
+            c, lin = _substitute(q, subs)
+            lin[gamma] = lin.get(gamma, 0) - 1
+            rewritten.append((
+                coeff if shell_coeff is None else coeff * shell_coeff,
+                (c + shell_q, lin),
+                tuple(_substitute(z, subs) for z in factors),
+            ))
         try:
-            out.extend(_sum_over_gamma(rewritten, gamma_name, gcell, prime))
+            out.extend(_sum_over_gamma(rewritten, gamma.var, gcell, prime))
         except DivergentSum:
             if gcell.lower is None:
                 raise InfiniteMeasure("integrand does not decay on a cell of infinite measure")
@@ -631,110 +661,66 @@ def _integrate_field_var(terms: list[Term], var: DomainVar, prime: Prime) -> lis
     return out
 
 
-def _integrate_gamma_var(terms: list[Term], var: DomainVar, prime: Prime) -> list[Term]:
-    out: list[Term] = []
-    for cell in var.region:
-        out.extend(_sum_over_gamma(terms, var.name, cell, prime))
-    return out
+def _integrate_gamma_var(terms: list, var: DomainVar, prime: Prime) -> list:
+    return [t for cell in var.region for t in _sum_over_gamma(terms, var.name, cell, prime)]
 
 
-def _reduce_ord(
-    e: IntExpr, var: str, center: Fraction, gamma_name: str, prime: Prime
-) -> IntExpr:
-    """Replace every ord factor mentioning the field variable by its
-    valuation decomposition on a cell with the given center.
+def _reduce_ord(leaf: OrdExpr, var: str, center: Fraction, gamma: LinExpr, prime: Prime) -> Optional[Form]:
+    """The form of one ord leaf on the fiber ord(t - center) = gamma of the
+    field variable t, or None when the leaf does not mention t.
 
     The argument must be (a monomial in other variables) * (t - center)^e,
     otherwise the integrand is not fiber-reducible on this cell.
     """
-    if isinstance(e, OrdExpr):
-        if var not in e.vars or not e.poly.mentions(e.vars.index(var)):
-            return e
-        idx = e.vars.index(var)
-        shifted = e.poly.shift_var(idx, center)
-        mono = shifted.single_monomial()
-        if mono is None:
-            raise NotFiberReducible(
-                f"ord argument {e.poly.render(e.vars)} is not a monomial in "
-                f"{var} - {center} on this cell"
-            )
-        c0, exps = mono
-        parts: list[IntExpr] = []
-        v0 = rational_ord(c0, prime.p)
-        if v0 != 0:
-            parts.append(IntConst(v0))
-        for j, (name, exp) in enumerate(zip(e.vars, exps)):
-            if j == idx or exp == 0:
-                continue
-            sub = OrdExpr(Polynomial.variable(0, 1), (name,))
-            parts.append(sub if exp == 1 else IntScale(exp, sub))
-        ev = exps[idx]
-        if ev == 0:
-            raise NotFiberReducible(
-                f"ord argument degenerates at the center {center}"
-            )
-        lin = identity_lin(gamma_name)
-        parts.append(lin if ev == 1 else IntScale(ev, lin))
-        return parts[0] if len(parts) == 1 else IntSum(tuple(parts))
-    if isinstance(e, IntSum):
-        return IntSum(
-            tuple(_reduce_ord(p, var, center, gamma_name, prime) for p in e.parts)
+    if var not in leaf.vars or not leaf.poly.mentions(leaf.vars.index(var)):
+        return None
+    idx = leaf.vars.index(var)
+    mono = leaf.poly.shift_var(idx, center).single_monomial()
+    if mono is None:
+        raise NotFiberReducible(
+            f"ord argument {leaf.poly.render(leaf.vars)} is not a monomial in "
+            f"{var} - {center} on this cell"
         )
-    if isinstance(e, IntScale):
-        return IntScale(e.scalar, _reduce_ord(e.arg, var, center, gamma_name, prime))
-    return e
+    c0, exps = mono
+    if exps[idx] == 0:
+        raise NotFiberReducible(f"ord argument degenerates at the center {center}")
+    lin: dict = {}
+    for j, (name, exp) in enumerate(zip(leaf.vars, exps)):
+        if j != idx and exp:
+            _add_into(lin, {OrdExpr(Polynomial.variable(0, 1), (name,)): exp})
+    lin[gamma] = exps[idx]
+    return rational_ord(c0, prime.p), lin
 
 
-def _subst_gamma(
-    e: IntExpr, var: str, const: int, slope: int
-) -> tuple[int, int, tuple[IntExpr, ...]]:
-    """Substitute gamma = const + slope*tau; return (c, s, syms) with
-    value = c + s*tau + sum of syms, where syms do not mention var."""
-    if isinstance(e, IntConst):
-        return e.value, 0, ()
-    if isinstance(e, LinExpr):
-        if e.var != var:
-            return 0, 0, (e,)
-        f = e.form
-        if (const - f.k) % f.n != 0 or slope % f.n != 0:
-            raise DomainError(
-                f"prepared form on {f.k} mod {f.n} is not defined on the whole "
-                f"cell {const} + {slope}*Z"
-            )
-        c = f.a * ((const - f.k) // f.n) + f.delta
-        s = f.a * (slope // f.n)
-        return c, s, ()
-    if isinstance(e, OrdExpr):
-        return 0, 0, (e,)
-    if isinstance(e, IntSum):
-        c, s, syms = 0, 0, ()
-        for p in e.parts:
-            pc, ps, psyms = _subst_gamma(p, var, const, slope)
-            c += pc
-            s += ps
-            syms += psyms
-        return c, s, syms
-    if isinstance(e, IntScale):
-        c, s, syms = _subst_gamma(e.arg, var, const, slope)
-        scaled = tuple(IntScale(e.scalar, x) for x in syms)
-        return e.scalar * c, e.scalar * s, scaled
-    raise TypeError(f"not an integer expression: {e!r}")
-
-
-def _sum_over_gamma(
-    terms: list[Term], var: str, cell: DomainGammaCell, prime: Prime
-) -> list[Term]:
+def _sum_over_gamma(terms: list, var: str, cell: DomainGammaCell, prime: Prime) -> list:
     """Sum the terms over one value-group variable ranging over a cell."""
     n, k = cell.mod, cell.res
 
-    def symbolic(bound: BoundRef, shift: int) -> IntExpr:
+    def symbolic(bound: BoundRef, shift: int) -> Form:
         if n != 1:
             raise NotFiberReducible(
                 "symbolic bounds require a modulus-1 cell (the floor of a "
                 "linear form is only piecewise linear)"
             )
-        f = bound.form
-        return LinExpr(PreparedLinear(f.a, f.k, f.n, f.delta + shift), bound.var)
+        return shift, {LinExpr(bound.form, bound.var): 1}
+
+    def split(form: Form) -> tuple[int, int, dict]:
+        """form at var = k + n*tau as c + s*tau + the rest, which does not
+        mention var."""
+        c, s, rest = form[0], 0, {}
+        for leaf, x in form[1].items():
+            if not (isinstance(leaf, LinExpr) and leaf.var == var):
+                rest[leaf] = x
+                continue
+            f = leaf.form
+            if (k - f.k) % f.n != 0 or n % f.n != 0:
+                raise DomainError(
+                    f"prepared form on {f.k} mod {f.n} is not defined on the whole "
+                    f"cell {k} + {n}*Z"
+                )
+            c += x * (f.a * ((k - f.k) // f.n) + f.delta)
+            s += x * f.a * (n // f.n)
+        return c, s, rest
 
     concrete = [None if isinstance(x, BoundRef) else x for x in (cell.lower, cell.upper)]
     a, b = tau_range(*concrete, n, k)
@@ -745,55 +731,39 @@ def _sum_over_gamma(
     if isinstance(a, int) and isinstance(b, int) and a > b:
         return []
 
-    out: list[Term] = []
-    for term in terms:
-        if term.coeff.is_zero():
+    out: list = []
+    for coeff, q, factors in terms:
+        if coeff.is_zero():
             continue
-        e0, e1 = 0, 0
-        qsyms: tuple[IntExpr, ...] = ()
-        for part in term.qparts:
-            c, s, syms = _subst_gamma(part, var, k, n)
-            e0 += c
-            e1 += s
-            qsyms += syms
-        factor_pieces: list[list[tuple[list[int], Optional[IntExpr]]]] = []
-        for fac in term.zfactors:
-            c, s, syms = _subst_gamma(fac, var, k, n)
-            pieces: list[tuple[list[int], Optional[IntExpr]]] = []
-            if c != 0 or s != 0 or not syms:
-                pieces.append(([c, s], None))
-            for sym in syms:
-                pieces.append(([1], sym))
+        e0, e1, qrest = split(q)
+        factor_pieces = []  # each factor as c + s*tau and the rest, dropping a zero side
+        for fac in factors:
+            c, s, rest = split(fac)
+            pieces = [([c, s], None)] if c or s or not rest else []
+            if rest:
+                pieces.append(([1], (0, rest)))
             factor_pieces.append(pieces)
 
-        base = term.coeff * AqElem.q_power(e0)
+        base = coeff * AqElem.q_power(e0)
         for choice in itertools.product(*factor_pieces):
-            poly = [1]
-            syms_chosen: tuple[IntExpr, ...] = ()
-            for piece_poly, sym in choice:
-                poly = poly_mul(poly, piece_poly)
-                if sym is not None:
-                    syms_chosen += (sym,)
-            for aq, extra_q, extra_z in _range_sum(poly, e1, a, b):
-                out.append(
-                    Term(base * aq, qsyms + extra_q, syms_chosen + extra_z)
-                )
+            poly, chosen = [1], ()
+            for piece, rest in choice:
+                poly = poly_mul(poly, piece)
+                if rest is not None:
+                    chosen += (rest,)
+            for aq, (qc, qlin), extra_z in _range_sum(poly, e1, a, b):
+                out.append((base * aq, (qc, _add_into(dict(qrest), qlin)), chosen + extra_z))
     return out
 
 
-def _range_sum(
-    poly: list[int],
-    e1: int,
-    a: Union[None, int, IntExpr],
-    b: Union[None, int, IntExpr],
-):
+def _range_sum(poly: list[int], e1: int, a: Union[None, int, Form], b: Union[None, int, Form]):
     """Sum of poly(tau) * q^(e1*tau) over a <= tau <= b as G(b+1) - G(a),
     for the antidifference G of presburger, which is 0 at an absent end.
 
-    Yields triples (AqElem multiplier, extra q-exponent parts, extra
-    integer factors), the lower endpoint's first.  With a symbolic endpoint
-    the range may be empty for some outer values (a > b + 1); there the
-    parts add up to -(sum over b < tau < a), not 0.
+    Returns terms (AqElem multiplier, q-exponent form, factor forms), the
+    lower endpoint's first.  With a symbolic endpoint the range may be
+    empty for some outer values (a > b + 1); there the terms add up to
+    -(sum over b < tau < a), not 0.
     """
     if all(c == 0 for c in poly):
         return []
@@ -810,19 +780,19 @@ def _range_sum(
     if a is not None:
         parts += _antidifference_at(G, a, -1)
     if b is not None:
-        parts += _antidifference_at(G, b + 1 if isinstance(b, int) else _expr_add_int(b, 1), 1)
+        parts += _antidifference_at(G, b + 1 if isinstance(b, int) else (b[0] + 1, b[1]), 1)
     return parts
 
 
-def _antidifference_at(G: Antidifference, A: Union[int, IntExpr], sign: int):
-    """Triples for sign * G(A): one element at an int A, else one term per
-    power A^s with the q-part e1*A."""
+def _antidifference_at(G: Antidifference, A: Union[int, Form], sign: int):
+    """Terms for sign * G(A): one element at an int A, else one term per
+    power A^s with the q-exponent e1*A."""
     if isinstance(A, int):
         value = G.at(A, sign)
-        return [] if value.is_zero() else [(value, (), ())]
-    qpart = (IntScale(G.e1, A),) if G.e1 else ()
+        return [] if value.is_zero() else [(value, (0, {}), ())]
+    qform = (G.e1 * A[0], _add_into({}, A[1], G.e1)) if G.e1 else (0, {})
     return [
-        (AqElem(LaurentPoly({e: sign * c for e, c in num.items()}), G.den), qpart, (A,) * s)
+        (AqElem(LaurentPoly({e: sign * c for e, c in num.items()}), G.den), qform, (A,) * s)
         for s, num in enumerate(G.nums())
         if num
     ]
@@ -874,7 +844,7 @@ def _lift_member(x: int, region) -> bool:
     return region is UNIT_BALL or any(cell.contains_value(x) for cell in region)
 
 
-def _validate_oracle_domain(f: ConstructibleExpr, domain: Domain):
+def _validate_oracle_domain(f: ConstructibleExpr, domain: Domain) -> list:
     for v in domain.variables:
         if v.sort != K_SORT:
             raise DomainError("the oracle enumerates field variables only")
@@ -890,7 +860,7 @@ def _validate_oracle_domain(f: ConstructibleExpr, domain: Domain):
             a, _ = cell.gamma_cell().tau_bounds()
             if cell.res + a * cell.mod < 0:
                 raise DomainError("cell reaches valuations below 0")
-    _check_integrand(f, domain)
+    return _check_integrand(f, domain)
 
 
 def brute_force_integrate(
@@ -943,13 +913,13 @@ def brute_force_integrate(
         raise ValueError("the growth exponent c must be <= 0")
     if C < 0 or dg < 0:
         raise ValueError("growth bound must have C >= 0 and dg >= 0")
-    _validate_oracle_domain(f, domain)
+    forms = _validate_oracle_domain(f, domain)
     prime = domain.prime
     p = prime.p
     names = domain.names()
     regions = [v.region for v in domain.variables]
     n = len(names)
-    compiled = _Compiled(f.terms)  # the oracle's domain makes every atom an OrdExpr
+    compiled = _Compiled(forms)  # the oracle's domain makes every atom an OrdExpr
     args = []  # (g, its variables' coordinates, the coordinates g mentions)
     for oe in compiled.atoms:
         index = [names.index(name) for name in oe.vars]
@@ -1006,7 +976,7 @@ def brute_force_integrate(
             scanned[tuple(rational_ord(v, p) for v in values), s] += 1
         if saturated:
             saturated_classes += weight
-    coeffs = [t.coeff.eval_at(prime) for t in compiled.terms]
+    coeffs = [c.eval_at(prime) for c in compiled.coeffs]
     scale = Fraction(1, p ** (n * depth))
     err_total = Fraction(0)
     if saturated_classes:

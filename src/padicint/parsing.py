@@ -281,7 +281,7 @@ def parse_integrand(text: str) -> ConstructibleExpr:
     except _Fail as fail:
         raise fail.error(text) from None
     terms = [Term(AqElem.from_rational(c), q, z) for c, q, z in triples]
-    return ConstructibleExpr(terms, alg.sorts)
+    return ConstructibleExpr._declared(terms, alg.sorts)
 
 
 def _parse_int_expr(tokens: list[str], i: int, alg: _IntegrandTerms) -> tuple[IntExpr, int]:

@@ -62,14 +62,12 @@ class SeriesTable:
     """A prefix N_0..N_mmax of the congruence counts for one polynomial.
 
     evaluations is the number of residue classes at which series_table
-    evaluated f, and nonsingular the number of roots mod p whose gradient
-    is nonzero mod p (both 0 for a table given directly)."""
+    evaluated f (0 for a table given directly)."""
 
     prime: Prime
     f: Polynomial
     counts: list[int]
     evaluations: int = field(default=0, compare=False)
-    nonsingular: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not self.counts or self.counts[0] != 1:
@@ -102,8 +100,8 @@ def series_table(
     decides (m = k alone when it splits), so each solution is counted
     once.  The budget bounds the undecided frontier: splitting level k
     raises BudgetExceeded when p^n times its undecided classes exceeds it.
-    The table records the classes evaluated and the nonsingular roots mod
-    p.  Agrees with count_Nm everywhere."""
+    The table records the classes evaluated.  Agrees with count_Nm
+    everywhere."""
     if not f.is_integral():
         raise ValueError("counting requires integer coefficients")
     if mmax < 0:
@@ -150,7 +148,7 @@ def series_table(
                 counts[m] += classes * p ** (n * (e - level) + (n - 1) * (m - e))
             else:
                 break
-    return SeriesTable(prime, f, counts, evaluations, decided[1, 1, True])
+    return SeriesTable(prime, f, counts, evaluations)
 
 
 def measure_identity_check(
@@ -442,9 +440,8 @@ def poincare_report(
     The identity check at m enumerates the p^(n m) points once, so checks
     run for m up to check_mmax (at most mmax) within the budget.  Without
     check_mmax they run for m = 0 and 1 and then for every further m while
-    all the points they enumerate stay within the p^n points mod p plus the
-    singular solutions mod p^m for 1 <= m < mmax, that is N_m less the
-    p^((n-1)(m-1)) lifts of each nonsingular root mod p."""
+    all the points they enumerate stay within p^n times the classes the
+    lifting evaluated, so they cost about what the lifting did."""
     if mmax < 0:
         raise ValueError("mmax must be >= 0")
     if check_mmax is not None and check_mmax < 0:
@@ -454,17 +451,13 @@ def poincare_report(
     checks = []
     p = prime.p
     n = f.nvars
-    singular, smooth = p**n, table.nonsingular
-    for m in range(1, mmax):
-        singular += table.counts[m] - smooth
-        if smooth:  # a nonsingular root needs n >= 1
-            smooth *= p ** (n - 1)
+    cap = p**n * table.evaluations
     limit = mmax if check_mmax is None else min(check_mmax, mmax)
     enumerated = 0
     for m in range(0, limit + 1):
         points = p ** (n * m)
         enumerated += points
-        if points > budget or (check_mmax is None and m > 1 and enumerated > singular):
+        if points > budget or (check_mmax is None and m > 1 and enumerated > cap):
             break
         checks.append((m, measure_identity_check(f, prime, m, budget)))
     return PoincareReport(table, rational, checks, guard)

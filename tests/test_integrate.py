@@ -34,7 +34,7 @@ from padicint import (
     integrate,
 )
 from padicint.aqring import LaurentPoly
-from padicint.integrate import LinExpr, _range_sum, _sum_terms
+from padicint.integrate import LinExpr, _Compiled, _range_sum, _sum_terms
 from padicint.parsing import parse_integrand
 from padicint.selfcheck import (
     _corpus,
@@ -337,6 +337,55 @@ def test_dependent_bound_weights_expand_with_rational_coefficients():
     assert integrate(f, tri).as_rational() == sum(b * b for a in range(1, 8) for b in range(1, a))
 
 
+def _ord_moments(p):
+    """E[v] and E[v^2] for v = ord x on Z_p: v = j with mass (1 - r) r^j, r = 1/p."""
+    r = Fraction(1, p)
+    return r / (1 - r), r * (1 + r) / (1 - r) ** 2
+
+
+def _merged_leaf_cases():
+    lin = "lin(1,0,1,0;{})".format
+    g1_from_0 = ("g1", G, [GammaCell(-1, None, 1, 0)])
+    m3, m2 = _ord_moments(3), _ord_moments(2)
+    r5 = Fraction(1, 5)
+    return [
+        # 2v q^(-2v) on Z_3: 2 (1 - r) sum v r^(3v)
+        ("(ord(x1) + ord(x1))*q^(-ord(x1) - ord(x1))", unit_ball_domain(P3),
+         "(2*q^-3 - 2*q^-4) / (1-q^-3)^2", Fraction(9, 169),
+         2 * Fraction(2, 3) * Fraction(1, 27) / (1 - Fraction(1, 27)) ** 2),
+        # the ord(x1) leaves cancel: E[ord(x2)^2]
+        ("(ord(x1) - ord(x1) + ord(x2))^2",
+         Domain([("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL)], P2),
+         "(q^-1 + q^-2) / (1-q^-1)^2", Fraction(3), m2[1]),
+        # (u + w)(2u + w) for u = ord x1, w = ord x2 independent
+        ("ord(x1*x2)*(ord(x1) + ord(x1*x2))",
+         Domain([("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL)], P3),
+         "(3*q^-1 + 6*q^-2) / (1-q^-1)^2", Fraction(15, 4), 3 * m3[1] + 3 * m3[0] ** 2),
+        # (2a + b) r^(a + b) over a, b >= 0: 3 * r/(1 - r)^2 * 1/(1 - r)
+        (f"({lin('g1')} + {lin('g1')} + {lin('g2')})*q^(-{lin('g2')}-{lin('g1')})",
+         Domain([g1_from_0, ("g2", G, [GammaCell(-1, None, 1, 0)])], Prime(5)),
+         "3*q^-1 / (1-q^-1)^3", Fraction(75, 64), 3 * r5 / (1 - r5) ** 3),
+        # a symbolic lower bound, and g1 < g2 < 9 is nonempty for every g1 <= 5
+        (f"{lin('g2')}*q^(-{lin('g1')})",
+         Domain(
+             [("g1", G, [GammaCell(-1, 6, 1, 0)]),
+              ("g2", G, [DomainGammaCell(BoundRef("g1", PreparedLinear(1, 0, 1, 0)), 9, 1, 0)])],
+             P2,
+         ),
+         "36 + 35*q^-1 + 33*q^-2 + 30*q^-3 + 26*q^-4 + 21*q^-5", Fraction(2169, 32),
+         sum(Fraction(b, 2**a) for a in range(6) for b in range(a + 1, 9))),
+    ]
+
+
+@pytest.mark.parametrize("text, domain, render, value, independent", _merged_leaf_cases())
+def test_leaves_that_one_form_merges_integrate_as_pinned(text, domain, render, value, independent):
+    # each integrand repeats or cancels a leaf, which the affine form of
+    # an exponent or factor merges into one coefficient
+    result = integrate(parse_integrand(text), domain)
+    assert result.render() == render
+    assert result.eval_at(domain.prime) == value == independent
+
+
 def test_symbolic_bounds_need_modulus_one():
     tri = Domain(
         [
@@ -507,16 +556,19 @@ def test_grouped_sum_render_is_pinned():
 
 
 def _endpoint(kind, slope, value):
-    """An int, None or a LinExpr slope*g1 + value endpoint."""
+    """An int, None or the form of a LinExpr slope*g1 + value endpoint."""
     if kind == "int":
         return value
     if kind == "none":
         return None
-    return LinExpr(PreparedLinear(slope, 0, 1, value), "g1")
+    return 0, {LinExpr(PreparedLinear(slope, 0, 1, value), "g1"): 1}
 
 
 def _endpoint_value(end, g1):
-    return end if end is None or isinstance(end, int) else end.form.eval(g1)
+    if end is None or isinstance(end, int):
+        return end
+    c0, lin = end
+    return c0 + sum(c * leaf.form.eval(g1) for leaf, c in lin.items())
 
 
 @settings(max_examples=200, deadline=None)
@@ -545,7 +597,7 @@ def test_range_sum_matches_enumeration(poly, e1, lo_kind, hi_kind, lo_slope, hi_
         with pytest.raises(DivergentSum):
             _range_sum(poly, e1, lower, upper)
         return
-    closed = ConstructibleExpr([Term(aq, q, z) for aq, q, z in _range_sum(poly, e1, lower, upper)])
+    closed = _Compiled(_range_sum(poly, e1, lower, upper))
     for g1 in range(4):
         lo, hi = _endpoint_value(lower, g1), _endpoint_value(upper, g1)
         if lo is not None and hi is not None and lo > hi:
@@ -558,7 +610,7 @@ def test_range_sum_matches_enumeration(poly, e1, lo_kind, hi_kind, lo_slope, hi_
                 sum(c * t**i for i, c in enumerate(poly)) * Fraction(prime.p) ** (e1 * t)
                 for t in range(lo, hi + 1)
             )
-            got = closed.eval({"g1": g1}, prime)
+            got = closed.at({"g1": g1}, prime)
             if lower is None or upper is None:
                 assert abs(got - direct) < Fraction(1, 2**300)
             else:
@@ -570,4 +622,4 @@ def test_zero_weight_over_an_infinite_range_gives_no_terms():
     for e1 in (-1, 0, 1):
         assert _range_sum([0, 0], e1, None, None) == []
         assert _range_sum([0], e1, None, 4) == []
-        assert _range_sum([0], e1, identity_lin("g1"), None) == []
+        assert _range_sum([0], e1, (0, {identity_lin("g1"): 1}), None) == []

@@ -30,7 +30,7 @@ from padicint import (
     brute_force_integrate,
     identity_lin,
 )
-from padicint.integrate import OracleResult, _Compiled, _lift_member, _region_status
+from padicint.integrate import OracleResult, _Compiled, _lift_member, _region_status, _term_forms
 from padicint.padic import INFINITY, rational_ord
 from padicint.parsing import parse_integrand
 from padicint.presburger import weighted_tail
@@ -45,7 +45,7 @@ def flat_oracle(f, domain, depth, growth=(1, 0, 0), refine=0) -> OracleResult:
     p = domain.prime.p
     names = domain.names()
     n = len(names)
-    ords = _Compiled(f.terms).atoms
+    ords = _Compiled(_term_forms(f.terms)).atoms
     tails = {
         d: C * p**d * weighted_tail([0] * dg + [1], d, 1 - c).eval_at(p)
         for d in {depth, depth + refine}
@@ -163,7 +163,7 @@ def _parsed_integrand(rng: random.Random, p: int) -> ConstructibleExpr:
     if rng.random() < 0.5:
         text += f" + {rng.randint(1, 5)}*q^(-{rng.randint(1, 2)}*{sat} - {unit})*{sat}"
     f = parse_integrand(text)
-    assert all(a.vars == ("x1", "x2") for a in _Compiled(f.terms).atoms)
+    assert all(a.vars == ("x1", "x2") for a in _Compiled(_term_forms(f.terms)).atoms)
     return f
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicint import ParseError, Polynomial, Prime
+from padicint import ConstructibleExpr, ParseError, Polynomial, Prime
 from padicint.parsing import parse_integrand, parse_polynomial, render_constructible
 from padicint.selfcheck import random_integrand_text, random_polynomial_text
 
@@ -207,6 +207,15 @@ def test_parse_integrand_matches_the_algebra(seed):
     assert render_constructible(again) == rendered
     assert [t.coeff for t in again.terms] == [t.coeff for t in parsed.terms]
     assert again == parsed
+
+
+def test_declared_sorts_are_the_walked_ones():
+    # parse_integrand, +, * and scale pass their sorts unchecked; a walk
+    # of the terms finds the same variables and sorts
+    for seed in range(300):
+        text, expr = random_integrand_text(random.Random(seed))
+        for e in (parse_integrand(text), expr):
+            assert ConstructibleExpr(e.terms).sorts == e.sorts
 
 
 @settings(max_examples=300, deadline=None)

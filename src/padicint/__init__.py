@@ -19,7 +19,6 @@ from .errors import (
     UndefinedAtPoint,
 )
 from .integrate import (
-    BoundRef,
     ConstructibleExpr,
     Domain,
     DomainGammaCell,
@@ -70,6 +69,7 @@ from .poincare import (
 )
 from .polys import Polynomial
 from .presburger import (
+    BoundRef,
     GammaCell,
     GammaCellUnion,
     PreparedLinear,

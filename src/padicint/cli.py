@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("integrand")
     s.add_argument("--domain", required=True, help="domain JSON file")
     s.add_argument("--oracle", action="store_true", help="residue enumeration instead of the symbolic engine")
-    s.add_argument("--growth", default="1,0,0", help="C,c,dg growth bound for the oracle tail")
+    s.add_argument("--growth", help="C,c,dg growth bound for the oracle tail (default 1,0,0)")
 
     s = command("poincare", "congruence counts and rational fit", "--p", "--budget", "--guard")
     s.add_argument("poly")
@@ -172,6 +172,9 @@ def _cmd_wmin(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    for option in ("depth", "budget", "growth"):
+        if getattr(args, option) is not None and not args.oracle:
+            raise ParseError(f"--{option} applies only with --oracle")
     f = parse_integrand(args.integrand)
     domain = Domain.from_json(_read_json(args.domain))
     if args.p is not None and args.p != domain.prime.p:
@@ -179,7 +182,8 @@ def _cmd_integrate(args) -> int:
     if args.oracle:
         if args.depth is None:
             raise DomainError("the oracle needs --depth")
-        growth = tuple(_parse_value(part) for part in args.growth.split(","))
+        growth = "1,0,0" if args.growth is None else args.growth
+        growth = tuple(_parse_value(part) for part in growth.split(","))
         if len(growth) != 3:
             raise ParseError("--growth expects C,c,dg", 1, 1)
         result = brute_force_integrate(

@@ -58,7 +58,15 @@ from .errors import (
 from .kcells import KCell, kcells_disjoint
 from .padic import DEFAULT_BUDGET, INFINITY, Prime, rational_ord
 from .polys import Polynomial, poly_mul
-from .presburger import Antidifference, GammaCell, PreparedLinear, cells_disjoint, tau_range, weighted_tail
+from .presburger import (
+    Antidifference,
+    BoundRef,
+    GammaCell,
+    GammaCellUnion,
+    PreparedLinear,
+    tau_range,
+    weighted_tail,
+)
 
 K_SORT = "K"
 GAMMA_SORT = "Gamma"
@@ -376,17 +384,11 @@ class _Compiled:
             out.append((c + sum(a * values[j] for j, a in lin), z))
         return out
 
-    def value(self, values: Sequence[int], coeffs: Sequence[Fraction], p: int) -> Fraction:
-        """f at the atom values, given each term's coefficient at q = p."""
-        total = Fraction(0)
-        for coeff, (e, z) in zip(coeffs, self.powers(values)):
-            total += coeff * Fraction(p) ** e * z
-        return total
-
     def at(self, point: dict, prime: Prime) -> Fraction:
         """f at a fully instantiated point, with q = p."""
-        values = [_atom_value(a, point, prime.p) for a in self.atoms]
-        return self.value(values, [c.eval_at(prime) for c in self.coeffs], prime.p)
+        values = tuple(_atom_value(a, point, prime.p) for a in self.atoms)
+        coeffs = [c.eval_at(prime) for c in self.coeffs]
+        return _class_sum(self, coeffs, Counter({(values, 0): 1}), prime.p)
 
 
 # -- domains -------------------------------------------------------------------
@@ -398,79 +400,19 @@ class _UnitBall:
 
 
 UNIT_BALL = _UnitBall()
+# ord t = gamma >= 0: the fibers of the unit ball
+_ORD_AT_LEAST_0 = GammaCell(-1, None)
 _AC_FREE_SHELL = 1 - AqElem.q_power(-1)
 
-
-@dataclass(frozen=True)
-class BoundRef:
-    """A cell bound given as a prepared linear form in an outer variable."""
-
-    var: str
-    form: PreparedLinear
-
-    def to_json(self) -> dict:
-        f = self.form
-        return {"var": self.var, "a": f.a, "k": f.k, "n": f.n, "delta": f.delta}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BoundRef":
-        var, a, k, n, delta = json_fields(data, "bound", var=str, a=int, k=int, n=int, delta=int)
-        return cls(var, PreparedLinear(a, k, n, delta))
-
-
-Bound = Union[None, int, BoundRef]
-
-
-@dataclass(frozen=True)
-class DomainGammaCell:
-    """A value-group cell whose bounds may reference outer variables."""
-
-    lower: Bound
-    upper: Bound
-    mod: int = 1
-    res: int = 0
-
-    def __post_init__(self):
-        if self.mod < 1:
-            raise ValueError("modulus must be >= 1")
-        if not 0 <= self.res < self.mod:
-            raise ValueError("residue must satisfy 0 <= res < mod")
-
-    def is_concrete(self) -> bool:
-        return not isinstance(self.lower, BoundRef) and not isinstance(self.upper, BoundRef)
-
-    def concrete(self) -> GammaCell:
-        if not self.is_concrete():
-            raise ValueError("cell has symbolic bounds")
-        return GammaCell(self.lower, self.upper, self.mod, self.res)
-
-    @classmethod
-    def from_cell(cls, cell: GammaCell) -> "DomainGammaCell":
-        return cls(cell.lower, cell.upper, cell.mod, cell.res)
-
-    def to_json(self) -> dict:
-        def bound(b):
-            return b.to_json() if isinstance(b, BoundRef) else b
-
-        return {"lower": bound(self.lower), "upper": bound(self.upper), "mod": self.mod, "res": self.res}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DomainGammaCell":
-        def bound(b):
-            return BoundRef.from_json(b) if isinstance(b, dict) else b
-
-        bound_types = (int, dict, NULL)
-        lower, upper, mod, res = json_fields(
-            data, "value-group cell", lower=bound_types, upper=bound_types, mod=int, res=int
-        )
-        return cls(bound(lower), bound(upper), mod, res)
+# a value-group region's cell type under its earlier name
+DomainGammaCell = GammaCell
 
 
 @dataclass
 class DomainVar:
     name: str
     sort: str
-    region: object  # UNIT_BALL | list[KCell] | list[DomainGammaCell]
+    region: object  # UNIT_BALL | list[KCell] | list[GammaCell]
 
 
 class Domain:
@@ -515,25 +457,20 @@ class Domain:
         return cells
 
     def _check_gamma_region(self, region, seen):
-        cells = []
-        for cell in region:
-            if isinstance(cell, GammaCell):
-                cell = DomainGammaCell.from_cell(cell)
-            if not isinstance(cell, DomainGammaCell):
+        cells, concrete = list(region), []
+        for cell in cells:
+            if not isinstance(cell, GammaCell):
                 raise TypeError("value-group regions are lists of cells")
-            for b in (cell.lower, cell.upper):
-                if isinstance(b, BoundRef):
-                    if (b.var, GAMMA_SORT) not in seen:
-                        raise ValueError(
-                            f"bound references {b.var}, which is not an earlier "
-                            "value-group variable"
-                        )
-            cells.append(cell)
-        concrete = [c.concrete() for c in cells if c.is_concrete()]
-        for i in range(len(concrete)):
-            for j in range(i + 1, len(concrete)):
-                if not cells_disjoint(concrete[i], concrete[j]):
-                    raise ValueError("value-group cells are not pairwise disjoint")
+            refs = [b for b in (cell.lower, cell.upper) if isinstance(b, BoundRef)]
+            for b in refs:
+                if (b.var, GAMMA_SORT) not in seen:
+                    raise ValueError(
+                        f"bound references {b.var}, which is not an earlier "
+                        "value-group variable"
+                    )
+            if not refs:
+                concrete.append(cell)
+        GammaCellUnion(concrete)  # raises ValueError unless pairwise disjoint
         return cells
 
     def names(self) -> list[str]:
@@ -562,9 +499,20 @@ class Domain:
                 region = UNIT_BALL if region == "unit_ball" else [KCell.from_json(c) for c in region]
             else:
                 (region,) = json_fields(v, "domain variable", region=list)
-                region = [DomainGammaCell.from_json(c) for c in region]
+                region = [_domain_cell_from_json(c) for c in region]
             variables.append((name, sort, region))
         return cls(variables, Prime(p))
+
+
+def _domain_cell_from_json(data) -> GammaCell:
+    """A value-group cell of a domain file, whose bounds may be BoundRef
+    objects."""
+    bound_types = (int, dict, NULL)
+    lower, upper, mod, res = json_fields(
+        data, "value-group cell", lower=bound_types, upper=bound_types, mod=int, res=int
+    )
+    lower, upper = (BoundRef.from_json(b) if isinstance(b, dict) else b for b in (lower, upper))
+    return GammaCell(lower, upper, mod, res)
 
 
 # -- the symbolic integrator ---------------------------------------------------
@@ -632,13 +580,10 @@ def _integrate_field_var(terms: list, var: DomainVar, prime: Prime) -> list:
     gamma = identity_lin(f"__ord_{var.name}")
     if var.region is UNIT_BALL:
         # {ord t = gamma} without an angular condition: (1 - q^-1) q^-gamma
-        fibers = [(Fraction(0), DomainGammaCell(-1, None, 1, 0), 0, _AC_FREE_SHELL)]
+        fibers = [(Fraction(0), _ORD_AT_LEAST_0, 0, _AC_FREE_SHELL)]
     else:
         # a depth-M angular condition leaves q^-(gamma + M); {center} is null
-        fibers = [
-            (c.center, DomainGammaCell(c.lower, c.upper, c.mod, c.res), -c.ac_depth, None)
-            for c in var.region if c.ac_value.r != 0
-        ]
+        fibers = [(c.center, c.gamma_cell(), -c.ac_depth, None) for c in var.region if c.ac_value.r != 0]
     out: list = []
     for center, gcell, shell_q, shell_coeff in fibers:
         ords = [a for a in _leaves(terms) if isinstance(a, OrdExpr)]
@@ -692,7 +637,7 @@ def _reduce_ord(leaf: OrdExpr, var: str, center: Fraction, gamma: LinExpr, prime
     return rational_ord(c0, prime.p), lin
 
 
-def _sum_over_gamma(terms: list, var: str, cell: DomainGammaCell, prime: Prime) -> list:
+def _sum_over_gamma(terms: list, var: str, cell: GammaCell, prime: Prime) -> list:
     """Sum the terms over one value-group variable ranging over a cell."""
     n, k = cell.mod, cell.res
 
@@ -982,8 +927,8 @@ def brute_force_integrate(
     if saturated_classes:
         tail = C * p**depth * weighted_tail([0] * dg + [1], depth, 1 - c).eval_at(p)
         err_total += saturated_classes * scale * tail
-    for (ords, s), count in scanned.items():
-        err_total += abs(compiled.value(ords, coeffs, p)) * Fraction(count, p**s)
+    for record, count in scanned.items():
+        err_total += abs(_class_sum(compiled, coeffs, Counter({record: count}), p))
     return OracleResult(
         value=_class_sum(compiled, coeffs, decided, p),
         tail_bound=err_total,

@@ -49,10 +49,7 @@ class KCell:
 
     def __post_init__(self):
         object.__setattr__(self, "center", Fraction(self.center))
-        if self.mod < 1:
-            raise ValueError("modulus must be >= 1")
-        if not 0 <= self.res < self.mod:
-            raise ValueError("residue must satisfy 0 <= res < mod")
+        object.__setattr__(self, "_gamma", GammaCell(self.lower, self.upper, self.mod, self.res))
         if self.ac_depth < 1:
             raise ValueError("angular depth must be >= 1")
         if self.ac_value.m != self.ac_depth:
@@ -61,7 +58,7 @@ class KCell:
 
     def gamma_cell(self) -> GammaCell:
         """The valuation constraints as a cell in the value group."""
-        return GammaCell(self.lower, self.upper, self.mod, self.res)
+        return self._gamma
 
     def contains_value(self, value: Union[Fraction, int]) -> bool:
         value = Fraction(value)

@@ -27,7 +27,7 @@ from .padic import (
     enumerate_residues,
     rational_ord,
 )
-from .polys import Polynomial, polydiv, signed_join, trim
+from .polys import Polynomial, poly_mul, polydiv, signed_join, trim
 
 
 class _Undetermined:
@@ -332,23 +332,12 @@ def fit_rational(
     if L > prefix // 2:
         return UNDETERMINED
     den = trim([Fraction(1)] + [-c for c in coeffs])
-    num = _truncated_product(counts, den, L)
+    num = trim(poly_mul(den, counts[:L])[:L])
     candidate = RationalFunctionT(num, den, table.prime)
     if not candidate.reproduces(table.counts):
         return UNDETERMINED
     candidate.shape = _certify_shape(candidate.den, table.prime.p, table.f.nvars)
     return candidate
-
-
-def _truncated_product(counts: list[Fraction], den: list[Fraction], L: int) -> list[Fraction]:
-    out = []
-    for m in range(L):
-        acc = Fraction(0)
-        for i, d in enumerate(den):
-            if i <= m:
-                acc += d * counts[m - i]
-        out.append(acc)
-    return trim(out)
 
 
 def _certify_shape(

@@ -27,8 +27,15 @@ from typing import Iterable, Mapping, Sequence, Union
 Rat = Union[int, Fraction]
 
 
+def _exponent(e) -> int:
+    if e != int(e):
+        raise ValueError(f"exponent {e!r} is not an integer")
+    return int(e)
+
+
 class Polynomial:
-    """Canonical sparse form: {exponent tuple: nonzero coefficient}."""
+    """Canonical sparse form: {exponent tuple: nonzero coefficient}.  An
+    exponent that is not an integer raises ValueError."""
 
     __slots__ = ("nvars", "terms")
 
@@ -38,7 +45,7 @@ class Polynomial:
         self.nvars = nvars
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(e if e.__class__ is int else _exponent(e) for e in exps)
             if len(exps) != nvars:
                 raise ValueError("exponent tuple arity mismatch")
             if any(e < 0 for e in exps):

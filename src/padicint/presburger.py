@@ -48,11 +48,14 @@ def tau_range(
 class GammaCell:
     """Integers gamma with lower < gamma < upper and gamma = res mod mod.
 
-    Either bound may be None, meaning no constraint on that side.
+    Either bound may be None, meaning no constraint on that side.  In a
+    domain a bound may also be a BoundRef to an outer value-group variable;
+    such a cell has members only once that variable has a value, so the
+    functions below raise DomainError on it.
     """
 
-    lower: Optional[int]
-    upper: Optional[int]
+    lower: Bound
+    upper: Bound
     mod: int = 1
     res: int = 0
 
@@ -86,7 +89,8 @@ class GammaCell:
             yield self.res + tau * self.mod
 
     def to_json(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper, "mod": self.mod, "res": self.res}
+        lower, upper = (b.to_json() if isinstance(b, BoundRef) else b for b in (self.lower, self.upper))
+        return {"lower": lower, "upper": upper, "mod": self.mod, "res": self.res}
 
     @classmethod
     def from_json(cls, data: dict) -> "GammaCell":
@@ -120,6 +124,37 @@ class PreparedLinear:
 
 def prepared_eval(f: PreparedLinear, gamma: int) -> int:
     return f.eval(gamma)
+
+
+@dataclass(frozen=True)
+class BoundRef:
+    """A cell bound given as a prepared linear form in an outer variable.
+
+    It has no value of its own: comparing it with an integer or subtracting
+    it, as every function on a cell's members does, raises DomainError
+    naming the variable."""
+
+    var: str
+    form: PreparedLinear
+
+    def _unvalued(self, other):
+        raise DomainError(
+            f"a cell bound depends on the value-group variable {self.var}, which has no value here"
+        )
+
+    __lt__ = __le__ = __gt__ = __ge__ = __sub__ = __rsub__ = _unvalued
+
+    def to_json(self) -> dict:
+        f = self.form
+        return {"var": self.var, "a": f.a, "k": f.k, "n": f.n, "delta": f.delta}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "BoundRef":
+        var, a, k, n, delta = json_fields(data, "bound", var=str, a=int, k=int, n=int, delta=int)
+        return cls(var, PreparedLinear(a, k, n, delta))
+
+
+Bound = Union[None, int, BoundRef]
 
 
 class GammaCellUnion:

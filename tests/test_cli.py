@@ -234,3 +234,36 @@ def test_options_belong_to_the_subcommands_that_read_them(capsys):
         main(["check", "--guard", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --guard" in capsys.readouterr().err
+
+
+def test_oracle_options_need_the_oracle(capsys, tmp_path, monkeypatch):
+    domfile = write(
+        tmp_path, "dom.json",
+        {"p": 2, "vars": [{"name": "x1", "sort": "K", "region": "unit_ball"}]},
+    )
+    symbolic = ("integrate", "q^(-ord(x1))", "--domain", domfile)
+    for option, value in (("--depth", "3"), ("--budget", "1"), ("--growth", "9,9,9")):
+        code, out, err = run(capsys, *symbolic, option, value)
+        assert (code, out) == (2, "")
+        assert err == f"ParseError: {option} applies only with --oracle"
+    # the oracle reads them, and the environment budget leaves the symbolic engine alone
+    code, out, _ = run(capsys, *symbolic, "--oracle", "--depth", "3", "--budget", "100", "--json")
+    assert code == 0 and json.loads(out)["depth"] == 3
+    monkeypatch.setenv("PADIC_BUDGET", "1")
+    assert run(capsys, *symbolic) == (0, "(1 - q^-1) / (1-q^-2) = 2/3 at q = 2", "")
+
+
+def test_only_a_domain_cell_bound_may_be_an_object(capsys, tmp_path):
+    ref = {"var": "g1", "a": 1, "k": 0, "n": 1, "delta": 0}
+    cell = {"lower": ref, "upper": None, "mod": 1, "res": 0}
+    code, out, err = run(capsys, "gsum", "--N", "1", write(tmp_path, "gcell.json", cell))
+    assert (code, out) == (2, "")
+    assert err == "ParseError: value-group cell JSON field 'lower' must be an integer or null, not an object"
+    code, out, err = run(capsys, "wmin", write(tmp_path, "cells.json", [cell]))
+    assert (code, out) == (2, "") and err.startswith("ParseError")
+    domain = {"p": 2, "vars": [
+        {"name": "g1", "sort": "Gamma", "region": [{"lower": -1, "upper": 3, "mod": 1, "res": 0}]},
+        {"name": "g2", "sort": "Gamma", "region": [cell]},
+    ]}
+    code, out, _ = run(capsys, "integrate", "q^(-lin(1,0,1,0;g2))", "--domain", write(tmp_path, "d.json", domain))
+    assert code == 0 and out.endswith("= 7/4 at q = 2")

@@ -454,6 +454,16 @@ def test_domain_validation():
         integrate(ORD_X, Domain([("x2", K, UNIT_BALL)], P2))
 
 
+def test_domain_checks_its_concrete_cells_as_one_union():
+    overlap = [GammaCell(0, 10, 1, 0), GammaCell(3, 6, 1, 0)]
+    with pytest.raises(ValueError, match=r"cells GammaCell\(lower=0, .* are not disjoint"):
+        Domain([("g1", G, overlap)], P2)
+    # a cell with a symbolic bound is left out of the check
+    ref = BoundRef("g1", PreparedLinear(1, 0, 1, 0))
+    dom = Domain([("g1", G, [GammaCell(0, 5)]), ("g2", G, [GammaCell(0, 10), GammaCell(ref, 6)])], P2)
+    assert [c.lower for c in dom.variables[1].region] == [0, ref]
+
+
 def test_symbolic_engine_and_oracle_refuse_a_sort_clash_alike():
     f = ConstructibleExpr([Term(AqElem.one(), zfactors=(identity_lin("x1"),))])
     domain = Domain([("x1", K, UNIT_BALL)], P2)

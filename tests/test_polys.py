@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -180,3 +182,14 @@ def test_binom_int_is_the_falling_factorial_over_k_factorial():
             got = binom_int(s, k)
             assert got.__class__ is int
             assert got == Fraction(falling, fact)
+
+
+def test_polynomial_refuses_non_integral_exponents():
+    for terms, bad in (({(0.5,): 1}, "0.5"), ({(1.7,): 1, (1,): 2}, "1.7")):
+        with pytest.raises(ValueError, match=f"exponent {bad} is not an integer"):
+            Polynomial(1, terms)
+    # integral values of another type are still exponents, stored as ints
+    p = Polynomial(2, {(Fraction(2), 1.0): 3})
+    assert p.terms == {(2, 1): 3}
+    assert all(e.__class__ is int for exps in p.terms for e in exps)
+    assert (p + Polynomial(2, {(2, 1): 1})).render() == "4*x1^2*x2"

@@ -6,14 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicint import (
+    AngularResidue,
     AqElem,
+    BoundRef,
     DivergentSum,
     DomainError,
+    DomainGammaCell,
     EmptySet,
     GammaCell,
     GammaCellUnion,
     INFINITY,
+    KCell,
     PreparedLinear,
+    Prime,
     cell_cardinality,
     cells_disjoint,
     geom_sum,
@@ -297,3 +302,30 @@ def test_cell_json_round_trip():
     union = GammaCellUnion([GammaCell(0, 5, 2, 0), GammaCell(0, 5, 2, 1)])
     again = GammaCellUnion.from_json(union.to_json())
     assert again.cells == union.cells
+
+
+def test_a_symbolic_bound_is_a_named_domain_error():
+    ref = BoundRef("g1", PreparedLinear(1, 0, 1, 0))
+    assert DomainGammaCell is GammaCell
+    for cell in (GammaCell(ref, None), GammaCell(None, ref), DomainGammaCell(0, ref, 1, 0)):
+        calls = [
+            lambda: geom_sum(cell, 1),
+            lambda: weighted_sum(cell, [0, 1], 1),
+            lambda: cell_cardinality(cell),
+            lambda: wellorder_min([cell]),
+            lambda: cell.contains(3),
+            lambda: intersect_cells(cell, GammaCell(0, 9)),
+            lambda: intersect_cells(GammaCell(None, None), cell),
+            lambda: intersect_cells(cell, cell),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="value-group variable g1"):
+                call()
+    # a field cell builds its value-group cell once, with the same fields
+    kcell = KCell(Fraction(1, 3), -1, 7, 3, 2, 1, AngularResidue(1, 1), Prime(2))
+    assert kcell.gamma_cell() == GammaCell(-1, 7, 3, 2)
+    assert kcell.gamma_cell() is kcell.gamma_cell()
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        KCell(Fraction(0), -1, None, 0, 0, 1, AngularResidue(1, 1), Prime(2))
+    with pytest.raises(ValueError, match="residue must satisfy"):
+        KCell(Fraction(0), -1, None, 2, 2, 1, AngularResidue(1, 1), Prime(2))

@@ -6,6 +6,8 @@ and every symbolic result can be cross-checked against residue-enumeration
 oracles shipped alongside.
 """
 
+from importlib import import_module
+
 from .aqring import AqElem, LaurentPoly, aq_add, aq_eval, aq_mul
 from .errors import (
     BudgetExceeded,
@@ -56,17 +58,6 @@ from .padic import (
     rational_ac,
     rational_ord,
 )
-from .poincare import (
-    PoincareReport,
-    RationalFunctionT,
-    SeriesTable,
-    UNDETERMINED,
-    count_Nm,
-    fit_rational,
-    measure_identity_check,
-    poincare_report,
-    series_table,
-)
 from .polys import Polynomial
 from .presburger import (
     BoundRef,
@@ -86,3 +77,22 @@ from .presburger import (
 )
 
 __version__ = "0.1.0"
+
+# poincare is imported on first use of it or of one of its names, so that no
+# CLI command but poincare compiles it
+_POINCARE_NAMES = (
+    "poincare", "PoincareReport", "RationalFunctionT", "SeriesTable", "UNDETERMINED", "count_Nm",
+    "fit_rational", "measure_identity_check", "poincare_report", "series_table",
+)
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_POINCARE_NAMES)
+
+
+def __getattr__(name):
+    if name in _POINCARE_NAMES:
+        poincare = import_module(f"{__name__}.poincare")
+        return poincare if name == "poincare" else getattr(poincare, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_POINCARE_NAMES))

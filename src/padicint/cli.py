@@ -19,7 +19,6 @@ from .integrate import Domain, brute_force_integrate, integrate
 from .kcells import KCell, kcell_measure
 from .padic import DEFAULT_BUDGET, INFINITY, Prime, rational_ac, rational_ord
 from .parsing import parse_integrand, parse_polynomial
-from .poincare import poincare_report
 from .presburger import GammaCell, GammaCellUnion, geom_sum, wellorder_min
 
 
@@ -218,6 +217,9 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
+    # imported here, so that no other subcommand compiles the poincare module
+    from .poincare import poincare_report
+
     prime = _require_prime(args)
     poly = parse_polynomial(args.poly)
     if poly.nvars < 1:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the record base classes shared across the package."""
+
+from operator import attrgetter
 
 
 class PadicIntError(Exception):
@@ -81,3 +83,56 @@ def json_fields(data, what: str, **expected) -> list:
             )
         values.append(value)
     return values
+
+
+class Record:
+    """Base of the package's plain records: a subclass names its fields in
+    __slots__ (a leading underscore marks private state) and takes them, in
+    that order, in __init__.  Records of one class are equal when their
+    fields but those in _uncompared are; repr is Class(field=value, ...)."""
+
+    __slots__ = ()
+    __hash__ = None
+    _uncompared = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        compared = [name for name in cls._fields if name not in cls._uncompared]
+        cls._key = staticmethod(attrgetter(*compared)) if compared else None  # none in FrozenRecord
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls._fields)  # for _freeze
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild a record through __init__
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class FrozenRecord(Record):
+    """A record that refuses assignment once its __init__ has ended with
+    _freeze(field values), which sets the fields and, once, the hash of
+    their tuple: records are dict keys throughout integration."""
+
+    __slots__ = ("_hash",)
+
+    def _freeze(self, values: tuple):
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return self._hash

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -48,10 +47,12 @@ from .errors import (
     BudgetExceeded,
     DivergentSum,
     DomainError,
+    FrozenRecord,
     InfiniteMeasure,
     NULL,
     NotFiberReducible,
     ParseError,
+    Record,
     UndefinedAtPoint,
     json_fields,
 )
@@ -75,54 +76,57 @@ GAMMA_SORT = "Gamma"
 # -- integer-valued expressions ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntConst:
-    value: int
+class IntConst(FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self._freeze((value,))
 
 
-@dataclass(frozen=True)
-class LinExpr:
+class LinExpr(FrozenRecord):
     """A prepared linear form applied to a named value-group variable."""
 
-    form: PreparedLinear
-    var: str
+    __slots__ = ("form", "var")
+
+    def __init__(self, form: PreparedLinear, var: str):
+        self._freeze((form, var))
 
 
-@dataclass(frozen=True)
-class OrdExpr:
+class OrdExpr(FrozenRecord):
     """ord(g(x...)) for an integer polynomial g in named field variables."""
 
-    poly: Polynomial
-    vars: tuple[str, ...]
+    __slots__ = ("poly", "vars")
 
-    def __post_init__(self):
-        if len(self.vars) != self.poly.nvars:
+    def __init__(self, poly: Polynomial, vars: tuple[str, ...]):
+        if len(vars) != poly.nvars:
             raise ValueError("variable names must match the polynomial arity")
-        if not self.poly.is_integral():
+        if not poly.is_integral():
             raise ValueError("valuation arguments must have integer coefficients")
-        # computed once: ord leaves are dict keys throughout integration
-        object.__setattr__(self, "_hash", hash((self.poly, self.vars)))
-
-    def __hash__(self):
-        return self._hash
+        self._freeze((poly, vars))
 
 
-@dataclass(frozen=True)
-class IntSum:
-    parts: tuple["IntExpr", ...]
+class IntSum(FrozenRecord):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple["IntExpr", ...]):
+        self._freeze((parts,))
 
 
-@dataclass(frozen=True)
-class IntScale:
-    scalar: int
-    arg: "IntExpr"
+class IntScale(FrozenRecord):
+    __slots__ = ("scalar", "arg")
+
+    def __init__(self, scalar: int, arg: "IntExpr"):
+        self._freeze((scalar, arg))
 
 
 IntExpr = Union[IntConst, LinExpr, OrdExpr, IntSum, IntScale]
 
 
+_IDENTITY = PreparedLinear(1, 0, 1, 0)
+
+
 def identity_lin(var: str) -> LinExpr:
-    return LinExpr(PreparedLinear(1, 0, 1, 0), var)
+    return LinExpr(_IDENTITY, var)
 
 
 Form = tuple[int, dict]
@@ -140,13 +144,18 @@ def _affine(e: IntExpr) -> Form:
         c, lin = _affine(e.arg)
         return e.scalar * c, {a: e.scalar * x for a, x in lin.items()}
     if isinstance(e, IntSum):
-        c, lin = 0, {}
-        for part in e.parts:
-            pc, plin = _affine(part)
-            c += pc
-            _add_into(lin, plin)
-        return c, lin
+        return _affine_sum(e.parts)
     raise TypeError(f"not an integer expression: {e!r}")
+
+
+def _affine_sum(parts: Iterable[IntExpr]) -> Form:
+    """The affine form of the sum of the parts."""
+    c, lin = 0, {}
+    for part in parts:
+        pc, plin = _affine(part)
+        c += pc
+        _add_into(lin, plin)
+    return c, lin
 
 
 def _add_into(lin: dict, other: dict, scale: int = 1) -> dict:
@@ -172,7 +181,7 @@ def _substitute(form: Form, subs: dict) -> Form:
 
 def _term_forms(terms: Sequence["Term"]) -> list[tuple[AqElem, Form, tuple[Form, ...]]]:
     """Each term as (coefficient, q-exponent form, factor forms)."""
-    return [(t.coeff, _affine(IntSum(t.qparts)), tuple(map(_affine, t.zfactors))) for t in terms]
+    return [(t.coeff, _affine_sum(t.qparts), tuple(map(_affine, t.zfactors))) for t in terms]
 
 
 def _leaves(terms: Iterable[tuple[AqElem, Form, Sequence[Form]]]) -> dict:
@@ -237,7 +246,7 @@ class Term:
         self.zfactors = tuple(zfactors)
 
     def free_vars(self) -> set[str]:
-        return _leaf_vars(_affine(IntSum(self.qparts + self.zfactors))[1])
+        return _leaf_vars(_affine_sum(self.qparts + self.zfactors)[1])
 
     def scaled(self, aq: AqElem) -> "Term":
         return Term(self.coeff * aq, self.qparts, self.zfactors)
@@ -259,7 +268,7 @@ class ConstructibleExpr:
         self.terms = list(terms)
         self.sorts = dict(sorts or {})
         for term in self.terms:
-            for a in _affine(IntSum(term.qparts + term.zfactors))[1]:
+            for a in _affine_sum(term.qparts + term.zfactors)[1]:
                 if isinstance(a, LinExpr):
                     sort, names = GAMMA_SORT, (a.var,)
                 else:
@@ -408,11 +417,13 @@ _AC_FREE_SHELL = 1 - AqElem.q_power(-1)
 DomainGammaCell = GammaCell
 
 
-@dataclass
-class DomainVar:
-    name: str
-    sort: str
-    region: object  # UNIT_BALL | list[KCell] | list[GammaCell]
+class DomainVar(Record):
+    __slots__ = ("name", "sort", "region")
+
+    def __init__(self, name: str, sort: str, region: object):
+        self.name = name
+        self.sort = sort
+        self.region = region  # UNIT_BALL | list[KCell] | list[GammaCell]
 
 
 class Domain:
@@ -746,8 +757,7 @@ def _antidifference_at(G: Antidifference, A: Union[int, Form], sign: int):
 # -- the residue-enumeration oracle ---------------------------------------------
 
 
-@dataclass
-class OracleResult:
+class OracleResult(Record):
     """Riemann-style estimate with a certified error bound.
 
     value is the exact average of the integrand over the residue classes it
@@ -757,13 +767,19 @@ class OracleResult:
     class-uniform.
     """
 
-    value: Fraction
-    tail_bound: Fraction
-    depth: int
-    classes: int
-    skipped: int
-    boundary: int
-    skipped_measure: Fraction
+    __slots__ = ("value", "tail_bound", "depth", "classes", "skipped", "boundary", "skipped_measure")
+
+    def __init__(
+        self, value: Fraction, tail_bound: Fraction, depth: int, classes: int, skipped: int,
+        boundary: int, skipped_measure: Fraction,
+    ):
+        self.value = value
+        self.tail_bound = tail_bound
+        self.depth = depth
+        self.classes = classes
+        self.skipped = skipped
+        self.boundary = boundary
+        self.skipped_measure = skipped_measure
 
 
 def _region_status(x: int, region, depth: int) -> str:

@@ -19,18 +19,16 @@ its residue classes with the same call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .aqring import AqElem
-from .errors import NULL, InfiniteMeasure, ParseError, json_fields
+from .errors import NULL, FrozenRecord, InfiniteMeasure, ParseError, json_fields
 from .padic import AngularResidue, PAdicPoint, Prime, rational_ac, rational_ord
 from .presburger import GammaCell, geom_sum, intersect_cells
 
 
-@dataclass(frozen=True)
-class KCell:
+class KCell(FrozenRecord):
     """Points t with ord(t-center) in an open range, congruent valuation,
     and prescribed angular component.
 
@@ -38,23 +36,21 @@ class KCell:
     the congruence are ignored and membership means t == center.
     """
 
-    center: Fraction
-    lower: Optional[int]
-    upper: Optional[int]
-    mod: int
-    res: int
-    ac_depth: int
-    ac_value: AngularResidue
-    prime: Prime
+    __slots__ = ("center", "lower", "upper", "mod", "res", "ac_depth", "ac_value", "prime", "_gamma")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", Fraction(self.center))
-        object.__setattr__(self, "_gamma", GammaCell(self.lower, self.upper, self.mod, self.res))
-        if self.ac_depth < 1:
+    def __init__(
+        self, center: Fraction, lower: Optional[int], upper: Optional[int], mod: int, res: int,
+        ac_depth: int, ac_value: AngularResidue, prime: Prime,
+    ):
+        center = Fraction(center)
+        gamma = GammaCell(lower, upper, mod, res)
+        if ac_depth < 1:
             raise ValueError("angular depth must be >= 1")
-        if self.ac_value.m != self.ac_depth:
+        if ac_value.m != ac_depth:
             raise ValueError("angular residue depth must match the cell depth")
-        self.ac_value.validate(self.prime)
+        ac_value.validate(prime)
+        self._freeze((center, lower, upper, mod, res, ac_depth, ac_value, prime))
+        object.__setattr__(self, "_gamma", gamma)
 
     def gamma_cell(self) -> GammaCell:
         """The valuation constraints as a cell in the value group."""
@@ -87,8 +83,11 @@ class KCell:
         w = a - self.center
         e = rational_ord(w, p)
         if e >= r:
-            deeper = intersect_cells(self.gamma_cell(), GammaCell(r - 1, None))
-            return "meets" if self.ac_value.r == 0 or deeper is not None else "out"
+            if self.ac_value.r == 0:
+                return "meets"
+            last = self.gamma_cell().tau_bounds()[1]
+            deeper = last is None or (not self.gamma_cell().is_empty() and self.res + last * self.mod >= r)
+            return "meets" if deeper else "out"
         if self.ac_value.r == 0 or not self.gamma_cell().contains(e):
             return "out"
         k = min(self.ac_depth, r - e)

@@ -8,12 +8,11 @@ precision management.  The uniformizer is the integer p itself.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Union
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, FrozenRecord
 
 DEFAULT_BUDGET = 10**8
 
@@ -75,15 +74,15 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prime:
+class Prime(FrozenRecord):
     """A verified prime p, the residue field size of Q_p."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self._freeze((p,))
 
     def __int__(self) -> int:
         return self.p
@@ -126,15 +125,13 @@ def rational_ac(value: Union[Fraction, int], p: int, m: int) -> int:
     return unit.numerator % mod * pow(unit.denominator, -1, mod) % mod
 
 
-@dataclass(frozen=True)
-class PAdicPoint:
+class PAdicPoint(FrozenRecord):
     """An exact rational number viewed as a point of Q_p."""
 
-    value: Fraction
-    prime: Prime
+    __slots__ = ("value", "prime")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction, prime: Prime):
+        self._freeze((Fraction(value), prime))
 
     def ord(self) -> ExtendedInteger:
         return rational_ord(self.value, self.prime.p)
@@ -146,18 +143,17 @@ class PAdicPoint:
         return f"PAdicPoint({self.value}, p={self.prime.p})"
 
 
-@dataclass(frozen=True)
-class AngularResidue:
+class AngularResidue(FrozenRecord):
     """Value of the depth-m angular component map: 0 or a unit mod p^m."""
 
-    m: int
-    r: int
+    __slots__ = ("m", "r")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, r: int):
+        if m < 1:
             raise ValueError("depth m must be >= 1")
-        if not 0 <= self.r:
+        if not 0 <= r:
             raise ValueError("residue must be nonnegative")
+        self._freeze((m, r))
 
     def validate(self, prime: Prime) -> "AngularResidue":
         """Check the residue against a concrete prime: 0 or a unit mod p^m."""

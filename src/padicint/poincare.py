@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, Record
 from .integrate import ConstructibleExpr, Domain, K_SORT, UNIT_BALL, integrate
 from .kcells import KCell
 from .padic import (
@@ -57,27 +56,28 @@ def count_Nm(f: Polynomial, prime: Prime, m: int, budget: int = DEFAULT_BUDGET) 
     return count
 
 
-@dataclass
-class SeriesTable:
+class SeriesTable(Record):
     """A prefix N_0..N_mmax of the congruence counts for one polynomial.
 
     evaluations is the number of residue classes at which series_table
-    evaluated f (0 for a table given directly)."""
+    evaluated f (0 for a table given directly); equality ignores it."""
 
-    prime: Prime
-    f: Polynomial
-    counts: list[int]
-    evaluations: int = field(default=0, compare=False)
+    __slots__ = ("prime", "f", "counts", "evaluations")
+    _uncompared = ("evaluations",)
 
-    def __post_init__(self):
-        if not self.counts or self.counts[0] != 1:
+    def __init__(self, prime: Prime, f: Polynomial, counts: list[int], evaluations: int = 0):
+        if not counts or counts[0] != 1:
             raise ValueError("a count table starts with N_0 = 1")
-        cap = self.prime.p**self.f.nvars
-        for m in range(len(self.counts) - 1):
-            if self.counts[m + 1] > cap * self.counts[m]:
+        cap = prime.p**f.nvars
+        for m in range(len(counts) - 1):
+            if counts[m + 1] > cap * counts[m]:
                 raise ValueError(
                     f"N_{m + 1} exceeds p^n * N_{m}: impossible lifting"
                 )
+        self.prime = prime
+        self.f = f
+        self.counts = counts
+        self.evaluations = evaluations
 
 
 def series_table(
@@ -215,8 +215,7 @@ def _ball_measure(index: int, t: int, nvars: int, prime: Prime) -> Fraction:
 # -- rational fitting ---------------------------------------------------------
 
 
-@dataclass
-class RationalFunctionT:
+class RationalFunctionT(Record):
     """Q(T) / D(T) with D(0) = 1, reproducing a count table exactly.
 
     shape lists (mi, Ni) pairs with D = prod (1 - p^-mi T^Ni) when the
@@ -226,10 +225,16 @@ class RationalFunctionT:
     within the search window.
     """
 
-    num: list[Fraction]
-    den: list[Fraction]
-    prime: Prime
-    shape: Optional[list[tuple[int, int]]] = None
+    __slots__ = ("num", "den", "prime", "shape")
+
+    def __init__(
+        self, num: list[Fraction], den: list[Fraction], prime: Prime,
+        shape: Optional[list[tuple[int, int]]] = None,
+    ):
+        self.num = num
+        self.den = den
+        self.prime = prime
+        self.shape = shape
 
     def expand(self, count: int) -> list[Fraction]:
         out = []
@@ -364,12 +369,17 @@ def _certify_shape(
 # -- the bundled report --------------------------------------------------------
 
 
-@dataclass
-class PoincareReport:
-    table: SeriesTable
-    rational: Union[RationalFunctionT, _Undetermined]
-    checks: list[tuple[int, bool]]
-    guard: int
+class PoincareReport(Record):
+    __slots__ = ("table", "rational", "checks", "guard")
+
+    def __init__(
+        self, table: SeriesTable, rational: Union[RationalFunctionT, _Undetermined],
+        checks: list[tuple[int, bool]], guard: int,
+    ):
+        self.table = table
+        self.rational = rational
+        self.checks = checks
+        self.guard = guard
 
     def to_json(self) -> dict:
         if isinstance(self.rational, RationalFunctionT):

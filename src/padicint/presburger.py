@@ -19,14 +19,13 @@ candidates per cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .aqring import AqElem, LaurentPoly
-from .errors import NULL, DivergentSum, DomainError, EmptySet, json_fields
+from .errors import NULL, DivergentSum, DomainError, EmptySet, FrozenRecord, json_fields
 from .padic import INFINITY, ExtendedInteger
 from .polys import binom_int, difference_polys, finite_differences, poly_mul
 from .polys import poly_eval, poly_shift  # noqa: F401  (perfbench/tracing.py wraps both by these names)
@@ -44,8 +43,7 @@ def tau_range(
     return a, b
 
 
-@dataclass(frozen=True)
-class GammaCell:
+class GammaCell(FrozenRecord):
     """Integers gamma with lower < gamma < upper and gamma = res mod mod.
 
     Either bound may be None, meaning no constraint on that side.  In a
@@ -54,16 +52,14 @@ class GammaCell:
     functions below raise DomainError on it.
     """
 
-    lower: Bound
-    upper: Bound
-    mod: int = 1
-    res: int = 0
+    __slots__ = ("lower", "upper", "mod", "res")
 
-    def __post_init__(self):
-        if self.mod < 1:
+    def __init__(self, lower: Bound, upper: Bound, mod: int = 1, res: int = 0):
+        if mod < 1:
             raise ValueError("modulus must be >= 1")
-        if not 0 <= self.res < self.mod:
+        if not 0 <= res < mod:
             raise ValueError("residue must satisfy 0 <= res < mod")
+        self._freeze((lower, upper, mod, res))
 
     def contains(self, gamma: int) -> bool:
         if self.lower is not None and not self.lower < gamma:
@@ -99,20 +95,17 @@ class GammaCell:
         ))
 
 
-@dataclass(frozen=True)
-class PreparedLinear:
+class PreparedLinear(FrozenRecord):
     """Piecewise-linear shape a*(gamma - k)/n + delta on gamma = k mod n."""
 
-    a: int
-    k: int
-    n: int
-    delta: int
+    __slots__ = ("a", "k", "n", "delta")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, a: int, k: int, n: int, delta: int):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("k must be >= 0")
+        self._freeze((a, k, n, delta))
 
     def eval(self, gamma: int) -> int:
         if (gamma - self.k) % self.n != 0:
@@ -126,16 +119,17 @@ def prepared_eval(f: PreparedLinear, gamma: int) -> int:
     return f.eval(gamma)
 
 
-@dataclass(frozen=True)
-class BoundRef:
+class BoundRef(FrozenRecord):
     """A cell bound given as a prepared linear form in an outer variable.
 
     It has no value of its own: comparing it with an integer or subtracting
     it, as every function on a cell's members does, raises DomainError
     naming the variable."""
 
-    var: str
-    form: PreparedLinear
+    __slots__ = ("var", "form")
+
+    def __init__(self, var: str, form: PreparedLinear):
+        self._freeze((var, form))
 
     def _unvalued(self, other):
         raise DomainError(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,35 @@ def test_poincare_subcommand(capsys):
     assert data["counts"][:6] == [1, 1, 3, 3, 9, 9]
     assert all(ok for _, ok in data["checks"])
     assert data["guard"] == 5
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+COLD_START = """
+import json, sys
+before = set(sys.modules)
+import padicint.cli
+loaded = [m for m in ("dataclasses", "inspect", "padicint.poincare") if m in set(sys.modules) - before]
+import padicint
+print(json.dumps([loaded, padicint.poincare_report.__module__]))
+"""
+
+
+def test_a_cold_start_loads_neither_dataclasses_nor_poincare():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PADIC_BUDGET", None)
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == [[], "padicint.poincare"]
+    out = subprocess.run(
+        [sys.executable, "-m", "padicint.cli", "poincare", "--p", "3", "--mmax", "6", "x1^2", "--json"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == (
+        '{"checks":[[0,true],[1,true],[2,true]],"counts":[1,1,3,3,9,9,27],'
+        '"guard":5,"rational":null,"shape":null}\n'
+    )
 
 
 def test_json_output_is_reproducible(capsys):

@@ -6,6 +6,7 @@ import pytest
 from padicint import (
     AngularResidue,
     AqElem,
+    GammaCell,
     InfiniteMeasure,
     KCell,
     PAdicPoint,
@@ -13,6 +14,7 @@ from padicint import (
     kcell_contains,
     kcell_measure,
     kcells_disjoint,
+    intersect_cells,
     partition_unit_ball,
     rational_ord,
 )
@@ -20,6 +22,7 @@ from padicint.selfcheck import (
     check_counting_oracle,
     check_partition_normalization,
     check_translation_invariance,
+    random_gamma_cell,
     random_kcell,
 )
 
@@ -227,6 +230,28 @@ def test_ball_status_of_point_cells():
             for a in range(-30, 30):
                 holds = rational_ord(a - center, 3) >= r
                 assert point.ball_status(a, r) == ("meets" if holds else "out"), (center, a, r)
+
+
+def test_ball_status_around_the_center_matches_the_cell_intersection():
+    # a ball a + p^r Z_p that holds the center meets the cell exactly when
+    # the cell's value-group cell has a member >= r, which is what the
+    # intersection with GammaCell(r - 1, None) decides
+    rng = random.Random(67)
+    seen = set()
+    for prime in (P2, P3):
+        p = prime.p
+        cells = [random_kcell(rng, prime) for _ in range(40)]
+        for _ in range(40):
+            g = random_gamma_cell(rng, 4, 0.3)
+            cells.append(mk(rng.randint(-9, 9), g.lower, g.upper, g.mod, g.res, 1, 1, prime))
+        for cell in cells:
+            for r in range(9):
+                deeper = intersect_cells(cell.gamma_cell(), GammaCell(r - 1, None)) is not None
+                expected = "meets" if cell.ac_value.r == 0 or deeper else "out"
+                for a in (cell.center, cell.center + p**r * rng.randint(-20, 20)):
+                    assert cell.ball_status(a, r) == expected, (cell, a, r)
+                seen.add(expected)
+    assert seen == {"meets", "out"}
 
 
 def test_disjointness_matches_enumeration():

@@ -71,51 +71,60 @@ _OPTIONS = {
     "--guard": dict(type=int, default=5, help="verification margin"),
 }
 
+# each subcommand's summary and, after --json, its arguments in order: a
+# shared option of _OPTIONS by name, or (name, keyword arguments)
+_SUBCOMMANDS = {
+    "ord": ("p-adic valuation of a rational", "--p", ("value", {})),
+    "ac": ("angular component at depth m", "--p", ("value", {}), ("--m", dict(type=int, required=True))),
+    "measure": ("Haar measure of a cell (JSON file)", "--p", ("cellfile", {})),
+    "gsum": (
+        "geometric sum over a cell (JSON file)", "--p", ("cellfile", {}),
+        ("--N", dict(type=int, required=True)),
+    ),
+    "wmin": ("least member of a cell union", ("cellsfile", {})),
+    "integrate": (
+        "integrate a constructible function", "--p", "--budget", "--depth", ("integrand", {}),
+        ("--domain", dict(required=True, help="domain JSON file")),
+        ("--oracle", dict(action="store_true", help="residue enumeration instead of the symbolic engine")),
+        ("--growth", dict(help="C,c,dg growth bound for the oracle tail (default 1,0,0)")),
+    ),
+    "poincare": (
+        "congruence counts and rational fit", "--p", "--budget", "--guard", ("poly", {}),
+        ("--mmax", dict(type=int, required=True)), ("--check-mmax", dict(type=int, default=None)),
+    ),
+    "check": ("run the oracle-vs-symbolic suite",),
+}
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+
+class _FullParserNeeded(Exception):
+    pass
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser of one subcommand, whose usage would name that one alone:
+    an error raises _FullParserNeeded instead of printing it."""
+
+    def error(self, message):
+        raise _FullParserNeeded
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the named one alone, which
+    parses that subcommand's arguments the same way at a fraction of the
+    cost and leaves every error to the full parser."""
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="padicint",
         description="Exact p-adic measures, constructible integration, and "
         "Poincare series certification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, summary: str, *options: str) -> argparse.ArgumentParser:
-        s = sub.add_parser(name, help=summary)
-        s.add_argument("--json", action="store_true", help="machine output")
-        for option in options:
-            s.add_argument(option, **_OPTIONS[option])
-        return s
-
-    s = command("ord", "p-adic valuation of a rational", "--p")
-    s.add_argument("value")
-
-    s = command("ac", "angular component at depth m", "--p")
-    s.add_argument("value")
-    s.add_argument("--m", type=int, required=True)
-
-    s = command("measure", "Haar measure of a cell (JSON file)", "--p")
-    s.add_argument("cellfile")
-
-    s = command("gsum", "geometric sum over a cell (JSON file)", "--p")
-    s.add_argument("cellfile")
-    s.add_argument("--N", type=int, required=True)
-
-    s = command("wmin", "least member of a cell union")
-    s.add_argument("cellsfile")
-
-    s = command("integrate", "integrate a constructible function", "--p", "--budget", "--depth")
-    s.add_argument("integrand")
-    s.add_argument("--domain", required=True, help="domain JSON file")
-    s.add_argument("--oracle", action="store_true", help="residue enumeration instead of the symbolic engine")
-    s.add_argument("--growth", help="C,c,dg growth bound for the oracle tail (default 1,0,0)")
-
-    s = command("poincare", "congruence counts and rational fit", "--p", "--budget", "--guard")
-    s.add_argument("poly")
-    s.add_argument("--mmax", type=int, required=True)
-    s.add_argument("--check-mmax", type=int, default=None)
-
-    command("check", "run the oracle-vs-symbolic suite")
+    for name, (summary, *arguments) in _SUBCOMMANDS.items():
+        if command is None or name == command:
+            s = sub.add_parser(name, help=summary)
+            s.add_argument("--json", action="store_true", help="machine output")
+            for argument in arguments:
+                flag, options = (argument, _OPTIONS[argument]) if isinstance(argument, str) else argument
+                s.add_argument(flag, **options)
     return parser
 
 
@@ -265,7 +274,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
+    except _FullParserNeeded:
+        args = build_parser().parse_args(argv)  # prints the full parser's usage and error
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:

@@ -58,7 +58,7 @@ from .errors import (
 )
 from .kcells import KCell, kcells_disjoint
 from .padic import DEFAULT_BUDGET, INFINITY, Prime, rational_ord
-from .polys import Polynomial, poly_mul
+from .polys import Polynomial, eval_terms, poly_mul
 from .presburger import (
     Antidifference,
     BoundRef,
@@ -850,10 +850,12 @@ def brute_force_integrate(
     passing the budget raises BudgetExceeded.  They tile Z_p^n, so there
     are never more than p^(n depth).
 
-    Each box costs one integer pass: g(a) is computed once as an int for
-    the saturation test, and a decided box is recorded by the ords of
-    those ints and sum k.  f is evaluated once per distinct record, and
-    the sum stays int numerators per term and power of p until the end.
+    Each box costs one integer pass and builds no Fraction: g(a) is
+    computed once as an int for the saturation test, from the int terms of
+    g read once per call, the region tests run on ints (KCell.ball_status),
+    and a decided box is recorded by the ords of those ints and sum k.  f
+    is evaluated once per distinct record, and the sum stays int numerators
+    per term and power of p until the end.
 
     growth = (C, c, dg) asserts |f(x)| <= C * v^dg * q^(c*v) on classes
     where some valuation argument saturates at v >= depth; c <= 0 and
@@ -881,10 +883,11 @@ def brute_force_integrate(
     regions = [v.region for v in domain.variables]
     n = len(names)
     compiled = _Compiled(forms)  # the oracle's domain makes every atom an OrdExpr
-    args = []  # (g, its variables' coordinates, the coordinates g mentions)
+    args = []  # (the terms of g over the coordinates, the coordinates g mentions)
     for oe in compiled.atoms:
         index = [names.index(name) for name in oe.vars]
-        args.append((oe.poly, index, tuple(i for j, i in enumerate(index) if oe.poly.mentions(j))))
+        terms = tuple((coeff, tuple((index[j], e) for j, e in mono)) for coeff, mono in oe.poly.int_terms())
+        args.append((terms, {i for _, mono in terms for i, _ in mono}))
     powers = [p**k for k in range(depth + 1)]
     decided: Counter = Counter()  # (ords of the arguments, sum k) -> boxes whose f adds to value
     scanned: Counter = Counter()  # the same for boxes at depth whose |f| adds to the bound
@@ -894,10 +897,10 @@ def brute_force_integrate(
     stack = [] if "out" in statuses else [((0,) * n, (0,) * n, statuses)]
     while stack:
         point, ks, statuses = stack.pop()
-        values = [g.eval_int([point[i] for i in index]) for g, index, _ in args]
+        values = [eval_terms(terms, point) for terms, _ in args]
         split = {i for i, status in enumerate(statuses) if status == "boundary"}
         saturated = False
-        for value, (_, _, mentioned) in zip(values, args):
+        for value, (_, mentioned) in zip(values, args):
             if value % powers[min((ks[i] for i in mentioned), default=depth)] == 0:
                 saturated = True
                 split.update(mentioned)

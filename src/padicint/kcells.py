@@ -14,7 +14,9 @@ center: Haar measure is translation invariant.
 KCell.ball_status(a, r) decides exactly how a ball a + p^r Z_p sits
 against a cell: "in", "out" or "meets".  Disjointness of two cells tests
 the shells of one, as balls, against the other, and the oracle classifies
-its residue classes with the same call.
+its residue classes with the same call.  It and contains_value run on
+ints: a - center as an unreduced numerator and denominator, with p
+stripped from both for the valuation and the unit part.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional, Union
 
 from .aqring import AqElem
 from .errors import NULL, FrozenRecord, InfiniteMeasure, ParseError, json_fields
-from .padic import AngularResidue, PAdicPoint, Prime, rational_ac, rational_ord
+from .padic import INFINITY, AngularResidue, PAdicPoint, Prime, rational_ord, unit_part
 from .presburger import GammaCell, geom_sum, intersect_cells
 
 
@@ -57,17 +59,24 @@ class KCell(FrozenRecord):
         return self._gamma
 
     def contains_value(self, value: Union[Fraction, int]) -> bool:
-        value = Fraction(value)
-        diff = value - self.center
+        e, u, w = self._offset(value)
         if self.ac_value.r == 0:
-            return diff == 0
-        if diff == 0:
+            return e is INFINITY
+        if e is INFINITY or not self._gamma.contains(e):
             return False
-        p = self.prime.p
-        gamma = rational_ord(diff, p)
-        if not self.gamma_cell().contains(gamma):
-            return False
-        return rational_ac(diff, p, self.ac_depth) == self.ac_value.r
+        return (u - self.ac_value.r * w) % self.prime.p**self.ac_depth == 0
+
+    def _offset(self, a: Union[Fraction, int]) -> tuple:
+        """a - center as p^e u/w with p dividing neither u nor w, read from
+        an unreduced int numerator and denominator: ord and ac need no
+        lowest terms.  (INFINITY, 0, 1) when a is the center."""
+        if a.__class__ is not int and a.__class__ is not Fraction:
+            a = Fraction(a)
+        c = self.center
+        num = a.numerator * c.denominator - c.numerator * a.denominator
+        if num == 0:
+            return INFINITY, 0, 1
+        return unit_part(num, a.denominator * c.denominator, self.prime.p)
 
     def ball_status(self, a: Union[Fraction, int], r: int) -> str:
         """How the ball a + p^r Z_p sits against the cell: "in" when it lies
@@ -78,20 +87,20 @@ class KCell(FrozenRecord):
         which omits the center.  Otherwise ord(t - center) = e on the whole
         ball and ac(t - center) is known to depth min(M, r - e).  A point
         cell meets the balls that hold its center and misses the others.
+        The unit part u/w of w matches the cell's angular value xi to depth
+        k when u - xi w = 0 mod p^k, so no inverse is taken.
         """
-        p = self.prime.p
-        w = a - self.center
-        e = rational_ord(w, p)
+        e, u, w = self._offset(a)
         if e >= r:
             if self.ac_value.r == 0:
                 return "meets"
-            last = self.gamma_cell().tau_bounds()[1]
-            deeper = last is None or (not self.gamma_cell().is_empty() and self.res + last * self.mod >= r)
+            last = self._gamma.tau_bounds()[1]
+            deeper = last is None or (not self._gamma.is_empty() and self.res + last * self.mod >= r)
             return "meets" if deeper else "out"
-        if self.ac_value.r == 0 or not self.gamma_cell().contains(e):
+        if self.ac_value.r == 0 or not self._gamma.contains(e):
             return "out"
         k = min(self.ac_depth, r - e)
-        if rational_ac(w, p, k) != self.ac_value.r % p**k:
+        if (u - self.ac_value.r * w) % self.prime.p**k:
             return "out"
         return "in" if k == self.ac_depth else "meets"
 

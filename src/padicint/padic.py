@@ -91,38 +91,42 @@ class Prime(FrozenRecord):
         return f"Prime({self.p})"
 
 
+def unit_part(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """(v, u, w) with num/den = p^v * u/w and p dividing neither u nor w,
+    for num != 0.  The pair num/den need not be in lowest terms."""
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num, den
+
+
 def rational_ord(value: Union[Fraction, int], p: int) -> ExtendedInteger:
     """p-adic valuation of an exact rational; INFINITY iff value == 0."""
     if value == 0:
         return INFINITY
-    v = 0  # an int is its own numerator, over denominator 1
-    num = value.numerator
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = value.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return unit_part(value.numerator, value.denominator, p)[0]  # an int is num / 1
 
 
 def rational_ac(value: Union[Fraction, int], p: int, m: int) -> int:
     """m-th angular component of an exact rational: the unit part mod p^m.
 
-    Returns 0 for value == 0.  After dividing out p^ord, the denominator
-    is coprime to p, hence invertible mod p^m; the result is computed with
-    a single modular inverse.
+    Returns 0 for value == 0.  With value = p^v u/w as in unit_part, w is
+    coprime to p, hence invertible mod p^m; the result is computed in ints
+    with a single modular inverse.
     """
     if m < 1:
         raise ValueError("angular component depth m must be >= 1")
     if value == 0:
         return 0
-    value = Fraction(value)
-    v = rational_ord(value, p)
-    unit = value / Fraction(p) ** v
+    if value.__class__ is not int and value.__class__ is not Fraction:
+        value = Fraction(value)
+    _, u, w = unit_part(value.numerator, value.denominator, p)
     mod = p**m
-    return unit.numerator % mod * pow(unit.denominator, -1, mod) % mod
+    return u * pow(w, -1, mod) % mod
 
 
 class PAdicPoint(FrozenRecord):

@@ -26,7 +26,7 @@ from .padic import (
     enumerate_residues,
     rational_ord,
 )
-from .polys import Polynomial, poly_mul, polydiv, signed_join, trim
+from .polys import Polynomial, eval_terms, poly_mul, polydiv, signed_join, trim
 
 
 class _Undetermined:
@@ -49,9 +49,10 @@ def count_Nm(f: Polynomial, prime: Prime, m: int, budget: int = DEFAULT_BUDGET) 
     if m == 0:
         return 1
     mod = prime.p**m
+    terms = f.int_terms()
     count = 0
     for residues in enumerate_residues(f.nvars, m, prime, budget):
-        if f.eval_mod(residues, mod) == 0:
+        if eval_terms(terms, residues) % mod == 0:
             count += 1
     return count
 
@@ -108,7 +109,8 @@ def series_table(
         raise ValueError("mmax must be >= 0")
     p = prime.p
     n = f.nvars
-    gradient = [f.derivative(i) for i in range(n)]
+    terms = f.int_terms()
+    gradient = [f.derivative(i).int_terms() for i in range(n)]
     lifts = list(itertools.product(range(p), repeat=n))
     # (k, e, hensel) -> classes mod p^k with p^(n(m-k)) solutions mod p^m
     # for k <= m <= e; past e only a Hensel class has any
@@ -123,14 +125,15 @@ def series_table(
         decided[k, k, False] += len(frontier)  # each is a solution mod p^k
         evaluations += p**n * len(frontier)
         step, k = p**k, k + 1
+        fmod, gmod = p ** (2 * k), p**k
         undecided = []
         for base in frontier:
             for lift in lifts:
                 b = tuple(x + t * step for x, t in zip(base, lift))
-                v = min(rational_ord(f.eval_mod(b, p ** (2 * k)), p), 2 * k)
+                v = min(rational_ord(eval_terms(terms, b) % fmod, p), 2 * k)
                 if v < k:
                     continue  # ord f < k on the class: no solution mod p^k
-                d = min([k] + [rational_ord(g.eval_mod(b, p**k), p) for g in gradient])
+                d = min([k] + [rational_ord(eval_terms(g, b) % gmod, p) for g in gradient])
                 if v < k + d:
                     decided[k, v, False] += 1
                 elif d < k:

@@ -144,30 +144,23 @@ class Polynomial:
             total += v
         return total
 
+    def int_terms(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """The terms as (coefficient, ((index, exponent), ...)) pairs of
+        ints over the nonzero exponents: the form eval_terms reads.
+        Requires integer coefficients."""
+        out = []
+        for exps, c in self.terms.items():
+            if c.denominator != 1:
+                raise ValueError("integer evaluation requires integer coefficients")
+            out.append((c.numerator, tuple((i, e) for i, e in enumerate(exps) if e)))
+        return tuple(out)
+
     def eval_int(self, values: Sequence[int]) -> int:
         """Exact integer evaluation; requires integer coefficients."""
-        total = 0
-        for exps, c in self.terms.items():
-            if c.denominator != 1:
-                raise ValueError("eval_int requires integer coefficients")
-            v = c.numerator
-            for x, e in zip(values, exps):
-                if e:
-                    v *= x**e
-            total += v
-        return total
+        return eval_terms(self.int_terms(), values)
 
     def eval_mod(self, values: Sequence[int], mod: int) -> int:
-        total = 0
-        for exps, c in self.terms.items():
-            if c.denominator != 1:
-                raise ValueError("eval_mod requires integer coefficients")
-            v = c.numerator % mod
-            for x, e in zip(values, exps):
-                if e:
-                    v = v * pow(x, e, mod) % mod
-            total = (total + v) % mod
-        return total
+        return eval_terms(self.int_terms(), values) % mod
 
     def shift_var(self, index: int, c: Rat) -> "Polynomial":
         """Substitute x_index -> x_index + c (binomial expansion)."""
@@ -210,6 +203,16 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self.render()})"
 
+
+def eval_terms(terms: Iterable[tuple[int, tuple[tuple[int, int], ...]]], values: Sequence[int]) -> int:
+    """The integer polynomial given by Polynomial.int_terms at int values,
+    where (index, exponent) reads values[index]."""
+    total = 0
+    for c, monomial in terms:
+        for i, e in monomial:
+            c *= values[i] ** e
+        total += c
+    return total
 
 
 def signed_join(terms: Iterable[tuple[bool, str]]) -> str:

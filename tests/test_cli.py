@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import padicint.cli as cli
 from padicint import geom_sum, selfcheck
 from padicint.cli import main
 
@@ -300,3 +301,38 @@ def test_only_a_domain_cell_bound_may_be_an_object(capsys, tmp_path):
     ]}
     code, out, _ = run(capsys, "integrate", "q^(-lin(1,0,1,0;g2))", "--domain", write(tmp_path, "d.json", domain))
     assert code == 0 and out.endswith("= 7/4 at q = 2")
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["nosuch"], ["integ", "x"], ["integrate", "--help"], ["integrate"], ["integrate", "x"],
+    ["integrate", "x", "--domain", "d.json", "--bogus"], ["integrate", "x", "--domain", "d.json", "--depth", "two"],
+    ["integrate", "--orac", "x", "--domain", "d.json"], ["ord", "--p", "2", "12", "extra"], ["ord", "--p=2", "8"],
+    ["ac", "--p", "2", "12", "--m", "2", "--json"], ["check", "--guard", "5"], ["--json", "ord", "--p", "2", "1"],
+    ["poincare", "--p", "3", "--mmax", "4", "--check", "3", "x1^2"],
+    *([name, "--help"] for name in ("ord", "ac", "measure", "gsum", "wmin", "poincare", "check")),
+])
+def test_main_parses_as_the_parser_of_every_subcommand(capsys, monkeypatch, argv):
+    # main builds only the subparser that its first argument names; the
+    # arguments it reads, its help texts and its errors are the full parser's
+    def outcome(parse_args):
+        try:
+            result = vars(parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    expected = outcome(cli.build_parser().parse_args)
+    parsed = []
+    monkeypatch.setattr(cli, "_COMMANDS", {name: parsed.append for name in cli._COMMANDS})
+    assert outcome(lambda argv: cli.main(argv) or parsed[-1]) == expected
+
+
+def test_the_parser_of_one_subcommand_leaves_errors_to_the_full_parser(capsys):
+    one = cli.build_parser("integrate")
+    assert one.parse_args(["integrate", "x", "--domain", "d.json"]).integrand == "x"
+    for argv in (["ord", "--p", "2", "1"], ["integrate", "x"], ["integrate", "x", "--domain", "d", "--p", "two"]):
+        with pytest.raises(cli._FullParserNeeded):
+            one.parse_args(argv)
+    assert capsys.readouterr() == ("", "")

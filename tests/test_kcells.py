@@ -16,6 +16,7 @@ from padicint import (
     kcells_disjoint,
     intersect_cells,
     partition_unit_ball,
+    rational_ac,
     rational_ord,
 )
 from padicint.selfcheck import (
@@ -252,6 +253,61 @@ def test_ball_status_around_the_center_matches_the_cell_intersection():
                     assert cell.ball_status(a, r) == expected, (cell, a, r)
                 seen.add(expected)
     assert seen == {"meets", "out"}
+
+
+def _off_lattice(rng, p, j):
+    """A rational with denominator p^j times 1 or 1 + p."""
+    return Fraction(rng.randint(-200, 200), p**j * rng.choice((1, 1 + p)))
+
+
+def test_ball_status_on_fraction_points_and_centers():
+    # kcells_disjoint passes Fraction points c1 + p^gamma xi to ball_status,
+    # and a domain cell's center may have p in its denominator
+    rng = random.Random(71)
+    seen = set()
+    for prime in (P2, P3):
+        p = prime.p
+        for _ in range(60):
+            c = random_kcell(rng, prime)
+            if c.ac_value.r == 0:
+                continue
+            xi, M = c.ac_value.r, c.ac_depth
+            cell = KCell(_off_lattice(rng, p, rng.randint(0, 3)), c.lower, c.upper, c.mod, c.res, M, c.ac_value, prime)
+            for _ in range(12):
+                a, r = _off_lattice(rng, p, rng.randint(0, 3)), rng.randint(-4, 6)
+                status = cell.ball_status(a, r)
+                shifts = [0] + [_off_lattice(rng, p, 0) for _ in range(8)]
+                points = [a + Fraction(p) ** r * s for s in shifts]
+                # the status is the same for every representative of the ball
+                assert all(cell.ball_status(t, r) == status for t in points), (cell, a, r)
+                contained = [cell.contains_value(t) for t in points]
+                if status == "in":
+                    assert all(contained), (cell, a, r)
+                elif status == "out":
+                    assert not any(contained), (cell, a, r)
+                seen.add(status)
+                # membership agrees with ord and ac of the Fraction t - center
+                for t, inside in zip(points, contained):
+                    w = t - cell.center
+                    expected = w != 0 and cell.gamma_cell().contains(rational_ord(w, p))
+                    expected = expected and rational_ac(w, p, M) == xi
+                    assert inside == expected, (cell, t)
+    assert seen == {"in", "out", "meets"}
+
+
+def test_ball_status_of_point_cells_off_the_lattice():
+    rng = random.Random(73)
+    for prime in (P2, P3):
+        p = prime.p
+        for _ in range(30):
+            center = _off_lattice(rng, p, rng.randint(0, 3))
+            point = mk(center, None, None, 1, 0, 1, 0, prime)
+            assert point.contains_value(center) and point.ball_status(center, 9) == "meets"
+            for _ in range(20):
+                a, r = _off_lattice(rng, p, rng.randint(0, 3)), rng.randint(-4, 6)
+                holds = rational_ord(a - center, p) >= r
+                assert point.ball_status(a, r) == ("meets" if holds else "out"), (center, a, r)
+                assert point.contains_value(a) == (a == center)
 
 
 def test_disjointness_matches_enumeration():

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,35 @@ def test_ac_examples():
     assert rational_ac(Fraction(8, 3), 2, 2) == 3
     brute = [r for r in range(4) if (3 * r) % 4 == 1]
     assert brute == [3]
+
+
+def test_ac_with_p_in_the_denominator_and_negative_inputs():
+    # 5/12 = 2^-2 * 5/3 and 5/3 = 5 * 3 = 3 mod 4; -12 = 2^2 * -3 = 2^2 * 5 mod 8;
+    # 7/45 = 3^-2 * 7/5 and 7/5 = 7 * 2 = 5 mod 9
+    assert rational_ac(Fraction(5, 12), 2, 2) == 3
+    assert rational_ac(Fraction(-5, 12), 2, 2) == 1
+    assert rational_ac(-12, 2, 3) == 5
+    assert rational_ac(Fraction(7, 45), 3, 2) == 5
+
+
+def _ac_by_definition(x, p, m):
+    """(x / p^ord x) mod p^m, through Fraction."""
+    unit = Fraction(x) / Fraction(p) ** rational_ord(x, p)
+    return unit.numerator * pow(unit.denominator, -1, p**m) % p**m
+
+
+def test_ac_matches_its_definition():
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7):
+        for m in (1, 2, 3, 4):
+            for _ in range(60):
+                n = rng.randint(-10**4, 10**4) or 1
+                x = Fraction(n * p ** rng.randint(0, 4), rng.randint(1, 50) * p ** rng.randint(0, 4))
+                assert rational_ac(x, p, m) == _ac_by_definition(x, p, m), (x, p, m)
+                assert rational_ac(n, p, m) == _ac_by_definition(n, p, m), (n, p, m)
+    # any other rational type is converted to a Fraction first
+    assert rational_ac(0.75, 2, 2) == rational_ac(Fraction(3, 4), 2, 2) == 3
+    assert rational_ac(Decimal("-2.5"), 5, 2) == rational_ac(Fraction(-5, 2), 5, 2)
 
 
 def test_ac_output_is_unit_or_zero():

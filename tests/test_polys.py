@@ -14,6 +14,7 @@ from padicint.polys import (
     Polynomial,
     binom_int,
     difference_polys,
+    eval_terms,
     finite_differences,
     poly_eval,
     poly_mul,
@@ -193,3 +194,26 @@ def test_polynomial_refuses_non_integral_exponents():
     assert p.terms == {(2, 1): 3}
     assert all(e.__class__ is int for exps in p.terms for e in exps)
     assert (p + Polynomial(2, {(2, 1): 1})).render() == "4*x1^2*x2"
+
+
+int_terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), st.integers(-30, 30), max_size=6
+)
+
+
+@settings(max_examples=80)
+@given(int_terms, st.lists(st.integers(-40, 40), min_size=3, max_size=3), st.integers(1, 10**6))
+def test_integer_evaluators_agree_with_eval(terms, values, mod):
+    f = Polynomial(3, terms)
+    assert f.eval_int(values) == f.eval(values)
+    assert f.eval_mod(values, mod) == f.eval(values) % mod
+    assert eval_terms(f.int_terms(), values) == f.eval(values)
+    # int_terms lists the nonzero exponents only, as (index, exponent)
+    assert all(e > 0 for _, monomial in f.int_terms() for _, e in monomial)
+
+
+def test_integer_evaluators_refuse_fraction_coefficients():
+    f = Polynomial(1, {(1,): Fraction(1, 2)})
+    for evaluate in (lambda: f.eval_int([2]), lambda: f.eval_mod([2], 5), f.int_terms):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            evaluate()

@@ -24,9 +24,6 @@ from .integrate import (
     ConstructibleExpr,
     Domain,
     DomainGammaCell,
-    IntConst,
-    IntScale,
-    IntSum,
     LinExpr,
     OracleResult,
     OrdExpr,

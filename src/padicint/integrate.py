@@ -4,16 +4,16 @@ A constructible function is a finite sum of terms
 
     coefficient * q^(L) * product of integer-valued factors,
 
-where the exponent L and the factors are built from integer constants,
-prepared linear forms in value-group variables, and valuations ord(g) of
-integer polynomials in field variables.
+where the exponent L and each factor are affine forms c0 + sum c * leaf,
+stored as (c0, {leaf: c}), over integer leaves: prepared linear forms in
+value-group variables (LinExpr) and valuations ord(g) of integer
+polynomials in field variables (OrdExpr).  The parser, the expression
+algebra, the integrator and the oracle all carry the same forms.
 
-Each exponent and factor is read once, by _affine, as an affine form
-c0 + sum c * leaf over its ord and lin leaves, and the integrator carries
-these forms.  Integration runs innermost variable first.  A field variable
-is exchanged for its valuation, which turns the integral into a value-group
-sum: on a fiber each ord leaf that mentions the variable becomes a form in
-the new valuation variable and the other variables' valuations, and one
+Integration runs innermost variable first.  A field variable is exchanged
+for its valuation, which turns the integral into a value-group sum: on a
+fiber each ord leaf that mentions the variable becomes a form in the new
+valuation variable and the other variables' valuations, and one
 substitution puts it in place.  On a cell with a depth-M angular condition
 the fiber {t in cell : ord(t - c) = gamma} has measure q^-(gamma + M).
 The unit ball is one ac-free cell whose fibers {ord t = gamma >= 0} have
@@ -73,14 +73,7 @@ K_SORT = "K"
 GAMMA_SORT = "Gamma"
 
 
-# -- integer-valued expressions ----------------------------------------------
-
-
-class IntConst(FrozenRecord):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self._freeze((value,))
+# -- integer-valued expressions: affine forms over ord and lin leaves --------
 
 
 class LinExpr(FrozenRecord):
@@ -105,23 +98,6 @@ class OrdExpr(FrozenRecord):
         self._freeze((poly, vars))
 
 
-class IntSum(FrozenRecord):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple["IntExpr", ...]):
-        self._freeze((parts,))
-
-
-class IntScale(FrozenRecord):
-    __slots__ = ("scalar", "arg")
-
-    def __init__(self, scalar: int, arg: "IntExpr"):
-        self._freeze((scalar, arg))
-
-
-IntExpr = Union[IntConst, LinExpr, OrdExpr, IntSum, IntScale]
-
-
 _IDENTITY = PreparedLinear(1, 0, 1, 0)
 
 
@@ -129,33 +105,13 @@ def identity_lin(var: str) -> LinExpr:
     return LinExpr(_IDENTITY, var)
 
 
+# An integer expression is an affine form (c0, {leaf: c}), meaning c0 + the
+# sum of c * leaf over its ord and lin leaves, first seen first.  A leaf
+# whose coefficients cancel keeps its key at 0, so the keys are every leaf
+# the expression reads.  Forms are never changed once built: terms and
+# expressions share them.
 Form = tuple[int, dict]
-
-
-def _affine(e: IntExpr) -> Form:
-    """e as an affine form (c0, {leaf: c}), meaning c0 + sum of c * leaf
-    over its ord and lin leaves, first seen first.  A leaf whose
-    coefficients cancel keeps its key at 0, so the keys are every leaf."""
-    if isinstance(e, IntConst):
-        return e.value, {}
-    if isinstance(e, (LinExpr, OrdExpr)):
-        return 0, {e: 1}
-    if isinstance(e, IntScale):
-        c, lin = _affine(e.arg)
-        return e.scalar * c, {a: e.scalar * x for a, x in lin.items()}
-    if isinstance(e, IntSum):
-        return _affine_sum(e.parts)
-    raise TypeError(f"not an integer expression: {e!r}")
-
-
-def _affine_sum(parts: Iterable[IntExpr]) -> Form:
-    """The affine form of the sum of the parts."""
-    c, lin = 0, {}
-    for part in parts:
-        pc, plin = _affine(part)
-        c += pc
-        _add_into(lin, plin)
-    return c, lin
+_ZERO: Form = (0, {})
 
 
 def _add_into(lin: dict, other: dict, scale: int = 1) -> dict:
@@ -163,6 +119,11 @@ def _add_into(lin: dict, other: dict, scale: int = 1) -> dict:
     for a, x in other.items():
         lin[a] = lin.get(a, 0) + scale * x
     return lin
+
+
+def _add_forms(a: Form, b: Form) -> Form:
+    """The form a + b, in a new dict."""
+    return a[0] + b[0], _add_into(dict(a[1]), b[1])
 
 
 def _substitute(form: Form, subs: dict) -> Form:
@@ -177,11 +138,6 @@ def _substitute(form: Form, subs: dict) -> Form:
             c0 += c * sub[0]
             _add_into(out, sub[1], c)
     return c0, out
-
-
-def _term_forms(terms: Sequence["Term"]) -> list[tuple[AqElem, Form, tuple[Form, ...]]]:
-    """Each term as (coefficient, q-exponent form, factor forms)."""
-    return [(t.coeff, _affine_sum(t.qparts), tuple(map(_affine, t.zfactors))) for t in terms]
 
 
 def _leaves(terms: Iterable[tuple[AqElem, Form, Sequence[Form]]]) -> dict:
@@ -231,51 +187,37 @@ def _atom_value(a: Union[LinExpr, OrdExpr], point: dict, p: int) -> int:
 
 
 class Term:
-    """coefficient * q^(sum of qparts) * product of zfactors."""
+    """coefficient * q^q * the product of the factors, where q and each
+    factor are affine forms."""
 
-    __slots__ = ("coeff", "qparts", "zfactors")
+    __slots__ = ("coeff", "q", "factors")
 
-    def __init__(
-        self,
-        coeff: AqElem,
-        qparts: Sequence[IntExpr] = (),
-        zfactors: Sequence[IntExpr] = (),
-    ):
+    def __init__(self, coeff: AqElem, q: Form = _ZERO, factors: Sequence[Form] = ()):
         self.coeff = coeff
-        self.qparts = tuple(qparts)
-        self.zfactors = tuple(zfactors)
-
-    def free_vars(self) -> set[str]:
-        return _leaf_vars(_affine_sum(self.qparts + self.zfactors)[1])
-
-    def scaled(self, aq: AqElem) -> "Term":
-        return Term(self.coeff * aq, self.qparts, self.zfactors)
+        self.q = q
+        self.factors = tuple(factors)
 
     def __eq__(self, other):
         if not isinstance(other, Term):
             return NotImplemented
-        return (
-            self.coeff == other.coeff
-            and self.qparts == other.qparts
-            and self.zfactors == other.zfactors
-        )
+        return self.coeff == other.coeff and self.q == other.q and self.factors == other.factors
 
 
 class ConstructibleExpr:
-    """A finite sum of terms with declared variable sorts."""
+    """A finite sum of Terms with declared variable sorts.  +, *, ** and
+    scale build new Terms, which share the operands' forms."""
 
     def __init__(self, terms: Sequence[Term], sorts: dict[str, str] | None = None):
         self.terms = list(terms)
         self.sorts = dict(sorts or {})
-        for term in self.terms:
-            for a in _affine_sum(term.qparts + term.zfactors)[1]:
-                if isinstance(a, LinExpr):
-                    sort, names = GAMMA_SORT, (a.var,)
-                else:
-                    sort, names = K_SORT, a.vars
-                for v in names:
-                    if self.sorts.setdefault(v, sort) != sort:
-                        raise ValueError(f"{v} used both as field and value-group variable")
+        for a in _leaves((t.coeff, t.q, t.factors) for t in self.terms):
+            if isinstance(a, LinExpr):
+                sort, names = GAMMA_SORT, (a.var,)
+            else:
+                sort, names = K_SORT, a.vars
+            for v in names:
+                if self.sorts.setdefault(v, sort) != sort:
+                    raise ValueError(f"{v} used both as field and value-group variable")
 
     @classmethod
     def _declared(cls, terms: list[Term], sorts: dict[str, str]) -> "ConstructibleExpr":
@@ -293,16 +235,16 @@ class ConstructibleExpr:
         return cls([Term(aq)])
 
     @classmethod
-    def q_exponent(cls, e: IntExpr) -> "ConstructibleExpr":
-        return cls([Term(AqElem.one(), qparts=(e,))])
+    def q_exponent(cls, form: Form) -> "ConstructibleExpr":
+        return cls([Term(AqElem.one(), form)])
 
     @classmethod
-    def factor(cls, e: IntExpr) -> "ConstructibleExpr":
-        return cls([Term(AqElem.one(), zfactors=(e,))])
+    def factor(cls, form: Form) -> "ConstructibleExpr":
+        return cls([Term(AqElem.one(), factors=(form,))])
 
     @classmethod
     def ord_factor(cls, poly: Polynomial, names: Sequence[str]) -> "ConstructibleExpr":
-        return cls.factor(OrdExpr(poly, tuple(names)))
+        return cls.factor((0, {OrdExpr(poly, tuple(names)): 1}))
 
     # -- algebra ------------------------------------------------------------
 
@@ -319,7 +261,7 @@ class ConstructibleExpr:
     def __mul__(self, other: "ConstructibleExpr") -> "ConstructibleExpr":
         sorts = _merge_sorts(self.sorts, other.sorts)
         terms = [
-            Term(t1.coeff * t2.coeff, t1.qparts + t2.qparts, t1.zfactors + t2.zfactors)
+            Term(t1.coeff * t2.coeff, _add_forms(t1.q, t2.q), t1.factors + t2.factors)
             for t1 in self.terms
             for t2 in other.terms
         ]
@@ -334,10 +276,11 @@ class ConstructibleExpr:
         return out
 
     def scale(self, aq: AqElem) -> "ConstructibleExpr":
-        return ConstructibleExpr._declared([t.scaled(aq) for t in self.terms], self.sorts)
+        terms = [Term(t.coeff * aq, t.q, t.factors) for t in self.terms]
+        return ConstructibleExpr._declared(terms, self.sorts)
 
     def free_vars(self) -> set[str]:
-        return _leaf_vars(_leaves(_term_forms(self.terms)))
+        return _leaf_vars(_leaves((t.coeff, t.q, t.factors) for t in self.terms))
 
     def __eq__(self, other):
         if not isinstance(other, ConstructibleExpr):
@@ -349,7 +292,7 @@ class ConstructibleExpr:
     def eval(self, point: dict, prime: Prime) -> Fraction:
         """Exact value at a fully instantiated point, with q = p: the integer
         pass of _Compiled over the leaf values at the point."""
-        return _Compiled(_term_forms(self.terms)).at(point, prime)
+        return _Compiled([(t.coeff, t.q, t.factors) for t in self.terms]).at(point, prime)
 
 
 def _merge_sorts(a: dict, b: dict) -> dict:
@@ -531,9 +474,9 @@ def _domain_cell_from_json(data) -> GammaCell:
 
 def _check_integrand(f: ConstructibleExpr, domain: Domain) -> list:
     """Every variable of f is declared, with the sort f uses it at; returns
-    the terms of f as forms."""
-    forms = _term_forms(f.terms)
-    missing = _leaf_vars(_leaves(forms)) - set(domain.names())
+    the terms of f as (coefficient, q form, factor forms)."""
+    terms = [(t.coeff, t.q, t.factors) for t in f.terms]
+    missing = _leaf_vars(_leaves(terms)) - set(domain.names())
     if missing:
         raise DomainError(f"integrand mentions undeclared variables: {sorted(missing)}")
     for name, sort in f.sorts.items():
@@ -544,7 +487,7 @@ def _check_integrand(f: ConstructibleExpr, domain: Domain) -> list:
                     f"variable {name} has sort {v.sort} in the domain, "
                     f"but the integrand uses it as a {used} variable"
                 )
-    return forms
+    return terms
 
 
 def integrate(f: ConstructibleExpr, domain: Domain) -> AqElem:
@@ -962,7 +905,7 @@ def brute_force_integrate(
 def _class_sum(compiled: _Compiled, coeffs: Sequence[Fraction], classes: Counter, p: int) -> Fraction:
     """The sum of count * p^-s * f over classes[(atom values, s)] = count.
     Each term's sum stays int numerators keyed by the power of p until one
-    Fraction per term at the end."""
+    int, or one Fraction over a power of p, per term at the end."""
     sums = [defaultdict(int) for _ in coeffs]
     for (values, s), count in classes.items():
         for acc, (e, z) in zip(sums, compiled.powers(values)):
@@ -971,5 +914,6 @@ def _class_sum(compiled: _Compiled, coeffs: Sequence[Fraction], classes: Counter
     for coeff, acc in zip(coeffs, sums):
         if acc:
             low = min(acc)
-            total += coeff * Fraction(p) ** low * sum(z * p ** (e - low) for e, z in acc.items())
+            num = sum(z * p ** (e - low) for e, z in acc.items())
+            total += coeff * (num * p**low if low >= 0 else Fraction(num, p**-low))
     return total

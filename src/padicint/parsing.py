@@ -11,11 +11,13 @@ value-group variables g1..gm.
 
 The descent makes one pass over the token texts and works on plain data:
 a polynomial is {exponent tuple: int}, an integrand a list of (int
-coefficient, qparts, zfactors) triples, never combined or reordered.  One
-Polynomial or one ConstructibleExpr is built at the end, equal term by
-term to what their own algebra gives for the text.  Token positions are
-computed only when a ParseError is raised.  Rendering emits canonical
-text that parses back to the same expression (see render_constructible).
+coefficient, q form, factor forms) triples, never combined or reordered,
+whose affine forms are those of integrate and share one leaf per distinct
+ord or lin argument.  One Polynomial or one ConstructibleExpr is built at
+the end, equal term by term to what their own algebra gives for the text.
+Token positions are computed only when a ParseError is raised.  Rendering
+emits canonical text that parses back to the same expression (see
+render_constructible).
 """
 
 from __future__ import annotations
@@ -27,16 +29,15 @@ from itertools import zip_longest
 from .aqring import AqElem
 from .errors import ParseError
 from .integrate import (
+    _ZERO,
     GAMMA_SORT,
     K_SORT,
     ConstructibleExpr,
-    IntConst,
-    IntExpr,
-    IntScale,
-    IntSum,
+    Form,
     LinExpr,
     OrdExpr,
     Term,
+    _add_forms,
 )
 from .polys import Polynomial, signed_join
 from .presburger import PreparedLinear
@@ -224,15 +225,18 @@ def parse_polynomial(text: str) -> Polynomial:
 
 
 class _IntegrandTerms:
-    """The integrand algebra on lists of (int coefficient, qparts, zfactors)
-    triples.  sorts gets each variable when an atom naming it is read,
-    which is the order ConstructibleExpr's + and * merge them in; a factor
-    raised to ^0 takes back the variables first read inside it, as the
-    ConstructibleExpr.constant(1) it becomes has none."""
+    """The integrand algebra on lists of (int coefficient, q form, factor
+    forms) triples.  sorts gets each variable when an atom naming it is
+    read, which is the order ConstructibleExpr's + and * merge them in; a
+    factor raised to ^0 takes back the variables first read inside it, as
+    the ConstructibleExpr.constant(1) it becomes has none.  leaves holds
+    one form (0, {leaf: 1}) per distinct ord argument and lin(...), so
+    every form of one parse holds the same leaf objects."""
 
     def __init__(self):
         self.sorts: dict[str, str] = {}
         self.read_at: list[int] = []  # the token index where each key of sorts was read
+        self.leaves: dict[tuple, Form] = {}
 
     def declare(self, names: tuple[str, ...], sort: str, i: int):
         for name in names:
@@ -243,14 +247,14 @@ class _IntegrandTerms:
     def atom(self, tokens, i):
         tok = tokens[i]
         if tok[:1].isdigit():
-            return [(int(tok), (), ())], i + 1
+            return [(int(tok), _ZERO, ())], i + 1
         if tok == "q":
             i = _expect(tokens, _expect(tokens, i + 1, "^"), "(")
             exponent, i = _parse_int_expr(tokens, i, self)
-            return [(1, (exponent,), ())], _expect(tokens, i, ")")
+            return [(1, exponent, ())], _expect(tokens, i, ")")
         if tok == "ord" or tok == "lin":
             factor, i = _parse_int_atom(tokens, i, self)
-            return [(1, (), (factor,))], i
+            return [(1, _ZERO, (factor,))], i
         if _is_name(tok):
             raise _Fail(f"unknown symbol {tok!r} (expected q, ord, lin, or an integer)", i)
         raise _Fail("expected an integrand factor", i)
@@ -262,13 +266,13 @@ class _IntegrandTerms:
         return a + b
 
     def mul(self, a, b):
-        return [(c1 * c2, q1 + q2, z1 + z2) for c1, q1, z1 in a for c2, q2, z2 in b]
+        return [(c1 * c2, _add_forms(q1, q2), z1 + z2) for c1, q1, z1 in a for c2, q2, z2 in b]
 
     def one(self, start):
         while self.read_at and self.read_at[-1] >= start:
             self.read_at.pop()
             self.sorts.popitem()
-        return [(1, (), ())]
+        return [(1, _ZERO, ())]
 
 
 def parse_integrand(text: str) -> ConstructibleExpr:
@@ -284,30 +288,31 @@ def parse_integrand(text: str) -> ConstructibleExpr:
     return ConstructibleExpr._declared(terms, alg.sorts)
 
 
-def _parse_int_expr(tokens: list[str], i: int, alg: _IntegrandTerms) -> tuple[IntExpr, int]:
+def _parse_int_expr(tokens: list[str], i: int, alg: _IntegrandTerms) -> tuple[Form, int]:
+    """A signed sum of terms, read into one affine form."""
     sign = -1 if tokens[i] == "-" else 1
-    part, i = _parse_int_term(tokens, i + (sign < 0), sign, alg)
-    parts = [part]
+    form, i = _parse_int_term(tokens, i + (sign < 0), sign, alg)
     while tokens[i] == "+" or tokens[i] == "-":
         part, i = _parse_int_term(tokens, i + 1, 1 if tokens[i] == "+" else -1, alg)
-        parts.append(part)
-    return (parts[0] if len(parts) == 1 else IntSum(tuple(parts))), i
+        form = _add_forms(form, part)
+    return form, i
 
 
-def _parse_int_term(
-    tokens: list[str], i: int, sign: int, alg: _IntegrandTerms
-) -> tuple[IntExpr, int]:
+def _parse_int_term(tokens: list[str], i: int, sign: int, alg: _IntegrandTerms) -> tuple[Form, int]:
+    """c, c*atom or atom, times sign; a leaf scaled by 0 keeps its key."""
     scalar = sign
     if tokens[i][:1].isdigit():
         scalar = sign * int(tokens[i])
         if tokens[i + 1] != "*":
-            return IntConst(scalar), i + 1
+            return (scalar, {}), i + 1
         i += 2
-    atom, i = _parse_int_atom(tokens, i, alg)
-    return (atom if scalar == 1 else IntScale(scalar, atom)), i
+    (c, lin), i = _parse_int_atom(tokens, i, alg)
+    if scalar == 1:
+        return (c, lin), i
+    return (scalar * c, {a: scalar * x for a, x in lin.items()}), i
 
 
-def _parse_int_atom(tokens: list[str], i: int, alg: _IntegrandTerms) -> tuple[IntExpr, int]:
+def _parse_int_atom(tokens: list[str], i: int, alg: _IntegrandTerms) -> tuple[Form, int]:
     tok = tokens[i]
     if tok == "ord":
         return _parse_ord(tokens, _expect(tokens, i + 1, "("), alg)
@@ -322,22 +327,26 @@ def _parse_int_atom(tokens: list[str], i: int, alg: _IntegrandTerms) -> tuple[In
         if m is None or m.group(1) != "g":
             raise _Fail("prepared forms apply to value-group variables g1, g2, ...", at)
         i = _expect(tokens, at + 1, ")")
-        try:
-            form = PreparedLinear(*args)
-        except ValueError as exc:
-            raise _Fail(str(exc), at)
+        key = ("lin", name, *args)
+        form = alg.leaves.get(key)
+        if form is None:
+            try:
+                form = alg.leaves[key] = (0, {LinExpr(PreparedLinear(*args), name): 1})
+            except ValueError as exc:
+                raise _Fail(str(exc), at)
         alg.declare((name,), GAMMA_SORT, at)
-        return LinExpr(form, name), i
+        return form, i
     if tok[:1].isdigit():
-        return IntConst(int(tok)), i + 1
+        return (int(tok), {}), i + 1
     if tok == "(":
         inner, i = _parse_int_expr(tokens, i + 1, alg)
         return inner, _expect(tokens, i, ")")
     raise _Fail("expected ord(...), lin(...), an integer, or '('", i)
 
 
-def _parse_ord(tokens: list[str], start: int, alg: _IntegrandTerms) -> tuple[OrdExpr, int]:
-    """The polynomial argument of ord( from tokens[start] to its ')'.  On an
+def _parse_ord(tokens: list[str], start: int, alg: _IntegrandTerms) -> tuple[Form, int]:
+    """The form of ord( with the polynomial argument from tokens[start] to
+    its ')', shared by every equal argument of the parse.  On an
     error an unbalanced argument is reported first, then the first name in
     it that is not a field variable, then the error met."""
     poly = _PolyTerms()
@@ -355,46 +364,43 @@ def _parse_ord(tokens: list[str], start: int, alg: _IntegrandTerms) -> tuple[Ord
         raise _first_bad_name(tokens, start, j - 1, message) or fail
     names = tuple(f"x{k + 1}" for k in range(poly.nvars))
     alg.declare(names, K_SORT, start)
-    return OrdExpr(poly.polynomial(terms), names), end
+    key = ("ord", poly.nvars, *sorted(terms.items()))
+    form = alg.leaves.get(key)
+    if form is None:
+        form = alg.leaves[key] = (0, {OrdExpr(poly.polynomial(terms), names): 1})
+    return form, end
 
 
 # -- rendering -------------------------------------------------------------------
 
 
-def render_intexpr(e: IntExpr, parenthesize: bool = False) -> str:
-    if isinstance(e, IntConst):
-        return str(e.value)
-    if isinstance(e, LinExpr):
-        f = e.form
-        return f"lin({f.a},{f.k},{f.n},{f.delta};{e.var})"
-    if isinstance(e, OrdExpr):
-        text = e.poly.render(e.vars)
-        if e.poly.nvars and not e.poly.mentions(e.poly.nvars - 1):
-            # the parser reads the arity from the largest index named
-            text += f" + 0*{e.vars[-1]}"
-        return f"ord({text})"
-    if isinstance(e, IntScale):
-        # a literal after a scalar is a nonnegative int; anything else but an
-        # atom is parenthesised, so the text parses back to this IntScale
-        inner = render_intexpr(e.arg)
-        literal = isinstance(e.arg, IntConst)
-        if not isinstance(e.arg, (OrdExpr, LinExpr)) and not (literal and e.arg.value >= 0):
-            inner = f"({inner})"
-        if e.scalar == 1:
-            return inner
-        if e.scalar == -1 and not literal:
-            return f"-{inner}"
-        return f"{e.scalar}*{inner}"
-    if isinstance(e, IntSum):
-        texts = (render_intexpr(p, parenthesize=isinstance(p, IntSum)) for p in e.parts)
-        body = signed_join((t.startswith("-"), t.removeprefix("-")) for t in texts)
-        return f"({body})" if parenthesize else body
-    raise TypeError(f"not an integer expression: {e!r}")
+def _render_leaf(leaf) -> str:
+    if isinstance(leaf, LinExpr):
+        f = leaf.form
+        return f"lin({f.a},{f.k},{f.n},{f.delta};{leaf.var})"
+    text = leaf.poly.render(leaf.vars)
+    if leaf.poly.nvars and not leaf.poly.mentions(leaf.poly.nvars - 1):
+        # the parser reads the arity from the largest index named
+        text += f" + 0*{leaf.vars[-1]}"
+    return f"ord({text})"
+
+
+def _render_form(form: Form) -> str:
+    """c0 + sum c * leaf as the leaves in key order, a cancelled one as
+    0*leaf, then the constant: the text parses back to an equal form."""
+    parts = []
+    for leaf, c in form[1].items():
+        text = _render_leaf(leaf)
+        parts.append((c < 0, text if c in (1, -1) else f"{abs(c)}*{text}"))
+    if form[0]:
+        parts.append((form[0] < 0, str(abs(form[0]))))
+    return signed_join(parts)
 
 
 def render_constructible(expr: ConstructibleExpr) -> str:
-    """Canonical text for a parsed expression, which parses back to equal
-    terms."""
+    """Canonical text for a parsed expression, one q^(...) per term, which
+    parses back to equal terms.  A factor that is not a single leaf, which
+    the parser never builds, is written as a parenthesised sum."""
     rendered = []
     for term in expr.terms:
         coeff = term.coeff.as_rational()
@@ -403,14 +409,10 @@ def render_constructible(expr: ConstructibleExpr) -> str:
                 "only integer-coefficient expressions have a canonical rendering"
             )
         c = coeff.numerator
-        factors = []
-        for qpart in term.qparts:
-            factors.append(f"q^({render_intexpr(qpart)})")
-        for z in term.zfactors:
-            if isinstance(z, (OrdExpr, LinExpr, IntConst)):
-                factors.append(render_intexpr(z))
-            else:
-                factors.append(f"({render_intexpr(z)})")
+        factors = [f"q^({_render_form(term.q)})"] if term.q[0] or term.q[1] else []
+        for z in term.factors:
+            text = _render_form(z)
+            factors.append(text if z[0] == 0 and list(z[1].values()) == [1] else f"({text})")
         if not factors or abs(c) != 1:
             factors.insert(0, str(abs(c)))
         rendered.append((c < 0, "*".join(factors)))

@@ -23,9 +23,6 @@ from .errors import DivergentSum
 from .integrate import (
     ConstructibleExpr,
     Domain,
-    IntConst,
-    IntScale,
-    IntSum,
     K_SORT,
     GAMMA_SORT,
     LinExpr,
@@ -379,14 +376,10 @@ def _corpus():
     ox = OrdExpr(Polynomial.variable(0, 1), ("x1",))
     return [
         ("1", ConstructibleExpr.constant(1), (1, 0, 0)),
-        ("|x|", ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, ox),))]), (1, -1, 0)),
-        ("ord x", ConstructibleExpr([Term(AqElem.one(), zfactors=(ox,))]), (1, 0, 1)),
-        (
-            "ord(x) q^-ord x",
-            ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, ox),), zfactors=(ox,))]),
-            (1, -1, 1),
-        ),
-        ("q^-2 ord x", ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-2, ox),))]), (1, -2, 0)),
+        ("|x|", ConstructibleExpr.q_exponent((0, {ox: -1})), (1, -1, 0)),
+        ("ord x", ConstructibleExpr.factor((0, {ox: 1})), (1, 0, 1)),
+        ("ord(x) q^-ord x", ConstructibleExpr([Term(AqElem.one(), (0, {ox: -1}), [(0, {ox: 1})])]), (1, -1, 1)),
+        ("q^-2 ord x", ConstructibleExpr.q_exponent((0, {ox: -2})), (1, -2, 0)),
     ]
 
 
@@ -432,7 +425,7 @@ def check_integration_additivity():
     2), which carries its cell count as a literal and so agrees at q = 3,
     and against (1 - q^-1) / (1 - q^-2)."""
     prime = Prime(2)
-    f = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, identity_lin("g1")),))])
+    f = ConstructibleExpr.q_exponent((0, {identity_lin("g1"): -1}))
     d_whole = Domain([("g1", GAMMA_SORT, [GammaCell(0, None, 1, 0)])], prime)
     d_split = Domain([("g1", GAMMA_SORT, [GammaCell(0, None, 2, 0), GammaCell(0, None, 2, 1)])], prime)
     if integrate(f, d_whole) != integrate(f, d_split):
@@ -454,9 +447,7 @@ def check_integration_fubini():
     g1 odd, and g2 >= 0 at p = 3, and of q^(-ord x1 - ord x2) over the unit
     ball of Z_2^2, whose value is (2/3)^2."""
     g1, g2 = identity_lin("g1"), identity_lin("g2")
-    f = ConstructibleExpr(
-        [Term(AqElem.one(), qparts=(IntScale(-1, g1), IntScale(-2, g2)), zfactors=(g2,))]
-    )
+    f = ConstructibleExpr([Term(AqElem.one(), (0, {g1: -1, g2: -2}), [(0, {g2: 1})])])
     c1, c2 = GammaCell(0, 9, 2, 1), GammaCell(-1, None, 1, 0)
     prime = Prime(3)
     one_way = Domain([("g1", GAMMA_SORT, [c1]), ("g2", GAMMA_SORT, [c2])], prime)
@@ -464,7 +455,7 @@ def check_integration_fubini():
     if integrate(f, one_way) != integrate(f, other):
         return "value group: g1, g2 vs g2, g1"
     ords = [OrdExpr(Polynomial.variable(0, 1), (name,)) for name in ("x1", "x2")]
-    f = ConstructibleExpr([Term(AqElem.one(), qparts=tuple(IntScale(-1, o) for o in ords))])
+    f = ConstructibleExpr.q_exponent((0, dict.fromkeys(ords, -1)))
     prime = Prime(2)
     one_way = integrate(f, Domain([("x1", K_SORT, UNIT_BALL), ("x2", K_SORT, UNIT_BALL)], prime))
     other = integrate(f, Domain([("x2", K_SORT, UNIT_BALL), ("x1", K_SORT, UNIT_BALL)], prime))
@@ -658,41 +649,42 @@ def _random_lin(rng: random.Random) -> tuple[str, LinExpr]:
 
 def _random_int_atom(rng: random.Random, depth: int, literal: bool):
     """An ord, lin, literal (only where literal is set) or parenthesised
-    integer expression, and its IntExpr."""
+    integer expression, and its affine form."""
     roll = rng.random()
     if depth and roll < 0.2:
-        inner, e = _random_int_expr(rng, depth - 1)
-        return "(" + inner + ")", e
+        inner, form = _random_int_expr(rng, depth - 1)
+        return "(" + inner + ")", form
     if literal and roll < 0.4:
         c = rng.randint(0, 5)
-        return str(c), IntConst(c)
-    return _random_ord(rng) if roll < 0.7 else _random_lin(rng)
+        return str(c), (c, {})
+    text, leaf = _random_ord(rng) if roll < 0.7 else _random_lin(rng)
+    return text, (0, {leaf: 1})
 
 
-def _random_int_expr(rng: random.Random, depth: int) -> tuple[str, object]:
-    """An exponent text and its IntExpr: one part per signed term, an
-    IntSum of two or more.  A term is a literal c (IntConst(+-c)), c*atom
-    (IntScale(+-c, atom), the atom alone for +1) or an atom that is not a
-    literal (IntScale(-1, atom) after a '-')."""
-    texts, parts = [], []
+def _random_int_expr(rng: random.Random, depth: int) -> tuple[str, tuple[int, dict]]:
+    """An exponent text and its affine form (c0, {leaf: c}), summed here
+    term by term: a literal c adds +-c to c0, c*atom adds +-c times the
+    atom's form (a leaf scaled by 0 keeps its key), and an atom alone adds
+    its form, negated after a '-'."""
+    texts, c0, lin = [], 0, {}
     for i in range(rng.randint(1, 3)):
         sign = -1 if rng.random() < 0.4 else 1
         roll = rng.random()
         if roll < 0.25:
             c = rng.randint(0, 9)
-            text, part = str(c), IntConst(sign * c)
+            text, c0 = str(c), c0 + sign * c
         else:
-            text, atom = _random_int_atom(rng, depth, literal=roll < 0.5)
+            text, (ac, alin) = _random_int_atom(rng, depth, literal=roll < 0.5)
             scalar = sign
             if roll < 0.5:
                 c = rng.randint(0, 5)
                 text, scalar = f"{c}{_sep(rng)}*{_sep(rng)}{text}", sign * c
-            part = atom if scalar == 1 else IntScale(scalar, atom)
+            c0 += scalar * ac
+            for leaf, x in alin.items():
+                lin[leaf] = lin.get(leaf, 0) + scalar * x
         sign_text = ("-" if sign < 0 else "") if i == 0 else ("-" if sign < 0 else "+")
         texts.append(sign_text + _sep(rng) + text)
-        parts.append(part)
-    expr = parts[0] if len(parts) == 1 else IntSum(tuple(parts))
-    return _sep(rng).join(texts), expr
+    return _sep(rng).join(texts), (c0, lin)
 
 
 def random_integrand_text(rng: random.Random) -> tuple[str, ConstructibleExpr]:
@@ -708,8 +700,8 @@ def random_integrand_text(rng: random.Random) -> tuple[str, ConstructibleExpr]:
             text, e = _random_int_expr(rng, 1)
             text = "q" + _sep(rng) + "^" + _sep(rng) + "(" + text + ")"
             return text, lambda: ConstructibleExpr.q_exponent(e)
-        text, e = _random_ord(rng) if roll < 0.8 else _random_lin(rng)
-        return text, lambda: ConstructibleExpr.factor(e)
+        text, atom = _random_ord(rng) if roll < 0.8 else _random_lin(rng)
+        return text, lambda: ConstructibleExpr.factor((0, {atom: 1}))
 
     text, build = _random_sum(rng, leaf, 1)
     return text, build()

@@ -17,7 +17,6 @@ from padicint import (
     DomainGammaCell,
     GammaCell,
     InfiniteMeasure,
-    IntScale,
     KCell,
     NotFiberReducible,
     OrdExpr,
@@ -65,7 +64,7 @@ def test_eval_examples():
     assert eval_constructible(ORD_TIMES_NORM, {"x1": Fraction(4)}, P2) == Fraction(1, 2)
     assert eval_constructible(ONE, {}, P3) == 1
     f = ConstructibleExpr(
-        [Term(AqElem.one(), zfactors=(OrdExpr(Polynomial(2, {(1, 1): 1}), ("x1", "x2")),))]
+        [Term(AqElem.one(), factors=[(0, {OrdExpr(Polynomial(2, {(1, 1): 1}), ("x1", "x2")): 1})])]
     )
     assert eval_constructible(f, {"x1": Fraction(2), "x2": Fraction(6)}, P2) == 2
 
@@ -95,7 +94,7 @@ def test_integrate_ord():
 
 
 def test_integrate_gamma_cell_example():
-    f = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, identity_lin("g1")),))])
+    f = ConstructibleExpr([Term(AqElem.one(), (0, {identity_lin("g1"): -1}))])
     dom = Domain([("g1", G, [GammaCell(1, None, 1, 0)])], P2)
     assert integrate(f, dom) == AqElem.q_power(-2) * AqElem.geom(1)
 
@@ -194,7 +193,7 @@ def test_oracle_budget_bounds_the_classes_settled():
     # cuts Z_3 into 3^7 Z_3 and the 2 * 7 classes a + 3^k Z_3 with 0 < a < 3^k
     # and ord a = k - 1, and the walk settles the products of those pieces
     f = ConstructibleExpr(
-        [Term(AqElem.one(), qparts=(IntScale(-1, ordvar("x1")), IntScale(-1, ordvar("x2"))))]
+        [Term(AqElem.one(), (0, {ordvar("x1"): -1, ordvar("x2"): -1}))]
     )
     domain = Domain([("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL)], P3)
     r = brute_force_integrate(f, domain, 7, growth=(1, -1, 0), budget=225)
@@ -206,7 +205,7 @@ def test_oracle_budget_bounds_the_classes_settled():
 def test_oracle_on_general_polynomial_argument():
     # the symbolic engine rejects ord(1 + x^2); the oracle still integrates it
     g = Polynomial(1, {(0,): 1, (2,): 1})
-    f = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, OrdExpr(g, ("x1",))),))])
+    f = ConstructibleExpr([Term(AqElem.one(), (0, {OrdExpr(g, ("x1",)): -1}))])
     with pytest.raises(NotFiberReducible):
         integrate(f, unit_ball_domain(P3))
     r = brute_force_integrate(f, unit_ball_domain(P3), 5, growth=(1, 0, 0))
@@ -235,8 +234,8 @@ def _weighted_ord_product(n):
         [
             Term(
                 AqElem.one(),
-                qparts=tuple(IntScale(-1, ordvar(f"x{i}")) for i in range(1, n + 1)),
-                zfactors=tuple(ordvar(f"x{i}") for i in range(1, n + 1)),
+                (0, {ordvar(f"x{i}"): -1 for i in range(1, n + 1)}),
+                [(0, {ordvar(f"x{i}"): 1}) for i in range(1, n + 1)],
             )
         ]
     )
@@ -263,7 +262,7 @@ def test_multivariate_ord_factorization():
         [
             Term(
                 AqElem.one(),
-                qparts=(IntScale(-1, OrdExpr(Polynomial(2, {(1, 1): 1}), ("x1", "x2"))),),
+                (0, {OrdExpr(Polynomial(2, {(1, 1): 1}), ("x1", "x2")): -1}),
             )
         ]
     )
@@ -274,7 +273,7 @@ def test_multivariate_ord_factorization():
 
 def test_dependent_bounds_triangle():
     # inner variable bounded below by the outer one
-    f = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, identity_lin("g2")),))])
+    f = ConstructibleExpr([Term(AqElem.one(), (0, {identity_lin("g2"): -1}))])
     tri = Domain(
         [
             ("g1", G, [GammaCell(0, None, 1, 0)]),
@@ -297,8 +296,8 @@ def test_dependent_bounds_weighted_and_counting():
         [
             Term(
                 AqElem.one(),
-                qparts=(IntScale(-1, identity_lin("g2")),),
-                zfactors=(identity_lin("g2"),),
+                (0, {identity_lin("g2"): -1}),
+                [(0, {identity_lin("g2"): 1})],
             )
         ]
     )
@@ -394,7 +393,7 @@ def test_symbolic_bounds_need_modulus_one():
         ],
         P2,
     )
-    f = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, identity_lin("g2")),))])
+    f = ConstructibleExpr([Term(AqElem.one(), (0, {identity_lin("g2"): -1}))])
     with pytest.raises(NotFiberReducible):
         integrate(f, tri)
 
@@ -402,7 +401,7 @@ def test_symbolic_bounds_need_modulus_one():
 def test_fiber_reduction_rejects_shifted_argument():
     # ord(x - 1) on a cell centered at 0 is not reducible
     g = Polynomial(1, {(1,): 1, (0,): -1})
-    f = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-1, OrdExpr(g, ("x1",))),))])
+    f = ConstructibleExpr([Term(AqElem.one(), (0, {OrdExpr(g, ("x1",)): -1}))])
     with pytest.raises(NotFiberReducible):
         integrate(f, unit_ball_domain(P2))
     # but on a cell centered at 1 it reduces
@@ -419,12 +418,12 @@ def test_infinite_measure_and_divergence():
     with pytest.raises(InfiniteMeasure):
         integrate(ONE, dom)
     # |x|^2 grows on an unbounded-below cell: no finite integral
-    f = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(-2, ordvar()),))])
+    f = ConstructibleExpr([Term(AqElem.one(), (0, {ordvar(): -2}))])
     with pytest.raises(InfiniteMeasure):
         integrate(f, dom)
     # but |x|^-2 = q^(2 ord x) integrates over the complement of the unit
     # ball: shells of measure ~ q^-gamma against weight q^(2 gamma)
-    f2 = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(2, ordvar()),))])
+    f2 = ConstructibleExpr([Term(AqElem.one(), (0, {ordvar(): 2}))])
     r = integrate(f2, dom)
     # at q = 2 the shell at gamma has measure 2^(-gamma-1), gamma <= -1,
     # so the exact value is sum of 2^(gamma-1) = 1/2
@@ -434,7 +433,7 @@ def test_infinite_measure_and_divergence():
     )
     assert abs(r.eval_at(P2) - shells) < Fraction(1, 2**55)
     # counting-measure divergence on the value-group side
-    fg = ConstructibleExpr([Term(AqElem.one(), qparts=(IntScale(1, identity_lin("g1")),))])
+    fg = ConstructibleExpr([Term(AqElem.one(), (0, {identity_lin("g1"): 1}))])
     domg = Domain([("g1", G, [GammaCell(0, None, 1, 0)])], P2)
     with pytest.raises(DivergentSum):
         integrate(fg, domg)
@@ -465,7 +464,7 @@ def test_domain_checks_its_concrete_cells_as_one_union():
 
 
 def test_symbolic_engine_and_oracle_refuse_a_sort_clash_alike():
-    f = ConstructibleExpr([Term(AqElem.one(), zfactors=(identity_lin("x1"),))])
+    f = ConstructibleExpr([Term(AqElem.one(), factors=[(0, {identity_lin("x1"): 1})])])
     domain = Domain([("x1", K, UNIT_BALL)], P2)
     clash = "x1 has sort K in the domain, but the integrand uses it as a value-group variable"
     with pytest.raises(DomainError, match=clash):

@@ -1,9 +1,10 @@
 """The integer kernel behind ConstructibleExpr.eval and the oracle, against a
 direct evaluation written here.
 
-direct_value walks each term's expression trees in Fraction arithmetic and
-evaluates the coefficient from its numerator and (1 - q^-i) factors; it
-shares nothing with the package's evaluator.  The oracle on the unit ball
+direct_value reads each term's affine forms leaf by leaf in Fraction
+arithmetic, every leaf whatever its coefficient, and evaluates the
+coefficient from its numerator and (1 - q^-i) factors; it shares nothing
+with the package's evaluator.  The oracle on the unit ball
 is checked against it class by class: every class mod p^depth is inside
 the region, so the value is the sum of f at the defined representatives
 over p^(n depth), and the skipped classes are the undefined ones.
@@ -20,7 +21,6 @@ from padicint import (
     AqElem,
     ConstructibleExpr,
     Domain,
-    IntScale,
     OrdExpr,
     Polynomial,
     PreparedLinear,
@@ -32,7 +32,7 @@ from padicint import (
     integrate,
 )
 from padicint.aqring import LaurentPoly
-from padicint.integrate import IntConst, IntSum, LinExpr
+from padicint.integrate import LinExpr
 from padicint.parsing import parse_integrand
 
 K = "K"
@@ -54,24 +54,23 @@ def direct_ord(value: Fraction, p: int) -> int:
     return v
 
 
-def direct_int(e, point: dict, p: int) -> int:
-    if isinstance(e, IntConst):
-        return e.value
+def direct_int(form, point: dict, p: int) -> int:
+    c0, lin = form
+    return c0 + sum(c * direct_leaf(leaf, point, p) for leaf, c in lin.items())
+
+
+def direct_leaf(e, point: dict, p: int) -> int:
     if isinstance(e, LinExpr):
         f = e.form
         assert (point[e.var] - f.k) % f.n == 0
         return f.a * ((point[e.var] - f.k) // f.n) + f.delta
-    if isinstance(e, OrdExpr):
-        total = Fraction(0)
-        for exps, c in e.poly.terms.items():
-            for name, k in zip(e.vars, exps):
-                c *= Fraction(point[name]) ** k
-            total += c
-        return direct_ord(total, p)
-    if isinstance(e, IntSum):
-        return sum(direct_int(part, point, p) for part in e.parts)
-    assert isinstance(e, IntScale)
-    return e.scalar * direct_int(e.arg, point, p)
+    assert isinstance(e, OrdExpr)
+    total = Fraction(0)
+    for exps, c in e.poly.terms.items():
+        for name, k in zip(e.vars, exps):
+            c *= Fraction(point[name]) ** k
+        total += c
+    return direct_ord(total, p)
 
 
 def direct_coeff(aq: AqElem, p: int) -> Fraction:
@@ -86,8 +85,8 @@ def direct_value(f: ConstructibleExpr, point: dict, p: int) -> Fraction:
     for term in f.terms:
         if term.coeff.is_zero():
             continue
-        value = direct_coeff(term.coeff, p) * Fraction(p) ** sum(direct_int(e, point, p) for e in term.qparts)
-        for z in term.zfactors:
+        value = direct_coeff(term.coeff, p) * Fraction(p) ** direct_int(term.q, point, p)
+        for z in term.factors:
             value *= direct_int(z, point, p)
         total += value
     return total
@@ -119,11 +118,17 @@ def ord_atoms(draw, names=NAMES):
     return OrdExpr(poly, names)
 
 
-def int_exprs(atoms):
-    leaves = st.one_of(st.builds(IntConst, st.integers(-3, 3)), atoms)
-    scaled = st.builds(IntScale, st.integers(-3, 3), leaves)
-    summed = st.builds(lambda parts: IntSum(tuple(parts)), st.lists(st.one_of(leaves, scaled), min_size=1, max_size=3))
-    return st.one_of(leaves, scaled, summed)
+@st.composite
+def forms(draw, atoms):
+    """An affine form (c0, {leaf: c}) summed from up to four (leaf, c)
+    pairs over a pool of one or two leaves, so a leaf often recurs, and a
+    coefficient that is 0 or cancels keeps its key."""
+    pool = draw(st.lists(atoms, min_size=1, max_size=2))
+    c0, lin = draw(st.integers(-3, 3)), {}
+    for _ in range(draw(st.integers(0, 4))):
+        leaf = draw(st.sampled_from(pool))
+        lin[leaf] = lin.get(leaf, 0) + draw(st.integers(-3, 3))
+    return c0, lin
 
 
 coefficients = st.one_of(
@@ -137,13 +142,7 @@ coefficients = st.one_of(
 
 
 def integrands(atoms):
-    exprs = int_exprs(atoms)
-    terms = st.builds(
-        Term,
-        coefficients,
-        st.lists(exprs, max_size=2),
-        st.lists(exprs, max_size=2),
-    )
+    terms = st.builds(Term, coefficients, forms(atoms), st.lists(forms(atoms), max_size=2))
     return st.builds(ConstructibleExpr, st.lists(terms, min_size=1, max_size=3))
 
 

@@ -20,7 +20,6 @@ from padicint import (
     ConstructibleExpr,
     Domain,
     DomainError,
-    IntScale,
     OrdExpr,
     Polynomial,
     Prime,
@@ -30,7 +29,7 @@ from padicint import (
     brute_force_integrate,
     identity_lin,
 )
-from padicint.integrate import OracleResult, _Compiled, _lift_member, _region_status, _term_forms
+from padicint.integrate import OracleResult, _Compiled, _lift_member, _region_status
 from padicint.padic import INFINITY, rational_ord
 from padicint.parsing import parse_integrand
 from padicint.presburger import weighted_tail
@@ -45,7 +44,7 @@ def flat_oracle(f, domain, depth, growth=(1, 0, 0), refine=0) -> OracleResult:
     p = domain.prime.p
     names = domain.names()
     n = len(names)
-    ords = _Compiled(_term_forms(f.terms)).atoms
+    ords = _Compiled([(t.coeff, t.q, t.factors) for t in f.terms]).atoms
     tails = {
         d: C * p**d * weighted_tail([0] * dg + [1], d, 1 - c).eval_at(p)
         for d in {depth, depth + refine}
@@ -140,9 +139,11 @@ def _random_integrand(rng: random.Random, names: list, p: int) -> ConstructibleE
     for _ in range(rng.randint(1, 2)):
         coeff = AqElem.from_rational(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
         args = [_random_argument(rng, names, p) for _ in range(rng.randint(0, 2))]
-        qparts = tuple(IntScale(-rng.randint(0, 2), a) for a in args)
-        zfactors = tuple(a for a in args if rng.random() < 0.5)
-        terms.append(Term(coeff, qparts=qparts, zfactors=zfactors))
+        q = {}
+        for a in args:
+            q[a] = q.get(a, 0) - rng.randint(0, 2)
+        factors = [(0, {a: 1}) for a in args if rng.random() < 0.5]
+        terms.append(Term(coeff, (0, q), factors))
     return ConstructibleExpr(terms)
 
 
@@ -163,7 +164,7 @@ def _parsed_integrand(rng: random.Random, p: int) -> ConstructibleExpr:
     if rng.random() < 0.5:
         text += f" + {rng.randint(1, 5)}*q^(-{rng.randint(1, 2)}*{sat} - {unit})*{sat}"
     f = parse_integrand(text)
-    assert all(a.vars == ("x1", "x2") for a in _Compiled(_term_forms(f.terms)).atoms)
+    assert all(a.vars == ("x1", "x2") for a in _Compiled([(t.coeff, t.q, t.factors) for t in f.terms]).atoms)
     return f
 
 
@@ -217,7 +218,7 @@ def test_descent_keeps_an_argument_in_both_coordinates_saturated():
 def test_descent_evaluates_few_classes(monkeypatch):
     p, n, depth = 3, 2, 5
     ords = [OrdExpr(Polynomial.variable(0, 1), (name,)) for name in ("x1", "x2")]
-    f = ConstructibleExpr([Term(AqElem.one(), qparts=tuple(IntScale(-1, a) for a in ords))])
+    f = ConstructibleExpr([Term(AqElem.one(), (0, dict.fromkeys(ords, -1)))])
     domain = Domain([("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL)], Prime(p))
     calls = 0
     real_powers = _Compiled.powers
@@ -240,7 +241,7 @@ def test_descent_evaluates_few_classes(monkeypatch):
 
 
 def test_field_variable_read_as_value_group_variable_is_refused():
-    f = ConstructibleExpr([Term(AqElem.one(), zfactors=(identity_lin("x1"),))])
+    f = ConstructibleExpr([Term(AqElem.one(), factors=[(0, {identity_lin("x1"): 1})])])
     domain = Domain([("x1", K, UNIT_BALL)], Prime(2))
     with pytest.raises(DomainError, match="value-group"):
         brute_force_integrate(f, domain, 3)

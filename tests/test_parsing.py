@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicint import ConstructibleExpr, ParseError, Polynomial, Prime
+from padicint import ConstructibleExpr, LinExpr, OrdExpr, ParseError, Polynomial, Prime
 from padicint.parsing import parse_integrand, parse_polynomial, render_constructible
 from padicint.selfcheck import random_integrand_text, random_polynomial_text
 
@@ -112,6 +112,40 @@ def test_round_trip_is_identity_on_canonical_forms():
         assert render_constructible(again) == rendered
 
 
+@pytest.mark.parametrize(
+    "text, rendered",
+    [
+        # a repeated leaf is one key of the form
+        ("q^(ord(x1) + ord(x1))", "q^(2*ord(x1))"),
+        # a leaf whose coefficients cancel keeps its key at 0
+        ("q^(ord(x1) - ord(x1) + 1)", "q^(0*ord(x1) + 1)"),
+        # the q^ factors of a term merge into one exponent
+        ("3*q^(ord(x1))*ord(x2)*q^(-1 - lin(1,0,1,0;g1))", "3*q^(ord(x1) - lin(1,0,1,0;g1) - 1)*ord(x2)"),
+        ("q^(0)*q^(2 - 2)", "1"),
+    ],
+)
+def test_canonical_render(text, rendered):
+    assert render_constructible(parse_integrand(text)) == rendered
+    assert parse_integrand(rendered) == parse_integrand(text)
+
+
+def test_render_round_trips_generator_draws():
+    for seed in range(500):
+        _, expr = random_integrand_text(random.Random(seed))
+        rendered = render_constructible(expr)
+        assert parse_integrand(rendered) == expr, (seed, rendered)
+        assert render_constructible(parse_integrand(rendered)) == rendered, seed
+
+
+def test_a_parse_shares_one_leaf_per_argument():
+    f = parse_integrand("ord(x1)*q^(-ord(x1) + 2*lin(1,0,1,0;g1)) + lin(1,0,1,0;g1)*ord(x1)*q^(-ord( x1 ))")
+    leaves = [leaf for t in f.terms for _, lin in (t.q, *t.factors) for leaf in lin]
+    ords = [leaf for leaf in leaves if isinstance(leaf, OrdExpr)]
+    lins = [leaf for leaf in leaves if isinstance(leaf, LinExpr)]
+    assert len(ords) == 4 and all(a is ords[0] for a in ords)
+    assert len(lins) == 2 and lins[0] is lins[1]
+
+
 def test_multiline_error_position():
     with pytest.raises(ParseError) as err:
         parse_polynomial("x1 +\n x2 + $")
@@ -189,7 +223,7 @@ def test_parse_error_message_and_position(grammar, text, message, line, column):
 
 
 def _stored(expr):
-    return [(t.coeff.num.coeffs, t.coeff.den, t.qparts, t.zfactors) for t in expr.terms]
+    return [(t.coeff.num.coeffs, t.coeff.den, t.q, t.factors) for t in expr.terms]
 
 
 @settings(max_examples=300, deadline=None)

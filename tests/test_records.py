@@ -15,9 +15,6 @@ from padicint import (
     AngularResidue,
     BoundRef,
     GammaCell,
-    IntConst,
-    IntScale,
-    IntSum,
     KCell,
     LinExpr,
     OracleResult,
@@ -75,7 +72,6 @@ FROZEN = [
         "KCell(center=Fraction(1, 2), lower=-1, upper=7, mod=2, res=1, ac_depth=2, "
         "ac_value=AngularResidue(m=2, r=4), prime=Prime(3))",
     ),
-    (IntConst, (3, 4), "value", "IntConst(value=3)"),
     (lambda var: LinExpr(FORM, var), ("g1", "g2"), "var", f"LinExpr(form={FORM_REPR}, var='g1')"),
     (
         lambda names: OrdExpr(F, names),
@@ -83,13 +79,6 @@ FROZEN = [
         "vars",
         "OrdExpr(poly=Polynomial(x1^2 - x2), vars=('x1', 'x2'))",
     ),
-    (
-        lambda c: IntSum((IntConst(1), IntConst(c))),
-        (2, 3),
-        "parts",
-        "IntSum(parts=(IntConst(value=1), IntConst(value=2)))",
-    ),
-    (lambda s: IntScale(s, IntConst(1)), (2, -2), "scalar", "IntScale(scalar=2, arg=IntConst(value=1))"),
 ]
 
 MUTABLE = [
@@ -156,7 +145,7 @@ def test_record_semantics(case, frozen):
 
 
 def test_a_record_is_never_a_tuple():
-    assert IntConst(3) != (3,)
+    assert LinExpr(FORM, "g1") != (FORM, "g1")
     assert PreparedLinear(2, 1, 3, -1) != (2, 1, 3, -1)
 
 

@@ -34,7 +34,7 @@ from typing import Mapping, Union
 
 from .padic import Prime
 from .polys import polydiv as _polydiv  # perfbench/tracing.py wraps aqring._polydiv
-from .polys import signed_join
+from .polys import render_powers
 
 Rat = Union[int, Fraction]
 
@@ -153,17 +153,7 @@ class LaurentPoly:
         return total
 
     def render(self, var: str = "q") -> str:
-        terms = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                head = var if e == 1 else f"{var}^{e}"
-                body = head if mag == 1 else f"{mag}*{head}"
-            terms.append((c < 0, body))
-        return signed_join(terms)
+        return render_powers(sorted(self.coeffs.items(), reverse=True), var)
 
     def __repr__(self):
         return f"LaurentPoly({self.render()})"

@@ -29,6 +29,16 @@ def _emit(payload: dict, human: str, as_json: bool):
         print(human)
 
 
+def _emit_aq(aq, prime: Prime | None, as_json: bool):
+    """An element of Aq, and its value at q = p when a prime is given."""
+    payload = {"aq": aq.render()}
+    human = payload["aq"]
+    if prime is not None:
+        payload["value"] = str(aq.eval_at(prime))
+        human += f" = {payload['value']} at q = {prime.p}"
+    _emit(payload, human, as_json)
+
+
 def _read_json(path: str):
     if path == "-":
         return json.load(sys.stdin)
@@ -64,70 +74,6 @@ def _require_prime(args) -> Prime:
         raise DomainError(str(exc))
 
 
-_OPTIONS = {
-    "--p": dict(type=int, help="the prime p"),
-    "--budget": dict(type=int, help="most oracle classes or enumerated points"),
-    "--depth": dict(type=int, help="oracle residue depth"),
-    "--guard": dict(type=int, default=5, help="verification margin"),
-}
-
-# each subcommand's summary and, after --json, its arguments in order: a
-# shared option of _OPTIONS by name, or (name, keyword arguments)
-_SUBCOMMANDS = {
-    "ord": ("p-adic valuation of a rational", "--p", ("value", {})),
-    "ac": ("angular component at depth m", "--p", ("value", {}), ("--m", dict(type=int, required=True))),
-    "measure": ("Haar measure of a cell (JSON file)", "--p", ("cellfile", {})),
-    "gsum": (
-        "geometric sum over a cell (JSON file)", "--p", ("cellfile", {}),
-        ("--N", dict(type=int, required=True)),
-    ),
-    "wmin": ("least member of a cell union", ("cellsfile", {})),
-    "integrate": (
-        "integrate a constructible function", "--p", "--budget", "--depth", ("integrand", {}),
-        ("--domain", dict(required=True, help="domain JSON file")),
-        ("--oracle", dict(action="store_true", help="residue enumeration instead of the symbolic engine")),
-        ("--growth", dict(help="C,c,dg growth bound for the oracle tail (default 1,0,0)")),
-    ),
-    "poincare": (
-        "congruence counts and rational fit", "--p", "--budget", "--guard", ("poly", {}),
-        ("--mmax", dict(type=int, required=True)), ("--check-mmax", dict(type=int, default=None)),
-    ),
-    "check": ("run the oracle-vs-symbolic suite",),
-}
-
-
-class _FullParserNeeded(Exception):
-    pass
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    """A parser of one subcommand, whose usage would name that one alone:
-    an error raises _FullParserNeeded instead of printing it."""
-
-    def error(self, message):
-        raise _FullParserNeeded
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the named one alone, which
-    parses that subcommand's arguments the same way at a fraction of the
-    cost and leaves every error to the full parser."""
-    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
-        prog="padicint",
-        description="Exact p-adic measures, constructible integration, and "
-        "Poincare series certification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, *arguments) in _SUBCOMMANDS.items():
-        if command is None or name == command:
-            s = sub.add_parser(name, help=summary)
-            s.add_argument("--json", action="store_true", help="machine output")
-            for argument in arguments:
-                flag, options = (argument, _OPTIONS[argument]) if isinstance(argument, str) else argument
-                s.add_argument(flag, **options)
-    return parser
-
-
 def _cmd_ord(args) -> int:
     prime = _require_prime(args)
     v = rational_ord(_parse_value(args.value), prime.p)
@@ -149,26 +95,14 @@ def _cmd_measure(args) -> int:
     cell = KCell.from_json(_read_json(args.cellfile))
     if args.p is not None and args.p != cell.prime.p:
         raise DomainError(f"--p {args.p} contradicts the cell prime {cell.prime.p}")
-    mu = kcell_measure(cell)
-    value = mu.eval_at(cell.prime)
-    _emit(
-        {"aq": mu.render(), "value": str(value)},
-        f"{mu.render()} = {str(value)} at q = {cell.prime.p}",
-        args.json,
-    )
+    _emit_aq(kcell_measure(cell), cell.prime, args.json)
     return 0
 
 
 def _cmd_gsum(args) -> int:
     cell = GammaCell.from_json(_read_json(args.cellfile))
     total = geom_sum(cell, args.N)
-    payload = {"aq": total.render()}
-    human = total.render()
-    if args.p is not None:
-        value = total.eval_at(Prime(args.p))
-        payload["value"] = str(value)
-        human += f" = {str(value)} at q = {args.p}"
-    _emit(payload, human, args.json)
+    _emit_aq(total, None if args.p is None else Prime(args.p), args.json)
     return 0
 
 
@@ -187,41 +121,29 @@ def _cmd_integrate(args) -> int:
     domain = Domain.from_json(_read_json(args.domain))
     if args.p is not None and args.p != domain.prime.p:
         raise DomainError(f"--p {args.p} contradicts the domain prime {domain.prime.p}")
-    if args.oracle:
-        if args.depth is None:
-            raise DomainError("the oracle needs --depth")
-        growth = "1,0,0" if args.growth is None else args.growth
-        growth = tuple(_parse_value(part) for part in growth.split(","))
-        if len(growth) != 3:
-            raise ParseError("--growth expects C,c,dg", 1, 1)
-        result = brute_force_integrate(
-            f,
-            domain,
-            args.depth,
-            growth=growth,
-            budget=_budget(args),
-        )
-        payload = {
-            "value": str(result.value),
-            "tailBound": str(result.tail_bound),
-            "depth": result.depth,
-            "classes": result.classes,
-            "skipped": result.skipped,
-            "skippedMeasure": str(result.skipped_measure),
-        }
-        human = (
-            f"value {str(result.value)}  tail bound {str(result.tail_bound)}  "
-            f"(depth {result.depth}, {result.skipped} skipped classes)"
-        )
-        _emit(payload, human, args.json)
+    if not args.oracle:
+        _emit_aq(integrate(f, domain), domain.prime, args.json)
         return 0
-    total = integrate(f, domain)
-    value = total.eval_at(domain.prime)
-    _emit(
-        {"aq": total.render(), "value": str(value)},
-        f"{total.render()} = {str(value)} at q = {domain.prime.p}",
-        args.json,
+    if args.depth is None:
+        raise DomainError("the oracle needs --depth")
+    growth = "1,0,0" if args.growth is None else args.growth
+    growth = tuple(_parse_value(part) for part in growth.split(","))
+    if len(growth) != 3:
+        raise ParseError("--growth expects C,c,dg", 1, 1)
+    result = brute_force_integrate(f, domain, args.depth, growth=growth, budget=_budget(args))
+    payload = {
+        "value": str(result.value),
+        "tailBound": str(result.tail_bound),
+        "depth": result.depth,
+        "classes": result.classes,
+        "skipped": result.skipped,
+        "skippedMeasure": str(result.skipped_measure),
+    }
+    human = (
+        f"value {payload['value']}  tail bound {payload['tailBound']}  "
+        f"(depth {result.depth}, {result.skipped} skipped classes)"
     )
+    _emit(payload, human, args.json)
     return 0
 
 
@@ -261,38 +183,75 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-_COMMANDS = {
-    "ord": _cmd_ord,
-    "ac": _cmd_ac,
-    "measure": _cmd_measure,
-    "gsum": _cmd_gsum,
-    "wmin": _cmd_wmin,
-    "integrate": _cmd_integrate,
-    "poincare": _cmd_poincare,
-    "check": _cmd_check,
+_OPTIONS = {
+    "--p": dict(type=int, help="the prime p"),
+    "--budget": dict(type=int, help="most oracle classes or enumerated points"),
+    "--depth": dict(type=int, help="oracle residue depth"),
+    "--guard": dict(type=int, default=5, help="verification margin"),
+}
+
+# each subcommand's handler, summary and, after --json, its arguments in
+# order: a shared option of _OPTIONS by name, or (name, keyword arguments)
+_SUBCOMMANDS = {
+    "ord": (_cmd_ord, "p-adic valuation of a rational", "--p", ("value", {})),
+    "ac": (_cmd_ac, "angular component at depth m", "--p", ("value", {}), ("--m", dict(type=int, required=True))),
+    "measure": (_cmd_measure, "Haar measure of a cell (JSON file)", "--p", ("cellfile", {})),
+    "gsum": (
+        _cmd_gsum, "geometric sum over a cell (JSON file)", "--p", ("cellfile", {}),
+        ("--N", dict(type=int, required=True)),
+    ),
+    "wmin": (_cmd_wmin, "least member of a cell union", ("cellsfile", {})),
+    "integrate": (
+        _cmd_integrate, "integrate a constructible function", "--p", "--budget", "--depth", ("integrand", {}),
+        ("--domain", dict(required=True, help="domain JSON file")),
+        ("--oracle", dict(action="store_true", help="residue enumeration instead of the symbolic engine")),
+        ("--growth", dict(help="C,c,dg growth bound for the oracle tail (default 1,0,0)")),
+    ),
+    "poincare": (
+        _cmd_poincare, "congruence counts and rational fit", "--p", "--budget", "--guard", ("poly", {}),
+        ("--mmax", dict(type=int, required=True)), ("--check-mmax", dict(type=int, default=None)),
+    ),
+    "check": (_cmd_check, "run the oracle-vs-symbolic suite"),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="padicint",
+        description="Exact p-adic measures, constructible integration, and "
+        "Poincare series certification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, *arguments) in _SUBCOMMANDS.items():
+        s = sub.add_parser(name, help=summary)
+        s.add_argument("--json", action="store_true", help="machine output")
+        for argument in arguments:
+            flag, options = (argument, _OPTIONS[argument]) if isinstance(argument, str) else argument
+            s.add_argument(flag, **options)
+    return parser
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    # exact values and arguments may pass Python's limit on the digits of an
+    # int <-> str conversion: lift it for this call alone
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        args = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
-    except _FullParserNeeded:
-        args = build_parser().parse_args(argv)  # prints the full parser's usage and error
-    try:
-        return _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        return _SUBCOMMANDS[args.command][0](args)
     except ParseError as exc:
         print(f"ParseError: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
         print(f"BudgetExceeded: {exc}", file=sys.stderr)
         return 3
-    except PadicIntError as exc:
+    except (PadicIntError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

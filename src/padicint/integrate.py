@@ -789,9 +789,9 @@ def brute_force_integrate(
     stands for its p^(n depth - sum k) classes mod p^depth, which share its
     status, membership and value, so the result equals a scan of all
     p^(n depth) classes.  The budget bounds the boxes the walk settles
-    (missed, decided or scanned): each split adds p - 1 of them, and
-    passing the budget raises BudgetExceeded.  They tile Z_p^n, so there
-    are never more than p^(n depth).
+    (missed, decided or scanned), the root box first: each split adds
+    p - 1 of them, and passing the budget raises BudgetExceeded.  They
+    tile Z_p^n, so there are never more than p^(n depth).
 
     Each box costs one integer pass and builds no Fraction: g(a) is
     computed once as an int for the saturation test, from the int terms of
@@ -836,6 +836,9 @@ def brute_force_integrate(
     scanned: Counter = Counter()  # the same for boxes at depth whose |f| adds to the bound
     skipped = boundary = saturated_classes = 0
     partition = 1  # boxes settled or on the stack; together they tile Z_p^n
+    too_many = f"the oracle walk to depth {depth} settles more than the budget of {budget} classes"
+    if partition > budget:
+        raise BudgetExceeded(too_many)
     statuses = tuple(_region_status(0, region, 0) for region in regions)
     stack = [] if "out" in statuses else [((0,) * n, (0,) * n, statuses)]
     while stack:
@@ -855,9 +858,7 @@ def brute_force_integrate(
             i = min(below, key=lambda i: (ks[i], i))
             partition += p - 1
             if partition > budget:
-                raise BudgetExceeded(
-                    f"the oracle walk to depth {depth} settles more than the budget of {budget} classes"
-                )
+                raise BudgetExceeded(too_many)
             k = ks[i]
             child_ks = ks[:i] + (k + 1,) + ks[i + 1 :]
             for t in range(p):

@@ -26,7 +26,7 @@ from .padic import (
     enumerate_residues,
     rational_ord,
 )
-from .polys import Polynomial, eval_terms, poly_mul, polydiv, signed_join, trim
+from .polys import Polynomial, eval_terms, poly_mul, polydiv, render_powers, trim
 
 
 class _Undetermined:
@@ -252,7 +252,7 @@ class RationalFunctionT(Record):
         return self.expand(len(counts)) == [Fraction(c) for c in counts]
 
     def render_num(self) -> str:
-        return _poly_in_T(self.num)
+        return render_powers(enumerate(self.num), "T")
 
     def render_den(self) -> str:
         if self.shape is not None:
@@ -265,7 +265,7 @@ class RationalFunctionT(Record):
                 else:
                     parts.append(f"(1 - {coef}*{tpow})")
             return "".join(parts) or "1"
-        return _poly_in_T(self.den)
+        return render_powers(enumerate(self.den), "T")
 
     def __repr__(self):
         return f"RationalFunctionT({self.render_num()} / {self.render_den()})"
@@ -275,21 +275,6 @@ def _pow_str(p: int, k: int) -> str:
     if k >= 0:
         return str(p**k)
     return f"1/{p ** (-k)}"
-
-
-def _poly_in_T(coeffs: list[Fraction]) -> str:
-    terms = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            t = "T" if i == 1 else f"T^{i}"
-            body = t if mag == 1 else f"{mag}*{t}"
-        terms.append((c < 0, body))
-    return signed_join(terms)
 
 
 def _minimal_recurrence(s: list[Fraction]) -> tuple[int, list[Fraction]]:

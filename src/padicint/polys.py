@@ -15,8 +15,9 @@ presburger's weighted sums, the symbolic integrator, the Aq ring's
 canonical form and the Poincare denominator search.
 
 signed_join renders a sum of signed terms for every renderer in the
-package; rationals render as str(Fraction), "a" or "a/b".  This module
-imports nothing from the package, so every other module can import it.
+package, and render_powers a sum of signed powers of one variable;
+rationals render as str(Fraction), "a" or "a/b".  This module imports
+nothing from the package, so every other module can import it.
 """
 
 from __future__ import annotations
@@ -224,6 +225,23 @@ def signed_join(terms: Iterable[tuple[bool, str]]) -> str:
         else:
             parts.append(f"-{body}" if negative else body)
     return " ".join(parts) if parts else "0"
+
+
+def render_powers(terms: Iterable[tuple[int, Rat]], var: str) -> str:
+    """Join (exponent, coefficient) pairs, in the order given, as a signed
+    sum of c*var^e; zero coefficients are left out."""
+    parts = []
+    for e, c in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            head = var if e == 1 else f"{var}^{e}"
+            body = head if mag == 1 else f"{mag}*{head}"
+        parts.append((c < 0, body))
+    return signed_join(parts)
 
 
 # -- dense univariate polynomials (coefficient lists, lowest degree first) ---

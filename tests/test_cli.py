@@ -157,6 +157,11 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, *oracle, "--budget", "224")
     assert code == 3 and "BudgetExceeded" in err and "depth 7" in err and "224" in err
     assert run(capsys, *oracle, "--budget", "225")[0] == 0
+    # the root box counts too: "1" is decided there
+    root = ("integrate", "1", "--domain", domfile, "--oracle", "--depth", "2")
+    code, out, err = run(capsys, *root, "--budget", "0")
+    assert (code, out) == (3, "") and "BudgetExceeded" in err and "budget of 0" in err
+    assert run(capsys, *root, "--budget", "1") == (0, "value 1  tail bound 0  (depth 2, 0 skipped classes)", "")
     code, out, err = run(capsys, "integrate", "q^(-ord(0*x1))", "--domain", domfile)
     assert (code, out) == (1, "") and err.startswith("UndefinedAtPoint") and "zero polynomial" in err
     with pytest.raises(SystemExit) as exc:
@@ -303,6 +308,19 @@ def test_only_a_domain_cell_bound_may_be_an_object(capsys, tmp_path):
     assert code == 0 and out.endswith("= 7/4 at q = 2")
 
 
+def test_usage_errors_print_the_usage_of_every_subcommand(capsys):
+    usage = "usage: padicint [-h] {ord,ac,measure,gsum,wmin,integrate,poincare,check} ...\n"
+    for argv, error in (
+        ([], "the following arguments are required: command"),
+        (["integ", "x"], "argument command: invalid choice: 'integ'"),
+        (["ord", "--p", "2", "1", "--bogus"], "unrecognized arguments: --bogus"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith(usage + "padicint: error: " + error), err
+
 
 @pytest.mark.parametrize("argv", [
     ["--help"], [], ["nosuch"], ["integ", "x"], ["integrate", "--help"], ["integrate"], ["integrate", "x"],
@@ -313,8 +331,8 @@ def test_only_a_domain_cell_bound_may_be_an_object(capsys, tmp_path):
     *([name, "--help"] for name in ("ord", "ac", "measure", "gsum", "wmin", "poincare", "check")),
 ])
 def test_main_parses_as_the_parser_of_every_subcommand(capsys, monkeypatch, argv):
-    # main builds only the subparser that its first argument names; the
-    # arguments it reads, its help texts and its errors are the full parser's
+    # the arguments main hands to a subcommand, its help texts and its usage
+    # errors are those of build_parser(), the one parser of every subcommand
     def outcome(parse_args):
         try:
             result = vars(parse_args(argv))
@@ -325,14 +343,27 @@ def test_main_parses_as_the_parser_of_every_subcommand(capsys, monkeypatch, argv
 
     expected = outcome(cli.build_parser().parse_args)
     parsed = []
-    monkeypatch.setattr(cli, "_COMMANDS", {name: parsed.append for name in cli._COMMANDS})
+    table = {name: (parsed.append, *entry[1:]) for name, entry in cli._SUBCOMMANDS.items()}
+    monkeypatch.setattr(cli, "_SUBCOMMANDS", table)
     assert outcome(lambda argv: cli.main(argv) or parsed[-1]) == expected
 
 
-def test_the_parser_of_one_subcommand_leaves_errors_to_the_full_parser(capsys):
-    one = cli.build_parser("integrate")
-    assert one.parse_args(["integrate", "x", "--domain", "d.json"]).integrand == "x"
-    for argv in (["ord", "--p", "2", "1"], ["integrate", "x"], ["integrate", "x", "--domain", "d", "--p", "two"]):
-        with pytest.raises(cli._FullParserNeeded):
-            one.parse_args(argv)
-    assert capsys.readouterr() == ("", "")
+def test_exact_values_of_any_size_print_and_parse(capsys, tmp_path):
+    # 7^6000 has 5,071 digits, past Python's default limit of 4,300 digits on
+    # an int <-> str conversion: main lifts the limit and restores the caller's
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        caller_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+    try:
+        domfile = write(tmp_path, "dom.json", {"p": 7, "vars": [{"name": "x1", "sort": "K", "region": "unit_ball"}]})
+        code, out, err = run(capsys, "integrate", "7^6000", "--domain", domfile, "--json")
+        value = json.loads(out)["value"]
+        assert (code, err, len(value)) == (0, "", 5071)
+        code, out, _ = run(capsys, "integrate", "7^6000", "--domain", domfile)
+        assert code == 0 and out == f"{value} = {value} at q = 7"
+        assert run(capsys, "ord", "--p", "7", value) == (0, "6000", "")
+        assert not limited or sys.get_int_max_str_digits() == 4300
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(caller_limit)

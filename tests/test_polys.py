@@ -20,6 +20,7 @@ from padicint.polys import (
     poly_mul,
     poly_shift,
     polydiv,
+    render_powers,
     signed_join,
     trim,
 )
@@ -90,6 +91,7 @@ def test_renderers_share_the_signed_term_layout():
     )
     rational = RationalFunctionT([Fraction(-1), Fraction(0), Fraction(2, 3)], [Fraction(1)], Prime(3))
     assert rational.render_num() == "-1 + 2/3*T^2"
+    assert render_powers([(5, -2), (2, 0), (-1, Fraction(1, 2))], "T") == "-2*T^5 + 1/2*T^-1"
     f = parse_integrand("-2*q^(-ord(x1))*ord(x1) + ord(x1) - 1")
     assert render_constructible(f) == "-2*q^(-ord(x1))*ord(x1) + ord(x1) - 1"
 

@@ -102,7 +102,7 @@ def _cmd_measure(args) -> int:
 def _cmd_gsum(args) -> int:
     cell = GammaCell.from_json(_read_json(args.cellfile))
     total = geom_sum(cell, args.N)
-    _emit_aq(total, None if args.p is None else Prime(args.p), args.json)
+    _emit_aq(total, None if args.p is None else _require_prime(args), args.json)
     return 0
 
 

@@ -142,7 +142,11 @@ def _substitute(form: Form, subs: dict) -> Form:
 
 def _leaves(terms: Iterable[tuple[AqElem, Form, Sequence[Form]]]) -> dict:
     """The distinct leaves of term forms, first seen first (as dict keys)."""
-    return dict.fromkeys(a for _, q, factors in terms for _, lin in (q, *factors) for a in lin)
+    out: dict = {}
+    for _, q, factors in terms:
+        for _, lin in (q, *factors):
+            out.update(lin)  # reuses the hashes lin stores: no __hash__ call
+    return out
 
 
 def _leaf_vars(leaves: Iterable[Union[LinExpr, OrdExpr]]) -> set[str]:
@@ -154,6 +158,21 @@ def _leaf_vars(leaves: Iterable[Union[LinExpr, OrdExpr]]) -> set[str]:
         else:
             out.update(name for i, name in enumerate(a.vars) if a.poly.mentions(i))
     return out
+
+
+def _leaf_sorts(leaves: Iterable[Union[LinExpr, OrdExpr]]) -> dict[str, str]:
+    """The sort of each variable that ord and lin leaves name, first named
+    first; a variable named by both kinds raises ValueError."""
+    sorts: dict[str, str] = {}
+    for a in leaves:
+        if isinstance(a, LinExpr):
+            sort, names = GAMMA_SORT, (a.var,)
+        else:
+            sort, names = K_SORT, a.vars
+        for v in names:
+            if sorts.setdefault(v, sort) != sort:
+                raise ValueError(f"{v} used both as field and value-group variable")
+    return sorts
 
 
 def _atom_value(a: Union[LinExpr, OrdExpr], point: dict, p: int) -> int:
@@ -204,28 +223,12 @@ class Term:
 
 
 class ConstructibleExpr:
-    """A finite sum of Terms with declared variable sorts.  +, *, ** and
-    scale build new Terms, which share the operands' forms."""
+    """A finite sum of Terms, with the sort of each variable its leaves name.
+    +, *, ** and scale build new Terms, which share the operands' forms."""
 
-    def __init__(self, terms: Sequence[Term], sorts: dict[str, str] | None = None):
+    def __init__(self, terms: Sequence[Term]):
         self.terms = list(terms)
-        self.sorts = dict(sorts or {})
-        for a in _leaves((t.coeff, t.q, t.factors) for t in self.terms):
-            if isinstance(a, LinExpr):
-                sort, names = GAMMA_SORT, (a.var,)
-            else:
-                sort, names = K_SORT, a.vars
-            for v in names:
-                if self.sorts.setdefault(v, sort) != sort:
-                    raise ValueError(f"{v} used both as field and value-group variable")
-
-    @classmethod
-    def _declared(cls, terms: list[Term], sorts: dict[str, str]) -> "ConstructibleExpr":
-        """The expression over terms whose variables sorts already holds, unchecked."""
-        out = object.__new__(cls)
-        out.terms = terms
-        out.sorts = sorts
-        return out
+        self.sorts = _leaf_sorts(_leaves((t.coeff, t.q, t.factors) for t in self.terms))
 
     # -- constructors -------------------------------------------------------
 
@@ -249,8 +252,7 @@ class ConstructibleExpr:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "ConstructibleExpr") -> "ConstructibleExpr":
-        sorts = _merge_sorts(self.sorts, other.sorts)
-        return ConstructibleExpr._declared(self.terms + other.terms, sorts)
+        return ConstructibleExpr(self.terms + other.terms)
 
     def __neg__(self) -> "ConstructibleExpr":
         return self.scale(AqElem.from_rational(-1))
@@ -259,13 +261,12 @@ class ConstructibleExpr:
         return self + (-other)
 
     def __mul__(self, other: "ConstructibleExpr") -> "ConstructibleExpr":
-        sorts = _merge_sorts(self.sorts, other.sorts)
         terms = [
             Term(t1.coeff * t2.coeff, _add_forms(t1.q, t2.q), t1.factors + t2.factors)
             for t1 in self.terms
             for t2 in other.terms
         ]
-        return ConstructibleExpr._declared(terms, sorts)
+        return ConstructibleExpr(terms)
 
     def __pow__(self, n: int) -> "ConstructibleExpr":
         if n < 0:
@@ -277,7 +278,7 @@ class ConstructibleExpr:
 
     def scale(self, aq: AqElem) -> "ConstructibleExpr":
         terms = [Term(t.coeff * aq, t.q, t.factors) for t in self.terms]
-        return ConstructibleExpr._declared(terms, self.sorts)
+        return ConstructibleExpr(terms)
 
     def free_vars(self) -> set[str]:
         return _leaf_vars(_leaves((t.coeff, t.q, t.factors) for t in self.terms))
@@ -293,14 +294,6 @@ class ConstructibleExpr:
         """Exact value at a fully instantiated point, with q = p: the integer
         pass of _Compiled over the leaf values at the point."""
         return _Compiled([(t.coeff, t.q, t.factors) for t in self.terms]).at(point, prime)
-
-
-def _merge_sorts(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        if out.setdefault(k, v) != v:
-            raise ValueError(f"variable {k} declared with two different sorts")
-    return out
 
 
 def eval_constructible(f: ConstructibleExpr, point: dict, prime: Prime) -> Fraction:
@@ -707,7 +700,9 @@ class OracleResult(Record):
     could evaluate; tail_bound bounds the distance to the true integral;
     skipped counts classes where the integrand was undefined at the lift,
     boundary counts classes where membership or the integrand was not
-    class-uniform.
+    class-uniform.  classes is p^(n depth), the residue classes mod p^depth
+    the result stands for, not the work done: the budget counts the boxes
+    the walk settles, never more than that and most often far fewer.
     """
 
     __slots__ = ("value", "tail_bound", "depth", "classes", "skipped", "boundary", "skipped_measure")

@@ -16,8 +16,9 @@ whose affine forms are those of integrate and share one leaf per distinct
 ord or lin argument.  One Polynomial or one ConstructibleExpr is built at
 the end, equal term by term to what their own algebra gives for the text.
 Token positions are computed only when a ParseError is raised.  Rendering
-emits canonical text that parses back to the same expression (see
-render_constructible).
+emits canonical text that parses back to the same expression where every
+factor is a single leaf, as in every parsed expression; otherwise the text
+parses back to an expression of the same value (see render_constructible).
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .aqring import AqElem
 from .errors import ParseError
 from .integrate import (
     _ZERO,
-    GAMMA_SORT,
-    K_SORT,
     ConstructibleExpr,
     Form,
     LinExpr,
@@ -92,9 +91,9 @@ def _first_bad_name(tokens: list[str], start: int, stop: int, message: str) -> _
 # -- the shared grammar: sum -> product -> power -> atom -------------------------
 #
 # Each function takes the tokens and an index and returns (value, next
-# index).  alg is the algebra: atom(tokens, i), add, neg, mul, and one(i)
-# for a factor from tokens[i] raised to ^0.  a - b is a + (-b), and a^n
-# is a * a * ... * a, as in Polynomial and ConstructibleExpr.
+# index).  alg is the algebra: atom(tokens, i), add, neg, mul, and one, the
+# value of a factor raised to ^0, which no step changes in place.  a - b is
+# a + (-b), and a^n is a * a * ... * a, as in Polynomial and ConstructibleExpr.
 
 
 def _parse_all(tokens: list[str], alg):
@@ -125,7 +124,6 @@ def _parse_product(tokens: list[str], i: int, alg):
 
 
 def _parse_power(tokens: list[str], i: int, alg):
-    start = i
     if tokens[i] == "(":
         base, i = _parse_sum(tokens, i + 1, alg)
         i = _expect(tokens, i, ")")
@@ -136,7 +134,7 @@ def _parse_power(tokens: list[str], i: int, alg):
     if not tokens[i + 1][:1].isdigit():
         raise _Fail("expected an exponent after '^'", i + 1)
     n = int(tokens[i + 1])
-    out = base if n else alg.one(start)
+    out = base if n else alg.one
     for _ in range(n - 1):
         out = alg.mul(out, base)
     return out, i + 2
@@ -163,6 +161,8 @@ class _PolyTerms:
     """The polynomial algebra on {exponent tuple: int}, exponent tuples
     without trailing zeros, zero coefficients dropped after each step as
     Polynomial does; nvars is the largest variable index read."""
+
+    one = {(): 1}
 
     def __init__(self):
         self.nvars = 0
@@ -198,9 +198,6 @@ class _PolyTerms:
                 out[e] = out[e] + c if e in out else c
         return {e: c for e, c in out.items() if c}
 
-    def one(self, start):
-        return {(): 1}
-
     def polynomial(self, terms: dict) -> Polynomial:
         n = self.nvars
         padded = {e + (0,) * (n - len(e)): Fraction(c) for e, c in terms.items()}
@@ -226,23 +223,14 @@ def parse_polynomial(text: str) -> Polynomial:
 
 class _IntegrandTerms:
     """The integrand algebra on lists of (int coefficient, q form, factor
-    forms) triples.  sorts gets each variable when an atom naming it is
-    read, which is the order ConstructibleExpr's + and * merge them in; a
-    factor raised to ^0 takes back the variables first read inside it, as
-    the ConstructibleExpr.constant(1) it becomes has none.  leaves holds
-    one form (0, {leaf: 1}) per distinct ord argument and lin(...), so
-    every form of one parse holds the same leaf objects."""
+    forms) triples.  leaves holds one form (0, {leaf: 1}) per distinct ord
+    argument and lin(...), so every form of one parse holds the same leaf
+    objects."""
+
+    one = [(1, _ZERO, ())]
 
     def __init__(self):
-        self.sorts: dict[str, str] = {}
-        self.read_at: list[int] = []  # the token index where each key of sorts was read
         self.leaves: dict[tuple, Form] = {}
-
-    def declare(self, names: tuple[str, ...], sort: str, i: int):
-        for name in names:
-            if name not in self.sorts:
-                self.sorts[name] = sort
-                self.read_at.append(i)
 
     def atom(self, tokens, i):
         tok = tokens[i]
@@ -268,12 +256,6 @@ class _IntegrandTerms:
     def mul(self, a, b):
         return [(c1 * c2, _add_forms(q1, q2), z1 + z2) for c1, q1, z1 in a for c2, q2, z2 in b]
 
-    def one(self, start):
-        while self.read_at and self.read_at[-1] >= start:
-            self.read_at.pop()
-            self.sorts.popitem()
-        return [(1, _ZERO, ())]
-
 
 def parse_integrand(text: str) -> ConstructibleExpr:
     """Parse a constructible function over variables x1..xn (field sort)
@@ -285,7 +267,7 @@ def parse_integrand(text: str) -> ConstructibleExpr:
     except _Fail as fail:
         raise fail.error(text) from None
     terms = [Term(AqElem.from_rational(c), q, z) for c, q, z in triples]
-    return ConstructibleExpr._declared(terms, alg.sorts)
+    return ConstructibleExpr(terms)
 
 
 def _parse_int_expr(tokens: list[str], i: int, alg: _IntegrandTerms) -> tuple[Form, int]:
@@ -334,7 +316,6 @@ def _parse_int_atom(tokens: list[str], i: int, alg: _IntegrandTerms) -> tuple[Fo
                 form = alg.leaves[key] = (0, {LinExpr(PreparedLinear(*args), name): 1})
             except ValueError as exc:
                 raise _Fail(str(exc), at)
-        alg.declare((name,), GAMMA_SORT, at)
         return form, i
     if tok[:1].isdigit():
         return (int(tok), {}), i + 1
@@ -363,7 +344,6 @@ def _parse_ord(tokens: list[str], start: int, alg: _IntegrandTerms) -> tuple[For
         message = "valuation arguments are polynomials in x1, x2, ..."
         raise _first_bad_name(tokens, start, j - 1, message) or fail
     names = tuple(f"x{k + 1}" for k in range(poly.nvars))
-    alg.declare(names, K_SORT, start)
     key = ("ord", poly.nvars, *sorted(terms.items()))
     form = alg.leaves.get(key)
     if form is None:
@@ -400,7 +380,9 @@ def _render_form(form: Form) -> str:
 def render_constructible(expr: ConstructibleExpr) -> str:
     """Canonical text for a parsed expression, one q^(...) per term, which
     parses back to equal terms.  A factor that is not a single leaf, which
-    the parser never builds, is written as a parenthesised sum."""
+    the parser never builds, is written as a parenthesised sum, which the
+    grammar reads as a sum of terms: (2*ord(x1) + 1) parses back to two
+    terms of the same value, not to the one term it came from."""
     rendered = []
     for term in expr.terms:
         coeff = term.coeff.as_rational()

@@ -54,6 +54,8 @@ def test_gsum_subcommand(capsys, tmp_path):
     assert code == 0
     assert data["aq"] == "q^-2 / (1-q^-1)"
     assert data["value"] == "1/2"
+    # --p is checked as ord and poincare check it
+    assert run(capsys, "gsum", "--N", "1", "--p", "4", cellfile) == (1, "", "DomainError: 4 is not prime")
 
 
 def test_wmin_subcommand(capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicint import ConstructibleExpr, LinExpr, OrdExpr, ParseError, Polynomial, Prime
+from padicint import AqElem, ConstructibleExpr, LinExpr, OrdExpr, ParseError, Polynomial, Prime, Term, identity_lin
 from padicint.parsing import parse_integrand, parse_polynomial, render_constructible
 from padicint.selfcheck import random_integrand_text, random_polynomial_text
 
@@ -75,6 +75,26 @@ def test_integrand_grammar():
 def test_integrand_sorts():
     f = parse_integrand("lin(1,0,1,0;g1) * ord(x1)")
     assert f.sorts == {"g1": "Gamma", "x1": "K"}
+    # the keys come in walk order: term by term, the q form, then the factors
+    assert list(parse_integrand("ord(x1)*q^(lin(1,0,1,0;g1))").sorts) == ["g1", "x1"]
+    # a factor raised to ^0 is the constant 1 and names no variable
+    assert parse_integrand("ord(x3)^0*lin(1,0,1,0;g1)").sorts == {"g1": "Gamma"}
+    ord_x3 = ConstructibleExpr.ord_factor(Polynomial(3, {(0, 0, 1): 1}), ("x1", "x2", "x3"))
+    lin_g1 = ConstructibleExpr.factor((0, {identity_lin("g1"): 1}))
+    assert (ord_x3**0 * lin_g1).sorts == {"g1": "Gamma"}
+
+
+def test_a_variable_used_both_ways_is_refused():
+    ord_x1 = (0, {OrdExpr(Polynomial(1, {(1,): 1}), ("x1",)): 1})
+    lin_x1 = (0, {identity_lin("x1"): 1})
+    clash = "x1 used both as field and value-group variable"
+    with pytest.raises(ValueError, match=clash):
+        ConstructibleExpr([Term(AqElem.one(), factors=[ord_x1, lin_x1])])
+    f, g = ConstructibleExpr.factor(ord_x1), ConstructibleExpr.factor(lin_x1)
+    with pytest.raises(ValueError, match=clash):
+        f + g
+    with pytest.raises(ValueError, match=clash):
+        f * g
 
 
 def test_integrand_errors():
@@ -127,6 +147,18 @@ def test_round_trip_is_identity_on_canonical_forms():
 def test_canonical_render(text, rendered):
     assert render_constructible(parse_integrand(text)) == rendered
     assert parse_integrand(rendered) == parse_integrand(text)
+
+
+def test_a_factor_that_is_not_one_leaf_parses_back_to_a_sum():
+    # the grammar reads a parenthesised factor as a sum of terms, so the
+    # text parses back to an expression of the same value, not equal terms
+    f = ConstructibleExpr.factor((1, {OrdExpr(Polynomial(1, {(1,): 1}), ("x1",)): 2}))
+    rendered = render_constructible(f)
+    assert rendered == "(2*ord(x1) + 1)"
+    again = parse_integrand(rendered)
+    assert len(f.terms) == 1 and len(again.terms) == 2 and again != f
+    for x in (Fraction(1), Fraction(4), Fraction(3, 8)):
+        assert again.eval({"x1": x}, P2) == f.eval({"x1": x}, P2)
 
 
 def test_render_round_trips_generator_draws():
@@ -233,7 +265,8 @@ def test_parse_integrand_matches_the_algebra(seed):
     parsed = parse_integrand(text)
     assert parsed == expr
     assert _stored(parsed) == _stored(expr)
-    # the key order decides which variable a sort-mismatch DomainError names
+    # both walk equal terms, so both name their variables in one order;
+    # that order decides which variable a sort-mismatch DomainError names
     assert list(parsed.sorts.items()) == list(expr.sorts.items())
     # the rendering parses back to the same terms, and its text is a fixed point
     rendered = render_constructible(parsed)
@@ -241,15 +274,6 @@ def test_parse_integrand_matches_the_algebra(seed):
     assert render_constructible(again) == rendered
     assert [t.coeff for t in again.terms] == [t.coeff for t in parsed.terms]
     assert again == parsed
-
-
-def test_declared_sorts_are_the_walked_ones():
-    # parse_integrand, +, * and scale pass their sorts unchecked; a walk
-    # of the terms finds the same variables and sorts
-    for seed in range(300):
-        text, expr = random_integrand_text(random.Random(seed))
-        for e in (parse_integrand(text), expr):
-            assert ConstructibleExpr(e.terms).sorts == e.sorts
 
 
 @settings(max_examples=300, deadline=None)

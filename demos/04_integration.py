@@ -12,7 +12,7 @@ reports a certified error bound.  They must agree.
 from fractions import Fraction
 
 from padicint import Domain, Prime, UNIT_BALL, brute_force_integrate, integrate
-from padicint.integrate import BoundRef, DomainGammaCell, GAMMA_SORT, K_SORT
+from padicint.integrate import GAMMA_SORT, K_SORT, LinExpr
 from padicint.parsing import parse_integrand
 from padicint.presburger import GammaCell, PreparedLinear
 
@@ -44,7 +44,8 @@ print("Counting-measure triangle: g1 > 0, g2 > g1, integrand q^(-g2).")
 tri = Domain(
     [
         ("g1", GAMMA_SORT, [GammaCell(0, None, 1, 0)]),
-        ("g2", GAMMA_SORT, [DomainGammaCell(BoundRef("g1", PreparedLinear(1, 0, 1, 0)), None, 1, 0)]),
+        # the lower bound g1 is the leaf lin(1,0,1,0;g1) of an integrand
+        ("g2", GAMMA_SORT, [GammaCell(LinExpr(PreparedLinear(1, 0, 1, 0), "g1"), None, 1, 0)]),
     ],
     prime,
 )

@@ -23,7 +23,6 @@ from .errors import (
 from .integrate import (
     ConstructibleExpr,
     Domain,
-    DomainGammaCell,
     LinExpr,
     OracleResult,
     OrdExpr,
@@ -57,7 +56,6 @@ from .padic import (
 )
 from .polys import Polynomial
 from .presburger import (
-    BoundRef,
     GammaCell,
     GammaCellUnion,
     PreparedLinear,

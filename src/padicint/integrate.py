@@ -61,10 +61,11 @@ from .padic import DEFAULT_BUDGET, INFINITY, Prime, rational_ord
 from .polys import Polynomial, eval_terms, poly_mul
 from .presburger import (
     Antidifference,
-    BoundRef,
     GammaCell,
     GammaCellUnion,
+    LinExpr,
     PreparedLinear,
+    check_convergent,
     tau_range,
     weighted_tail,
 )
@@ -74,15 +75,6 @@ GAMMA_SORT = "Gamma"
 
 
 # -- integer-valued expressions: affine forms over ord and lin leaves --------
-
-
-class LinExpr(FrozenRecord):
-    """A prepared linear form applied to a named value-group variable."""
-
-    __slots__ = ("form", "var")
-
-    def __init__(self, form: PreparedLinear, var: str):
-        self._freeze((form, var))
 
 
 class OrdExpr(FrozenRecord):
@@ -349,9 +341,6 @@ UNIT_BALL = _UnitBall()
 _ORD_AT_LEAST_0 = GammaCell(-1, None)
 _AC_FREE_SHELL = 1 - AqElem.q_power(-1)
 
-# a value-group region's cell type under its earlier name
-DomainGammaCell = GammaCell
-
 
 class DomainVar(Record):
     __slots__ = ("name", "sort", "region")
@@ -366,7 +355,8 @@ class Domain:
     """An ordered list of variables with pairwise-disjoint cell regions.
 
     Regions of later variables may reference earlier value-group variables
-    only through BoundRef cell bounds.  Disjointness of cells with symbolic
+    only through cell bounds that are LinExpr forms in them, the type of
+    an integrand's lin leaves.  Disjointness of cells with symbolic
     bounds is the caller's responsibility; concrete cells are validated.
     """
 
@@ -408,7 +398,7 @@ class Domain:
         for cell in cells:
             if not isinstance(cell, GammaCell):
                 raise TypeError("value-group regions are lists of cells")
-            refs = [b for b in (cell.lower, cell.upper) if isinstance(b, BoundRef)]
+            refs = [b for b in (cell.lower, cell.upper) if isinstance(b, LinExpr)]
             for b in refs:
                 if (b.var, GAMMA_SORT) not in seen:
                     raise ValueError(
@@ -436,6 +426,10 @@ class Domain:
         variables = []
         for v in vars_:
             name, sort = json_fields(v, "domain variable", name=str, sort=str)
+            if sort not in (K_SORT, GAMMA_SORT):
+                raise ParseError(
+                    f"domain variable {name} has the unknown sort {sort!r}, not \"K\" or \"Gamma\""
+                )
             if sort == K_SORT:
                 (region,) = json_fields(v, "domain variable", region=(str, list))
                 if isinstance(region, str) and region != "unit_ball":
@@ -452,13 +446,13 @@ class Domain:
 
 
 def _domain_cell_from_json(data) -> GammaCell:
-    """A value-group cell of a domain file, whose bounds may be BoundRef
+    """A value-group cell of a domain file, whose bounds may be LinExpr
     objects."""
     bound_types = (int, dict, NULL)
     lower, upper, mod, res = json_fields(
         data, "value-group cell", lower=bound_types, upper=bound_types, mod=int, res=int
     )
-    lower, upper = (BoundRef.from_json(b) if isinstance(b, dict) else b for b in (lower, upper))
+    lower, upper = (LinExpr.from_json(b) if isinstance(b, dict) else b for b in (lower, upper))
     return GammaCell(lower, upper, mod, res)
 
 
@@ -588,14 +582,6 @@ def _sum_over_gamma(terms: list, var: str, cell: GammaCell, prime: Prime) -> lis
     """Sum the terms over one value-group variable ranging over a cell."""
     n, k = cell.mod, cell.res
 
-    def symbolic(bound: BoundRef, shift: int) -> Form:
-        if n != 1:
-            raise NotFiberReducible(
-                "symbolic bounds require a modulus-1 cell (the floor of a "
-                "linear form is only piecewise linear)"
-            )
-        return shift, {LinExpr(bound.form, bound.var): 1}
-
     def split(form: Form) -> tuple[int, int, dict]:
         """form at var = k + n*tau as c + s*tau + the rest, which does not
         mention var."""
@@ -614,12 +600,18 @@ def _sum_over_gamma(terms: list, var: str, cell: GammaCell, prime: Prime) -> lis
             s += x * f.a * (n // f.n)
         return c, s, rest
 
-    concrete = [None if isinstance(x, BoundRef) else x for x in (cell.lower, cell.upper)]
-    a, b = tau_range(*concrete, n, k)
-    if isinstance(cell.lower, BoundRef):
-        a = symbolic(cell.lower, 1)
-    if isinstance(cell.upper, BoundRef):
-        b = symbolic(cell.upper, -1)
+    # a symbolic end is the cell's own bound as a form: tau = gamma on mod 1
+    symbolic = [isinstance(x, LinExpr) for x in (cell.lower, cell.upper)]
+    if any(symbolic) and n != 1:
+        raise NotFiberReducible(
+            "symbolic bounds require a modulus-1 cell (the floor of a "
+            "linear form is only piecewise linear)"
+        )
+    a, b = tau_range(*(None if sym else x for sym, x in zip(symbolic, (cell.lower, cell.upper))), n, k)
+    if symbolic[0]:
+        a = (1, {cell.lower: 1})
+    if symbolic[1]:
+        b = (-1, {cell.upper: 1})
     if isinstance(a, int) and isinstance(b, int) and a > b:
         return []
 
@@ -659,14 +651,7 @@ def _range_sum(poly: list[int], e1: int, a: Union[None, int, Form], b: Union[Non
     """
     if all(c == 0 for c in poly):
         return []
-    if a is None and b is None:
-        raise DivergentSum("sum over all integers diverges")
-    if e1 <= -1 and a is None:
-        raise DivergentSum("sum is unbounded below and the weight grows")
-    if e1 >= 1 and b is None:
-        raise DivergentSum("sum is unbounded above and the weight grows")
-    if e1 == 0 and (a is None or b is None):
-        raise DivergentSum("constant weight diverges on an infinite cell")
+    check_convergent(a, b, e1)
     G = Antidifference(poly, e1)
     parts = []
     if a is not None:

@@ -12,6 +12,10 @@ canonicalised once; a reduced numerator over a power of (1 - q^-N) is
 unique for its value, so the form is the one a term-by-term sum would
 reach.  The dense helpers behind it live in polys.
 
+A prepared linear form a*(gamma - k)/n + delta applied to a named
+variable, LinExpr, is one type wherever it occurs: a lin(...) leaf of an
+integrand, and a domain cell's bound that depends on an outer variable.
+
 The well-order here is the zigzag 0, 1, -1, 2, -2, ... under which every
 nonempty cell union has a least element computable from at most two
 candidates per cell.
@@ -47,9 +51,9 @@ class GammaCell(FrozenRecord):
     """Integers gamma with lower < gamma < upper and gamma = res mod mod.
 
     Either bound may be None, meaning no constraint on that side.  In a
-    domain a bound may also be a BoundRef to an outer value-group variable;
-    such a cell has members only once that variable has a value, so the
-    functions below raise DomainError on it.
+    domain a bound may also be a LinExpr, a prepared linear form in an outer
+    value-group variable; such a cell has members only once that variable
+    has a value, so the functions below raise DomainError on it.
     """
 
     __slots__ = ("lower", "upper", "mod", "res")
@@ -85,7 +89,7 @@ class GammaCell(FrozenRecord):
             yield self.res + tau * self.mod
 
     def to_json(self) -> dict:
-        lower, upper = (b.to_json() if isinstance(b, BoundRef) else b for b in (self.lower, self.upper))
+        lower, upper = (b.to_json() if isinstance(b, LinExpr) else b for b in (self.lower, self.upper))
         return {"lower": lower, "upper": upper, "mod": self.mod, "res": self.res}
 
     @classmethod
@@ -119,17 +123,19 @@ def prepared_eval(f: PreparedLinear, gamma: int) -> int:
     return f.eval(gamma)
 
 
-class BoundRef(FrozenRecord):
-    """A cell bound given as a prepared linear form in an outer variable.
+class LinExpr(FrozenRecord):
+    """A prepared linear form applied to a named value-group variable: a
+    lin(a,k,n,delta;g) leaf of an integrand, and a domain cell's bound
+    that depends on an outer variable.
 
     It has no value of its own: comparing it with an integer or subtracting
     it, as every function on a cell's members does, raises DomainError
     naming the variable."""
 
-    __slots__ = ("var", "form")
+    __slots__ = ("form", "var")
 
-    def __init__(self, var: str, form: PreparedLinear):
-        self._freeze((var, form))
+    def __init__(self, form: PreparedLinear, var: str):
+        self._freeze((form, var))
 
     def _unvalued(self, other):
         raise DomainError(
@@ -143,12 +149,12 @@ class BoundRef(FrozenRecord):
         return {"var": self.var, "a": f.a, "k": f.k, "n": f.n, "delta": f.delta}
 
     @classmethod
-    def from_json(cls, data: dict) -> "BoundRef":
+    def from_json(cls, data: dict) -> "LinExpr":
         var, a, k, n, delta = json_fields(data, "bound", var=str, a=int, k=int, n=int, delta=int)
-        return cls(var, PreparedLinear(a, k, n, delta))
+        return cls(PreparedLinear(a, k, n, delta), var)
 
 
-Bound = Union[None, int, BoundRef]
+Bound = Union[None, int, LinExpr]
 
 
 class GammaCellUnion:
@@ -320,6 +326,15 @@ class Antidifference:
         return [{e: c for e, c in num.items() if c} for num in acc]
 
 
+def check_convergent(a, b, e1: int) -> None:
+    """Raise DivergentSum unless a sum of P(tau) q^(e1 tau), P a nonzero
+    polynomial, over a <= tau <= b (None: that end unbounded) converges: it
+    diverges exactly when the weight does not decay toward an unbounded end."""
+    side = "below" if a is None and e1 <= 0 else "above" if b is None and e1 >= 0 else None
+    if side:
+        raise DivergentSum(f"sum is unbounded {side}, where the weight q^({e1}*tau) does not decay")
+
+
 def weighted_tail(poly: Sequence[Rat], a: int, N: int) -> AqElem:
     """Exact sum of poly(tau) * q^(-N tau) over tau >= a, for N >= 1: -G(a)
     for the antidifference G with e1 = -N."""
@@ -342,10 +357,7 @@ def weighted_sum(cell: GammaCell, poly: Sequence[Rat], N: int) -> AqElem:
     if all(Fraction(c) == 0 for c in poly):
         return AqElem.zero()
     a, b = cell.tau_bounds()
-    if N == 0 and (a is None or b is None):
-        raise DivergentSum("N = 0 diverges on an infinite cell")
-    if a is None:
-        raise DivergentSum("cell is unbounded below in the summation index")
+    check_convergent(a, b, -N)
     G = Antidifference(poly, -N)
     tail = G.at(a, -1)
     return tail if b is None else tail + G.at(b + 1)

@@ -252,6 +252,9 @@ def test_wrong_json_types_are_named_parse_errors(capsys, tmp_path):
         ({"p": 2, "vars": [{"name": "x1", "sort": "K", "region": "ball"}]}, "'ball'"),
         ({"p": 2, "vars": [{"name": "x1", "sort": "K", "region": [dict(UNIT_CELL, center="abc")]}]}, "'center'"),
         ({"p": 2, "vars": [{"name": "x1", "sort": "K", "region": [dict(UNIT_CELL, center="1/0")]}]}, "'center'"),
+        # an unknown sort is refused before the region is read, whatever its shape
+        ({"p": 2, "vars": [{"name": "x1", "sort": "Q", "region": "unit_ball"}]}, "x1 has the unknown sort 'Q'"),
+        ({"p": 2, "vars": [{"name": "x1", "sort": "Q", "region": [gamma]}]}, "x1 has the unknown sort 'Q'"),
     ]
     for i, (payload, message) in enumerate(cases):
         code, out, err = run(capsys, "integrate", "1", "--domain", write(tmp_path, f"d{i}.json", payload))

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from padicint import (
     AngularResidue,
     AqElem,
-    BoundRef,
     BudgetExceeded,
     ConstructibleExpr,
     DivergentSum,
     Domain,
     DomainError,
-    DomainGammaCell,
     GammaCell,
     InfiniteMeasure,
     KCell,
@@ -277,7 +275,7 @@ def test_dependent_bounds_triangle():
     tri = Domain(
         [
             ("g1", G, [GammaCell(0, None, 1, 0)]),
-            ("g2", G, [DomainGammaCell(BoundRef("g1", PreparedLinear(1, 0, 1, 0)), None, 1, 0)]),
+            ("g2", G, [GammaCell(identity_lin("g1"), None, 1, 0)]),
         ],
         P2,
     )
@@ -304,7 +302,7 @@ def test_dependent_bounds_weighted_and_counting():
     tri = Domain(
         [
             ("g1", G, [GammaCell(0, None, 1, 0)]),
-            ("g2", G, [DomainGammaCell(BoundRef("g1", PreparedLinear(1, 0, 1, 0)), None, 1, 0)]),
+            ("g2", G, [GammaCell(identity_lin("g1"), None, 1, 0)]),
         ],
         P2,
     )
@@ -315,7 +313,7 @@ def test_dependent_bounds_weighted_and_counting():
     tri2 = Domain(
         [
             ("g1", G, [GammaCell(0, 8, 1, 0)]),
-            ("g2", G, [DomainGammaCell(0, BoundRef("g1", PreparedLinear(1, 0, 1, 0)), 1, 0)]),
+            ("g2", G, [GammaCell(0, identity_lin("g1"), 1, 0)]),
         ],
         P2,
     )
@@ -328,7 +326,7 @@ def test_dependent_bound_weights_expand_with_rational_coefficients():
     tri = Domain(
         [
             ("g1", G, [GammaCell(0, 8, 1, 0)]),
-            ("g2", G, [DomainGammaCell(0, BoundRef("g1", PreparedLinear(1, 0, 1, 0)), 1, 0)]),
+            ("g2", G, [GammaCell(0, identity_lin("g1"), 1, 0)]),
         ],
         P2,
     )
@@ -368,7 +366,7 @@ def _merged_leaf_cases():
         (f"{lin('g2')}*q^(-{lin('g1')})",
          Domain(
              [("g1", G, [GammaCell(-1, 6, 1, 0)]),
-              ("g2", G, [DomainGammaCell(BoundRef("g1", PreparedLinear(1, 0, 1, 0)), 9, 1, 0)])],
+              ("g2", G, [GammaCell(identity_lin("g1"), 9, 1, 0)])],
              P2,
          ),
          "36 + 35*q^-1 + 33*q^-2 + 30*q^-3 + 26*q^-4 + 21*q^-5", Fraction(2169, 32),
@@ -385,11 +383,29 @@ def test_leaves_that_one_form_merges_integrate_as_pinned(text, domain, render, v
     assert result.eval_at(domain.prime) == value == independent
 
 
+def test_an_integrand_leaf_is_a_dependent_bound():
+    # the lin leaf of a parsed integrand bounds g2 from below, as the
+    # object {"var": "g1", ...} of a domain file does
+    (leaf,) = parse_integrand("lin(1,0,1,0;g1)").terms[0].factors[0][1]
+    built = Domain([("g1", G, [GammaCell(0, None)]), ("g2", G, [GammaCell(leaf, None)])], P2)
+    bound = {"var": "g1", "a": 1, "k": 0, "n": 1, "delta": 0}
+    data = {"p": 2, "vars": [
+        {"name": "g1", "sort": "Gamma", "region": [{"lower": 0, "upper": None, "mod": 1, "res": 0}]},
+        {"name": "g2", "sort": "Gamma", "region": [{"lower": bound, "upper": None, "mod": 1, "res": 0}]},
+    ]}
+    f = parse_integrand("q^(-lin(1,0,1,0;g2))")
+    result = integrate(f, built)
+    assert result == integrate(f, Domain.from_json(data)) == AqElem.q_power(-2) * AqElem.geom(1, 2)
+    assert result.render() == "q^-2 / (1-q^-1)^2"
+    assert built.to_json() == data
+    assert Domain.from_json(data).variables[1].region == [GammaCell(leaf, None)]
+
+
 def test_symbolic_bounds_need_modulus_one():
     tri = Domain(
         [
             ("g1", G, [GammaCell(0, None, 1, 0)]),
-            ("g2", G, [DomainGammaCell(BoundRef("g1", PreparedLinear(1, 0, 1, 0)), None, 2, 1)]),
+            ("g2", G, [GammaCell(identity_lin("g1"), None, 2, 1)]),
         ],
         P2,
     )
@@ -446,7 +462,7 @@ def test_domain_validation():
         Domain([("g1", G, [GammaCell(0, 10, 1, 0), GammaCell(3, 6, 1, 0)])], P2)
     with pytest.raises(ValueError):
         Domain(
-            [("g2", G, [DomainGammaCell(BoundRef("g9", PreparedLinear(1, 0, 1, 0)), None, 1, 0)])],
+            [("g2", G, [GammaCell(identity_lin("g9"), None, 1, 0)])],
             P2,
         )
     with pytest.raises(DomainError):
@@ -458,7 +474,7 @@ def test_domain_checks_its_concrete_cells_as_one_union():
     with pytest.raises(ValueError, match=r"cells GammaCell\(lower=0, .* are not disjoint"):
         Domain([("g1", G, overlap)], P2)
     # a cell with a symbolic bound is left out of the check
-    ref = BoundRef("g1", PreparedLinear(1, 0, 1, 0))
+    ref = identity_lin("g1")
     dom = Domain([("g1", G, [GammaCell(0, 5)]), ("g2", G, [GammaCell(0, 10), GammaCell(ref, 6)])], P2)
     assert [c.lower for c in dom.variables[1].region] == [0, ref]
 
@@ -497,7 +513,7 @@ def test_domain_json_round_trip():
         [
             ("x1", K, cells),
             ("g1", G, [GammaCell(0, None, 1, 0)]),
-            ("g2", G, [DomainGammaCell(BoundRef("g1", PreparedLinear(2, 0, 1, 3)), None, 1, 0)]),
+            ("g2", G, [GammaCell(LinExpr(PreparedLinear(2, 0, 1, 3), "g1"), None, 1, 0)]),
         ],
         P2,
     )

@@ -13,7 +13,6 @@ import pytest
 
 from padicint import (
     AngularResidue,
-    BoundRef,
     GammaCell,
     KCell,
     LinExpr,
@@ -59,12 +58,11 @@ FROZEN = [
     (lambda upper: GammaCell(0, upper), (10, 11), "upper", "GammaCell(lower=0, upper=10, mod=1, res=0)"),
     (
         lambda lower: GammaCell(lower, None, 2, 1),
-        (BoundRef("g1", FORM), 3),
+        (LinExpr(FORM, "g1"), 3),
         "lower",
-        f"GammaCell(lower=BoundRef(var='g1', form={FORM_REPR}), upper=None, mod=2, res=1)",
+        f"GammaCell(lower=LinExpr(form={FORM_REPR}, var='g1'), upper=None, mod=2, res=1)",
     ),
     (lambda delta: PreparedLinear(2, 1, 3, delta), (-1, 0), "delta", FORM_REPR),
-    (lambda var: BoundRef(var, FORM), ("g1", "g2"), "var", f"BoundRef(var='g1', form={FORM_REPR})"),
     (
         kcell,
         (Fraction(1, 2), Fraction(3, 2)),

@@ -20,10 +20,11 @@ The unit ball is one ac-free cell whose fibers {ord t = gamma >= 0} have
 measure (1 - q^-1) q^-gamma, so its integrals are uniform in q (the
 integrand never reads the angular part).  Every value-group sum is
 G(b+1) - G(a) for the antidifference G of presburger, with the weight
-c + s*tau read off each form.  Bounds that reference outer variables
-(prepared linear forms, modulus-1 cells only) are forms too, and produce
-one new term per power of the bound, which keeps the class closed under
-the iteration.
+c + s*tau read off each form; over a short range with two concrete ends
+it is one term, a Laurent polynomial or a rational.  Bounds that reference
+outer variables (prepared linear forms, modulus-1 cells only) are forms
+too, and produce one new term per power of the bound, which keeps the
+class closed under the iteration.
 
 A residue-class oracle integrates the same expressions numerically with
 certified error bounds, independently of the symbolic path: it walks the
@@ -498,8 +499,10 @@ def _sum_terms(parts: Iterable[tuple[AqElem, int, int]]) -> AqElem:
     """The sum of coeff * z * q^e over the parts: one numerator per
     distinct denominator, canonicalised once, then the few group results
     added.  (A fold would merge denominators and cancel at every add; one
-    common denominator measured slower.)  The reduced form reached may
-    differ from a fold's, as factors (1 - q^-i) are not coprime."""
+    common denominator measured slower.)  A part whose value-group sums
+    all ran over short concrete ranges has no denominator and joins the
+    group of Laurent polynomials.  The reduced form reached may differ from a
+    fold's, as factors (1 - q^-i) are not coprime."""
     groups: dict[tuple, dict] = {}
     for coeff, e, z in parts:
         if not z:
@@ -644,15 +647,26 @@ def _range_sum(poly: list[int], e1: int, a: Union[None, int, Form], b: Union[Non
     """Sum of poly(tau) * q^(e1*tau) over a <= tau <= b as G(b+1) - G(a),
     for the antidifference G of presburger, which is 0 at an absent end.
 
-    Returns terms (AqElem multiplier, q-exponent form, factor forms), the
-    lower endpoint's first.  With a symbolic endpoint the range may be
-    empty for some outer values (a > b + 1); there the terms add up to
-    -(sum over b < tau < a), not 0.
+    Returns terms (AqElem multiplier, q-exponent form, factor forms).  With
+    no symbolic end that is at most one term, G.between(a, b) as a
+    constant: a Laurent polynomial when both ends are ints, unless the
+    range is longer than G's two endpoint elements, which are then the
+    terms.  With a symbolic end it is the terms of each end's G, the lower
+    end's first; the range may then be empty for some outer values (a > b
+    + 1), where the terms add up to -(sum over b < tau < a), not 0.
     """
     if all(c == 0 for c in poly):
         return []
     check_convergent(a, b, e1)
     G = Antidifference(poly, e1)
+    # a long int range keeps its two endpoint elements, which have at most
+    # 4*len + 2 monomials between them (len numerator and len + 1
+    # denominator monomials each): its b - a + 1 expanded monomials would
+    # be multiplied in full by every later elimination
+    concrete = not isinstance(a, tuple) and not isinstance(b, tuple)
+    if concrete and (a is None or b is None or not e1 or b - a < 4 * len(G.coeffs) + 2):
+        value = G.between(a, b)
+        return [] if value.is_zero() else [(value, _ZERO, ())]
     parts = []
     if a is not None:
         parts += _antidifference_at(G, a, -1)
@@ -810,7 +824,7 @@ def brute_force_integrate(
     for oe in compiled.atoms:
         index = [names.index(name) for name in oe.vars]
         terms = tuple((coeff, tuple((index[j], e) for j, e in mono)) for coeff, mono in oe.poly.int_terms())
-        args.append((terms, {i for _, mono in terms for i, _ in mono}))
+        args.append((terms, tuple({i for _, mono in terms for i, _ in mono})))
     powers = [p**k for k in range(depth + 1)]
     decided: Counter = Counter()  # (ords of the arguments, sum k) -> boxes whose f adds to value
     scanned: Counter = Counter()  # the same for boxes at depth whose |f| adds to the bound
@@ -827,7 +841,7 @@ def brute_force_integrate(
         split = {i for i, status in enumerate(statuses) if status == "boundary"}
         saturated = False
         for value, (_, mentioned) in zip(values, args):
-            if value % powers[min((ks[i] for i in mentioned), default=depth)] == 0:
+            if value % powers[min([ks[i] for i in mentioned], default=depth)] == 0:
                 saturated = True
                 split.update(mentioned)
         if not (saturated or split):

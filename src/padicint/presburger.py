@@ -10,7 +10,9 @@ G(a) for the antidifference G of P(tau) q^(e1 tau), any sign of e1.  At
 an integer endpoint G is one element over the single index |e1|, so it is
 canonicalised once; a reduced numerator over a power of (1 - q^-N) is
 unique for its value, so the form is the one a term-by-term sum would
-reach.  The dense helpers behind it live in polys.
+reach.  With two integer ends and e1 != 0 that form is the Laurent
+polynomial sum itself, so it is built as one, term by term.  The dense
+helpers behind it live in polys.
 
 A prepared linear form a*(gamma - k)/n + delta applied to a named
 variable, LinExpr, is one type wherever it occurs: a lin(...) leaf of an
@@ -53,12 +55,19 @@ class GammaCell(FrozenRecord):
     Either bound may be None, meaning no constraint on that side.  In a
     domain a bound may also be a LinExpr, a prepared linear form in an outer
     value-group variable; such a cell has members only once that variable
-    has a value, so the functions below raise DomainError on it.
+    has a value, so the functions below raise DomainError on it.  A bound
+    of any other type, a boolean too, is a DomainError naming it.
     """
 
     __slots__ = ("lower", "upper", "mod", "res")
 
     def __init__(self, lower: Bound, upper: Bound, mod: int = 1, res: int = 0):
+        for name, bound in (("lower", lower), ("upper", upper)):
+            if bound is not None and (isinstance(bound, bool) or not isinstance(bound, (int, LinExpr))):
+                raise DomainError(
+                    f"the {name} bound of a value-group cell must be None, an int or a LinExpr,"
+                    f" not {type(bound).__name__} {bound!r}"
+                )
         if mod < 1:
             raise ValueError("modulus must be >= 1")
         if not 0 <= res < mod:
@@ -268,7 +277,9 @@ class Antidifference:
 
     at(A) evaluates G at an integer from the differences of P(A), ...,
     P(A + D) as numbers, in O(D^2) where evaluating nums() costs O(D^3);
-    nums() expands G in powers of a symbolic A.
+    nums() expands G in powers of a symbolic A.  between(a, b) is the sum
+    over a range, G(b+1) - G(a): with two integer ends and e1 != 0 that
+    sum is a Laurent polynomial, built term by term without a denominator.
     """
 
     __slots__ = ("e1", "coeffs", "den", "terms")
@@ -302,6 +313,31 @@ class Antidifference:
                 acc[e] = acc[e] + w * d if e in acc else w * d
             values = [y - x for x, y in zip(values, values[1:])]
         return AqElem(LaurentPoly(acc), self.den)
+
+    def between(self, a: Optional[int], b: Optional[int]) -> AqElem:
+        """The sum of P(tau) q^(e1 tau) over a <= tau <= b, G(b+1) - G(a),
+        as one element; 0 when a > b.  None at an end means G is 0 there
+        (the weight decays toward it), so the other end's at() is the sum.
+        With two integer ends it is the binomial closed form for e1 = 0,
+        else the Laurent polynomial itself, one Horner pass per tau: the
+        form the closed form's denominator would cancel to, at about the
+        cost of cancelling it."""
+        if a is None:
+            return self.at(b + 1)
+        if b is None:
+            return self.at(a, -1)
+        if a > b:
+            return AqElem.zero()
+        if not self.e1:
+            return self.at(b + 1) + self.at(a, -1)
+        top_first, e1, acc = self.coeffs[::-1], self.e1, {}
+        for tau in range(a, b + 1):
+            v = 0
+            for c in top_first:
+                v = v * tau + c
+            if v:
+                acc[e1 * tau] = v
+        return AqElem(LaurentPoly(acc))
 
     def nums(self) -> list[dict[int, Rat]]:
         """G(A) = q^(e1 A) sum_s A^s nums[s] / den: one numerator (exponent
@@ -344,23 +380,20 @@ def weighted_tail(poly: Sequence[Rat], a: int, N: int) -> AqElem:
 
 
 def weighted_sum(cell: GammaCell, poly: Sequence[Rat], N: int) -> AqElem:
-    """Exact sum of poly(tau) * (q^-N)^tau over the reindexed cell, G(b+1)
-    - G(a) for the antidifference G with e1 = -N.
+    """Exact sum of poly(tau) * (q^-N)^tau over the reindexed cell,
+    Antidifference(poly, -N).between(a, b) on its tau-range [a, b].
 
-    N = 0 is permitted only on bounded cells (plain polynomial summation);
-    denominators of the result are powers of (1 - q^-N).
+    N = 0 is permitted only on bounded cells (plain polynomial summation).
+    On a bounded cell the sum is a Laurent polynomial (a rational for N =
+    0); on a half-infinite one its denominator is a power of (1 - q^-N).
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    if cell.is_empty():
-        return AqElem.zero()
     if all(Fraction(c) == 0 for c in poly):
         return AqElem.zero()
     a, b = cell.tau_bounds()
     check_convergent(a, b, -N)
-    G = Antidifference(poly, -N)
-    tail = G.at(a, -1)
-    return tail if b is None else tail + G.at(b + 1)
+    return Antidifference(poly, -N).between(a, b)
 
 
 def gamma_weight_sum(cell: GammaCell, N: int = 1) -> AqElem:

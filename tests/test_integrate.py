@@ -556,9 +556,10 @@ def test_grouped_sum_is_the_left_fold(parts, cancelled):
 
 
 def test_grouped_sum_render_is_pinned():
-    # two value-group sums whose groups meet over (1-q^-2) and (1-q^-4):
-    # the grouped sum keeps that denominator, while the one-at-a-time
-    # fold reached the equal (1-q^-1)(1-q^-4) form
+    # g2 ranges over a finite cell, so each of its sums is a Laurent
+    # polynomial; the g1 sums then land over (1-q^-2) and (1-q^-1)^2, which
+    # the grouped sum meets over (1-q^-1)(1-q^-2).  folded is the same value
+    # in another reduced form, over (1-q^-1)(1-q^-4)
     f = parse_integrand(
         "q^(-2*lin(1,0,1,0;g1) - lin(1,0,1,0;g2) - 1)*lin(1,0,2,-1;g2)"
         " + 3*q^(-lin(1,0,1,0;g1) - 2*lin(1,0,1,0;g2) + 1)*lin(-2,0,1,3;g1)*lin(3,0,1,-1;g2)"
@@ -568,8 +569,8 @@ def test_grouped_sum_render_is_pinned():
     )
     result = integrate(f, domain)
     assert result.render() == (
-        "(-75*q^-7 - 105*q^-8 - 60*q^-9 - 60*q^-10 - 150*q^-11 - 186*q^-12 - 131*q^-13"
-        " - 132*q^-14 + 33*q^-15 + 99*q^-16 - q^-17) / (1-q^-2)(1-q^-4)"
+        "(-75*q^-7 - 30*q^-8 + 45*q^-9 - 165*q^-11 - 66*q^-12 + 100*q^-13 - q^-14)"
+        " / (1-q^-1)(1-q^-2)"
     )
     assert result.eval_at(2) == Fraction(-11465, 6144)
     folded = AqElem(
@@ -640,6 +641,35 @@ def test_range_sum_matches_enumeration(poly, e1, lo_kind, hi_kind, lo_slope, hi_
                 assert abs(got - direct) < Fraction(1, 2**300)
             else:
                 assert got == direct
+
+
+def test_a_concrete_range_is_one_term_up_to_the_endpoint_size():
+    # G's two endpoint elements have 4*len + 2 monomials between them: a
+    # range of at most that many members is one Laurent polynomial, a
+    # longer one stays the two endpoint elements
+    for poly, size in (([1], 6), ([2, -1], 10)):
+        (short,) = _range_sum(poly, -1, 0, size - 1)
+        assert not short[0].den
+        assert [aq.den for aq, _, _ in _range_sum(poly, -1, 0, size)] == [{1: len(poly)}] * 2
+
+
+def test_two_long_concrete_ranges_multiply_no_long_polynomials(monkeypatch):
+    # expanded, the g2 sum would be a 1999-monomial coefficient multiplied
+    # in full by the 1999-monomial g1 sum: about 4 million products
+    work = [0]
+    mul = LaurentPoly.__mul__
+
+    def counted(self, other):
+        work[0] += len(self.coeffs) * len(other.coeffs)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    L = 2000
+    f = parse_integrand("q^(-lin(1,0,1,0;g1) - lin(1,0,1,0;g2))")
+    result = integrate(f, Domain([("g1", G, [GammaCell(0, L)]), ("g2", G, [GammaCell(0, L)])], P2))
+    assert result.eval_at(2) == sum(Fraction(1, 2**g) for g in range(1, L)) ** 2
+    assert not result.den and len(result.num.coeffs) == 2 * L - 3
+    assert work[0] < 100
 
 
 def test_zero_weight_over_an_infinite_range_gives_no_terms():

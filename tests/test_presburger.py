@@ -185,6 +185,31 @@ def test_antidifference_vanishes_where_the_weight_decays():
     assert not Antidifference([0, Fraction(0)], 2).nums()
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(tail_coeffs, min_size=1, max_size=5),
+    st.integers(-4, 4),
+    st.integers(-10, 10),
+    st.integers(-10, 10),
+)
+def test_a_finite_range_sum_is_one_element(poly, e1, a, b):
+    G = Antidifference(poly, e1)
+    got = G.between(a, b)
+    for p in (2, 3, 5):
+        direct = sum(
+            (sum(Fraction(c) * tau**i for i, c in enumerate(poly)) * Fraction(p) ** (e1 * tau)
+             for tau in range(a, b + 1)),
+            Fraction(0),
+        )
+        assert got.eval_at(p) == direct
+    if a <= b + 1:
+        assert got == G.at(a, -1) + G.at(b + 1)
+    else:
+        assert got.is_zero()  # G(b+1) - G(a) is minus the sum over b < tau < a
+    if e1 != 0:
+        assert got.den == {}
+
+
 def test_gamma_weight_sum_additive_over_refinements():
     _, ok, detail = check_presburger_additivity(120)
     assert ok, detail
@@ -301,6 +326,15 @@ def test_cell_json_round_trip():
     union = GammaCellUnion([GammaCell(0, 5, 2, 0), GammaCell(0, 5, 2, 1)])
     again = GammaCellUnion.from_json(union.to_json())
     assert again.cells == union.cells
+
+
+@pytest.mark.parametrize(
+    "bound", [0.5, "3", Fraction(1, 2), (1, 2), True], ids=["float", "str", "Fraction", "tuple", "bool"]
+)
+def test_a_bound_of_another_type_is_a_named_domain_error(bound):
+    for lower, upper, name in ((bound, 4, "lower"), (-1, bound, "upper")):
+        with pytest.raises(DomainError, match=f"the {name} bound of a value-group cell .* not {type(bound).__name__} "):
+            GammaCell(lower, upper)
 
 
 def test_a_symbolic_bound_is_a_named_domain_error():

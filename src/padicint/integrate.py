@@ -29,7 +29,8 @@ class closed under the iteration.
 A residue-class oracle integrates the same expressions numerically with
 certified error bounds, independently of the symbolic path: it walks the
 boxes x0 + (p^k1 Z_p x ... x p^kn Z_p) as a tree, splitting one coordinate
-at a time, and sums a box once f is constant on it.  f is evaluated, there,
+at a time, and sums a box once a Taylor test shows every valuation
+argument's ord constant on it, so f is too.  f is evaluated, there,
 in ConstructibleExpr.eval and for the constant leaves the integrator
 leaves, by one integer pass of the same forms indexed by leaf (_Compiled)
 over the leaf values.  Only the bound's tail sum is the closed form
@@ -59,7 +60,7 @@ from .errors import (
 )
 from .kcells import KCell, kcells_disjoint
 from .padic import DEFAULT_BUDGET, INFINITY, Prime, rational_ord
-from .polys import Polynomial, eval_terms, poly_mul
+from .polys import Polynomial, eval_terms, poly_mul, taylor_terms
 from .presburger import (
     Antidifference,
     GammaCell,
@@ -698,10 +699,13 @@ class OracleResult(Record):
     value is the exact average of the integrand over the residue classes it
     could evaluate; tail_bound bounds the distance to the true integral;
     skipped counts classes where the integrand was undefined at the lift,
-    boundary counts classes where membership or the integrand was not
-    class-uniform.  classes is p^(n depth), the residue classes mod p^depth
-    the result stands for, not the work done: the budget counts the boxes
-    the walk settles, never more than that and most often far fewer.
+    boundary counts classes that straddle a cell boundary or on which some
+    valuation argument has ord >= depth, so that membership or the
+    integrand is not known from the class alone.  Every field is what a
+    scan of each class mod p^depth gives, however the walk tiles them.
+    classes is p^(n depth), the residue classes mod p^depth the result
+    stands for, not the work done: the budget counts the boxes the walk
+    settles, never more than that and most often far fewer.
     """
 
     __slots__ = ("value", "tail_bound", "depth", "classes", "skipped", "boundary", "skipped_measure")
@@ -772,27 +776,39 @@ def brute_force_integrate(
     the distance to the true integral.
 
     The classes are walked as a tree of boxes a + (p^k1 Z_p x ... x p^kn
-    Z_p).  A box is decided when some variable's region misses it (it adds
-    0), or when it lies inside every region and every valuation argument g
-    has ord g(a) below the least k_i of the coordinates g mentions (below
-    depth when it mentions none): then f is constant on the box, and it
-    adds f(a) p^(-sum k), exactly the sum of its classes mod p^depth.
-    Otherwise the box splits into p boxes along one coordinate, the least
-    refined of those whose region status is "boundary" or that a saturated
-    argument mentions.  A box with no such coordinate left below depth
-    stands for its p^(n depth - sum k) classes mod p^depth, which share its
-    status, membership and value, so the result equals a scan of all
-    p^(n depth) classes.  The budget bounds the boxes the walk settles
-    (missed, decided or scanned), the root box first: each split adds
-    p - 1 of them, and passing the budget raises BudgetExceeded.  They
-    tile Z_p^n, so there are never more than p^(n depth).
+    Z_p).  A box is missed when some variable's region misses it (it adds
+    0).  Otherwise each valuation argument g is certified when ord g is
+    constant on the lifts of the box: when v = ord g(a) is below the least
+    k_i of the coordinates g mentions (depth when it mentions none), and
+    for g of degree >= 2 when v < ord c_b(a) + sum b_i k_i for every
+    b != 0 over the coordinates below depth, with c_b = (d^b / b!) g
+    (polys.taylor_terms); a coordinate at depth has one lift.
+    g is 0 on the lifts when g(a) and all those c_b(a) are 0.  The box is
+    decided when it lies inside every region and every g is certified with
+    v < depth: f is constant on it, and it adds f(a) p^(-sum k), exactly the
+    sum of its classes mod p^depth.  Otherwise it splits into p boxes along
+    one coordinate below depth, the least refined (the lowest index first)
+    of those whose region status is "boundary", that an uncertified affine
+    argument mentions, or on which a failing b is supported.  A box with no
+    such coordinate is scanned as one: it stands for its
+    p^(n depth - sum k) classes mod p^depth, which share its status,
+    membership, value and saturation (some v >= depth, or g = 0 on it), so
+    the result equals a scan of all p^(n depth) classes, field by field.
+    So q^(-ord(x1^2)) on Z_3 at depth 18 settles 37 boxes, where deciding
+    only for v below the least k_i settles 39,365.
+    The budget bounds the boxes the walk settles (missed, decided or
+    scanned), the root box first: each split adds p - 1 of them, and
+    passing the budget raises BudgetExceeded.  They tile Z_p^n, so there
+    are never more than p^(n depth).  The powers p^k are made as the splits
+    reach level k, so the budget bounds the memory too.
 
     Each box costs one integer pass and builds no Fraction: g(a) is
-    computed once as an int for the saturation test, from the int terms of
-    g read once per call, the region tests run on ints (KCell.ball_status),
-    and a decided box is recorded by the ords of those ints and sum k.  f
-    is evaluated once per distinct record, and the sum stays int numerators
-    per term and power of p until the end.
+    computed once as an int, from the int terms of g read once per call,
+    the region tests run on ints (KCell.ball_status), and a decided box is
+    recorded by the ords of those ints and sum k.  Only an argument of
+    degree >= 2 whose first test fails evaluates its Taylor coefficients.
+    f is evaluated once per distinct record, and the sum stays int
+    numerators per term and power of p until the end.
 
     growth = (C, c, dg) asserts |f(x)| <= C * v^dg * q^(c*v) on classes
     where some valuation argument saturates at v >= depth; c <= 0 and
@@ -820,12 +836,16 @@ def brute_force_integrate(
     regions = [v.region for v in domain.variables]
     n = len(names)
     compiled = _Compiled(forms)  # the oracle's domain makes every atom an OrdExpr
-    args = []  # (the terms of g over the coordinates, the coordinates g mentions)
+    # (the terms of g over the coordinates, the coordinates g mentions, and
+    # (b, its coordinates, the terms of c_b) for the Taylor coefficients of
+    # g, filled at the first box that needs them, or None when g is affine)
+    args = []
     for oe in compiled.atoms:
         index = [names.index(name) for name in oe.vars]
         terms = tuple((coeff, tuple((index[j], e) for j, e in mono)) for coeff, mono in oe.poly.int_terms())
-        args.append((terms, tuple({i for _, mono in terms for i, _ in mono})))
-    powers = [p**k for k in range(depth + 1)]
+        affine = all(sum(e for _, e in mono) <= 1 for _, mono in terms)
+        args.append((terms, tuple({i for _, mono in terms for i, _ in mono}), None if affine else []))
+    powers = {0: 1, depth: p**depth}  # p^k for depth and the levels the walk has reached
     decided: Counter = Counter()  # (ords of the arguments, sum k) -> boxes whose f adds to value
     scanned: Counter = Counter()  # the same for boxes at depth whose |f| adds to the bound
     skipped = boundary = saturated_classes = 0
@@ -837,13 +857,46 @@ def brute_force_integrate(
     stack = [] if "out" in statuses else [((0,) * n, (0,) * n, statuses)]
     while stack:
         point, ks, statuses = stack.pop()
-        values = [eval_terms(terms, point) for terms, _ in args]
+        values = [eval_terms(terms, point) for terms, _, _ in args]
         split = {i for i, status in enumerate(statuses) if status == "boundary"}
-        saturated = False
-        for value, (_, mentioned) in zip(values, args):
-            if value % powers[min([ks[i] for i in mentioned], default=depth)] == 0:
+        saturated = False  # some argument has ord >= depth on the box, if nothing splits
+        for value, (terms, mentioned, taylor) in zip(values, args):
+            least = min([ks[i] for i in mentioned], default=depth)
+            if value % powers[least]:
+                continue  # ord g(a) is below every k_i g mentions, so ord g is constant
+            # the Taylor test below adds nothing when g is affine, has one lift
+            # or splits the box anyway, or when g(a) = 0 and g is a polynomial
+            # in one coordinate, which vanishes on no ball
+            if (
+                taylor is None or least == depth or split.issuperset(mentioned)
+                or (value == 0 and len(mentioned) == 1)
+            ):
                 saturated = True
                 split.update(mentioned)
+                continue
+            # ord g = v on the box when v < ord c_b(a) + sum b_i k_i for every
+            # b != 0 over the coordinates below depth; g = 0 on it when g(a)
+            # and all those c_b(a) are 0
+            if not taylor:  # the highest orders first: they fail most often
+                table = [(b, tuple(i for i, _ in b), cb) for b, cb in taylor_terms(terms).items()]
+                taylor += sorted(table, key=lambda t: -sum(e for _, e in t[0]))
+            v = rational_ord(value, p)
+            saturated = saturated or v >= depth
+            for b, coords, cb_terms in taylor:
+                w = 0
+                for i, e in b:
+                    if ks[i] == depth:
+                        break  # a coordinate at depth has one lift
+                    w += e * ks[i]
+                else:
+                    if value == 0:
+                        failing = eval_terms(cb_terms, point) != 0
+                    else:
+                        failing = v >= w and eval_terms(cb_terms, point) % p ** (v - w + 1) != 0
+                    if failing:
+                        split.update(coords)
+                        if split.issuperset(mentioned):
+                            break  # no other b can add to split
         if not (saturated or split):
             decided[tuple(rational_ord(v, p) for v in values), sum(ks)] += 1
             continue
@@ -854,6 +907,8 @@ def brute_force_integrate(
             if partition > budget:
                 raise BudgetExceeded(too_many)
             k = ks[i]
+            if k + 1 not in powers:
+                powers[k + 1] = powers[k] * p
             child_ks = ks[:i] + (k + 1,) + ks[i + 1 :]
             for t in range(p):
                 x = point[i] + t * powers[k]

@@ -91,17 +91,55 @@ class Prime(FrozenRecord):
         return f"Prime({self.p})"
 
 
+_SHALLOW = 16  # a valuation up to this is stripped one p at a time
+
+
+def _strip_deep(x: int, p: int) -> tuple[int, int]:
+    """(v, x / p^v) with p^v the largest power of p dividing x != 0.
+
+    Divides by p, p^2, p^4, ... while they divide x, then by the same
+    powers in reverse where they still do, so it takes O(log v) big
+    divisions, not v of them."""
+    squares = []
+    power = p
+    while True:
+        quotient, rest = divmod(x, power)
+        if rest:
+            break
+        x = quotient
+        squares.append(power)
+        power *= power
+    v = (1 << len(squares)) - 1
+    for j in range(len(squares) - 1, -1, -1):
+        quotient, rest = divmod(x, squares[j])
+        if not rest:
+            x = quotient
+            v += 1 << j
+    return v, x
+
+
 def unit_part(num: int, den: int, p: int) -> tuple[int, int, int]:
     """(v, u, w) with num/den = p^v * u/w and p dividing neither u nor w,
-    for num != 0.  The pair num/den need not be in lowest terms."""
+    for num != 0.  The pair num/den need not be in lowest terms.  A unit
+    costs one modulo per side; a valuation past _SHALLOW is stripped by
+    _strip_deep, so a deep power costs O(log v) divisions, not v."""
     v = 0
     while num % p == 0:
+        if v == _SHALLOW:
+            e, num = _strip_deep(num, p)
+            v += e
+            break
         num //= p
         v += 1
+    e = 0
     while den % p == 0:
+        if e == _SHALLOW:
+            f, den = _strip_deep(den, p)
+            e += f
+            break
         den //= p
-        v -= 1
-    return v, num, den
+        e += 1
+    return v - e, num, den
 
 
 def rational_ord(value: Union[Fraction, int], p: int) -> ExtendedInteger:

@@ -14,6 +14,10 @@ quotients of the long division are Fractions.  They serve
 presburger's weighted sums, the symbolic integrator, the Aq ring's
 canonical form and the Poincare denominator search.
 
+eval_terms evaluates an integer polynomial given as its int terms, and
+taylor_terms gives the Taylor coefficients of one in the same form, for
+the oracle's test that a valuation is constant on a box.
+
 signed_join renders a sum of signed terms for every renderer in the
 package, and render_powers a sum of signed powers of one variable;
 rationals render as str(Fraction), "a" or "a/b".  This module imports
@@ -23,6 +27,7 @@ nothing from the package, so every other module can import it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -214,6 +219,27 @@ def eval_terms(terms: Iterable[tuple[int, tuple[tuple[int, int], ...]]], values:
             c *= values[i] ** e
         total += c
     return total
+
+
+def taylor_terms(terms: Iterable[tuple[int, tuple[tuple[int, int], ...]]]) -> dict:
+    """{b: the terms of c_b = (d^b / b!) g} over b != 0, for the integer
+    polynomial g given by terms as eval_terms reads them, so that
+    g(x + h) = g(x) + sum_b c_b(x) h^b.  b is a tuple of (index, b_i) pairs
+    with b_i > 0; c x^e contributes c C(e, b) x^(e - b), an integer."""
+    out: dict = {}
+    for c, monomial in terms:
+        # (b, c C(e, b), x^(e - b)) over b <= e, one coordinate at a time
+        parts = [((), c, ())]
+        for i, e in monomial:
+            parts = [
+                (b + ((i, j),) if j else b, coeff * comb(e, j), rest + ((i, e - j),) if j < e else rest)
+                for b, coeff, rest in parts
+                for j in range(e + 1)
+            ]
+        for b, coeff, rest in parts:
+            if b:  # distinct terms of g give distinct terms of c_b
+                out.setdefault(b, []).append((coeff, rest))
+    return out
 
 
 def signed_join(terms: Iterable[tuple[bool, str]]) -> str:

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -198,6 +200,48 @@ def test_oracle_budget_bounds_the_classes_settled():
     assert abs(r.value - Fraction(9, 16)) <= r.tail_bound
     with pytest.raises(BudgetExceeded, match="depth 7 .* 224 classes"):
         brute_force_integrate(f, domain, 7, growth=(1, -1, 0), budget=224)
+
+
+@pytest.mark.parametrize(
+    "text, prime, growth, exact, settled",
+    [
+        # a walk that decides a box only for ord g(a) below the least k_i
+        # settles 39,365 and 5,461 boxes here
+        ("q^(-ord(x1^2))*ord(x1^2)", P3, (1, -1, 1), Fraction(9, 169), 37),
+        ("q^(-ord(x1^3))", P2, (1, -1, 0), Fraction(8, 15), 19),
+    ],
+)
+def test_oracle_settles_a_power_of_x_in_p_minus_1_boxes_per_level(text, prime, growth, exact, settled):
+    # on a + p^k Z_p with ord a = k - 1 the Taylor test shows ord(x^e) = e (k - 1),
+    # so only the box at 0 splits, once per level: 1 + (p - 1) 18 boxes
+    f = parse_integrand(text)
+    r = brute_force_integrate(f, unit_ball_domain(prime), 18, growth=growth, budget=settled)
+    assert abs(r.value - exact) <= r.tail_bound
+    with pytest.raises(BudgetExceeded, match="depth 18 .* budget of %d " % (settled - 1)):
+        brute_force_integrate(f, unit_ball_domain(prime), 18, growth=growth, budget=settled - 1)
+
+
+def test_a_deep_oracle_call_strips_p_in_few_divisions():
+    # the decided boxes take valuations of numbers up to 3^3000: dividing
+    # one p at a time takes about 8 s for the whole walk
+    start = time.perf_counter()
+    r = brute_force_integrate(ABS_X, unit_ball_domain(P3), 3000, growth=(1, -1, 0))
+    assert time.perf_counter() - start < 3
+    assert abs(r.value - Fraction(3, 4)) <= r.tail_bound
+
+
+def test_the_oracle_budget_bounds_its_memory():
+    # a table of every p^k up to depth takes 1.6 s and 43 MB before the first box
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceeded, match="budget of 10 "):
+            brute_force_integrate(ABS_X, unit_ball_domain(P3), 20000, budget=10)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 10**6
 
 
 def test_oracle_on_general_polynomial_argument():

@@ -134,11 +134,33 @@ def _random_argument(rng: random.Random, names: list, p: int) -> OrdExpr:
     return OrdExpr(shifted ** rng.randint(1, 2), (name,))
 
 
-def _random_integrand(rng: random.Random, names: list, p: int) -> ConstructibleExpr:
+# x^2 - r has a root in Z_p but none in Z: r is no square, and r = 1 mod 8
+# at p = 2, r = 1 mod 3 at p = 3
+_SQUARES_IN_ZP = {2: (17, -7), 3: (7, -2)}
+
+
+def _nonlinear_argument(rng: random.Random, names: list, p: int) -> OrdExpr:
+    """An argument _random_argument never draws: (x - a)^3, x^2 - r with a
+    root in Z_p but not in Z, or x^2 + p x in one variable, and on two
+    x1^2 - x2^2, x1 x2 + p or (x1 - x2)^2."""
+    if len(names) == 2 and rng.random() < 0.5:
+        x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+        poly = rng.choice((x1 * x1 - x2 * x2, x1 * x2 + Polynomial.constant(p, 2), (x1 - x2) ** 2))
+        return OrdExpr(poly, tuple(names))
+    x = Polynomial.variable(0, 1)
+    poly = rng.choice((
+        (x - Polynomial.constant(rng.randint(0, p * p), 1)) ** 3,
+        x * x - Polynomial.constant(rng.choice(_SQUARES_IN_ZP[p]), 1),
+        x * x + Polynomial.constant(p, 1) * x,
+    ))
+    return OrdExpr(poly, (rng.choice(names),))
+
+
+def _random_integrand(rng: random.Random, names: list, p: int, argument=_random_argument) -> ConstructibleExpr:
     terms = []
     for _ in range(rng.randint(1, 2)):
         coeff = AqElem.from_rational(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
-        args = [_random_argument(rng, names, p) for _ in range(rng.randint(0, 2))]
+        args = [argument(rng, names, p) for _ in range(rng.randint(0, 2))]
         q = {}
         for a in args:
             q[a] = q.get(a, 0) - rng.randint(0, 2)
@@ -202,6 +224,30 @@ def test_descent_equals_flat_scan_on_random_domains():
         seen_refined += refine > 0 and descent.boundary > 0
     assert seen_skipped >= 10 and seen_boundary >= 40 and seen_refined >= 20
     assert parsed_skipped >= 10 and parsed_boundary >= 40
+
+
+def test_descent_equals_flat_scan_on_nonlinear_arguments():
+    # the Taylor test decides a box where ord g(a) is not below every k_i;
+    # every field must still be the flat scan's
+    rng = random.Random(20261020)
+    seen = {"ball": 0, "cells": 0, "skipped": 0, "boundary": 0, "tail": 0}
+    for _ in range(120):
+        prime = Prime(rng.choice((2, 3)))
+        p = prime.p
+        n = rng.randint(1, 2)
+        names = [f"x{i + 1}" for i in range(n)]
+        regions = [random_region(rng, prime) for _ in names]
+        domain = Domain([(name, K, region) for name, region in zip(names, regions)], prime)
+        f = _random_integrand(rng, names, p, argument=_nonlinear_argument)
+        depth = rng.randint(1, (10 if p == 2 else 6) // n)
+        growth = (Fraction(rng.randint(1, 4), rng.randint(1, 2)), rng.randint(-2, 0), rng.randint(0, 1))
+        descent = brute_force_integrate(f, domain, depth, growth=growth)
+        assert descent == flat_oracle(f, domain, depth, growth=growth), (domain.to_json(), depth, growth)
+        seen["ball" if all(r is UNIT_BALL for r in regions) else "cells"] += 1
+        seen["skipped"] += descent.skipped > 0
+        seen["boundary"] += descent.boundary > 0
+        seen["tail"] += descent.tail_bound > 0
+    assert min(seen.values()) >= 10, seen
 
 
 def test_descent_keeps_an_argument_in_both_coordinates_saturated():

@@ -3,6 +3,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicint import (
     BudgetExceeded,
@@ -15,6 +17,7 @@ from padicint import (
     rational_ac,
     rational_ord,
 )
+from padicint.padic import unit_part
 
 
 def test_prime_validation():
@@ -162,3 +165,29 @@ def test_enumerate_residues_lexicographic_and_complete():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_residues(3, 4, Prime(5), budget=10**6))
+
+
+def _unit_part_by_division(num, den, p):
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7, 101)),
+    st.integers(-10**6, 10**6).filter(lambda u: u != 0),
+    st.integers(1, 10**6),
+    st.integers(0, 300),
+    st.integers(0, 300),
+)
+def test_unit_part_matches_division_one_p_at_a_time(p, u, w, v1, v2):
+    # u and w may hold p too, so both sides strip more than v1 and v2
+    num, den = u * p**v1, w * p**v2
+    assert unit_part(num, den, p) == _unit_part_by_division(num, den, p)
+

@@ -22,6 +22,7 @@ from padicint.polys import (
     polydiv,
     render_powers,
     signed_join,
+    taylor_terms,
     trim,
 )
 
@@ -219,3 +220,19 @@ def test_integer_evaluators_refuse_fraction_coefficients():
     for evaluate in (lambda: f.eval_int([2]), lambda: f.eval_mod([2], 5), f.int_terms):
         with pytest.raises(ValueError, match="integer coefficients"):
             evaluate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-9, 9), max_size=5),
+    st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+    st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+)
+def test_taylor_terms_expand_a_shift(monomials, x, h):
+    # g(x + h) = g(x) + sum_b c_b(x) h^b with integer c_b, over three variables
+    terms = Polynomial(3, monomials).int_terms()
+    expansion = eval_terms(terms, x)
+    for b, cb in taylor_terms(terms).items():
+        assert all(isinstance(c, int) for c, _ in cb)
+        expansion += eval_terms(cb, x) * eval_terms([(1, b)], h)
+    assert expansion == eval_terms(terms, [a + d for a, d in zip(x, h)])

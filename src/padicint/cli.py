@@ -40,10 +40,15 @@ def _emit_aq(aq, prime: Prime | None, as_json: bool):
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as handle:
-        return json.load(handle)
+    """The JSON value in the file at path, or on stdin for "-"; text that
+    is not JSON is a ParseError at the line and column where decoding stops."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc.msg}", exc.lineno, exc.colno) from None
 
 
 def _parse_value(text: str) -> Fraction:
@@ -185,7 +190,7 @@ def _cmd_check(args) -> int:
 
 _OPTIONS = {
     "--p": dict(type=int, help="the prime p"),
-    "--budget": dict(type=int, help="most oracle classes or enumerated points"),
+    "--budget": dict(type=int, help="most oracle boxes or enumerated points"),
     "--depth": dict(type=int, help="oracle residue depth"),
     "--guard": dict(type=int, default=5, help="verification margin"),
 }

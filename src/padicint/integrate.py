@@ -850,7 +850,7 @@ def brute_force_integrate(
     scanned: Counter = Counter()  # the same for boxes at depth whose |f| adds to the bound
     skipped = boundary = saturated_classes = 0
     partition = 1  # boxes settled or on the stack; together they tile Z_p^n
-    too_many = f"the oracle walk to depth {depth} settles more than the budget of {budget} classes"
+    too_many = f"the oracle walk to depth {depth} settles more than the budget of {budget} boxes"
     if partition > budget:
         raise BudgetExceeded(too_many)
     statuses = tuple(_region_status(0, region, 0) for region in regions)

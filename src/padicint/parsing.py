@@ -1,20 +1,22 @@
 """Parsers for polynomials and constructible integrands, with rendering.
 
-Both grammars are one descent, sum -> product -> power -> atom
-(_parse_sum): signed sums of products of factors, each factor an atom or
-a parenthesised sum, optionally raised to a literal exponent ^n.  Only
-the atoms and the algebra differ.  Polynomial atoms are integer literals
-and variables x1..xn.  Integrand atoms are integer literals, q^(...)
-exponentials, ord(...) valuation factors, whose argument is a polynomial
-in the same grammar, and lin(a,k,n,delta;g) prepared linear forms in
-value-group variables g1..gm.
+One descent, sum -> product -> power -> atom (_parse_sum), reads every
+expression: signed sums of products of factors, each factor an atom or a
+parenthesised sum, optionally raised to a literal exponent ^n.  Only the
+atoms and the algebra differ.  Polynomial atoms are integer literals and
+variables x1..xn, combined by Polynomial's own + - *.  Integrand atoms are
+integer literals, q^(E) exponentials, ord(...) valuation factors, whose
+argument is a polynomial, and lin(a,k,n,delta;g) prepared linear forms in
+value-group variables g1..gm.  The exponent E is an integrand too, folded
+into one affine form by _integer_form: each of its terms is an integer
+times at most one ord or lin factor, and none has a q^(...) factor.
 
-The descent makes one pass over the token texts and works on plain data:
-a polynomial is {exponent tuple: int}, an integrand a list of (int
-coefficient, q form, factor forms) triples, never combined or reordered,
-whose affine forms are those of integrate and share one leaf per distinct
-ord or lin argument.  One Polynomial or one ConstructibleExpr is built at
-the end, equal term by term to what their own algebra gives for the text.
+An integrand is read as a list of (int coefficient, q form, factor forms)
+triples, never combined or reordered, whose affine forms are those of
+integrate and share one leaf per distinct ord or lin argument; one
+ConstructibleExpr is built at the end, equal term by term to what its own
+algebra gives for the text.  Before a polynomial is read, one forward scan
+of its tokens finds where it ends, checks its names and gives its arity.
 Token positions are computed only when a ParseError is raised.  Rendering
 emits canonical text that parses back to the same expression where every
 factor is a single leaf, as in every parsed expression; otherwise the text
@@ -23,9 +25,8 @@ parses back to an expression of the same value (see render_constructible).
 
 from __future__ import annotations
 
+import operator
 import re
-from fractions import Fraction
-from itertools import zip_longest
 
 from .aqring import AqElem
 from .errors import ParseError
@@ -78,22 +79,12 @@ def _is_name(tok: str) -> bool:
     return tok[:1].isalpha() or tok[:1] == "_"
 
 
-def _first_bad_name(tokens: list[str], start: int, stop: int, message: str) -> _Fail | None:
-    """A _Fail at the first name in tokens[start:stop] that is not a field
-    variable x1, x2, ..., with message.format(name)."""
-    for j in range(start, stop):
-        tok = tokens[j]
-        if _is_name(tok) and (tok[0] != "x" or not _VAR_RE.fullmatch(tok)):
-            return _Fail(message.format(tok), j)
-    return None
-
-
 # -- the shared grammar: sum -> product -> power -> atom -------------------------
 #
 # Each function takes the tokens and an index and returns (value, next
-# index).  alg is the algebra: atom(tokens, i), add, neg, mul, and one, the
-# value of a factor raised to ^0, which no step changes in place.  a - b is
-# a + (-b), and a^n is a * a * ... * a, as in Polynomial and ConstructibleExpr.
+# index).  alg is the algebra: atom(tokens, i), add, neg and mul, none of
+# which changes a value in place.  a - b is a + (-b), a^n is a * a * ... * a
+# and a^0 is the atom 1, as in Polynomial and ConstructibleExpr.
 
 
 def _parse_all(tokens: list[str], alg):
@@ -134,7 +125,7 @@ def _parse_power(tokens: list[str], i: int, alg):
     if not tokens[i + 1][:1].isdigit():
         raise _Fail("expected an exponent after '^'", i + 1)
     n = int(tokens[i + 1])
-    out = base if n else alg.one
+    out = base if n else alg.atom(["1"], 0)[0]
     for _ in range(n - 1):
         out = alg.mul(out, base)
     return out, i + 2
@@ -157,65 +148,62 @@ def _expect_int(tokens: list[str], i: int) -> tuple[int, int]:
 # -- polynomials ---------------------------------------------------------------
 
 
-class _PolyTerms:
-    """The polynomial algebra on {exponent tuple: int}, exponent tuples
-    without trailing zeros, zero coefficients dropped after each step as
-    Polynomial does; nvars is the largest variable index read."""
+def _scan_polynomial(tokens: list[str], start: int, closed: bool, message: str) -> tuple[int, int]:
+    """(end, arity) of the polynomial whose tokens start at start, in one
+    forward pass; the arity is the largest N of a variable xN.  A closed
+    polynomial, an ord argument, ends at the ')' that balances the '('
+    before start, and fails if there is none; any other ends at the end.
+    Then the first name that is not a field variable fails, with
+    message.format(name), so both come before any syntax error."""
+    nvars, bad, depth, i = 0, None, 0, start
+    while tokens[i]:
+        tok = tokens[i]
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            if closed and not depth:
+                break
+            depth -= 1
+        elif tok[0] == "x" and _VAR_RE.fullmatch(tok):
+            nvars = max(nvars, int(tok[1:]))
+        elif bad is None and _is_name(tok):
+            bad = i
+        i += 1
+    if closed and not tokens[i]:
+        raise _Fail("unbalanced parentheses in ord(...)", i)
+    if bad is not None:
+        raise _Fail(message.format(tokens[bad]), bad)
+    return i, nvars
 
-    one = {(): 1}
 
-    def __init__(self):
-        self.nvars = 0
+class _PolyAlgebra:
+    """Polynomial's own algebra in x1..x{nvars}, on tokens whose names
+    _scan_polynomial has checked."""
+
+    add, neg, mul = operator.add, operator.neg, operator.mul
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
 
     def atom(self, tokens, i):
         tok = tokens[i]
         if tok[:1].isdigit():
-            c = int(tok)
-            return ({(): c} if c else {}), i + 1
-        m = _VAR_RE.fullmatch(tok) if tok[:1] == "x" else None
-        if m is None:
-            raise _Fail("expected an integer, a variable, or '('", i)
-        index = int(m.group(2))
-        if index > self.nvars:
-            self.nvars = index
-        return {(0,) * (index - 1) + (1,): 1}, i + 1
-
-    def neg(self, a):
-        return {e: -c for e, c in a.items()}
-
-    def add(self, a, b):
-        out = dict(a)
-        for e, c in b.items():
-            out[e] = out[e] + c if e in out else c
-        return {e: c for e, c in out.items() if c}
-
-    def mul(self, a, b):
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple([x + y for x, y in zip_longest(e1, e2, fillvalue=0)])
-                c = c1 * c2
-                out[e] = out[e] + c if e in out else c
-        return {e: c for e, c in out.items() if c}
-
-    def polynomial(self, terms: dict) -> Polynomial:
-        n = self.nvars
-        padded = {e + (0,) * (n - len(e)): Fraction(c) for e, c in terms.items()}
-        return Polynomial._reduced(n, padded)
+            return Polynomial.constant(int(tok), self.nvars), i + 1
+        if _is_name(tok):
+            return Polynomial.variable(int(tok[1:]) - 1, self.nvars), i + 1
+        raise _Fail("expected an integer, a variable, or '('", i)
 
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse an integer polynomial in variables x1..xn; n is the largest
-    index that appears (0 for a constant)."""
+    index that appears (0 for a constant).  The first unknown name is
+    reported before any syntax error."""
     tokens = _tokenize(text)
-    alg = _PolyTerms()
     try:
-        terms = _parse_all(tokens, alg)
+        _, nvars = _scan_polynomial(tokens, 0, False, "unknown symbol {!r} (variables are x1, x2, ...)")
+        return _parse_all(tokens, _PolyAlgebra(nvars))
     except _Fail as fail:
-        # an unknown name anywhere is reported before any syntax error
-        message = "unknown symbol {!r} (variables are x1, x2, ...)"
-        raise (_first_bad_name(tokens, 0, len(tokens), message) or fail).error(text) from None
-    return alg.polynomial(terms)
+        raise fail.error(text) from None
 
 
 # -- integrands ------------------------------------------------------------------
@@ -223,26 +211,38 @@ def parse_polynomial(text: str) -> Polynomial:
 
 class _IntegrandTerms:
     """The integrand algebra on lists of (int coefficient, q form, factor
-    forms) triples.  leaves holds one form (0, {leaf: 1}) per distinct ord
-    argument and lin(...), so every form of one parse holds the same leaf
-    objects."""
-
-    one = [(1, _ZERO, ())]
+    forms) triples; a term without a q^(...) factor holds _ZERO itself.
+    leaves maps each distinct leaf to one form (0, {leaf: 1}), so every
+    form of one parse holds the same leaf objects, and the token texts of
+    each ord(...) or lin(...) without inner parentheses, up to its ')', to
+    the same form, so a repeated one is parsed once."""
 
     def __init__(self):
-        self.leaves: dict[tuple, Form] = {}
+        self.leaves: dict = {}
 
     def atom(self, tokens, i):
         tok = tokens[i]
         if tok[:1].isdigit():
             return [(int(tok), _ZERO, ())], i + 1
         if tok == "q":
-            i = _expect(tokens, _expect(tokens, i + 1, "^"), "(")
-            exponent, i = _parse_int_expr(tokens, i, self)
-            return [(1, exponent, ())], _expect(tokens, i, ")")
+            start = _expect(tokens, _expect(tokens, i + 1, "^"), "(")
+            terms, i = _parse_sum(tokens, start, self)
+            i = _expect(tokens, i, ")")
+            return [(1, _integer_form(terms, start), ())], i
         if tok == "ord" or tok == "lin":
-            factor, i = _parse_int_atom(tokens, i, self)
-            return [(1, _ZERO, (factor,))], i
+            try:
+                close = tokens.index(")", i)
+            except ValueError:
+                close = len(tokens)  # no text ends in "", so this is never found
+            text = tuple(tokens[i:close])
+            factor, end = self.leaves.get(text), close + 1
+            if factor is None:
+                parse = _parse_ord if tok == "ord" else _parse_lin
+                leaf, end = parse(tokens, _expect(tokens, i + 1, "("))
+                factor = self.leaves.setdefault(leaf, (0, {leaf: 1}))
+                if end == close + 1:
+                    self.leaves[text] = factor
+            return [(1, _ZERO, (factor,))], end
         if _is_name(tok):
             raise _Fail(f"unknown symbol {tok!r} (expected q, ord, lin, or an integer)", i)
         raise _Fail("expected an integrand factor", i)
@@ -254,101 +254,70 @@ class _IntegrandTerms:
         return a + b
 
     def mul(self, a, b):
-        return [(c1 * c2, _add_forms(q1, q2), z1 + z2) for c1, q1, z1 in a for c2, q2, z2 in b]
+        return [
+            (c1 * c2, q2 if q1 is _ZERO else q1 if q2 is _ZERO else _add_forms(q1, q2), z1 + z2)
+            for c1, q1, z1 in a
+            for c2, q2, z2 in b
+        ]
 
 
 def parse_integrand(text: str) -> ConstructibleExpr:
     """Parse a constructible function over variables x1..xn (field sort)
     and g1..gm (value-group sort)."""
     tokens = _tokenize(text)
-    alg = _IntegrandTerms()
     try:
-        triples = _parse_all(tokens, alg)
+        triples = _parse_all(tokens, _IntegrandTerms())
     except _Fail as fail:
         raise fail.error(text) from None
     terms = [Term(AqElem.from_rational(c), q, z) for c, q, z in triples]
     return ConstructibleExpr(terms)
 
 
-def _parse_int_expr(tokens: list[str], i: int, alg: _IntegrandTerms) -> tuple[Form, int]:
-    """A signed sum of terms, read into one affine form."""
-    sign = -1 if tokens[i] == "-" else 1
-    form, i = _parse_int_term(tokens, i + (sign < 0), sign, alg)
-    while tokens[i] == "+" or tokens[i] == "-":
-        part, i = _parse_int_term(tokens, i + 1, 1 if tokens[i] == "+" else -1, alg)
-        form = _add_forms(form, part)
-    return form, i
+def _integer_form(terms: list, at: int) -> Form:
+    """The affine form of a q^(...) exponent read as the integrand terms
+    given, whose factors are leaf forms (0, {leaf: 1}): the leaves in the
+    order the terms name them, one scaled by 0 kept at 0.  A term with a
+    q^(...) factor or two factors fails at token at, the exponent's first."""
+    c0, lin = 0, {}
+    for c, q, factors in terms:
+        if q is not _ZERO:
+            raise _Fail("an exponent cannot hold q^(...)", at)
+        if len(factors) > 1:
+            raise _Fail("an exponent term multiplies two ord(...) or lin(...) factors", at)
+        if factors:
+            (leaf,) = factors[0][1]
+            lin[leaf] = lin.get(leaf, 0) + c
+        else:
+            c0 += c
+    return c0, lin
 
 
-def _parse_int_term(tokens: list[str], i: int, sign: int, alg: _IntegrandTerms) -> tuple[Form, int]:
-    """c, c*atom or atom, times sign; a leaf scaled by 0 keeps its key."""
-    scalar = sign
-    if tokens[i][:1].isdigit():
-        scalar = sign * int(tokens[i])
-        if tokens[i + 1] != "*":
-            return (scalar, {}), i + 1
-        i += 2
-    (c, lin), i = _parse_int_atom(tokens, i, alg)
-    if scalar == 1:
-        return (c, lin), i
-    return (scalar * c, {a: scalar * x for a, x in lin.items()}), i
+def _parse_ord(tokens: list[str], start: int) -> tuple[OrdExpr, int]:
+    """The leaf of ord( with the polynomial argument from tokens[start] to
+    its ')', and the index past that ')'."""
+    message = "valuation arguments are polynomials in x1, x2, ..."
+    end, nvars = _scan_polynomial(tokens, start, True, message)
+    poly, i = _parse_sum(tokens, start, _PolyAlgebra(nvars))
+    _expect(tokens, i, ")")
+    return OrdExpr(poly, tuple(f"x{k + 1}" for k in range(nvars))), end + 1
 
 
-def _parse_int_atom(tokens: list[str], i: int, alg: _IntegrandTerms) -> tuple[Form, int]:
-    tok = tokens[i]
-    if tok == "ord":
-        return _parse_ord(tokens, _expect(tokens, i + 1, "("), alg)
-    if tok == "lin":
-        at, args = _expect(tokens, i + 1, "("), []
-        for sep in ",,,;":
-            value, at = _expect_int(tokens, at)
-            args.append(value)
-            at = _expect(tokens, at, sep)
-        name = tokens[at]
-        m = _VAR_RE.fullmatch(name)
-        if m is None or m.group(1) != "g":
-            raise _Fail("prepared forms apply to value-group variables g1, g2, ...", at)
-        i = _expect(tokens, at + 1, ")")
-        key = ("lin", name, *args)
-        form = alg.leaves.get(key)
-        if form is None:
-            try:
-                form = alg.leaves[key] = (0, {LinExpr(PreparedLinear(*args), name): 1})
-            except ValueError as exc:
-                raise _Fail(str(exc), at)
-        return form, i
-    if tok[:1].isdigit():
-        return (int(tok), {}), i + 1
-    if tok == "(":
-        inner, i = _parse_int_expr(tokens, i + 1, alg)
-        return inner, _expect(tokens, i, ")")
-    raise _Fail("expected ord(...), lin(...), an integer, or '('", i)
-
-
-def _parse_ord(tokens: list[str], start: int, alg: _IntegrandTerms) -> tuple[Form, int]:
-    """The form of ord( with the polynomial argument from tokens[start] to
-    its ')', shared by every equal argument of the parse.  On an
-    error an unbalanced argument is reported first, then the first name in
-    it that is not a field variable, then the error met."""
-    poly = _PolyTerms()
+def _parse_lin(tokens: list[str], start: int) -> tuple[LinExpr, int]:
+    """The leaf of lin( with the arguments a,k,n,delta;g from tokens[start],
+    and the index past its ')'."""
+    args, at = [], start
+    for sep in ",,,;":
+        value, at = _expect_int(tokens, at)
+        args.append(value)
+        at = _expect(tokens, at, sep)
+    name = tokens[at]
+    if name[:1] != "g" or not _VAR_RE.fullmatch(name):
+        raise _Fail("prepared forms apply to value-group variables g1, g2, ...", at)
+    i = _expect(tokens, at + 1, ")")
     try:
-        terms, i = _parse_sum(tokens, start, poly)
-        end = _expect(tokens, i, ")")
-    except _Fail as fail:
-        depth, j = 1, start
-        while depth:
-            if not tokens[j]:
-                raise _Fail("unbalanced parentheses in ord(...)", j)
-            depth += (tokens[j] == "(") - (tokens[j] == ")")
-            j += 1
-        message = "valuation arguments are polynomials in x1, x2, ..."
-        raise _first_bad_name(tokens, start, j - 1, message) or fail
-    names = tuple(f"x{k + 1}" for k in range(poly.nvars))
-    key = ("ord", poly.nvars, *sorted(terms.items()))
-    form = alg.leaves.get(key)
-    if form is None:
-        form = alg.leaves[key] = (0, {OrdExpr(poly.polynomial(terms), names): 1})
-    return form, end
+        return LinExpr(PreparedLinear(*args), name), i
+    except ValueError as exc:
+        raise _Fail(str(exc), at)
 
 
 # -- rendering -------------------------------------------------------------------

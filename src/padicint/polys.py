@@ -1,10 +1,10 @@
 """Polynomials and the text rendering shared by the whole package.
 
-Polynomial is a sparse multivariate polynomial over the integers
-(rationals internally), used both for congruence counting (evaluation mod
-p^m with integer arithmetic) and as the arguments of valuation factors in
-constructible functions.  Exponent tuples are the keys; zero coefficients
-are dropped.
+Polynomial is a sparse multivariate polynomial with rational
+coefficients, integral ones held as ints, used both for congruence
+counting (evaluation mod p^m with integer arithmetic) and as the ord
+arguments of constructible functions, which the parser builds with its
+own + - *.  Exponent tuples are the keys; zero coefficients are dropped.
 
 The dense univariate helpers take coefficient lists, lowest degree first:
 evaluation, shift, product, exact long division, and the finite
@@ -33,6 +33,11 @@ from typing import Iterable, Mapping, Sequence, Union
 Rat = Union[int, Fraction]
 
 
+def _canonical(terms: dict) -> dict:
+    """terms without zero coefficients, each integral one made an int."""
+    return {e: c if c.__class__ is int or c.denominator != 1 else c.numerator for e, c in terms.items() if c}
+
+
 def _exponent(e) -> int:
     if e != int(e):
         raise ValueError(f"exponent {e!r} is not an integer")
@@ -40,7 +45,8 @@ def _exponent(e) -> int:
 
 
 class Polynomial:
-    """Canonical sparse form: {exponent tuple: nonzero coefficient}.  An
+    """Canonical sparse form: {exponent tuple: nonzero coefficient}, an
+    integral coefficient held as an int, any other as a Fraction.  An
     exponent that is not an integer raises ValueError."""
 
     __slots__ = ("nvars", "terms")
@@ -49,22 +55,23 @@ class Polynomial:
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Rat] = {}
         for exps, c in (terms or {}).items():
             exps = tuple(e if e.__class__ is int else _exponent(e) for e in exps)
             if len(exps) != nvars:
                 raise ValueError("exponent tuple arity mismatch")
             if any(e < 0 for e in exps):
                 raise ValueError("exponents must be >= 0")
-            c = Fraction(c)
+            c = c if c.__class__ is int else Fraction(c)
             if c != 0:
                 clean[exps] = clean[exps] + c if exps in clean else c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+        self.terms = _canonical(clean)
 
     @classmethod
-    def _reduced(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
+    def _reduced(cls, nvars: int, terms: dict[tuple[int, ...], Rat]) -> "Polynomial":
         """The polynomial with terms already in canonical form (exponent
-        tuples of length nvars, nonzero Fraction coefficients), unchecked."""
+        tuples of length nvars, nonzero coefficients, an integral one an
+        int), unchecked."""
         out = object.__new__(cls)
         out.nvars = nvars
         out.terms = terms
@@ -72,12 +79,15 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: Rat, nvars: int = 0) -> "Polynomial":
+        if c.__class__ is int and nvars >= 0:
+            return cls._reduced(nvars, {(0,) * nvars: c} if c else {})
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Polynomial":
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: 1})
+        if not 0 <= index < nvars:
+            raise ValueError(f"no variable of index {index} among {nvars}")
+        return cls._reduced(nvars, {(0,) * index + (1,) + (0,) * (nvars - index - 1): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -98,23 +108,23 @@ class Polynomial:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out[e] + c if e in out else c
-        return Polynomial(self.nvars, out)
+        return Polynomial._reduced(self.nvars, _canonical(out))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._reduced(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Rat] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple([a + b for a, b in zip(e1, e2)])
                 c = c1 * c2
                 out[e] = out[e] + c if e in out else c
-        return Polynomial(self.nvars, out)
+        return Polynomial._reduced(self.nvars, _canonical(out))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -187,7 +197,7 @@ class Polynomial:
                 binom = binom * (e - j) // (j + 1)
         return Polynomial(self.nvars, out)
 
-    def single_monomial(self) -> tuple[Fraction, tuple[int, ...]] | None:
+    def single_monomial(self) -> tuple[Rat, tuple[int, ...]] | None:
         """(coefficient, exponents) when the polynomial has exactly one term."""
         if len(self.terms) != 1:
             return None

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -240,6 +241,24 @@ def test_malformed_json_is_a_named_parse_error(capsys, tmp_path):
     cell = {k: v for k, v in UNIT_CELL.items() if k != "acDepth"}
     code, _, err = run(capsys, "measure", write(tmp_path, "cell.json", cell))
     assert code == 2 and "'acDepth'" in err
+
+
+def test_text_that_is_not_json_is_a_parse_error_at_its_position(capsys, tmp_path, monkeypatch):
+    cut = '{"p": 3, "vars": [\n'
+    path = tmp_path / "cut.json"
+    path.write_text(cut)
+    for argv in (("integrate", "1", "--domain"), ("measure",), ("gsum", "--N", "1"), ("wmin",)):
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, ""), argv
+        assert err == "ParseError: malformed JSON: Expecting value (line 2, column 1)"
+    no_comma = tmp_path / "nocomma.json"
+    no_comma.write_text('{"center": "0"\n  "lower": -1}')
+    code, out, err = run(capsys, "measure", str(no_comma))
+    assert (code, out) == (2, "")
+    assert err == "ParseError: malformed JSON: Expecting ',' delimiter (line 2, column 3)"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(cut))
+    code, out, err = run(capsys, "integrate", "1", "--domain", "-")
+    assert (code, out, err) == (2, "", "ParseError: malformed JSON: Expecting value (line 2, column 1)")
 
 
 def test_wrong_json_types_are_named_parse_errors(capsys, tmp_path):

@@ -198,7 +198,7 @@ def test_oracle_budget_bounds_the_classes_settled():
     domain = Domain([("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL)], P3)
     r = brute_force_integrate(f, domain, 7, growth=(1, -1, 0), budget=225)
     assert abs(r.value - Fraction(9, 16)) <= r.tail_bound
-    with pytest.raises(BudgetExceeded, match="depth 7 .* 224 classes"):
+    with pytest.raises(BudgetExceeded, match="depth 7 .* 224 boxes"):
         brute_force_integrate(f, domain, 7, growth=(1, -1, 0), budget=224)
 
 

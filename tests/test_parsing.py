@@ -169,13 +169,41 @@ def test_render_round_trips_generator_draws():
         assert render_constructible(parse_integrand(rendered)) == rendered, seed
 
 
+def _leaves(expr):
+    return [leaf for t in expr.terms for _, lin in (t.q, *t.factors) for leaf in lin]
+
+
 def test_a_parse_shares_one_leaf_per_argument():
     f = parse_integrand("ord(x1)*q^(-ord(x1) + 2*lin(1,0,1,0;g1)) + lin(1,0,1,0;g1)*ord(x1)*q^(-ord( x1 ))")
-    leaves = [leaf for t in f.terms for _, lin in (t.q, *t.factors) for leaf in lin]
+    leaves = _leaves(f)
     ords = [leaf for leaf in leaves if isinstance(leaf, OrdExpr)]
     lins = [leaf for leaf in leaves if isinstance(leaf, LinExpr)]
     assert len(ords) == 4 and all(a is ords[0] for a in ords)
     assert len(lins) == 2 and lins[0] is lins[1]
+    # equal polynomials written differently, with or without parentheses,
+    # and equal lin(...) arguments written differently share one leaf
+    for text in ("ord(x1 + 2)*ord(2 + x1)", "ord((x1 + 1)*x2)*ord(x1*x2 + x2)", "lin(1,0,1,0;g1)*lin(01,00,1,0;g1)"):
+        leaves = _leaves(parse_integrand(text))
+        assert len(leaves) == 2 and leaves[0] is leaves[1], text
+    # an argument with parentheses is read to its own ')', whatever its
+    # text up to the first ')' is
+    first, again, square = _leaves(parse_integrand("ord(x1)*ord((x1))*ord((x1)^2)"))
+    assert again is first and square.poly == first.poly * first.poly
+
+
+@pytest.mark.parametrize(
+    "text, same_as",
+    [
+        ("q^(ord(x1)*2)", "q^(2*ord(x1))"),
+        ("q^((ord(x1) + 1)*3)", "q^(3*ord(x1) + 3)"),
+        ("q^(2^2*lin(1,0,1,0;g1))", "q^(4*lin(1,0,1,0;g1))"),
+        ("q^(-(ord(x1) + 1)*2)", "q^(-2*ord(x1) - 2)"),
+        ("q^(ord(x1)^0 - 0*ord(x2))", "q^(1 - 0*ord(x2))"),
+        ("q^((ord(x1) - 1)*(2 - 1))*ord(x1)", "q^(ord(x1) - 1)*ord(x1)"),
+    ],
+)
+def test_an_exponent_is_any_integrand_affine_in_its_leaves(text, same_as):
+    assert _stored(parse_integrand(text)) == _stored(parse_integrand(same_as))
 
 
 def test_multiline_error_position():
@@ -213,8 +241,14 @@ ERROR_CASES = [
     ("integrand", "q^ord(x1)", "expected '('", 1, 3),
     ("integrand", "q(1)", "expected '^'", 1, 2),
     ("integrand", "q^(1", "expected ')'", 1, 5),
-    ("integrand", "q^(ord(x1)*2)", "expected ')'", 1, 11),
-    ("integrand", "q^(1) + q^()", "expected ord(...), lin(...), an integer, or '('", 1, 12),
+    ("integrand", "q^(1) + q^()", "expected an integrand factor", 1, 12),
+    # an exponent is affine: each of its terms is an integer times at most
+    # one ord or lin factor, reported at the exponent's first token
+    ("integrand", "q^(ord(x1)*ord(x2))", "an exponent term multiplies two ord(...) or lin(...) factors", 1, 4),
+    ("integrand", "2*q^(1 + ord(x1)^2)", "an exponent term multiplies two ord(...) or lin(...) factors", 1, 6),
+    ("integrand", "q^(ord(x1)^2)", "an exponent term multiplies two ord(...) or lin(...) factors", 1, 4),
+    ("integrand", "q^(q^(1))", "an exponent cannot hold q^(...)", 1, 4),
+    ("integrand", "q^(1 - 2*q^(0)*ord(x1))", "an exponent cannot hold q^(...)", 1, 4),
     ("integrand", "ord(x1", "unbalanced parentheses in ord(...)", 1, 7),
     ("integrand", "2*ord(x1 + (x2)", "unbalanced parentheses in ord(...)", 1, 16),
     ("integrand", "ord(y + +", "unbalanced parentheses in ord(...)", 1, 10),
@@ -238,7 +272,8 @@ ERROR_CASES = [
     ("poly", "x1 +\n x2 + $", "unexpected character '$'", 2, 7),
     ("poly", "x1 +\n", "expected an integer, a variable, or '('", 2, 1),
     ("poly", "x1 +\n\n  x2 y", "unknown symbol 'y' (variables are x1, x2, ...)", 3, 6),
-    ("integrand", "ord(x1)\n  + q^(\n  ord(x2) +\n  )", "expected ord(...), lin(...), an integer, or '('", 4, 3),
+    ("integrand", "ord(x1)\n  + q^(\n  ord(x2) +\n  )", "expected an integrand factor", 4, 3),
+    ("integrand", "ord(x1)\n  + q^(\n  ord(x2) *\n  lin(1,0,1,0;g1))", "an exponent term multiplies two ord(...) or lin(...) factors", 3, 3),
     ("integrand", "ord(x1) +\n\n  lin(1,0,0,0;g1)", "n must be >= 1", 3, 15),
     ("integrand", "ord(x1 +\n  x2\n", "unbalanced parentheses in ord(...)", 3, 1),
     ("integrand", "q^(1) *\nord(x1 +\n y)", "valuation arguments are polynomials in x1, x2, ...", 3, 2),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 
@@ -197,6 +198,50 @@ def test_polynomial_refuses_non_integral_exponents():
     assert p.terms == {(2, 1): 3}
     assert all(e.__class__ is int for exps in p.terms for e in exps)
     assert (p + Polynomial(2, {(2, 1): 1})).render() == "4*x1^2*x2"
+
+
+sparse_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-9, 9) | rationals, max_size=4
+)
+
+
+def _fraction_terms(a: dict, b: dict, op: str) -> dict:
+    """The nonzero terms of a op b computed in Fractions."""
+    out: dict = {}
+    if op == "*":
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
+                e = (i1 + i2, j1 + j2)
+                out[e] = out.get(e, 0) + Fraction(c1) * Fraction(c2)
+    else:
+        for sign, terms in ((1, a), (1 if op == "+" else -1, b)):
+            for e, c in terms.items():
+                out[e] = out.get(e, 0) + sign * Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=100)
+@given(sparse_terms, sparse_terms)
+def test_polynomial_holds_integral_coefficients_as_ints(a, b):
+    # the constructor, + - and * hold an integral coefficient as an int and
+    # any other as a Fraction; each result equals, and hashes as, the same
+    # polynomial holding every coefficient as a Fraction
+    f, g = Polynomial(2, a), Polynomial(2, b)
+    results = [(f, _fraction_terms(a, {}, "+")), (-f, _fraction_terms({}, a, "-"))]
+    results += [(op(f, g), _fraction_terms(a, b, name)) for name, op in (("+", add), ("-", sub), ("*", mul))]
+    for p, fractions in results:
+        assert all((c.__class__ is int) == (c.denominator == 1) for c in p.terms.values())
+        held_as_fractions = Polynomial._reduced(2, fractions)
+        assert p == held_as_fractions and hash(p) == hash(held_as_fractions)
+    assert Polynomial.constant(Fraction(6, 3), 1).terms == {(0,): 2}
+    assert Polynomial.constant(Fraction(6, 3), 1).terms[(0,)].__class__ is int
+
+
+def test_a_variable_index_is_checked():
+    assert Polynomial.variable(1, 3) == Polynomial(3, {(0, 1, 0): 1})
+    for index in (-1, 3):
+        with pytest.raises(ValueError, match=f"no variable of index {index} among 3"):
+            Polynomial.variable(index, 3)
 
 
 int_terms = st.dictionaries(

@@ -25,6 +25,13 @@ stands.  Nothing is tried on an element without a denominator, or on a
 monomial numerator.  Likewise a negated numerator, and an all-int quotient
 or unit product, are stored as they are computed (LaurentPoly._reduced),
 without normalising their coefficients again.
+
+Terms are unreduced inside the symbolic engine: an integral's coefficient
+products (AqElem._times) cancel nothing, and its final sum
+(integrate._sum_terms) cancels once.  The reduced form of an intermediate
+coefficient never shows, and almost every cancellation tried on one would
+find nothing to cancel.  The public ring operations return canonical
+elements.
 """
 
 from __future__ import annotations
@@ -232,8 +239,10 @@ class AqElem:
 
     @classmethod
     def _reduced(cls, num: LaurentPoly, den: dict[int, int]) -> "AqElem":
-        """The element num / den from parts already in canonical form,
-        without checking or cancelling; den is shared, never copied."""
+        """The element num / den as given, without checking or cancelling;
+        den is shared, never copied.  It is canonical when the parts are;
+        inside the engine it need not be (see the module docstring), and
+        AqElem(x.num, x.den) is x's canonical form."""
         out = object.__new__(cls)
         out.num = num
         out.den = den
@@ -329,16 +338,24 @@ class AqElem:
             return self._times_unit(other.num)
         if not self.den and len(self.num.coeffs) == 1:
             return other._times_unit(self.num)
-        merged = dict(self.den)
-        for i, e in other.den.items():
-            merged[i] = merged.get(i, 0) + e
-        return AqElem(self.num * other.num, merged)
+        product = self._times(other)
+        return AqElem(product.num, product.den)
 
     __rmul__ = __mul__
 
+    def _times(self, other: "AqElem") -> "AqElem":
+        """self * other unreduced: the numerators multiplied over the sum of
+        the denominator multisets, with nothing cancelled."""
+        den = self.den
+        if other.den:
+            den = dict(den)
+            for i, e in other.den.items():
+                den[i] = den.get(i, 0) + e
+        return AqElem._reduced(self.num * other.num, den)
+
     def _times_unit(self, unit: LaurentPoly) -> "AqElem":
         """self times the monomial c q^k: the numerator shifted and scaled
-        over the same denominator, which stays canonical."""
+        over the same denominator, canonical when self is."""
         ((k, c),) = unit.coeffs.items()
         num = _nonzero({e + k: v * c for e, v in self.num.coeffs.items()})
         return AqElem._reduced(num, self.den)

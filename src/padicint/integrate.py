@@ -24,7 +24,9 @@ c + s*tau read off each form; over a short range with two concrete ends
 it is one term, a Laurent polynomial or a rational.  Bounds that reference
 outer variables (prepared linear forms, modulus-1 cells only) are forms
 too, and produce one new term per power of the bound, which keeps the
-class closed under the iteration.
+class closed under the iteration.  Terms are unreduced inside the engine:
+coefficient products and antidifference values cancel nothing, and the
+final sum (_sum_terms) cancels once per integral.
 
 A residue-class oracle integrates the same expressions numerically with
 certified error bounds, independently of the symbolic path: it walks the
@@ -44,7 +46,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .aqring import AqElem, LaurentPoly
+from .aqring import AqElem, LaurentPoly, _times_den
 from .errors import (
     BudgetExceeded,
     DivergentSum,
@@ -497,26 +499,34 @@ def integrate(f: ConstructibleExpr, domain: Domain) -> AqElem:
 
 
 def _sum_terms(parts: Iterable[tuple[AqElem, int, int]]) -> AqElem:
-    """The sum of coeff * z * q^e over the parts: one numerator per
-    distinct denominator, canonicalised once, then the few group results
-    added.  (A fold would merge denominators and cancel at every add; one
-    common denominator measured slower.)  A part whose value-group sums
-    all ran over short concrete ranges has no denominator and joins the
-    group of Laurent polynomials.  The reduced form reached may differ from a
+    """The sum of coeff * z * q^e over the parts, cancelled once.  Terms
+    are unreduced inside the engine, so this is where an integral cancels:
+    the numerators are added per distinct denominator (a key sorted by
+    index, as unreduced denominators are not sorted dicts), each group is
+    put over the per-index maximum of all the denominators, and the one
+    numerator over it is canonicalised.  A part whose value-group sums all
+    ran over short concrete ranges has no denominator and joins the group
+    of Laurent polynomials.  The reduced form reached may differ from a
     fold's, as factors (1 - q^-i) are not coprime."""
     groups: dict[tuple, dict] = {}
     for coeff, e, z in parts:
         if not z:
             continue
-        acc = groups.setdefault(tuple(coeff.den.items()), {})
+        acc = groups.setdefault(tuple(sorted(coeff.den.items())), {})
         for ex, c in coeff.num.coeffs.items():
             ex += e
             c *= z
             acc[ex] = acc[ex] + c if ex in acc else c
-    total = AqElem.zero()
+    common: dict[int, int] = {}
+    for den in groups:
+        for i, e in den:
+            if e > common.get(i, 0):
+                common[i] = e
+    total: dict = {}
     for den, acc in groups.items():
-        total = total + AqElem(LaurentPoly(acc), dict(den))
-    return total
+        for ex, c in _times_den(LaurentPoly._reduced(acc), common, dict(den)).coeffs.items():
+            total[ex] = total[ex] + c if ex in total else c
+    return AqElem(LaurentPoly(total), common)
 
 
 def _integrate_field_var(terms: list, var: DomainVar, prime: Prime) -> list:
@@ -538,7 +548,7 @@ def _integrate_field_var(terms: list, var: DomainVar, prime: Prime) -> list:
             c, lin = _substitute(q, subs)
             lin[gamma] = lin.get(gamma, 0) - 1
             rewritten.append((
-                coeff if shell_coeff is None else coeff * shell_coeff,
+                coeff if shell_coeff is None else coeff._times(shell_coeff),
                 (c + shell_q, lin),
                 tuple(_substitute(z, subs) for z in factors),
             ))
@@ -632,7 +642,7 @@ def _sum_over_gamma(terms: list, var: str, cell: GammaCell, prime: Prime) -> lis
                 pieces.append(([1], (0, rest)))
             factor_pieces.append(pieces)
 
-        base = coeff * AqElem.q_power(e0)
+        base = coeff._times_unit(LaurentPoly.monomial(e0)) if e0 else coeff
         for choice in itertools.product(*factor_pieces):
             poly, chosen = [1], ()
             for piece, rest in choice:
@@ -640,7 +650,7 @@ def _sum_over_gamma(terms: list, var: str, cell: GammaCell, prime: Prime) -> lis
                 if rest is not None:
                     chosen += (rest,)
             for aq, (qc, qlin), extra_z in _range_sum(poly, e1, a, b):
-                out.append((base * aq, (qc, _add_into(dict(qrest), qlin)), chosen + extra_z))
+                out.append((base._times(aq), (qc, _add_into(dict(qrest), qlin)), chosen + extra_z))
     return out
 
 
@@ -648,10 +658,10 @@ def _range_sum(poly: list[int], e1: int, a: Union[None, int, Form], b: Union[Non
     """Sum of poly(tau) * q^(e1*tau) over a <= tau <= b as G(b+1) - G(a),
     for the antidifference G of presburger, which is 0 at an absent end.
 
-    Returns terms (AqElem multiplier, q-exponent form, factor forms).  With
-    no symbolic end that is at most one term, G.between(a, b) as a
-    constant: a Laurent polynomial when both ends are ints, unless the
-    range is longer than G's two endpoint elements, which are then the
+    Returns terms (unreduced AqElem multiplier, q-exponent form, factor
+    forms).  With no symbolic end that is at most one term, G.between(a,
+    b) as a constant: a Laurent polynomial when both ends are ints, unless
+    the range is longer than G's two endpoint elements, which are then the
     terms.  With a symbolic end it is the terms of each end's G, the lower
     end's first; the range may then be empty for some outer values (a > b
     + 1), where the terms add up to -(sum over b < tau < a), not 0.
@@ -677,14 +687,14 @@ def _range_sum(poly: list[int], e1: int, a: Union[None, int, Form], b: Union[Non
 
 
 def _antidifference_at(G: Antidifference, A: Union[int, Form], sign: int):
-    """Terms for sign * G(A): one element at an int A, else one term per
-    power A^s with the q-exponent e1*A."""
+    """Terms for sign * G(A), unreduced: one element at an int A, else one
+    term per power A^s with the q-exponent e1*A."""
     if isinstance(A, int):
         value = G.at(A, sign)
         return [] if value.is_zero() else [(value, (0, {}), ())]
     qform = (G.e1 * A[0], _add_into({}, A[1], G.e1)) if G.e1 else (0, {})
     return [
-        (AqElem(LaurentPoly({e: sign * c for e, c in num.items()}), G.den), qform, (A,) * s)
+        (AqElem._reduced(LaurentPoly({e: sign * c for e, c in num.items()}), G.den), qform, (A,) * s)
         for s, num in enumerate(G.nums())
         if num
     ]
@@ -836,13 +846,17 @@ def brute_force_integrate(
     regions = [v.region for v in domain.variables]
     n = len(names)
     compiled = _Compiled(forms)  # the oracle's domain makes every atom an OrdExpr
+    position = {name: i for i, name in enumerate(names)}
     # (the terms of g over the coordinates, the coordinates g mentions, and
     # (b, its coordinates, the terms of c_b) for the Taylor coefficients of
     # g, filled at the first box that needs them, or None when g is affine)
     args = []
     for oe in compiled.atoms:
-        index = [names.index(name) for name in oe.vars]
-        terms = tuple((coeff, tuple((index[j], e) for j, e in mono)) for coeff, mono in oe.poly.int_terms())
+        # a monomial reads only the names g mentions, which the domain
+        # declares; ord(x3) also names x1 and x2
+        terms = tuple(
+            (coeff, tuple((position[oe.vars[j]], e) for j, e in mono)) for coeff, mono in oe.poly.int_terms()
+        )
         affine = all(sum(e for _, e in mono) <= 1 for _, mono in terms)
         args.append((terms, tuple({i for _, mono in terms for i, _ in mono}), None if affine else []))
     powers = {0: 1, depth: p**depth}  # p^k for depth and the levels the walk has reached

@@ -7,12 +7,14 @@ polynomially-weighted sums land in the coefficient ring of aqring.
 
 Every such sum, and every value-group sum integrate builds, is G(b+1) -
 G(a) for the antidifference G of P(tau) q^(e1 tau), any sign of e1.  At
-an integer endpoint G is one element over the single index |e1|, so it is
-canonicalised once; a reduced numerator over a power of (1 - q^-N) is
-unique for its value, so the form is the one a term-by-term sum would
-reach.  With two integer ends and e1 != 0 that form is the Laurent
-polynomial sum itself, so it is built as one, term by term.  The dense
-helpers behind it live in polys.
+an integer endpoint G is one element over the single index |e1|, built
+without a cancellation test, as terms inside the engine are: none could
+succeed, so the element is canonical as built (see Antidifference), and
+weighted_sum and weighted_tail return it as it is.  A reduced numerator
+over a power of (1 - q^-N) is unique for its value, so the form is the
+one a term-by-term sum would reach.  With two integer ends and e1 != 0
+that form is the Laurent polynomial sum itself, so it is built as one,
+term by term.  The dense helpers behind it live in polys.
 
 A prepared linear form a*(gamma - k)/n + delta applied to a named
 variable, LinExpr, is one type wherever it occurs: a lin(...) leaf of an
@@ -276,10 +278,14 @@ class Antidifference:
     weight decays.  For e1 = 0, G(A) = sum_j (delta^j P)(0) C(A, j+1).
 
     at(A) evaluates G at an integer from the differences of P(A), ...,
-    P(A + D) as numbers, in O(D^2) where evaluating nums() costs O(D^3);
-    nums() expands G in powers of a symbolic A.  between(a, b) is the sum
-    over a range, G(b+1) - G(a): with two integer ends and e1 != 0 that
-    sum is a Laurent polynomial, built term by term without a denominator.
+    P(A + D) as numbers, in O(D^2) where evaluating nums() costs O(D^3),
+    as one element that no cancellation is tried on.  None could succeed:
+    every exponent of the numerator is a multiple of |e1|, and at u =
+    q^-|e1| = 1 only its j = D term is left, +-D! times the leading
+    coefficient of P, so (1 - u) never divides it.  nums() expands G in
+    powers of a symbolic A.  between(a, b) is the sum over a range,
+    G(b+1) - G(a): with two integer ends and e1 != 0 that sum is a Laurent
+    polynomial, built term by term without a denominator.
     """
 
     __slots__ = ("e1", "coeffs", "den", "terms")
@@ -293,7 +299,7 @@ class Antidifference:
         self.terms = _term_numerators(len(coeffs) - 1, e1) if self.den else ()
 
     def at(self, A: int, sign: int = 1) -> AqElem:
-        """sign * G(A) as one element, canonicalised once."""
+        """sign * G(A) as one element over den, with no cancellation tried."""
         coeffs = self.coeffs
         if not self.den:
             total = sum(d * binom_int(A, j + 1) for j, d in enumerate(finite_differences(coeffs)))
@@ -312,7 +318,7 @@ class Antidifference:
                 e += shift
                 acc[e] = acc[e] + w * d if e in acc else w * d
             values = [y - x for x, y in zip(values, values[1:])]
-        return AqElem(LaurentPoly(acc), self.den)
+        return AqElem._reduced(LaurentPoly(acc), self.den)
 
     def between(self, a: Optional[int], b: Optional[int]) -> AqElem:
         """The sum of P(tau) q^(e1 tau) over a <= tau <= b, G(b+1) - G(a),

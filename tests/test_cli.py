@@ -86,6 +86,19 @@ def test_integrate_subcommand(capsys, tmp_path):
     assert abs(Fraction(data["value"]) - Fraction(2, 3)) <= Fraction(data["tailBound"])
 
 
+def test_the_oracle_takes_an_argument_over_a_higher_index_variable(capsys, monkeypatch):
+    # ord(x3) also names x1 and x2, which the domain does not declare
+    domain = '{"p": 3, "vars": [{"name": "x3", "sort": "K", "region": "unit_ball"}]}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(domain))
+    argv = ("integrate", "q^(-ord(x3))", "--domain", "-", "--oracle", "--depth", "3", "--json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "classes": 27, "depth": 3, "skipped": 1, "skippedMeasure": "1/27",
+        "tailBound": "1/18", "value": "182/243",
+    }
+
+
 def test_poincare_subcommand(capsys):
     code, out, _ = run(capsys, "poincare", "--p", "3", "--mmax", "11", "x1^2", "--json")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -34,12 +35,16 @@ from padicint import (
 from padicint.aqring import LaurentPoly
 from padicint.integrate import LinExpr, _Compiled, _range_sum, _sum_terms
 from padicint.parsing import parse_integrand
+from padicint.presburger import Antidifference, check_convergent, geom_sum, weighted_sum, weighted_tail
 from padicint.selfcheck import (
     _corpus,
     check_integration_additivity,
     check_integration_fubini,
     check_integration_linearity,
     check_integration_oracle,
+    random_built_elem,
+    random_gamma_cell,
+    random_integrand_text,
     random_kcell,
     random_region,
 )
@@ -253,6 +258,23 @@ def test_oracle_on_general_polynomial_argument():
     r = brute_force_integrate(f, unit_ball_domain(P3), 5, growth=(1, 0, 0))
     # |1 + x^2| = 1 on Z_3 because -1 is not a square mod 3
     assert r.value == 1 and r.tail_bound == 0
+
+
+def test_oracle_reads_only_the_coordinates_an_argument_mentions():
+    # ord(x3) names x1 and x2 too, as its arity is its largest index; the
+    # domain declares x3 alone, and the walk indexes only x3
+    f = parse_integrand("q^(-ord(x3))")
+    domain = unit_ball_domain(P3, "x3")
+    assert integrate(f, domain).render() == "(1 - q^-1) / (1-q^-2)"
+    r = brute_force_integrate(f, domain, 3)
+    assert (r.value, r.tail_bound, r.skipped) == (Fraction(182, 243), Fraction(1, 18), 1)
+    assert abs(r.value - Fraction(3, 4)) <= r.tail_bound
+    # two arguments over the coordinates 0 and 1 of the declared x1, x3
+    f = parse_integrand("q^(-ord(x3) - ord(x1))")
+    domain = Domain([("x1", K, UNIT_BALL), ("x3", K, UNIT_BALL)], P3)
+    assert integrate(f, domain).eval_at(3) == Fraction(9, 16)
+    r = brute_force_integrate(f, domain, 3)
+    assert abs(r.value - Fraction(9, 16)) <= r.tail_bound
 
 
 def test_linearity():
@@ -623,6 +645,132 @@ def test_grouped_sum_render_is_pinned():
         {1: 1, 4: 1},
     )
     assert result == folded
+
+
+# -- cancelling once ---------------------------------------------------------------
+
+
+def _is_canonical(x):
+    """Cancelling x again changes neither its numerator nor its denominator."""
+    again = AqElem(x.num, dict(x.den))
+    return again.num.coeffs == x.num.coeffs and again.den == x.den
+
+
+def _random_integral(rng):
+    """The integral of the first of up to 40 random_integrand_text draws
+    that the engine computes, or None: x1..x3 on the unit ball, g1 and g2
+    on random_gamma_cell cells (half of them at modulus 1), p in 2, 3, 5."""
+    for _ in range(40):
+        _, f = random_integrand_text(rng)
+        variables = []
+        for g in ("g1", "g2"):
+            if f.sorts.get(g) == G:
+                cell = random_gamma_cell(rng, 3, 0.3)
+                variables.append((g, G, [GammaCell(cell.lower, cell.upper) if rng.random() < 0.5 else cell]))
+        variables += [(x, K, UNIT_BALL) for x in ("x1", "x2", "x3") if x in f.free_vars()]
+        try:
+            return integrate(f, Domain(variables, Prime(rng.choice((2, 3, 5)))))
+        except (DivergentSum, DomainError, NotFiberReducible, UndefinedAtPoint):
+            continue
+    return None
+
+
+def _random_weight(rng):
+    return [
+        rng.randint(-9, 9) if rng.random() < 0.7 else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        for _ in range(rng.randint(1, 5))
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32))
+def test_no_unreduced_element_leaks(seed):
+    # the engine's terms are unreduced; every public result is canonical
+    rng = random.Random(seed)
+    results = [_random_integral(rng)]
+    poly, cell, N = _random_weight(rng), random_gamma_cell(rng, 6, 0.3), rng.randint(0, 4)
+    for sum_over_cell in (lambda: weighted_sum(cell, poly, N), lambda: geom_sum(cell, N + 1)):
+        try:
+            results.append(sum_over_cell())
+        except DivergentSum:
+            pass
+    results.append(weighted_tail(poly, rng.randint(-10, 20), N + 1))
+    e1 = rng.randint(-3, 3)
+    a, b = rng.randint(-10, 10), rng.randint(-10, 10)
+    for lo, hi in ((a, b), (None, b), (a, None)):
+        try:
+            check_convergent(lo, hi, e1)
+        except DivergentSum:
+            continue
+        results.append(Antidifference(poly, e1).between(lo, hi))
+    for x in results:
+        assert x is None or _is_canonical(x), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_one_sum_of_unreduced_products_is_the_canonical_fold(seed):
+    rng = random.Random(seed)
+    parts, fold = [], AqElem.zero()
+    for _ in range(rng.randint(0, 6)):
+        (x, *_), (y, *_) = random_built_elem(rng), random_built_elem(rng)
+        e, z = rng.randint(-8, 8), rng.randint(-3, 3)
+        parts.append((x._times(y), e, z))
+        fold = fold + x * y * AqElem.q_power(e, z)
+    got = _sum_terms(parts)
+    # got == fold, decided over their merged denominator: cross-multiplying
+    # the whole denominators, as AqElem.__eq__ does, takes seconds here
+    assert (got - fold).is_zero() and _is_canonical(got)
+
+
+def test_one_cancellation_keeps_the_render_over_six_denominators(monkeypatch):
+    # cell_sums op cs053 at seed 1: the last sum meets six distinct
+    # denominators and cancels once over their per-index maximum; the
+    # render is the one that cancelling each group and adding reaches
+    engine = sys.modules[integrate.__module__]
+    dens = []
+    sum_terms = engine._sum_terms
+
+    def spy(parts):
+        parts = list(parts)
+        dens.append({tuple(sorted(c.den.items())) for c, _, z in parts if z})
+        return sum_terms(parts)
+
+    monkeypatch.setattr(engine, "_sum_terms", spy)
+    f = parse_integrand(
+        "3*q^(-2*lin(1,0,1,0;g1) - lin(1,0,1,0;g2) + 1)*lin(2,0,1,-1;g2)"
+        " - 2*q^(-lin(1,0,1,0;g1) - 2*lin(1,0,1,0;g2))*lin(2,0,1,1;g1)*lin(2,0,1,-1;g2)"
+    )
+    upper = LinExpr(PreparedLinear(1, 0, 1, 2), "g1")
+    domain = Domain([("g1", G, [GammaCell(3, None)]), ("g2", G, [GammaCell(1, upper)])], P2)
+    result = integrate(f, domain)
+    assert len(dens) == 1 and len(dens[0]) == 6
+    assert result.render() == (
+        "(-54*q^-8 - 57*q^-9 - 99*q^-10 + 49*q^-11 + 8*q^-12 + 79*q^-13 - 105*q^-14 + 33*q^-15"
+        " + 165*q^-16 + 127*q^-17 - 16*q^-18 - 259*q^-19 - 49*q^-20 + 98*q^-22)"
+        " / (1-q^-2)(1-q^-3)^3"
+    )
+    assert result.eval_at(2) == Fraction(-269775, 351232)
+
+
+def test_one_cancellation_may_reach_another_reduced_form():
+    # (1 - q^-1) divides (1 - q^-2), so a value has several reduced forms
+    # (ROADMAP Direction 6): cancelling the whole sum at once reaches a
+    # shorter one here than cancelling each denominator group and adding
+    f = parse_integrand(
+        "5*q^(-lin(1,0,1,0;g1) - lin(1,0,1,0;g2) - lin(1,0,1,0;g3) - ord(x1) - 2*ord(x2))"
+        "*lin(0,0,1,2;g1)*lin(1,0,1,1;g2)*ord(x2)"
+    )
+    domain = Domain(
+        [("g1", G, [GammaCell(1, 6)]), ("g2", G, [GammaCell(0, None)]), ("g3", G, [GammaCell(4, None, 3, 0)]),
+         ("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL)],
+        Prime(7),
+    )
+    result = integrate(f, domain)
+    assert result.render() == "(20*q^-12 - 10*q^-13 + 20*q^-14 - 10*q^-15) / (1-q^-1)(1-q^-3)^3"
+    grouped = AqElem(LaurentPoly({-12: 20, -13: 10, -14: 10, -15: 10, -16: -10}), {2: 1, 3: 3})
+    assert grouped.render() == "(20*q^-12 + 10*q^-13 + 10*q^-14 + 10*q^-15 - 10*q^-16) / (1-q^-2)(1-q^-3)^3"
+    assert result == grouped
 
 
 def _endpoint(kind, slope, value):

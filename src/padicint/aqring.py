@@ -3,7 +3,8 @@
 Elements are stored as a Laurent polynomial numerator over the rationals
 and a multiset of denominator factors (1 - q^-i)^e.  Canonical form cancels
 every denominator factor that divides the numerator; equality is decided by
-cross-multiplying numerators, which is sound because Laurent polynomials
+comparing the numerators over the per-index maximum of the two
+denominators, as + puts them, which is sound because Laurent polynomials
 over Q form an integral domain.
 
 Whether (1 - q^-i) = q^-i (q^i - 1) divides a numerator N = sum n_e q^e is
@@ -293,9 +294,6 @@ class AqElem:
                 changed = True
         self.den = dict(sorted(self.den.items()))
 
-    def den_poly(self) -> LaurentPoly:
-        return _times_den(LaurentPoly.const(1), self.den, {})
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "AqElem":
@@ -306,11 +304,7 @@ class AqElem:
             return self
         if not self.num.coeffs:
             return other
-        merged = dict(self.den)
-        for i, e in other.den.items():
-            merged[i] = max(merged.get(i, 0), e)
-        a = _times_den(self.num, merged, self.den)
-        b = _times_den(other.num, merged, other.den)
+        a, b, merged = _over_common_den(self, other)
         return AqElem(a + b, merged)
 
     __radd__ = __add__
@@ -372,10 +366,11 @@ class AqElem:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num * other.den_poly() == other.num * self.den_poly()
+        a, b, _ = _over_common_den(self, other)
+        return a == b
 
     def __hash__(self):
-        raise TypeError("AqElem is unhashable; equality is cross-multiplied")
+        raise TypeError("AqElem is unhashable; equality compares over a common denominator")
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -437,6 +432,15 @@ def _times_den(poly: LaurentPoly, den: Mapping[int, int], have: Mapping[int, int
                 out[ex] = out[ex] - c if ex in out else -c
             coeffs = out
     return poly if coeffs is poly.coeffs else LaurentPoly(coeffs)
+
+
+def _over_common_den(x: AqElem, y: AqElem) -> tuple[LaurentPoly, LaurentPoly, dict[int, int]]:
+    """The numerators of x and y over the per-index maximum of their
+    denominators, and that denominator."""
+    merged = dict(x.den)
+    for i, e in y.den.items():
+        merged[i] = max(merged.get(i, 0), e)
+    return _times_den(x.num, merged, x.den), _times_den(y.num, merged, y.den), merged
 
 
 def _coerce(value) -> "AqElem":

@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .aqring import AqElem, LaurentPoly, _times_den
@@ -817,8 +818,9 @@ def brute_force_integrate(
     the region tests run on ints (KCell.ball_status), and a decided box is
     recorded by the ords of those ints and sum k.  Only an argument of
     degree >= 2 whose first test fails evaluates its Taylor coefficients.
-    f is evaluated once per distinct record, and the sum stays int
-    numerators per term and power of p until the end.
+    f is evaluated once per distinct record, and the sum stays one int per
+    power of p, over the lcm of the coefficients' denominators, until one
+    Fraction at the end.
 
     growth = (C, c, dg) asserts |f(x)| <= C * v^dg * q^(c*v) on classes
     where some valuation argument saturates at v >= depth; c <= 0 and
@@ -968,16 +970,15 @@ def brute_force_integrate(
 
 def _class_sum(compiled: _Compiled, coeffs: Sequence[Fraction], classes: Counter, p: int) -> Fraction:
     """The sum of count * p^-s * f over classes[(atom values, s)] = count.
-    Each term's sum stays int numerators keyed by the power of p until one
-    int, or one Fraction over a power of p, per term at the end."""
-    sums = [defaultdict(int) for _ in coeffs]
+    Every term adds into one int per power of p, its coefficient scaled to
+    the lcm of the coefficients' denominators, and one Fraction is built
+    at the end; no classes give 0."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    weights = [c.numerator * (scale // c.denominator) for c in coeffs]
+    acc: defaultdict = defaultdict(int)
     for (values, s), count in classes.items():
-        for acc, (e, z) in zip(sums, compiled.powers(values)):
-            acc[e - s] += count * z
-    total = Fraction(0)
-    for coeff, acc in zip(coeffs, sums):
-        if acc:
-            low = min(acc)
-            num = sum(z * p ** (e - low) for e, z in acc.items())
-            total += coeff * (num * p**low if low >= 0 else Fraction(num, p**-low))
-    return total
+        for w, (e, z) in zip(weights, compiled.powers(values)):
+            acc[e - s] += count * w * z
+    low = min(acc, default=0)
+    num = sum(z * p ** (e - low) for e, z in acc.items())
+    return Fraction(num * p**low, scale) if low >= 0 else Fraction(num, scale * p**-low)

@@ -1,12 +1,15 @@
 """Congruence counting and certified rational generating functions.
 
 N_m counts solutions of f = 0 in (Z/p^m)^n.  The generating function
-sum N_m T^m is fitted on the count table: Berlekamp-Massey over Q finds
-the minimal linear recurrence of the entries before the guard, which
-yields numerator and denominator, and the denominator is then factored,
-when possible, into the shape prod (1 - p^-mi * T^Ni) by bounded
-exhaustive search.  A fit that fails verification on the held-out guard
-entries is reported as UNDETERMINED, never as a rational function.
+sum N_m T^m is fitted on the count table: a fraction-free
+Berlekamp-Massey on the int counts finds the minimal linear recurrence
+of the entries before the guard, which yields numerator and denominator,
+and the denominator is then factored, when possible, into the shape
+prod (1 - p^-mi * T^Ni) by bounded exhaustive search, each candidate
+factor tested on D's exponent classes in integers.  The arithmetic stays
+in ints wherever the fit is integral.  A fit that fails verification on
+the held-out guard entries is reported as UNDETERMINED, never as a
+rational function.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .errors import BudgetExceeded, Record
@@ -26,7 +30,7 @@ from .padic import (
     enumerate_residues,
     rational_ord,
 )
-from .polys import Polynomial, eval_terms, poly_mul, polydiv, render_powers, trim
+from .polys import Polynomial, Rat, eval_terms, poly_mul, render_powers, trim
 
 
 class _Undetermined:
@@ -160,16 +164,21 @@ def measure_identity_check(
     """Check N_m = p^(nm) * mu({x : ord f(x) >= m}).
 
     N_m is series_table's lifted count, which fits in any budget that
-    the counting half does.  That half is count_Nm: for integral f and
+    the counting half does; poincare_report runs the same check on its
+    own table's N_m.  The counting half is count_Nm: for integral f and
     integer x, ord f(x) >= m exactly when f(x) = 0 mod p^m, so the
     measure is the share of the p^(n m) residues where f vanishes mod
     p^m.  For a monomial in a single variable the measure is also
     computed symbolically through the integration engine and compared;
     other shapes use the counting half only.
     """
+    return _identity_holds(f, prime, m, series_table(f, prime, m, budget).counts[m], budget)
+
+
+def _identity_holds(f: Polynomial, prime: Prime, m: int, Nm: int, budget: int) -> bool:
+    """measure_identity_check with the lifted count Nm given."""
     p = prime.p
     n = f.nvars
-    Nm = series_table(f, prime, m, budget).counts[m]
     if m == 0:
         return Nm == 1
     ok = Nm == count_Nm(f, prime, m, budget)
@@ -221,6 +230,11 @@ def _ball_measure(index: int, t: int, nvars: int, prime: Prime) -> Fraction:
 class RationalFunctionT(Record):
     """Q(T) / D(T) with D(0) = 1, reproducing a count table exactly.
 
+    num and den are coefficient lists, lowest degree first.  fit_rational
+    holds each integral coefficient of den as an int, and all of num when
+    den is integral, so the fit of an integral recurrence, with expand and
+    reproduces, stays in ints; other coefficients are Fractions.
+
     shape lists (mi, Ni) pairs with D = prod (1 - p^-mi T^Ni) when the
     bounded search certifies that factorization (mi may be negative, in
     which case p^-mi is a positive power of p); shape is [] for D = 1, the
@@ -231,7 +245,7 @@ class RationalFunctionT(Record):
     __slots__ = ("num", "den", "prime", "shape")
 
     def __init__(
-        self, num: list[Fraction], den: list[Fraction], prime: Prime,
+        self, num: list[Rat], den: list[Rat], prime: Prime,
         shape: Optional[list[tuple[int, int]]] = None,
     ):
         self.num = num
@@ -239,17 +253,17 @@ class RationalFunctionT(Record):
         self.prime = prime
         self.shape = shape
 
-    def expand(self, count: int) -> list[Fraction]:
+    def expand(self, count: int) -> list[Rat]:
         out = []
         for m in range(count):
-            acc = self.num[m] if m < len(self.num) else Fraction(0)
+            acc = self.num[m] if m < len(self.num) else 0
             for i in range(1, min(m, len(self.den) - 1) + 1):
                 acc -= self.den[i] * out[m - i]
             out.append(acc)
         return out
 
     def reproduces(self, counts: list[int]) -> bool:
-        return self.expand(len(counts)) == [Fraction(c) for c in counts]
+        return self.expand(len(counts)) == list(counts)
 
     def render_num(self) -> str:
         return render_powers(enumerate(self.num), "T")
@@ -277,27 +291,39 @@ def _pow_str(p: int, k: int) -> str:
     return f"1/{p ** (-k)}"
 
 
-def _minimal_recurrence(s: list[Fraction]) -> tuple[int, list[Fraction]]:
-    """Berlekamp-Massey over Q: the least L and c_1..c_L with
-    s[m] = sum c_i s[m-i] for every L <= m < len(s)."""
+def _minimal_recurrence(s: list[int]) -> tuple[int, list[Rat]]:
+    """Berlekamp-Massey on integers: the least L and c_1..c_L with
+    s[m] = sum c_i s[m-i] for every L <= m < len(s).
+
+    Fraction-free: where the rational algorithm subtracts
+    (disc / prev_disc) T^shift prev from the connection polynomial conn,
+    this one sets conn = prev_disc*conn - disc*T^shift*prev, a nonzero
+    multiple of the rational conn, and then divides out its content;
+    conn[0] is only multiplied by the nonzero prev_disc and divided by a
+    content, so it is never 0.  Discrepancies scale by the same multiples,
+    so L and the ratios conn[i] / conn[0] are those of the rational
+    algorithm; c_i = -conn[i] / conn[0], an int where it is integral."""
     n = len(s)
-    conn = [Fraction(1)] + [Fraction(0)] * n  # 1 - sum c_i T^i, the current recurrence
+    conn = [1] + [0] * n  # a multiple of 1 - sum c_i T^i, the current recurrence
     prev = conn[:]  # the recurrence before the last change of L
-    L, shift, prev_disc = 0, 1, Fraction(1)
+    L, shift, prev_disc = 0, 1, 1
     for m in range(n):
         disc = sum(conn[i] * s[m - i] for i in range(L + 1))
         if disc == 0:
             shift += 1
             continue
-        scale = disc / prev_disc
         old = conn[:]
+        conn = [prev_disc * c for c in conn]
         for i in range(n + 1 - shift):
-            conn[i + shift] -= scale * prev[i]
+            conn[i + shift] -= disc * prev[i]
+        content = gcd(*conn)
+        conn = [c // content for c in conn]
         if 2 * L <= m:
             L, prev, prev_disc, shift = m + 1 - L, old, disc, 1
         else:
             shift += 1
-    return L, [-c for c in conn[1 : L + 1]]
+    lead = conn[0]
+    return L, [-c // lead if c % lead == 0 else Fraction(-c, lead) for c in conn[1 : L + 1]]
 
 
 def fit_rational(
@@ -317,14 +343,14 @@ def fit_rational(
     """
     if guard < 3:
         raise ValueError("guard must be >= 3")
-    counts = [Fraction(c) for c in table.counts]
+    counts = table.counts
     prefix = len(counts) - guard
     if prefix < 2:  # an order-1 recurrence is fitted on two entries
         return UNDETERMINED
     L, coeffs = _minimal_recurrence(counts[:prefix])
     if L > prefix // 2:
         return UNDETERMINED
-    den = trim([Fraction(1)] + [-c for c in coeffs])
+    den = trim([1] + [-c for c in coeffs])
     num = trim(poly_mul(den, counts[:L])[:L])
     candidate = RationalFunctionT(num, den, table.prime)
     if not candidate.reproduces(table.counts):
@@ -334,24 +360,48 @@ def fit_rational(
 
 
 def _certify_shape(
-    den: list[Fraction], p: int, nvars: int
+    den: list[Rat], p: int, nvars: int
 ) -> Optional[list[tuple[int, int]]]:
     """Factor D(T) as prod (1 - p^-mi T^Ni) with |mi| <= nvars * Ni, by
-    depth-first exhaustive search; None when no such factorization exists."""
+    depth-first exhaustive search; None when no such factorization exists.
+
+    A candidate is tested without dividing.  With c = p^-mi, T^Ni is 1/c
+    modulo 1 - c T^Ni, so the remainder of D is
+    sum_r (sum_k D[r + k Ni] c^-k) T^r over r < Ni, and the factor divides
+    D exactly when every exponent class r sums to 0.  That test runs in
+    integers, on D over its common denominator, each class's weights
+    c^-k = p^(mi k) scaled to the powers p^(|mi| j) by p^(-mi K) at its
+    top k = K when mi < 0.  Only then is the quotient built, by
+    Q_j = D_j + c Q_(j-Ni)."""
     deg = len(den) - 1
     if deg == 0:
-        return [] if den == [Fraction(1)] else None
+        return [] if den == [1] else None
+    scale = lcm(*(c.denominator for c in den))
+    ints = [c.numerator * (scale // c.denominator) for c in den]
     for Ni in range(1, deg + 1):
+        classes = [ints[r::Ni] for r in range(Ni)]
         for mi in range(-nvars * Ni, nvars * Ni + 1):
-            coef = Fraction(1, p**mi) if mi >= 0 else Fraction(p ** (-mi))
-            factor = [Fraction(1)] + [Fraction(0)] * (Ni - 1) + [-coef]
-            quot, rem = polydiv(den, factor)
-            if quot is None or any(c != 0 for c in rem):
+            # each class's sum by Horner in p^|mi|, from its top k, or from
+            # k = 0 when mi < 0
+            step = p ** abs(mi)
+            if any(_horner(cls if mi < 0 else cls[::-1], step) for cls in classes):
                 continue
-            rest = _certify_shape(trim(quot), p, nvars)
+            coef = Fraction(1, p**mi) if mi > 0 else p**-mi
+            quot: list[Rat] = []
+            for j in range(deg - Ni + 1):
+                quot.append(den[j] + coef * quot[j - Ni] if j >= Ni else den[j])
+            rest = _certify_shape(quot, p, nvars)
             if rest is not None:
                 return sorted([(mi, Ni)] + rest, key=lambda s: (s[1], s[0]))
     return None
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    """sum coeffs[i] x^(len - 1 - i): the first coefficient is the highest."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 # -- the bundled report --------------------------------------------------------
@@ -424,11 +474,13 @@ def poincare_report(
 ) -> PoincareReport:
     """Counts, rational fit, and measure-identity checks in one bundle.
 
-    The identity check at m enumerates the p^(n m) points once, so checks
-    run for m up to check_mmax (at most mmax) within the budget.  Without
-    check_mmax they run for m = 0 and 1 and then for every further m while
-    all the points they enumerate stay within p^n times the classes the
-    lifting evaluated, so they cost about what the lifting did."""
+    The report lifts once: each check compares its table's own N_m with
+    the measure.  The identity check at m enumerates the p^(n m) points
+    once, so checks run for m up to check_mmax (at most mmax) within the
+    budget.  Without check_mmax they run for m = 0 and 1 and then for
+    every further m while all the points they enumerate stay within p^n
+    times the classes the lifting evaluated, so they cost about what the
+    lifting did."""
     if mmax < 0:
         raise ValueError("mmax must be >= 0")
     if check_mmax is not None and check_mmax < 0:
@@ -446,5 +498,5 @@ def poincare_report(
         enumerated += points
         if points > budget or (check_mmax is None and m > 1 and enumerated > cap):
             break
-        checks.append((m, measure_identity_check(f, prime, m, budget)))
+        checks.append((m, _identity_holds(f, prime, m, table.counts[m], budget)))
     return PoincareReport(table, rational, checks, guard)

@@ -12,7 +12,7 @@ differences behind the closed-form sums in the binomial basis.  They
 compute in the type they are given, so int input stays int; only the
 quotients of the long division are Fractions.  They serve
 presburger's weighted sums, the symbolic integrator, the Aq ring's
-canonical form and the Poincare denominator search.
+canonical form and the Poincare fit.
 
 eval_terms evaluates an integer polynomial given as its int terms, and
 taylor_terms gives the Taylor coefficients of one in the same form, for

@@ -193,6 +193,19 @@ indices = st.dictionaries(st.integers(1, 24), st.integers(1, 2), max_size=3)
 built_elems = st.integers(0, 2**32).map(lambda seed: random_built_elem(random.Random(seed))[0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(built_elems, built_elems, st.integers(-8, 8), st.integers(-3, 3))
+def test_equality_is_a_zero_difference(x, y, e, z):
+    # the unreduced product equals the canonical one in another form; the
+    # product shifted by z q^e equals it only when z = 0
+    unreduced, product = x._times(y), x * y
+    assert unreduced == product and product == unreduced
+    shifted = product + AqElem.q_power(e, z)
+    for a, b in ((unreduced, shifted), (x, y), (x, unreduced)):
+        assert (a == b) == (a - b).is_zero() == (b == a)
+    assert (unreduced == shifted) == (z == 0)
+
+
 def test_canonical_form_at_large_indices():
     _, ok, detail = check_aq_cancellation()
     assert ok, detail

@@ -11,9 +11,12 @@ measure, and on every OracleResult field when refine = 0.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicint import (
     AqElem,
@@ -29,7 +32,7 @@ from padicint import (
     brute_force_integrate,
     identity_lin,
 )
-from padicint.integrate import OracleResult, _Compiled, _lift_member, _region_status
+from padicint.integrate import OracleResult, _class_sum, _Compiled, _lift_member, _region_status
 from padicint.padic import INFINITY, rational_ord
 from padicint.parsing import parse_integrand
 from padicint.presburger import weighted_tail
@@ -291,3 +294,35 @@ def test_field_variable_read_as_value_group_variable_is_refused():
     domain = Domain([("x1", K, UNIT_BALL)], Prime(2))
     with pytest.raises(DomainError, match="value-group"):
         brute_force_integrate(f, domain, 3)
+
+
+# three terms whose coefficients are not integers at q = p: 1/3, 5/7 and
+# -2/9 q^-1 / (1 - q^-1)
+CLASS_SUM_F = (
+    ConstructibleExpr.constant(Fraction(1, 3))
+    + parse_integrand("q^(-ord(x1) - 2*ord(x2))*ord(x1)").scale(AqElem.from_rational(Fraction(5, 7)))
+    + parse_integrand("q^(ord(x1))*ord(x2)^2").scale(AqElem.q_power(-1, Fraction(-2, 9)) * AqElem.geom(1))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.dictionaries(
+        st.tuples(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(0, 14)),
+        st.integers(1, 5),
+        max_size=8,
+    ),
+)
+def test_class_sum_is_the_plain_fraction_sum(p, records):
+    # s up to 14 makes e - s negative; no records give 0
+    compiled = _Compiled([(t.coeff, t.q, t.factors) for t in CLASS_SUM_F.terms])
+    coeffs = [c.eval_at(p) for c in compiled.coeffs]
+    assert any(c.denominator != 1 for c in coeffs)
+    expected = Fraction(0)
+    for (values, s), count in records.items():
+        for coeff, (e, z) in zip(coeffs, compiled.powers(values)):
+            expected += count * coeff * z * Fraction(p) ** (e - s)
+    got = _class_sum(compiled, coeffs, Counter(records), p)
+    assert got == expected and got.__class__ is Fraction
+    assert _class_sum(compiled, coeffs, Counter(), p) == 0

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from padicint import (
     series_table,
 )
 from padicint.cli import main
-from padicint.polys import poly_mul, trim
+from padicint.polys import poly_mul, polydiv, trim
 from padicint.selfcheck import (
     POLYNOMIAL_SHAPES,
     check_poincare,
@@ -84,6 +85,22 @@ def test_measure_identity_examples():
     assert measure_identity_check(X2, P3, 1)
     assert measure_identity_check(X, P2, 4)
     assert measure_identity_check(XY, P2, 2)
+
+
+def test_a_report_lifts_once(monkeypatch):
+    # each check reads the report's own table; it used to lift once per m
+    real = poincare_module.series_table
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(poincare_module, "series_table", spy)
+    rep = poincare_report(XY, P3, 8, check_mmax=3)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert rep.checks == [(m, measure_identity_check(XY, P3, m)) for m in range(4)]
 
 
 def test_measure_identity_compares_the_lifted_count(monkeypatch):
@@ -378,3 +395,121 @@ def test_default_checks_on_the_cusp_stay_cheap():
     assert [m for m, _ in rep.checks] == [0, 1, 2, 3]
     assert all(ok for _, ok in rep.checks)
     assert time.perf_counter() - start < 2
+
+
+# -- the integer fit against the Fraction fit it replaced ----------------------
+
+
+def reference_recurrence(s):
+    """Berlekamp-Massey over Q, step by step in Fractions."""
+    n = len(s)
+    conn = [Fraction(1)] + [Fraction(0)] * n
+    prev = conn[:]
+    L, shift, prev_disc = 0, 1, Fraction(1)
+    for m in range(n):
+        disc = sum(conn[i] * s[m - i] for i in range(L + 1))
+        if disc == 0:
+            shift += 1
+            continue
+        scale = disc / prev_disc
+        old = conn[:]
+        for i in range(n + 1 - shift):
+            conn[i + shift] -= scale * prev[i]
+        if 2 * L <= m:
+            L, prev, prev_disc, shift = m + 1 - L, old, disc, 1
+        else:
+            shift += 1
+    return L, [-c for c in conn[1 : L + 1]]
+
+
+def reference_shape(den, p, nvars):
+    """The shape search by long division by each candidate factor."""
+    deg = len(den) - 1
+    if deg == 0:
+        return [] if den == [Fraction(1)] else None
+    for Ni in range(1, deg + 1):
+        for mi in range(-nvars * Ni, nvars * Ni + 1):
+            coef = Fraction(1, p**mi) if mi >= 0 else Fraction(p ** (-mi))
+            factor = [Fraction(1)] + [Fraction(0)] * (Ni - 1) + [-coef]
+            quot, rem = polydiv(den, factor)
+            if quot is None or any(c != 0 for c in rem):
+                continue
+            rest = reference_shape(trim(quot), p, nvars)
+            if rest is not None:
+                return sorted([(mi, Ni)] + rest, key=lambda s: (s[1], s[0]))
+    return None
+
+
+def reference_fit(table, guard):
+    counts = [Fraction(c) for c in table.counts]
+    prefix = len(counts) - guard
+    if prefix < 2:
+        return None
+    L, coeffs = reference_recurrence(counts[:prefix])
+    if L > prefix // 2:
+        return None
+    den = trim([Fraction(1)] + [-c for c in coeffs])
+    num = trim(poly_mul(den, counts[:L])[:L])
+    fit = RationalFunctionT(num, den, table.prime)
+    if fit.expand(len(counts)) != counts:
+        return None
+    fit.shape = reference_shape(den, table.prime.p, table.f.nvars)
+    return fit
+
+
+def assert_fit_matches_reference(table, guard):
+    got, want = fit_rational(table, guard), reference_fit(table, guard)
+    if want is None:
+        assert got is UNDETERMINED
+        return
+    assert isinstance(got, RationalFunctionT)
+    assert (got.num, got.den, got.shape) == (want.num, want.den, want.shape)
+    assert (got.render_num(), got.render_den(), repr(got)) == (want.render_num(), want.render_den(), repr(want))
+    # an integral recurrence keeps the fit in ints
+    assert all(c.__class__ is int for c in got.den if c.denominator == 1)
+    if all(c.__class__ is int for c in got.den):
+        assert all(c.__class__ is int for c in got.num)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.integers(1, 3), st.integers(3, 5), st.data())
+def test_integer_fit_matches_the_fraction_fit_on_random_tables(p, nvars, guard, data):
+    # any table within SeriesTable's bounds, most of them with no recurrence
+    cap = p**nvars
+    counts = [1]
+    for _ in range(data.draw(st.integers(0, 14))):
+        counts.append(data.draw(st.integers(0, cap * counts[-1])))
+    table = SeriesTable(Prime(p), Polynomial(nvars), counts)
+    assert poincare_module._minimal_recurrence(counts) == reference_recurrence([Fraction(c) for c in counts])
+    assert_fit_matches_reference(table, guard)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.integers(1, 3),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(-9, 9)), max_size=4),
+    st.lists(st.integers(0, 4), max_size=4),
+)
+def test_integer_fit_matches_the_fraction_fit_on_known_shapes(p, nvars, factors, tail):
+    # D = prod (1 - p^-mi T^Ni), with |mi| <= nvars * Ni, has a shape
+    factors = [(mi, Ni) for Ni, mi in factors if abs(mi) <= nvars * Ni]
+    den = [1]
+    for mi, Ni in factors:
+        den = poly_mul(den, [1] + [0] * (Ni - 1) + [-(Fraction(1, p**mi) if mi >= 0 else p**-mi)])
+    shape = poincare_module._certify_shape(den, p, nvars)
+    assert shape == reference_shape([Fraction(c) for c in den], p, nvars)
+    assert shape is not None
+    product = [1]
+    for mi, Ni in shape:
+        product = poly_mul(product, [1] + [0] * (Ni - 1) + [-(Fraction(1, p**mi) if mi >= 0 else p**-mi)])
+    assert product == den
+    # the series of N/D, N(0) = 1, over a common denominator is an int
+    # sequence with D's recurrence; as counts it fits where it is a table
+    fit = RationalFunctionT([1] + tail, den, Prime(p))
+    series = fit.expand(len(den) + len(tail) + 8)
+    scale = lcm(*(Fraction(c).denominator for c in series))
+    ints = [int(c * scale) for c in series]
+    assert poincare_module._minimal_recurrence(ints) == reference_recurrence([Fraction(c) for c in ints])
+    if scale == 1 and all(0 <= ints[m + 1] <= p**nvars * ints[m] for m in range(len(ints) - 1)):
+        assert_fit_matches_reference(SeriesTable(Prime(p), Polynomial(nvars), ints), 5)

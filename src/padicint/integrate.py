@@ -119,8 +119,9 @@ def _add_into(lin: dict, other: dict, scale: int = 1) -> dict:
 
 
 def _add_forms(a: Form, b: Form) -> Form:
-    """The form a + b, in a new dict."""
-    return a[0] + b[0], _add_into(dict(a[1]), b[1])
+    """The form a + b, in a new dict, or the other one when a or b is
+    _ZERO itself: a term without a q^(...) factor keeps _ZERO."""
+    return b if a is _ZERO else a if b is _ZERO else (a[0] + b[0], _add_into(dict(a[1]), b[1]))
 
 
 def _substitute(form: Form, subs: dict) -> Form:
@@ -538,8 +539,11 @@ def _integrate_field_var(terms: list, var: DomainVar, prime: Prime) -> list:
         # {ord t = gamma} without an angular condition: (1 - q^-1) q^-gamma
         fibers = [(Fraction(0), _ORD_AT_LEAST_0, 0, _AC_FREE_SHELL)]
     else:
-        # a depth-M angular condition leaves q^-(gamma + M); {center} is null
-        fibers = [(c.center, c.gamma_cell(), -c.ac_depth, None) for c in var.region if c.ac_value.r != 0]
+        # a depth-M angular condition leaves q^-(gamma + M); {center} is
+        # null.  No fiber reads the angular value, so the cells that differ
+        # only in it are one family, scaled by their number.
+        families = Counter((c.center, c.gamma_cell(), -c.ac_depth) for c in var.region if c.ac_value.r != 0)
+        fibers = [(*key, None if k == 1 else AqElem.from_rational(k)) for key, k in families.items()]
     out: list = []
     for center, gcell, shell_q, shell_coeff in fibers:
         ords = [a for a in _leaves(terms) if isinstance(a, OrdExpr)]
@@ -586,9 +590,10 @@ def _reduce_ord(leaf: OrdExpr, var: str, center: Fraction, gamma: LinExpr, prime
     if exps[idx] == 0:
         raise NotFiberReducible(f"ord argument degenerates at the center {center}")
     lin: dict = {}
-    for j, (name, exp) in enumerate(zip(leaf.vars, exps)):
+    for j, exp in enumerate(exps):
         if j != idx and exp:
-            _add_into(lin, {OrdExpr(Polynomial.variable(0, 1), (name,)): exp})
+            # ord(x_j) as the parser reads it, over the names up to x_j
+            _add_into(lin, {OrdExpr(Polynomial.variable(j, j + 1), leaf.vars[: j + 1]): exp})
     lin[gamma] = exps[idx]
     return rational_ord(c0, prime.p), lin
 

@@ -4,23 +4,26 @@ One descent, sum -> product -> power -> atom (_parse_sum), reads every
 expression: signed sums of products of factors, each factor an atom or a
 parenthesised sum, optionally raised to a literal exponent ^n.  Only the
 atoms and the algebra differ.  Polynomial atoms are integer literals and
-variables x1..xn, combined by Polynomial's own + - *.  Integrand atoms are
-integer literals, q^(E) exponentials, ord(...) valuation factors, whose
-argument is a polynomial, and lin(a,k,n,delta;g) prepared linear forms in
-value-group variables g1..gm.  The exponent E is an integrand too, folded
-into one affine form by _integer_form: each of its terms is an integer
-times at most one ord or lin factor, and none has a q^(...) factor.
+variables x1..xn, n at most MAX_INDEX, combined by Polynomial's own + - *.
+Integrand atoms are integer literals, q^(E) exponentials, ord(...)
+valuation factors, whose argument is a polynomial, and lin(a,k,n,delta;g)
+prepared linear forms in value-group variables g1..gm.
+
+An integer sum is one affine form, folded by _integer_form: each of its
+terms is an integer times at most one ord, lin or folded factor, and none
+has a q^(...) factor.  The exponent E is such a sum, or a parse error.  A
+parenthesised integrand sum of that shape is one factor too (one integer
+when it names no leaf), so (1 + ord(x1))^14 is one term; any other
+parenthesised sum is read as its terms.
 
 An integrand is read as a list of (int coefficient, q form, factor forms)
 triples, never combined or reordered, whose affine forms are those of
 integrate and share one leaf per distinct ord or lin argument; one
-ConstructibleExpr is built at the end, equal term by term to what its own
-algebra gives for the text.  Before a polynomial is read, one forward scan
-of its tokens finds where it ends, checks its names and gives its arity.
-Token positions are computed only when a ParseError is raised.  Rendering
-emits canonical text that parses back to the same expression where every
-factor is a single leaf, as in every parsed expression; otherwise the text
-parses back to an expression of the same value (see render_constructible).
+ConstructibleExpr is built at the end.  Before a polynomial is read, one
+forward scan of its tokens finds where it ends, checks its names and gives
+its arity.  Token positions are computed only when a ParseError is raised.
+Rendering emits canonical text that parses back to the same terms (see
+render_constructible).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .integrate import (
     OrdExpr,
     Term,
     _add_forms,
+    _add_into,
 )
 from .polys import Polynomial, signed_join
 from .presburger import PreparedLinear
@@ -45,6 +49,11 @@ from .presburger import PreparedLinear
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^();,]")
 _BAD_RE = re.compile(r"[^\s\dA-Za-z_\-+*^();,]")
 _VAR_RE = re.compile(r"([xg])([1-9][0-9]*)")
+
+# The largest index N of a field variable xN.  A polynomial's arity is the
+# largest index it names, and its exponent tuples are that long.
+MAX_INDEX = 64
+_FIELD_INDEX = {f"x{k}": k for k in range(1, MAX_INDEX + 1)}
 
 
 def _tokenize(text: str) -> list[str]:
@@ -82,9 +91,10 @@ def _is_name(tok: str) -> bool:
 # -- the shared grammar: sum -> product -> power -> atom -------------------------
 #
 # Each function takes the tokens and an index and returns (value, next
-# index).  alg is the algebra: atom(tokens, i), add, neg and mul, none of
-# which changes a value in place.  a - b is a + (-b), a^n is a * a * ... * a
-# and a^0 is the atom 1, as in Polynomial and ConstructibleExpr.
+# index).  alg is the algebra: atom(tokens, i), add, neg, mul and group,
+# the value of a parenthesised sum, none of which changes a value in
+# place.  a - b is a + (-b), a^n is a * a * ... * a and a^0 is the atom 1,
+# as in Polynomial and ConstructibleExpr.
 
 
 def _parse_all(tokens: list[str], alg):
@@ -117,7 +127,7 @@ def _parse_product(tokens: list[str], i: int, alg):
 def _parse_power(tokens: list[str], i: int, alg):
     if tokens[i] == "(":
         base, i = _parse_sum(tokens, i + 1, alg)
-        i = _expect(tokens, i, ")")
+        base, i = alg.group(base), _expect(tokens, i, ")")
     else:
         base, i = alg.atom(tokens, i)
     if tokens[i] != "^":
@@ -154,7 +164,8 @@ def _scan_polynomial(tokens: list[str], start: int, closed: bool, message: str) 
     polynomial, an ord argument, ends at the ')' that balances the '('
     before start, and fails if there is none; any other ends at the end.
     Then the first name that is not a field variable fails, with
-    message.format(name), so both come before any syntax error."""
+    message.format(name), or as an index above MAX_INDEX, so both come
+    before any syntax error."""
     nvars, bad, depth, i = 0, None, 0, start
     while tokens[i]:
         tok = tokens[i]
@@ -164,14 +175,16 @@ def _scan_polynomial(tokens: list[str], start: int, closed: bool, message: str) 
             if closed and not depth:
                 break
             depth -= 1
-        elif tok[0] == "x" and _VAR_RE.fullmatch(tok):
-            nvars = max(nvars, int(tok[1:]))
+        elif tok in _FIELD_INDEX:
+            nvars = max(nvars, _FIELD_INDEX[tok])
         elif bad is None and _is_name(tok):
             bad = i
         i += 1
     if closed and not tokens[i]:
         raise _Fail("unbalanced parentheses in ord(...)", i)
     if bad is not None:
+        if tokens[bad][0] == "x" and _VAR_RE.fullmatch(tokens[bad]):
+            message = f"variable {{!r}} has an index above {MAX_INDEX}"
         raise _Fail(message.format(tokens[bad]), bad)
     return i, nvars
 
@@ -181,6 +194,7 @@ class _PolyAlgebra:
     _scan_polynomial has checked."""
 
     add, neg, mul = operator.add, operator.neg, operator.mul
+    group = staticmethod(lambda value: value)  # a parenthesised polynomial is its value
 
     def __init__(self, nvars: int):
         self.nvars = nvars
@@ -195,9 +209,9 @@ class _PolyAlgebra:
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    """Parse an integer polynomial in variables x1..xn; n is the largest
-    index that appears (0 for a constant).  The first unknown name is
-    reported before any syntax error."""
+    """Parse an integer polynomial in variables x1..xn; n, at most
+    MAX_INDEX, is the largest index that appears (0 for a constant).  The
+    first unknown name is reported before any syntax error."""
     tokens = _tokenize(text)
     try:
         _, nvars = _scan_polynomial(tokens, 0, False, "unknown symbol {!r} (variables are x1, x2, ...)")
@@ -254,11 +268,16 @@ class _IntegrandTerms:
         return a + b
 
     def mul(self, a, b):
-        return [
-            (c1 * c2, q2 if q1 is _ZERO else q1 if q2 is _ZERO else _add_forms(q1, q2), z1 + z2)
-            for c1, q1, z1 in a
-            for c2, q2, z2 in b
-        ]
+        return [(c1 * c2, _add_forms(q1, q2), z1 + z2) for c1, q1, z1 in a for c2, q2, z2 in b]
+
+    def group(self, terms):
+        """A parenthesised sum that _integer_form folds as one factor form,
+        or as one integer when it names no leaf; any other as its terms."""
+        try:
+            form = _integer_form(terms, 0)
+        except _Fail:
+            return terms
+        return [(1, _ZERO, (form,))] if form[1] else [(form[0], _ZERO, ())]
 
 
 def parse_integrand(text: str) -> ConstructibleExpr:
@@ -274,10 +293,11 @@ def parse_integrand(text: str) -> ConstructibleExpr:
 
 
 def _integer_form(terms: list, at: int) -> Form:
-    """The affine form of a q^(...) exponent read as the integrand terms
-    given, whose factors are leaf forms (0, {leaf: 1}): the leaves in the
-    order the terms name them, one scaled by 0 kept at 0.  A term with a
-    q^(...) factor or two factors fails at token at, the exponent's first."""
+    """The one affine form of integrand terms that are each an integer
+    times at most one factor form, as a q^(...) exponent or a parenthesised
+    sum is read: the leaves in the order the terms name them, one scaled by
+    0 kept at 0.  A term with a q^(...) factor or two factors fails at
+    token at, an exponent's first."""
     c0, lin = 0, {}
     for c, q, factors in terms:
         if q is not _ZERO:
@@ -285,8 +305,8 @@ def _integer_form(terms: list, at: int) -> Form:
         if len(factors) > 1:
             raise _Fail("an exponent term multiplies two ord(...) or lin(...) factors", at)
         if factors:
-            (leaf,) = factors[0][1]
-            lin[leaf] = lin.get(leaf, 0) + c
+            c0 += c * factors[0][0]
+            _add_into(lin, factors[0][1], c)
         else:
             c0 += c
     return c0, lin
@@ -347,11 +367,12 @@ def _render_form(form: Form) -> str:
 
 
 def render_constructible(expr: ConstructibleExpr) -> str:
-    """Canonical text for a parsed expression, one q^(...) per term, which
-    parses back to equal terms.  A factor that is not a single leaf, which
-    the parser never builds, is written as a parenthesised sum, which the
-    grammar reads as a sum of terms: (2*ord(x1) + 1) parses back to two
-    terms of the same value, not to the one term it came from."""
+    """Canonical text for an expression with integer coefficients, one
+    q^(...) per term, which parses back to equal terms.  A factor that is
+    not a single leaf is written as a parenthesised sum, (2*ord(x1) + 1),
+    which the grammar folds back to that one factor.  Only a factor that
+    names no leaf, which neither the parser nor integrate builds, reads
+    back as an integer coefficient instead."""
     rendered = []
     for term in expr.terms:
         coeff = term.coeff.as_rational()

@@ -115,7 +115,7 @@ def series_table(
     n = f.nvars
     terms = f.int_terms()
     gradient = [f.derivative(i).int_terms() for i in range(n)]
-    lifts = list(itertools.product(range(p), repeat=n))
+    lifts: list = []  # the p^n lifts of a class, built once a level fits the budget
     # (k, e, hensel) -> classes mod p^k with p^(n(m-k)) solutions mod p^m
     # for k <= m <= e; past e only a Hensel class has any
     decided: Counter = Counter()
@@ -126,6 +126,7 @@ def series_table(
             raise BudgetExceeded(
                 f"lifting to depth {k + 1} could split more than {budget} undecided classes"
             )
+        lifts = lifts or list(itertools.product(range(p), repeat=n))
         decided[k, k, False] += len(frontier)  # each is a solution mod p^k
         evaluations += p**n * len(frontier)
         step, k = p**k, k + 1

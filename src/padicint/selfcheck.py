@@ -29,6 +29,8 @@ from .integrate import (
     OrdExpr,
     Term,
     UNIT_BALL,
+    _ZERO,
+    _add_into,
     brute_force_integrate,
     identity_lin,
     integrate,
@@ -561,19 +563,19 @@ def check_lifting():
 #
 # Each generator returns a text and the value that the same sums, products
 # and powers give in the algebra of Polynomial or ConstructibleExpr, folded
-# in the order the grammar reads them (README "Grammar").  Separators are
-# "", " " or a newline; exponents stay at most 3, so an integrand keeps to
-# a few hundred terms.
+# in the order the grammar reads them (README "Grammar"), with group()
+# applied to each parenthesised sum.  Separators are "", " " or a newline;
+# exponents stay at most 3, so an integrand keeps to a few hundred terms.
 
 
 def _sep(rng: random.Random) -> str:
     return rng.choice(("", "", " ", " ", " ", "\n"))
 
 
-def _random_sum(rng: random.Random, leaf, depth: int):
+def _random_sum(rng: random.Random, leaf, group, depth: int):
     """(text, build) of [-] product {(+|-) product}; build() folds the
     products left to right, negating the first one after a leading '-'."""
-    parts = [_random_product(rng, leaf, depth) for _ in range(rng.randint(1, 3))]
+    parts = [_random_product(rng, leaf, group, depth) for _ in range(rng.randint(1, 3))]
     signs = [rng.random() < 0.3] + [rng.random() < 0.5 for _ in parts[1:]]
     text = ("-" + _sep(rng) if signs[0] else "") + parts[0][0]
     for negative, (t, _) in zip(signs[1:], parts[1:]):
@@ -590,8 +592,8 @@ def _random_sum(rng: random.Random, leaf, depth: int):
     return text, build
 
 
-def _random_product(rng: random.Random, leaf, depth: int):
-    factors = [_random_power(rng, leaf, depth) for _ in range(rng.randint(1, 3))]
+def _random_product(rng: random.Random, leaf, group, depth: int):
+    factors = [_random_power(rng, leaf, group, depth) for _ in range(rng.randint(1, 3))]
     text = (_sep(rng) + "*" + _sep(rng)).join(t for t, _ in factors)
 
     def build():
@@ -603,10 +605,10 @@ def _random_product(rng: random.Random, leaf, depth: int):
     return text, build
 
 
-def _random_power(rng: random.Random, leaf, depth: int):
+def _random_power(rng: random.Random, leaf, group, depth: int):
     if depth and rng.random() < 0.3:
-        inner, base = _random_sum(rng, leaf, depth - 1)
-        text = "(" + _sep(rng) + inner + _sep(rng) + ")"
+        inner, build = _random_sum(rng, leaf, group, depth - 1)
+        text, base = "(" + _sep(rng) + inner + _sep(rng) + ")", lambda: group(build())
     else:
         text, base = leaf()
     if rng.random() < 0.25:
@@ -631,7 +633,7 @@ def random_polynomial_text(
         arity[0] = max(arity[0], i)
         return f"x{i}", lambda: Polynomial.variable(i - 1, arity[0])
 
-    text, build = _random_sum(rng, leaf, depth)
+    text, build = _random_sum(rng, leaf, lambda poly: poly, depth)
     return text, build()
 
 
@@ -687,9 +689,24 @@ def _random_int_expr(rng: random.Random, depth: int) -> tuple[str, tuple[int, di
     return _sep(rng).join(texts), (c0, lin)
 
 
+def _folded(expr: ConstructibleExpr) -> ConstructibleExpr:
+    """A parenthesised sum as the grammar reads it: when each term is an
+    integer times at most one factor form, and none has a q^(...) factor,
+    one factor, the sum of those forms (one integer when it names no
+    leaf); else its terms."""
+    if any(t.q is not _ZERO or len(t.factors) > 1 for t in expr.terms):
+        return expr
+    c0, lin = 0, {}
+    for t in expr.terms:
+        c, (f0, flin) = t.coeff.as_rational().numerator, t.factors[0] if t.factors else (1, {})
+        c0, lin = c0 + c * f0, _add_into(lin, flin, c)
+    return ConstructibleExpr.factor((c0, lin)) if lin else ConstructibleExpr.constant(c0)
+
+
 def random_integrand_text(rng: random.Random) -> tuple[str, ConstructibleExpr]:
     """An integrand text over x1..x3 and g1, g2 and the ConstructibleExpr
-    that constant, q_exponent, factor, +, -, * and ** give for it."""
+    that constant, q_exponent, factor, +, -, * and ** give for it, with
+    each parenthesised sum folded as the grammar folds it (_folded)."""
 
     def leaf():
         roll = rng.random()
@@ -703,7 +720,7 @@ def random_integrand_text(rng: random.Random) -> tuple[str, ConstructibleExpr]:
         text, atom = _random_ord(rng) if roll < 0.8 else _random_lin(rng)
         return text, lambda: ConstructibleExpr.factor((0, {atom: 1}))
 
-    text, build = _random_sum(rng, leaf, 1)
+    text, build = _random_sum(rng, leaf, _folded, 1)
     return text, build()
 
 

@@ -34,10 +34,13 @@ from padicint import (
 )
 from padicint.aqring import LaurentPoly
 from padicint.integrate import LinExpr, _Compiled, _range_sum, _sum_terms
-from padicint.parsing import parse_integrand
+from padicint.kcells import partition_unit_ball
+from padicint.parsing import parse_integrand, render_constructible
+from padicint.poincare import _ball_measure
 from padicint.presburger import Antidifference, check_convergent, geom_sum, weighted_sum, weighted_tail
 from padicint.selfcheck import (
     _corpus,
+    _random_int_expr,
     check_integration_additivity,
     check_integration_fubini,
     check_integration_linearity,
@@ -656,23 +659,120 @@ def _is_canonical(x):
     return again.num.coeffs == x.num.coeffs and again.den == x.den
 
 
+def _random_domain(rng, f):
+    """x1..x3 of f on the unit ball, g1 and g2 on random_gamma_cell cells
+    (half of them at modulus 1), p in 2, 3, 5."""
+    variables = []
+    for g in ("g1", "g2"):
+        if f.sorts.get(g) == G:
+            cell = random_gamma_cell(rng, 3, 0.3)
+            variables.append((g, G, [GammaCell(cell.lower, cell.upper) if rng.random() < 0.5 else cell]))
+    variables += [(x, K, UNIT_BALL) for x in ("x1", "x2", "x3") if x in f.free_vars()]
+    return Domain(variables, Prime(rng.choice((2, 3, 5))))
+
+
+_REFUSED = (DivergentSum, DomainError, NotFiberReducible, UndefinedAtPoint)
+
+
 def _random_integral(rng):
     """The integral of the first of up to 40 random_integrand_text draws
-    that the engine computes, or None: x1..x3 on the unit ball, g1 and g2
-    on random_gamma_cell cells (half of them at modulus 1), p in 2, 3, 5."""
+    that the engine computes over its _random_domain, or None."""
     for _ in range(40):
         _, f = random_integrand_text(rng)
-        variables = []
-        for g in ("g1", "g2"):
-            if f.sorts.get(g) == G:
-                cell = random_gamma_cell(rng, 3, 0.3)
-                variables.append((g, G, [GammaCell(cell.lower, cell.upper) if rng.random() < 0.5 else cell]))
-        variables += [(x, K, UNIT_BALL) for x in ("x1", "x2", "x3") if x in f.free_vars()]
         try:
-            return integrate(f, Domain(variables, Prime(rng.choice((2, 3, 5)))))
-        except (DivergentSum, DomainError, NotFiberReducible, UndefinedAtPoint):
+            return integrate(f, _random_domain(rng, f))
+        except _REFUSED:
             continue
     return None
+
+
+def _expanded(expr):
+    """expr with every factor form c0 + sum c * leaf multiplied out by the
+    algebra's own *, so that each factor of each term is a single leaf."""
+    terms = []
+    for t in expr.terms:
+        term = ConstructibleExpr([Term(t.coeff, t.q)])
+        for c0, lin in t.factors:
+            parts = [Term(AqElem.from_rational(c), factors=((0, {leaf: 1}),)) for leaf, c in lin.items()]
+            term = term * ConstructibleExpr(parts + ([Term(AqElem.from_rational(c0))] if c0 else []))
+        terms += term.terms
+    return ConstructibleExpr(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_a_grouped_parse_integrates_as_its_expansion(seed):
+    # a parenthesised integer sum is one factor in the parse; multiplied
+    # out into single leaves, it integrates to the same element
+    rng = random.Random(seed)
+    for _ in range(40):
+        inner, _ = _random_int_expr(rng, 1)
+        text = f"({inner} + {rng.randint(1, 3)})^{rng.randint(1, 2)}*({random_integrand_text(rng)[0]})"
+        grouped = parse_integrand(text)
+        expanded, domain = _expanded(grouped), _random_domain(rng, grouped)
+        try:
+            value = integrate(grouped, domain)
+        except _REFUSED:
+            continue
+        try:
+            assert integrate(expanded, domain) == value, text
+        except DivergentSum:
+            # terms of the expansion may diverge where their sum, the one
+            # grouped term, vanishes: (2*ord(x1) - ord(x1^2))*q^(ord(x1))
+            pass
+        return
+
+
+def test_every_factor_form_left_by_a_field_variable_renders_and_parses_back(monkeypatch):
+    # an eliminated variable leaves ord(x_j) leaves as the parser reads
+    # them, so its terms are a constructible function of the outer ones
+    engine = sys.modules[integrate.__module__]
+    forms = []
+    integrate_field_var = engine._integrate_field_var
+
+    def spy(terms, var, prime):
+        out = integrate_field_var(terms, var, prime)
+        forms.extend(z for _, _, factors in out for z in factors)
+        return out
+
+    monkeypatch.setattr(engine, "_integrate_field_var", spy)
+    for seed in range(100):
+        _random_integral(random.Random(seed))
+    cells = [KCell(Fraction(1, 3), -1, None, 1, 0, 1, AngularResidue(1, xi), P3) for xi in (1, 2)]
+    integrate(
+        parse_integrand("q^(-ord(x1*x2*(3*x3 - 1)^2))*ord(x2^3*(3*x3 - 1))*ord(x1*x2)"),
+        Domain([("x1", K, UNIT_BALL), ("x2", K, UNIT_BALL), ("x3", K, cells)], P3),
+    )
+    assert len(forms) > 300
+    assert any(isinstance(leaf, OrdExpr) and leaf.vars[-1] != "x1" for z in forms for leaf in z[1])
+    for z in forms:
+        f = ConstructibleExpr.factor(z)
+        assert parse_integrand(render_constructible(f)) == f, render_constructible(f)
+
+
+def test_cells_that_differ_only_in_the_angular_value_share_one_sum(monkeypatch):
+    # a fiber never reads its cell's angular value, so the 60 cells of
+    # partition_unit_ball(2, 3, Z_5) are 3 fiber families, each summed once
+    engine = sys.modules[integrate.__module__]
+    calls = []
+    sum_over_gamma = engine._sum_over_gamma
+
+    def spy(terms, var, cell, prime):
+        calls.append(cell)
+        return sum_over_gamma(terms, var, cell, prime)
+
+    monkeypatch.setattr(engine, "_sum_over_gamma", spy)
+    P5 = Prime(5)
+    f = parse_integrand("q^(-ord(x1))*ord(x1)")
+    cells = partition_unit_ball(2, 3, P5)
+    result = integrate(f, Domain([("x1", K, cells)], P5))
+    assert len(cells) == 60 and len(calls) == 3
+    assert result.render() == "(20*q^-4 + 40*q^-6 + 60*q^-8 + 40*q^-10 + 20*q^-12) / (1-q^-6)^2"
+    assert result.eval_at(5) == integrate(f, unit_ball_domain(P5)).eval_at(5)
+    # mu(ord x1 >= 2) in Z_5^2: one sum for x2 on the unit ball, and one
+    # for the p - 1 cells of x1
+    calls.clear()
+    assert _ball_measure(0, 2, 2, P5) == Fraction(1, 25) and len(calls) == 2
 
 
 def _random_weight(rng):

@@ -149,16 +149,47 @@ def test_canonical_render(text, rendered):
     assert parse_integrand(rendered) == parse_integrand(text)
 
 
-def test_a_factor_that_is_not_one_leaf_parses_back_to_a_sum():
-    # the grammar reads a parenthesised factor as a sum of terms, so the
-    # text parses back to an expression of the same value, not equal terms
-    f = ConstructibleExpr.factor((1, {OrdExpr(Polynomial(1, {(1,): 1}), ("x1",)): 2}))
-    rendered = render_constructible(f)
-    assert rendered == "(2*ord(x1) + 1)"
-    again = parse_integrand(rendered)
-    assert len(f.terms) == 1 and len(again.terms) == 2 and again != f
-    for x in (Fraction(1), Fraction(4), Fraction(3, 8)):
-        assert again.eval({"x1": x}, P2) == f.eval({"x1": x}, P2)
+def test_a_factor_that_is_not_one_leaf_parses_back_to_it():
+    # the grammar folds a parenthesised integer sum into one factor form
+    ox1 = OrdExpr(Polynomial(1, {(1,): 1}), ("x1",))
+    for form, rendered in [
+        ((1, {ox1: 2}), "(2*ord(x1) + 1)"),
+        ((0, {ox1: -3}), "(-3*ord(x1))"),
+        ((0, {ox1: 0}), "(0*ord(x1))"),
+        ((-4, {ox1: 1, identity_lin("g1"): -1}), "(ord(x1) - lin(1,0,1,0;g1) - 4)"),
+    ]:
+        f = ConstructibleExpr.factor(form) * ConstructibleExpr.q_exponent((0, {ox1: -1}))
+        assert render_constructible(f) == "q^(-ord(x1))*" + rendered
+        again = parse_integrand(render_constructible(f))
+        assert again == f and _stored(again) == _stored(f)
+
+
+@pytest.mark.parametrize(
+    "text, stored_as",
+    [
+        # an integer sum is one factor, however it is written
+        ("(1 + ord(x1))^3", "(ord(x1) + 1)^3"),
+        ("(2*(ord(x1) + 1) - (3))", "(2*ord(x1) + 2 - 3)"),
+        ("((ord(x1) - lin(1,0,1,0;g1)))*2", "2*(ord(x1) - lin(1,0,1,0;g1))"),
+        ("(ord(x1)^0 + ord(x2)*0)", "(0*ord(x2) + 1)"),
+        # one that names no leaf is one integer
+        ("(1 - 1)*ord(x1)", "0*ord(x1)"),
+        ("(2^2 + ord(x1)^0)", "5"),
+        # any other sum is its terms
+        ("(q^(0) + ord(x1))*3", "3*q^(0) + 3*ord(x1)"),
+        ("(ord(x1)*ord(x2) - 1)", "ord(x1)*ord(x2) - 1"),
+        ("((1 + ord(x1))^2 + 1)", "(ord(x1) + 1)*(ord(x1) + 1) + 1"),
+    ],
+)
+def test_a_parenthesised_integer_sum_is_one_factor(text, stored_as):
+    assert _stored(parse_integrand(text)) == _stored(parse_integrand(stored_as))
+
+
+def test_a_power_of_an_integer_sum_is_one_term():
+    f = parse_integrand("(1+ord(x1))^14")
+    assert len(f.terms) == 1 and len(f.terms[0].factors) == 14
+    assert _stored(f) == _stored(parse_integrand("(ord(x1) + 1)^14"))
+    assert f.eval({"x1": Fraction(4)}, P2) == 3**14
 
 
 def test_render_round_trips_generator_draws():
@@ -254,6 +285,11 @@ ERROR_CASES = [
     ("integrand", "ord(y + +", "unbalanced parentheses in ord(...)", 1, 10),
     ("poly", "(x1 + 2", "expected ')'", 1, 8),
     ("integrand", "ord(x1 x2)", "expected ')'", 1, 8),
+    # a field variable's index is at most MAX_INDEX = 64
+    ("poly", "x1 + x65", "variable 'x65' has an index above 64", 1, 6),
+    ("poly", "x100000^2 + y", "variable 'x100000' has an index above 64", 1, 1),
+    ("integrand", "ord(x100000 + 1)", "variable 'x100000' has an index above 64", 1, 5),
+    ("integrand", "q^(1)*ord(x64 - x65", "unbalanced parentheses in ord(...)", 1, 20),
     ("integrand", "ord()", "expected an integer, a variable, or '('", 1, 5),
     ("integrand", "q^(1)*ord()", "expected an integer, a variable, or '('", 1, 11),
     ("poly", "", "expected an integer, a variable, or '('", 1, 1),
@@ -278,6 +314,15 @@ ERROR_CASES = [
     ("integrand", "ord(x1 +\n  x2\n", "unbalanced parentheses in ord(...)", 3, 1),
     ("integrand", "q^(1) *\nord(x1 +\n y)", "valuation arguments are polynomials in x1, x2, ...", 3, 2),
 ]
+
+
+def test_an_index_past_the_int_conversion_limit_is_a_parse_error():
+    # int() refuses a string of more than 4,300 digits with a ValueError;
+    # the scan never converts an index above MAX_INDEX
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x" + "1" * 5000)
+    assert (err.value.line, err.value.column) == (1, 1)
+    assert err.value.message.endswith("' has an index above 64")
 
 
 @pytest.mark.parametrize("grammar, text, message, line, column", ERROR_CASES)

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -314,6 +315,25 @@ def test_lifting_budget_bounds_the_singular_frontier():
     assert series_table(line, P3, 6, budget=100).counts == [1, 3, 27, 81, 729, 2187, 19683]
     with pytest.raises(BudgetExceeded, match="depth 4"):
         series_table(line, P3, 7, budget=100)
+
+
+def test_the_lifting_budget_bounds_its_memory():
+    # the 2^20 lifts of a class take 1.8 s and 218 MB to build, and the
+    # check refuses to split Z_2^20 within a budget of 10 before that
+    x1_x20, x1_x40 = Polynomial(20, {(1,) + (0,) * 18 + (1,): 1}), Polynomial(40, {(1,) + (0,) * 38 + (1,): 1})
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceeded, match="depth 1 "):
+            series_table(x1_x20, P2, 3, budget=10)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 10**6
+    # mmax 0 splits nothing, so it builds none of the 2^40 lifts, which
+    # would not fit in memory
+    assert series_table(x1_x40, P2, 0).counts == [1]
 
 
 def test_series_table_rejects_a_negative_order():

@@ -42,7 +42,7 @@ weighted_tail, evaluated at q = p.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
@@ -224,9 +224,11 @@ class ConstructibleExpr:
     """A finite sum of Terms, with the sort of each variable its leaves name.
     +, *, ** and scale build new Terms, which share the operands' forms."""
 
-    def __init__(self, terms: Sequence[Term]):
+    def __init__(self, terms: Sequence[Term], sorts: Optional[dict[str, str]] = None):
         self.terms = list(terms)
-        self.sorts = _leaf_sorts(_leaves((t.coeff, t.q, t.factors) for t in self.terms))
+        if sorts is None:
+            sorts = _leaf_sorts(_leaves((t.coeff, t.q, t.factors) for t in self.terms))
+        self.sorts = sorts
 
     # -- constructors -------------------------------------------------------
 
@@ -250,7 +252,13 @@ class ConstructibleExpr:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "ConstructibleExpr") -> "ConstructibleExpr":
-        return ConstructibleExpr(self.terms + other.terms)
+        # the sum names the operands' leaves, so it merges their sorts
+        # rather than walk every term again
+        sorts = dict(self.sorts)
+        for v, sort in other.sorts.items():
+            if sorts.setdefault(v, sort) != sort:
+                raise ValueError(f"{v} used both as field and value-group variable")
+        return ConstructibleExpr(self.terms + other.terms, sorts)
 
     def __neg__(self) -> "ConstructibleExpr":
         return self.scale(AqElem.from_rational(-1))
@@ -276,7 +284,7 @@ class ConstructibleExpr:
 
     def scale(self, aq: AqElem) -> "ConstructibleExpr":
         terms = [Term(t.coeff * aq, t.q, t.factors) for t in self.terms]
-        return ConstructibleExpr(terms)
+        return ConstructibleExpr(terms, self.sorts)
 
     def free_vars(self) -> set[str]:
         return _leaf_vars(_leaves((t.coeff, t.q, t.factors) for t in self.terms))
@@ -331,7 +339,7 @@ class _Compiled:
         """f at a fully instantiated point, with q = p."""
         values = tuple(_atom_value(a, point, prime.p) for a in self.atoms)
         coeffs = [c.eval_at(prime) for c in self.coeffs]
-        return _class_sum(self, coeffs, Counter({(values, 0): 1}), prime.p)
+        return _class_sums(self, coeffs, prime.p, Counter({(values, 0): 1}), Counter())[0]
 
 
 # -- domains -------------------------------------------------------------------
@@ -804,14 +812,22 @@ def brute_force_integrate(
     v < depth: f is constant on it, and it adds f(a) p^(-sum k), exactly the
     sum of its classes mod p^depth.  Otherwise it splits into p boxes along
     one coordinate below depth, the least refined (the lowest index first)
-    of those whose region status is "boundary", that an uncertified affine
-    argument mentions, or on which a failing b is supported.  A box with no
-    such coordinate is scanned as one: it stands for its
-    p^(n depth - sum k) classes mod p^depth, which share its status,
-    membership, value and saturation (some v >= depth, or g = 0 on it), so
-    the result equals a scan of all p^(n depth) classes, field by field.
+    of the coordinates that every failing b of some g with g(a) = 0 is
+    supported on.  A split along any other coordinate leaves each child's
+    centre on the hyperplanes x_j = a_j of those coordinates, where every
+    c_b(a) left in the expansion is 0, so g is 0 there again and no child
+    can be decided.  Where no such g names a coordinate, the box splits
+    along the least refined of those whose region status is "boundary",
+    that an uncertified affine argument mentions, or on which a failing b
+    is supported.  A box with no such coordinate is scanned as one: it
+    stands for its p^(n depth - sum k) classes mod p^depth, which share its
+    status, membership, value and saturation (some v >= depth, or g = 0 on
+    it), so the result equals a scan of all p^(n depth) classes, field by
+    field, whichever coordinate each split takes.
     So q^(-ord(x1^2)) on Z_3 at depth 18 settles 37 boxes, where deciding
-    only for v below the least k_i settles 39,365.
+    only for v below the least k_i settles 39,365, and q^(-ord(x1*x2)) on
+    Z_2^2 at depth 10 settles 120, where splitting the least refined
+    coordinate refines x1 once per level of x2 and settles 4,584.
     The budget bounds the boxes the walk settles (missed, decided or
     scanned), the root box first: each split adds p - 1 of them, and
     passing the budget raises BudgetExceeded.  They tile Z_p^n, so there
@@ -820,12 +836,14 @@ def brute_force_integrate(
 
     Each box costs one integer pass and builds no Fraction: g(a) is
     computed once as an int, from the int terms of g read once per call,
-    the region tests run on ints (KCell.ball_status), and a decided box is
-    recorded by the ords of those ints and sum k.  Only an argument of
-    degree >= 2 whose first test fails evaluates its Taylor coefficients.
-    f is evaluated once per distinct record, and the sum stays one int per
-    power of p, over the lcm of the coefficients' denominators, until one
-    Fraction at the end.
+    the region tests run on ints (KCell.ball_status) and only on the
+    children of a coordinate whose status is "boundary" (an "in" holds for
+    every child), and a decided box is recorded by the ords of those ints
+    and sum k.  Only an argument of degree >= 2 whose first test fails
+    evaluates its Taylor coefficients.  f is evaluated once per distinct
+    record of the decided and scanned boxes, and the value and the scanned
+    boxes' |f| each stay one int, over the lcm of the coefficients'
+    denominators and one power of p, until one Fraction each at the end.
 
     growth = (C, c, dg) asserts |f(x)| <= C * v^dg * q^(c*v) on classes
     where some valuation argument saturates at v >= depth; c <= 0 and
@@ -880,9 +898,13 @@ def brute_force_integrate(
         point, ks, statuses = stack.pop()
         values = [eval_terms(terms, point) for terms, _, _ in args]
         split = {i for i, status in enumerate(statuses) if status == "boundary"}
+        shared = set()  # coordinates that each failing b of some g with g(a) = 0 mentions
         saturated = False  # some argument has ord >= depth on the box, if nothing splits
         for value, (terms, mentioned, taylor) in zip(values, args):
-            least = min([ks[i] for i in mentioned], default=depth)
+            if len(mentioned) == 1:  # most arguments mention one coordinate
+                least = ks[mentioned[0]]
+            else:
+                least = min((ks[i] for i in mentioned), default=depth)
             if value % powers[least]:
                 continue  # ord g(a) is below every k_i g mentions, so ord g is constant
             # the Taylor test below adds nothing when g is affine, has one lift
@@ -903,6 +925,7 @@ def brute_force_integrate(
                 taylor += sorted(table, key=lambda t: -sum(e for _, e in t[0]))
             v = rational_ord(value, p)
             saturated = saturated or v >= depth
+            common = None  # where g(a) = 0: the coordinates every failing b mentions
             for b, coords, cb_terms in taylor:
                 w = 0
                 for i, e in b:
@@ -916,12 +939,18 @@ def brute_force_integrate(
                         failing = v >= w and eval_terms(cb_terms, point) % p ** (v - w + 1) != 0
                     if failing:
                         split.update(coords)
-                        if split.issuperset(mentioned):
-                            break  # no other b can add to split
+                        if value == 0:
+                            common = set(coords) if common is None else common.intersection(coords)
+                        if not common and split.issuperset(mentioned):
+                            break  # no other b can add to split or to common
+            if common:
+                shared |= common
         if not (saturated or split):
             decided[tuple(rational_ord(v, p) for v in values), sum(ks)] += 1
             continue
-        below = [i for i in split if ks[i] < depth]
+        # a g with g(a) = 0 stays 0 at the centre of every child that keeps a
+        # coordinate its failing b all mention, so one of those splits first
+        below = shared or [i for i in split if ks[i] < depth]
         if below:
             i = min(below, key=lambda i: (ks[i], i))
             partition += p - 1
@@ -931,11 +960,15 @@ def brute_force_integrate(
             if k + 1 not in powers:
                 powers[k + 1] = powers[k] * p
             child_ks = ks[:i] + (k + 1,) + ks[i + 1 :]
+            inside = statuses[i] == "in"  # so is every child: its status is inherited
             for t in range(p):
                 x = point[i] + t * powers[k]
+                child = point[:i] + (x,) + point[i + 1 :]
+                if inside:
+                    stack.append((child, child_ks, statuses))
+                    continue
                 status = _region_status(x, regions[i], k + 1)
                 if status != "out":
-                    child = point[:i] + (x,) + point[i + 1 :]
                     stack.append((child, child_ks, statuses[:i] + (status,) + statuses[i + 1 :]))
             continue
         # the box's classes mod p^depth are scanned as one
@@ -955,35 +988,41 @@ def brute_force_integrate(
         if saturated:
             saturated_classes += weight
     coeffs = [c.eval_at(prime) for c in compiled.coeffs]
-    scale = Fraction(1, p ** (n * depth))
-    err_total = Fraction(0)
+    value, tail_bound = _class_sums(compiled, coeffs, p, decided, scanned)
     if saturated_classes:
-        tail = C * p**depth * weighted_tail([0] * dg + [1], depth, 1 - c).eval_at(p)
-        err_total += saturated_classes * scale * tail
-    for record, count in scanned.items():
-        err_total += abs(_class_sum(compiled, coeffs, Counter({record: count}), p))
+        # measure saturated_classes p^(-n depth) times C p^depth times the tail
+        tail = weighted_tail([0] * dg + [1], depth, 1 - c).eval_at(p)
+        num, den = saturated_classes * C.numerator * tail.numerator, C.denominator * tail.denominator
+        tail_bound += Fraction(num, den * p ** ((n - 1) * depth))
     return OracleResult(
-        value=_class_sum(compiled, coeffs, decided, p),
-        tail_bound=err_total,
+        value=value,
+        tail_bound=tail_bound,
         depth=depth,
         classes=p ** (n * depth),
         skipped=skipped,
         boundary=boundary,
-        skipped_measure=skipped * scale,
+        skipped_measure=Fraction(skipped, p ** (n * depth)),
     )
 
 
-def _class_sum(compiled: _Compiled, coeffs: Sequence[Fraction], classes: Counter, p: int) -> Fraction:
-    """The sum of count * p^-s * f over classes[(atom values, s)] = count.
-    Every term adds into one int per power of p, its coefficient scaled to
-    the lcm of the coefficients' denominators, and one Fraction is built
-    at the end; no classes give 0."""
+def _class_sums(
+    compiled: _Compiled, coeffs: Sequence[Fraction], p: int, classes: Counter, scans: Counter
+) -> tuple[Fraction, Fraction]:
+    """(the sum of count * p^-s * f over classes[(atom values, s)] = count,
+    the sum of count * p^-s * |f| over scans[(atom values, s)] = count).
+    f is evaluated once per record of either: its terms add into one int
+    over the lcm of the coefficients' denominators and the least power of p
+    of every record, and one Fraction is built per sum; no classes give 0."""
     scale = lcm(*(c.denominator for c in coeffs))
     weights = [c.numerator * (scale // c.denominator) for c in coeffs]
-    acc: defaultdict = defaultdict(int)
-    for (values, s), count in classes.items():
-        for w, (e, z) in zip(weights, compiled.powers(values)):
-            acc[e - s] += count * w * z
-    low = min(acc, default=0)
-    num = sum(z * p ** (e - low) for e, z in acc.items())
-    return Fraction(num * p**low, scale) if low >= 0 else Fraction(num, scale * p**-low)
+    rows = [(record, compiled.powers(record[0])) for record in {**classes, **scans}]
+    low = min((e - record[1] for record, row in rows for e, _ in row), default=0)
+    total = absolute = 0
+    for record, row in rows:
+        shift = record[1] + low
+        num = sum(w * z * p ** (e - shift) for w, (e, z) in zip(weights, row))
+        total += classes[record] * num
+        absolute += scans[record] * abs(num)
+    if low >= 0:
+        return Fraction(total * p**low, scale), Fraction(absolute * p**low, scale)
+    return Fraction(total, scale * p**-low), Fraction(absolute, scale * p**-low)

@@ -229,6 +229,29 @@ def test_oracle_settles_a_power_of_x_in_p_minus_1_boxes_per_level(text, prime, g
         brute_force_integrate(f, unit_ball_domain(prime), 18, growth=growth, budget=settled - 1)
 
 
+@pytest.mark.parametrize(
+    "text, prime, n, depth, settled",
+    [
+        # splitting the least refined coordinate settles 3,859, 4,584 and
+        # 3,836 boxes here: x1 is refined once per level of x2 on x2 = 0
+        ("q^(-ord(x1*x2))", P3, 2, 6, 167),
+        ("q^(-ord(x1*x2))", P2, 2, 10, 120),
+        ("q^(-ord(x1*x2*x3))", P2, 3, 5, 200),
+    ],
+)
+def test_oracle_splits_the_coordinate_a_zero_s_taylor_terms_share(text, prime, n, depth, settled):
+    # at a centre with x_j = 0 and every other coordinate a unit, each
+    # failing Taylor term of the product mentions x_j, and every child of a
+    # split along another coordinate keeps g = 0 at its centre: x_j splits
+    f = parse_integrand(text)
+    domain = Domain([(f"x{i + 1}", K, UNIT_BALL) for i in range(n)], prime)
+    p = prime.p
+    r = brute_force_integrate(f, domain, depth, growth=(1, -1, 0), budget=settled)
+    assert abs(r.value - Fraction(p, p + 1) ** n) <= r.tail_bound
+    with pytest.raises(BudgetExceeded, match="depth %d .* budget of %d " % (depth, settled - 1)):
+        brute_force_integrate(f, domain, depth, growth=(1, -1, 0), budget=settled - 1)
+
+
 def test_a_deep_oracle_call_strips_p_in_few_divisions():
     # the decided boxes take valuations of numbers up to 3^3000: dividing
     # one p at a time takes about 8 s for the whole walk

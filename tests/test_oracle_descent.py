@@ -32,7 +32,7 @@ from padicint import (
     brute_force_integrate,
     identity_lin,
 )
-from padicint.integrate import OracleResult, _class_sum, _Compiled, _lift_member, _region_status
+from padicint.integrate import OracleResult, _class_sums, _Compiled, _lift_member, _region_status
 from padicint.padic import INFINITY, rational_ord
 from padicint.parsing import parse_integrand
 from padicint.presburger import weighted_tail
@@ -145,10 +145,16 @@ _SQUARES_IN_ZP = {2: (17, -7), 3: (7, -2)}
 def _nonlinear_argument(rng: random.Random, names: list, p: int) -> OrdExpr:
     """An argument _random_argument never draws: (x - a)^3, x^2 - r with a
     root in Z_p but not in Z, or x^2 + p x in one variable, and on two
-    x1^2 - x2^2, x1 x2 + p or (x1 - x2)^2."""
+    x1^2 - x2^2, x1 x2 + p, (x1 - x2)^2 or a shifted monomial
+    (x1 - a)^i (x2 - b)^j, whose zeros split the coordinate that every
+    failing Taylor term mentions."""
     if len(names) == 2 and rng.random() < 0.5:
         x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
-        poly = rng.choice((x1 * x1 - x2 * x2, x1 * x2 + Polynomial.constant(p, 2), (x1 - x2) ** 2))
+        shifted = (
+            (x1 - Polynomial.constant(rng.randint(0, p * p), 2)) ** rng.randint(1, 2)
+            * (x2 - Polynomial.constant(rng.randint(0, p * p), 2)) ** rng.randint(1, 3)
+        )
+        poly = rng.choice((x1 * x1 - x2 * x2, x1 * x2 + Polynomial.constant(p, 2), (x1 - x2) ** 2, shifted))
         return OrdExpr(poly, tuple(names))
     x = Polynomial.variable(0, 1)
     poly = rng.choice((
@@ -253,6 +259,28 @@ def test_descent_equals_flat_scan_on_nonlinear_arguments():
     assert min(seen.values()) >= 10, seen
 
 
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "q^(-ord(x1*x2*x3))",
+        "2*q^(-ord((x1 - 1)*x2^2*x3))*ord((x1 - 1)*x2^2*x3) + q^(-ord(x3))",
+        "q^(-ord(x1*(x2 - 3)) - ord(x2*x3^2))*ord(x1 + x2*x3)",
+    ],
+)
+def test_descent_equals_flat_scan_on_three_variables(text):
+    # products in two and three coordinates, where a zero's failing Taylor
+    # terms share one coordinate, over the ball and over random regions
+    f = parse_integrand(text)
+    prime = Prime(2)
+    rng = random.Random(text)
+    for regions in ([UNIT_BALL] * 3, [random_region(rng, prime) for _ in range(3)]):
+        domain = Domain([(f"x{i + 1}", K, region) for i, region in enumerate(regions)], prime)
+        for growth in ((1, -1, 0), (Fraction(3, 2), 0, 1)):
+            assert brute_force_integrate(f, domain, 3, growth=growth) == flat_oracle(f, domain, 3, growth=growth), (
+                domain.to_json(), growth,
+            )
+
 def test_descent_keeps_an_argument_in_both_coordinates_saturated():
     # ord(x1) refines x1 ahead of x2, and x1 + x2 is decided only below the
     # lesser of the two refinements, never the greater
@@ -310,19 +338,23 @@ CLASS_SUM_F = (
     st.sampled_from((2, 3, 5)),
     st.dictionaries(
         st.tuples(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(0, 14)),
-        st.integers(1, 5),
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
         max_size=8,
     ),
 )
 def test_class_sum_is_the_plain_fraction_sum(p, records):
-    # s up to 14 makes e - s negative; no records give 0
+    # s up to 14 makes e - s negative; no records give 0.  Each record has a
+    # count in classes and one in scans, either of them 0
     compiled = _Compiled([(t.coeff, t.q, t.factors) for t in CLASS_SUM_F.terms])
     coeffs = [c.eval_at(p) for c in compiled.coeffs]
     assert any(c.denominator != 1 for c in coeffs)
-    expected = Fraction(0)
-    for (values, s), count in records.items():
-        for coeff, (e, z) in zip(coeffs, compiled.powers(values)):
-            expected += count * coeff * z * Fraction(p) ** (e - s)
-    got = _class_sum(compiled, coeffs, Counter(records), p)
-    assert got == expected and got.__class__ is Fraction
-    assert _class_sum(compiled, coeffs, Counter(), p) == 0
+    classes, scans = Counter(), Counter()
+    expected = absolute = Fraction(0)
+    for (values, s), (count, scan) in records.items():
+        classes[values, s], scans[values, s] = count, scan
+        f = sum(coeff * z * Fraction(p) ** (e - s) for coeff, (e, z) in zip(coeffs, compiled.powers(values)))
+        expected += count * f
+        absolute += scan * abs(f)
+    got = _class_sums(compiled, coeffs, p, +classes, +scans)
+    assert got == (expected, absolute) and {x.__class__ for x in got} == {Fraction}
+    assert _class_sums(compiled, coeffs, p, Counter(), Counter()) == (0, 0)

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,36 @@ def test_a_variable_used_both_ways_is_refused():
     with pytest.raises(ValueError, match=clash):
         f * g
 
+
+
+def test_a_sum_built_one_term_at_a_time_walks_each_leaf_once(monkeypatch):
+    # + and scale carry the operands' sorts, so only the one-term operands
+    # walk their leaves: N additions walk N leaves.  Walking every term of
+    # the growing sum again walked about N^2 / 2 of them
+    engine = sys.modules[ConstructibleExpr.__module__]
+    walked = 0
+    leaves = engine._leaves
+
+    def spy(terms):
+        nonlocal walked
+        out = leaves(terms)
+        walked += len(out)
+        return out
+
+    monkeypatch.setattr(engine, "_leaves", spy)
+    half = AqElem.from_rational(Fraction(1, 2))
+    counts = []
+    for n in (50, 100, 200):
+        walked = 0
+        total = ConstructibleExpr.factor((0, {identity_lin("g1"): 1}))
+        for i in range(1, n):
+            x = OrdExpr(Polynomial.variable(0, 1), (f"x{i % 7 + 1}",))
+            total = total + ConstructibleExpr.factor((i, {x: 1})).scale(half)
+        counts.append(walked)
+        monkeypatch.setattr(engine, "_leaves", leaves)
+        assert list(total.sorts.items()) == list(ConstructibleExpr(total.terms).sorts.items())
+        monkeypatch.setattr(engine, "_leaves", spy)
+    assert counts == [50, 100, 200]
 
 def test_integrand_errors():
     with pytest.raises(ParseError):

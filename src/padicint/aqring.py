@@ -2,10 +2,11 @@
 
 Elements are stored as a Laurent polynomial numerator over the rationals
 and a multiset of denominator factors (1 - q^-i)^e.  Canonical form cancels
-every denominator factor that divides the numerator; equality is decided by
-comparing the numerators over the per-index maximum of the two
-denominators, as + puts them, which is sound because Laurent polynomials
-over Q form an integral domain.
+every denominator factor that divides the numerator.  One n-ary sum,
+AqElem.sum, adds numerators over the per-index maximum of their
+denominators and cancels once; + is its two-part case, and x == y when
+the numerator of x - y it builds is zero, which is sound because Laurent
+polynomials over Q form an integral domain.
 
 Whether (1 - q^-i) = q^-i (q^i - 1) divides a numerator N = sum n_e q^e is
 decided without dividing.  Modulo q^i - 1, q^e is q^(e mod i), for
@@ -28,17 +29,16 @@ or unit product, are stored as they are computed (LaurentPoly._reduced),
 without normalising their coefficients again.
 
 Terms are unreduced inside the symbolic engine: an integral's coefficient
-products (AqElem._times) cancel nothing, and its final sum
-(integrate._sum_terms) cancels once.  The reduced form of an intermediate
-coefficient never shows, and almost every cancellation tried on one would
-find nothing to cancel.  The public ring operations return canonical
-elements.
+products (AqElem._times) cancel nothing, and its final sum (AqElem.sum)
+cancels once.  The reduced form of an intermediate coefficient never
+shows, and almost every cancellation tried on one would find nothing to
+cancel.  The public ring operations return canonical elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .padic import Prime
 from .polys import polydiv as _polydiv  # perfbench/tracing.py wraps aqring._polydiv
@@ -273,6 +273,15 @@ class AqElem:
         """1 / (1 - q^-i)^e."""
         return cls(LaurentPoly.const(1), {i: e})
 
+    @classmethod
+    def sum(cls, parts: Iterable[tuple["AqElem", int, int]]) -> "AqElem":
+        """The sum of x * z * q^e over the parts (x, e, z), cancelled once,
+        which is where an integral of the symbolic engine cancels.  The
+        reduced form reached may differ from a fold's, as factors
+        (1 - q^-i) are not coprime."""
+        num, den = _common_numerator(parts)
+        return cls(LaurentPoly(num), den)
+
     # -- canonical form ----------------------------------------------------
 
     def _canonicalize(self):
@@ -304,8 +313,7 @@ class AqElem:
             return self
         if not self.num.coeffs:
             return other
-        a, b, merged = _over_common_den(self, other)
-        return AqElem(a + b, merged)
+        return AqElem.sum(((self, 0, 1), (other, 0, 1)))
 
     __radd__ = __add__
 
@@ -366,8 +374,8 @@ class AqElem:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, _ = _over_common_den(self, other)
-        return a == b
+        num, _ = _common_numerator(((self, 0, 1), (other, 0, -1)))
+        return not any(num.values())
 
     def __hash__(self):
         raise TypeError("AqElem is unhashable; equality compares over a common denominator")
@@ -434,13 +442,31 @@ def _times_den(poly: LaurentPoly, den: Mapping[int, int], have: Mapping[int, int
     return poly if coeffs is poly.coeffs else LaurentPoly(coeffs)
 
 
-def _over_common_den(x: AqElem, y: AqElem) -> tuple[LaurentPoly, LaurentPoly, dict[int, int]]:
-    """The numerators of x and y over the per-index maximum of their
-    denominators, and that denominator."""
-    merged = dict(x.den)
-    for i, e in y.den.items():
-        merged[i] = max(merged.get(i, 0), e)
-    return _times_den(x.num, merged, x.den), _times_den(y.num, merged, y.den), merged
+def _common_numerator(parts: Iterable[tuple[AqElem, int, int]]) -> tuple[dict[int, Rat], dict[int, int]]:
+    """The sum of x * z * q^e over the parts (x, e, z) as one numerator,
+    zeros kept, over the per-index maximum of their denominators, and that
+    denominator.  The numerators are added per distinct denominator (a key
+    sorted by index, as unreduced denominators are not sorted dicts), and
+    each group is lifted to the maximum once."""
+    groups: dict[tuple, dict] = {}
+    for x, e, z in parts:
+        if not z:
+            continue
+        acc = groups.setdefault(tuple(sorted(x.den.items())), {})
+        for ex, c in x.num.coeffs.items():
+            ex += e
+            c *= z
+            acc[ex] = acc[ex] + c if ex in acc else c
+    common: dict[int, int] = {}
+    for den in groups:
+        for i, e in den:
+            if e > common.get(i, 0):
+                common[i] = e
+    total: dict[int, Rat] = {}
+    for den, acc in groups.items():
+        for ex, c in _times_den(LaurentPoly._reduced(acc), common, dict(den)).coeffs.items():
+            total[ex] = total[ex] + c if ex in total else c
+    return total, common
 
 
 def _coerce(value) -> "AqElem":

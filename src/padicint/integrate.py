@@ -26,7 +26,7 @@ outer variables (prepared linear forms, modulus-1 cells only) are forms
 too, and produce one new term per power of the bound, which keeps the
 class closed under the iteration.  Terms are unreduced inside the engine:
 coefficient products and antidifference values cancel nothing, and the
-final sum (_sum_terms) cancels once per integral.
+final sum (AqElem.sum) cancels once per integral.
 
 A residue-class oracle integrates the same expressions numerically with
 certified error bounds, independently of the symbolic path: it walks the
@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .aqring import AqElem, LaurentPoly, _times_den
+from .aqring import AqElem, LaurentPoly
 from .errors import (
     BudgetExceeded,
     DivergentSum,
@@ -164,13 +164,18 @@ def _leaf_sorts(leaves: Iterable[Union[LinExpr, OrdExpr]]) -> dict[str, str]:
     sorts: dict[str, str] = {}
     for a in leaves:
         if isinstance(a, LinExpr):
-            sort, names = GAMMA_SORT, (a.var,)
+            _merge_sorts(sorts, (a.var,), GAMMA_SORT)
         else:
-            sort, names = K_SORT, a.vars
-        for v in names:
-            if sorts.setdefault(v, sort) != sort:
-                raise ValueError(f"{v} used both as field and value-group variable")
+            _merge_sorts(sorts, a.vars, K_SORT)
     return sorts
+
+
+def _merge_sorts(sorts: dict[str, str], names: Iterable[str], sort: str):
+    """Add the variables names at sort to sorts, in place; a variable that
+    sorts has at the other sort raises ValueError."""
+    for v in names:
+        if sorts.setdefault(v, sort) != sort:
+            raise ValueError(f"{v} used both as field and value-group variable")
 
 
 def _atom_value(a: Union[LinExpr, OrdExpr], point: dict, p: int) -> int:
@@ -256,8 +261,7 @@ class ConstructibleExpr:
         # rather than walk every term again
         sorts = dict(self.sorts)
         for v, sort in other.sorts.items():
-            if sorts.setdefault(v, sort) != sort:
-                raise ValueError(f"{v} used both as field and value-group variable")
+            _merge_sorts(sorts, (v,), sort)
         return ConstructibleExpr(self.terms + other.terms, sorts)
 
     def __neg__(self) -> "ConstructibleExpr":
@@ -505,38 +509,7 @@ def integrate(f: ConstructibleExpr, domain: Domain) -> AqElem:
     # every variable is summed out; the ord leaves left are constants
     compiled = _Compiled(terms)
     values = [_atom_value(a, {}, domain.prime.p) for a in compiled.atoms]
-    return _sum_terms((c, e, z) for c, (e, z) in zip(compiled.coeffs, compiled.powers(values)))
-
-
-def _sum_terms(parts: Iterable[tuple[AqElem, int, int]]) -> AqElem:
-    """The sum of coeff * z * q^e over the parts, cancelled once.  Terms
-    are unreduced inside the engine, so this is where an integral cancels:
-    the numerators are added per distinct denominator (a key sorted by
-    index, as unreduced denominators are not sorted dicts), each group is
-    put over the per-index maximum of all the denominators, and the one
-    numerator over it is canonicalised.  A part whose value-group sums all
-    ran over short concrete ranges has no denominator and joins the group
-    of Laurent polynomials.  The reduced form reached may differ from a
-    fold's, as factors (1 - q^-i) are not coprime."""
-    groups: dict[tuple, dict] = {}
-    for coeff, e, z in parts:
-        if not z:
-            continue
-        acc = groups.setdefault(tuple(sorted(coeff.den.items())), {})
-        for ex, c in coeff.num.coeffs.items():
-            ex += e
-            c *= z
-            acc[ex] = acc[ex] + c if ex in acc else c
-    common: dict[int, int] = {}
-    for den in groups:
-        for i, e in den:
-            if e > common.get(i, 0):
-                common[i] = e
-    total: dict = {}
-    for den, acc in groups.items():
-        for ex, c in _times_den(LaurentPoly._reduced(acc), common, dict(den)).coeffs.items():
-            total[ex] = total[ex] + c if ex in total else c
-    return AqElem(LaurentPoly(total), common)
+    return AqElem.sum((c, e, z) for c, (e, z) in zip(compiled.coeffs, compiled.powers(values)))
 
 
 def _integrate_field_var(terms: list, var: DomainVar, prime: Prime) -> list:

@@ -30,7 +30,7 @@ from .padic import (
     enumerate_residues,
     rational_ord,
 )
-from .polys import Polynomial, Rat, eval_terms, poly_mul, render_powers, trim
+from .polys import Polynomial, Rat, eval_terms, poly_eval, poly_mul, render_powers, trim
 
 
 class _Undetermined:
@@ -385,7 +385,7 @@ def _certify_shape(
             # each class's sum by Horner in p^|mi|, from its top k, or from
             # k = 0 when mi < 0
             step = p ** abs(mi)
-            if any(_horner(cls if mi < 0 else cls[::-1], step) for cls in classes):
+            if any(poly_eval(cls[::-1] if mi < 0 else cls, step) for cls in classes):
                 continue
             coef = Fraction(1, p**mi) if mi > 0 else p**-mi
             quot: list[Rat] = []
@@ -395,14 +395,6 @@ def _certify_shape(
             if rest is not None:
                 return sorted([(mi, Ni)] + rest, key=lambda s: (s[1], s[0]))
     return None
-
-
-def _horner(coeffs: list[int], x: int) -> int:
-    """sum coeffs[i] x^(len - 1 - i): the first coefficient is the highest."""
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
 
 
 # -- the bundled report --------------------------------------------------------

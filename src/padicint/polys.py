@@ -11,8 +11,9 @@ evaluation, shift, product, exact long division, and the finite
 differences behind the closed-form sums in the binomial basis.  They
 compute in the type they are given, so int input stays int; only the
 quotients of the long division are Fractions.  They serve
-presburger's weighted sums, the symbolic integrator, the Aq ring's
-canonical form and the Poincare fit.
+presburger's weighted sums, the symbolic integrator and the Poincare
+fit; the long division backs only LaurentPoly.divexact, the reference
+that the self-check holds the Aq ring's cancellation against.
 
 eval_terms evaluates an integer polynomial given as its int terms, and
 taylor_terms gives the Taylor coefficients of one in the same form, for
@@ -290,11 +291,12 @@ def trim(coeffs: list[Rat]) -> list[Rat]:
     return coeffs
 
 
-def poly_eval(coeffs: Sequence[Rat], x: Rat) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(list(coeffs)):
-        total = total * Fraction(x) + Fraction(c)
-    return total
+def poly_eval(coeffs: Sequence[Rat], x: Rat) -> Rat:
+    """sum coeffs[i] x^i by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def poly_shift(coeffs: Sequence[Rat], c: Rat) -> list[Rat]:

@@ -261,6 +261,25 @@ def test_times_den_is_the_generic_product(poly, den, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_sum_and_difference_are_the_direct_values(seed):
+    # + and - against the values random_built_elem computes directly, not
+    # against ==, which shares the ring's sum; an unreduced product is an
+    # operand too
+    rng = random.Random(seed)
+    (x, xv, *_), (y, yv, *_), (u, uv, *_) = (random_built_elem(rng) for _ in range(3))
+    operands = [(x, xv), (y, yv), (x._times(u), {p: xv[p] * uv[p] for p in xv})]
+    for a, av in operands:
+        for b, bv in operands:
+            total, difference = a + b, a - b
+            for p in (2, 3, 5):
+                assert total.eval_at(p) == av[p] + bv[p]
+                assert difference.eval_at(p) == av[p] - bv[p]
+        assert a == AqElem(a.num, dict(a.den))
+        assert (a + AqElem.zero()).render() == a.render()
+
+
+@settings(max_examples=60, deadline=None)
 @given(built_elems, built_elems)
 def test_stored_coefficients_stay_normalized(x, y):
     for elem in (x, y, x + y, x * y, x - y, AqElem(x.num * y.num, x.den)):

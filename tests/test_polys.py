@@ -146,6 +146,7 @@ def test_dense_helpers_keep_int_input_int(a, b, c):
     for d in difference_polys(a):
         assert _exact(d, {int})
     assert _exact(finite_differences(a), {int})
+    assert _exact([poly_eval(a, c)], {int})
     assert poly_eval(poly_mul(a, b), 3) == poly_eval(a, 3) * poly_eval(b, 3)
     assert poly_eval(poly_shift(a, c), 2) == poly_eval(a, 2 + c)
 

@@ -123,12 +123,6 @@ class LaurentPoly:
                 out[e] = out[e] + c if e in out else c
         return LaurentPoly(out)
 
-    def scale(self, c: Rat) -> "LaurentPoly":
-        c = Fraction(c)
-        if c == 0:
-            return LaurentPoly()
-        return LaurentPoly({e: cc * c for e, cc in self.coeffs.items()})
-
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()})

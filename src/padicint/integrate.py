@@ -28,15 +28,22 @@ class closed under the iteration.  Terms are unreduced inside the engine:
 coefficient products and antidifference values cancel nothing, and the
 final sum (AqElem.sum) cancels once per integral.
 
+The engine only eliminates.  An ord leaf that names no variable is read
+once, at set-up, in every term of nonzero coefficient: its valuation
+takes its place, and an ord of the zero polynomial raises there.  Every
+leaf left is removed when its variable is, so the terms that remain are
+constants and the final sum reads them directly.  p enters the engine
+only through rational_ord of a rational constant, in that set-up fold
+and in _reduce_ord.
+
 A residue-class oracle integrates the same expressions numerically with
 certified error bounds, independently of the symbolic path: it walks the
 boxes x0 + (p^k1 Z_p x ... x p^kn Z_p) as a tree, splitting one coordinate
 at a time, and sums a box once a Taylor test shows every valuation
-argument's ord constant on it, so f is too.  f is evaluated, there,
-in ConstructibleExpr.eval and for the constant leaves the integrator
-leaves, by one integer pass of the same forms indexed by leaf (_Compiled)
-over the leaf values.  Only the bound's tail sum is the closed form
-weighted_tail, evaluated at q = p.
+argument's ord constant on it, so f is too.  f is evaluated, there and
+in ConstructibleExpr.eval, by one integer pass of the same forms indexed
+by leaf (_Compiled) over the leaf values.  Only the bound's tail sum is
+the closed form weighted_tail, evaluated at q = p.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
 from .aqring import AqElem, LaurentPoly
@@ -179,9 +186,11 @@ def _merge_sorts(sorts: dict[str, str], names: Iterable[str], sort: str):
 
 
 def _atom_value(a: Union[LinExpr, OrdExpr], point: dict, p: int) -> int:
-    """The integer value of an ord or lin leaf at a point.  An ord leaf reads
-    only the variables its polynomial mentions; ord of zero raises
-    UndefinedAtPoint."""
+    """The integer value of an ord or lin leaf at a point, for point
+    evaluation (ConstructibleExpr.eval and the oracle) and for integrate's
+    one read of a leaf that names no variable, at the empty point.  An ord
+    leaf reads only the variables its polynomial mentions; ord of zero
+    raises UndefinedAtPoint."""
     if isinstance(a, LinExpr):
         if a.var not in point:
             raise DomainError(f"no value assigned to variable {a.var}")
@@ -314,7 +323,8 @@ class _Compiled:
     """The nonzero terms (coefficient, q-exponent form, factor forms) over
     their distinct ord and lin leaves (the atoms, first seen first), each
     form indexed as (c0, ((j, c_j), ...)): the terms at a point take one
-    integer pass over the atom values."""
+    integer pass over the atom values.  It serves point evaluation only
+    (ConstructibleExpr.eval and the oracle)."""
 
     __slots__ = ("coeffs", "atoms", "forms")
 
@@ -500,16 +510,24 @@ def integrate(f: ConstructibleExpr, domain: Domain) -> AqElem:
     (normalized so the unit ball has measure 1) and counting measure on
     value-group variables."""
     terms = _check_integrand(f, domain)
+    # each ord leaf that names no variable (a lin leaf always names one) is
+    # read once, here, where its term's coefficient is nonzero: ord(0)
+    # raises there, whatever the other factors.  A zero term keeps its leaves
+    live = [t for t in terms if not t[0].is_zero()]
+    subs = {a: (_atom_value(a, {}, domain.prime.p), {}) for a in _leaves(live) if not _leaf_vars((a,))}
+    if subs:
+        terms = [
+            t if t[0].is_zero()
+            else (t[0], _substitute(t[1], subs), tuple(_substitute(z, subs) for z in t[2]))
+            for t in terms
+        ]
     for var in reversed(domain.variables):
         if var.sort == K_SORT:
             terms = _integrate_field_var(terms, var, domain.prime)
         else:
-            terms = _integrate_gamma_var(terms, var, domain.prime)
-
-    # every variable is summed out; the ord leaves left are constants
-    compiled = _Compiled(terms)
-    values = [_atom_value(a, {}, domain.prime.p) for a in compiled.atoms]
-    return AqElem.sum((c, e, z) for c, (e, z) in zip(compiled.coeffs, compiled.powers(values)))
+            terms = [t for cell in var.region for t in _sum_over_gamma(terms, var.name, cell)]
+    # each leaf left the forms with its variable, so they are constants
+    return AqElem.sum((c, q[0], prod(z[0] for z in factors)) for c, q, factors in terms if not c.is_zero())
 
 
 def _integrate_field_var(terms: list, var: DomainVar, prime: Prime) -> list:
@@ -525,9 +543,9 @@ def _integrate_field_var(terms: list, var: DomainVar, prime: Prime) -> list:
         # only in it are one family, scaled by their number.
         families = Counter((c.center, c.gamma_cell(), -c.ac_depth) for c in var.region if c.ac_value.r != 0)
         fibers = [(*key, None if k == 1 else AqElem.from_rational(k)) for key, k in families.items()]
+    ords = [a for a in _leaves(terms) if isinstance(a, OrdExpr)]
     out: list = []
     for center, gcell, shell_q, shell_coeff in fibers:
-        ords = [a for a in _leaves(terms) if isinstance(a, OrdExpr)]
         subs = {a: _reduce_ord(a, var.name, center, gamma, prime) for a in ords}  # None: t is absent
         rewritten = []
         for coeff, q, factors in terms:
@@ -539,16 +557,12 @@ def _integrate_field_var(terms: list, var: DomainVar, prime: Prime) -> list:
                 tuple(_substitute(z, subs) for z in factors),
             ))
         try:
-            out.extend(_sum_over_gamma(rewritten, gamma.var, gcell, prime))
+            out.extend(_sum_over_gamma(rewritten, gamma.var, gcell))
         except DivergentSum:
             if gcell.lower is None:
                 raise InfiniteMeasure("integrand does not decay on a cell of infinite measure")
             raise
     return out
-
-
-def _integrate_gamma_var(terms: list, var: DomainVar, prime: Prime) -> list:
-    return [t for cell in var.region for t in _sum_over_gamma(terms, var.name, cell, prime)]
 
 
 def _reduce_ord(leaf: OrdExpr, var: str, center: Fraction, gamma: LinExpr, prime: Prime) -> Optional[Form]:
@@ -579,7 +593,7 @@ def _reduce_ord(leaf: OrdExpr, var: str, center: Fraction, gamma: LinExpr, prime
     return rational_ord(c0, prime.p), lin
 
 
-def _sum_over_gamma(terms: list, var: str, cell: GammaCell, prime: Prime) -> list:
+def _sum_over_gamma(terms: list, var: str, cell: GammaCell) -> list:
     """Sum the terms over one value-group variable ranging over a cell."""
     n, k = cell.mod, cell.res
 

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import time
@@ -5,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicint import (
@@ -31,8 +32,10 @@ from padicint import (
     eval_constructible,
     identity_lin,
     integrate,
+    rational_ord,
 )
 from padicint.aqring import LaurentPoly
+from padicint.cli import main
 from padicint.integrate import LinExpr, _Compiled, _range_sum
 from padicint.kcells import partition_unit_ball
 from padicint.parsing import parse_integrand, render_constructible
@@ -83,6 +86,47 @@ def test_eval_undefined_at_zero():
     # a zero coefficient shields the term
     shielded = ORD_X.scale(AqElem.zero()) + ONE
     assert eval_constructible(shielded, {"x1": Fraction(0)}, P2) == 1
+
+
+def test_an_ord_of_the_zero_polynomial_raises_whatever_its_other_factors(capsys, tmp_path):
+    # lin(0,1,1,-1;g2) + 1 is 0 on both members of the cell, 4 and 9, so
+    # the term's value-group sum vanishes; its ord(0) is read all the same
+    text = "(lin(0,1,1,-1;g2) + 1)^2*(-ord(x2-x2))"
+    domain = Domain([("g2", G, [GammaCell(3, 10, 5, 4)])], P3)
+    with pytest.raises(UndefinedAtPoint, match="zero polynomial"):
+        integrate(parse_integrand(text), domain)
+    assert integrate(parse_integrand("0*ord(x2-x2)"), domain) == 0
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(domain.to_json()))
+    assert main(["integrate", text, "--domain", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("UndefinedAtPoint") and "zero polynomial" in err
+
+
+# the positions an ord(c + 0*x1) takes: a q^(...) exponent, a factor and a
+# term of a parenthesised sum, around {v}, a leaf of the domain's variable
+_CONSTANT_ORD_TEMPLATES = (
+    "q^(-2*{v} + {o})*{v}",
+    "q^(-{v} - {o})*{o}*{v} + {o}*q^(-{v})",
+    "q^(-{v})*({v} - {o} + 2)^2",
+)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("leaf", ("ord(x1)", "lin(1,0,1,0;g1)"))
+def test_a_constant_ord_integrates_as_its_valuation(p, leaf):
+    # the engine reads ord(c + 0*x1) once, before the first elimination;
+    # over value-group variables only, no field variable is eliminated
+    prime = Prime(p)
+    if leaf == "ord(x1)":
+        domain = unit_ball_domain(prime)
+    else:
+        domain = Domain([("g1", G, [GammaCell(-1, None)]), ("g2", G, [GammaCell(-1, 4, 2, 1)])], prime)
+    for c in (1, -2, 12, -45, 250):
+        for template in _CONSTANT_ORD_TEMPLATES:
+            text = template.format(v=leaf, o=f"ord({c} + 0*x1)")
+            literal = template.format(v=leaf, o=rational_ord(c, p))
+            assert integrate(parse_integrand(text), domain) == integrate(parse_integrand(literal), domain), text
 
 
 def test_integrate_norm():
@@ -724,6 +768,7 @@ def _expanded(expr):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32))
+@example(42621035)  # a grouped ord(0) term whose lin sum vanishes
 def test_a_grouped_parse_integrates_as_its_expansion(seed):
     # a parenthesised integer sum is one factor in the parse; multiplied
     # out into single leaves, it integrates to the same element
@@ -780,9 +825,9 @@ def test_cells_that_differ_only_in_the_angular_value_share_one_sum(monkeypatch):
     calls = []
     sum_over_gamma = engine._sum_over_gamma
 
-    def spy(terms, var, cell, prime):
+    def spy(terms, var, cell):
         calls.append(cell)
-        return sum_over_gamma(terms, var, cell, prime)
+        return sum_over_gamma(terms, var, cell)
 
     monkeypatch.setattr(engine, "_sum_over_gamma", spy)
     P5 = Prime(5)

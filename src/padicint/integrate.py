@@ -28,13 +28,19 @@ class closed under the iteration.  Terms are unreduced inside the engine:
 coefficient products and antidifference values cancel nothing, and the
 final sum (AqElem.sum) cancels once per integral.
 
-The engine only eliminates.  An ord leaf that names no variable is read
-once, at set-up, in every term of nonzero coefficient: its valuation
-takes its place, and an ord of the zero polynomial raises there.  Every
-leaf left is removed when its variable is, so the terms that remain are
-constants and the final sum reads them directly.  p enters the engine
-only through rational_ord of a rational constant, in that set-up fold
-and in _reduce_ord.
+An integrand meets its domain once, in _check_integrand: a lin leaf
+reads its variable and an ord leaf the variables its polynomial mentions
+(ord(x3) reads x3 alone, though it names x1 and x2), and each variable
+read must be declared at the sort it is read at.  The check returns the
+terms of nonzero coefficient only, so a term of coefficient 0 is dropped
+before the engine or the oracle reads any of its leaves.
+
+The engine only eliminates.  An ord leaf that reads no variable is read
+once, at set-up: its valuation takes its place, and an ord of the zero
+polynomial raises there.  Every leaf left is removed when its variable
+is, so the terms that remain are constants and the final sum reads them
+directly.  p enters the engine only through rational_ord of a rational
+constant, in that set-up fold and in _reduce_ord.
 
 A residue-class oracle integrates the same expressions numerically with
 certified error bounds, independently of the symbolic path: it walks the
@@ -154,41 +160,26 @@ def _leaves(terms: Iterable[tuple[AqElem, Form, Sequence[Form]]]) -> dict:
     return out
 
 
-def _leaf_vars(leaves: Iterable[Union[LinExpr, OrdExpr]]) -> set[str]:
-    """The variables that ord and lin leaves read."""
-    out = set()
-    for a in leaves:
-        if isinstance(a, LinExpr):
-            out.add(a.var)
-        else:
-            out.update(name for i, name in enumerate(a.vars) if a.poly.mentions(i))
-    return out
-
-
 def _leaf_sorts(leaves: Iterable[Union[LinExpr, OrdExpr]]) -> dict[str, str]:
-    """The sort of each variable that ord and lin leaves name, first named
-    first; a variable named by both kinds raises ValueError."""
+    """The sort of each variable that ord and lin leaves read, first read
+    first: a lin leaf reads its variable, an ord leaf the variables its
+    polynomial mentions.  A variable read by both kinds raises ValueError."""
     sorts: dict[str, str] = {}
     for a in leaves:
         if isinstance(a, LinExpr):
-            _merge_sorts(sorts, (a.var,), GAMMA_SORT)
+            read, sort = (a.var,), GAMMA_SORT
         else:
-            _merge_sorts(sorts, a.vars, K_SORT)
+            read, sort = (name for i, name in enumerate(a.vars) if a.poly.mentions(i)), K_SORT
+        for v in read:
+            if sorts.setdefault(v, sort) != sort:
+                raise ValueError(f"{v} used both as field and value-group variable")
     return sorts
-
-
-def _merge_sorts(sorts: dict[str, str], names: Iterable[str], sort: str):
-    """Add the variables names at sort to sorts, in place; a variable that
-    sorts has at the other sort raises ValueError."""
-    for v in names:
-        if sorts.setdefault(v, sort) != sort:
-            raise ValueError(f"{v} used both as field and value-group variable")
 
 
 def _atom_value(a: Union[LinExpr, OrdExpr], point: dict, p: int) -> int:
     """The integer value of an ord or lin leaf at a point, for point
     evaluation (ConstructibleExpr.eval and the oracle) and for integrate's
-    one read of a leaf that names no variable, at the empty point.  An ord
+    one read of a leaf that reads no variable, at the empty point.  An ord
     leaf reads only the variables its polynomial mentions; ord of zero
     raises UndefinedAtPoint."""
     if isinstance(a, LinExpr):
@@ -235,14 +226,20 @@ class Term:
 
 
 class ConstructibleExpr:
-    """A finite sum of Terms, with the sort of each variable its leaves name.
-    +, *, ** and scale build new Terms, which share the operands' forms."""
+    """A finite sum of Terms, and nothing derived from them.  +, *, ** and
+    scale build new Terms, which share the operands' forms.  The sort of
+    each variable the leaves read is read on demand (sorts), so a
+    field/value-group clash raises where something reads it: free_vars,
+    eval, integrate and the oracle."""
 
-    def __init__(self, terms: Sequence[Term], sorts: Optional[dict[str, str]] = None):
+    def __init__(self, terms: Sequence[Term]):
         self.terms = list(terms)
-        if sorts is None:
-            sorts = _leaf_sorts(_leaves((t.coeff, t.q, t.factors) for t in self.terms))
-        self.sorts = sorts
+
+    @property
+    def sorts(self) -> dict[str, str]:
+        """{variable: sort} over the variables the leaves read, in walk order
+        (term by term, the q form, then the factors), zero terms included."""
+        return _leaf_sorts(_leaves((t.coeff, t.q, t.factors) for t in self.terms))
 
     # -- constructors -------------------------------------------------------
 
@@ -266,12 +263,7 @@ class ConstructibleExpr:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "ConstructibleExpr") -> "ConstructibleExpr":
-        # the sum names the operands' leaves, so it merges their sorts
-        # rather than walk every term again
-        sorts = dict(self.sorts)
-        for v, sort in other.sorts.items():
-            _merge_sorts(sorts, (v,), sort)
-        return ConstructibleExpr(self.terms + other.terms, sorts)
+        return ConstructibleExpr(self.terms + other.terms)
 
     def __neg__(self) -> "ConstructibleExpr":
         return self.scale(AqElem.from_rational(-1))
@@ -297,10 +289,10 @@ class ConstructibleExpr:
 
     def scale(self, aq: AqElem) -> "ConstructibleExpr":
         terms = [Term(t.coeff * aq, t.q, t.factors) for t in self.terms]
-        return ConstructibleExpr(terms, self.sorts)
+        return ConstructibleExpr(terms)
 
     def free_vars(self) -> set[str]:
-        return _leaf_vars(_leaves((t.coeff, t.q, t.factors) for t in self.terms))
+        return set(self.sorts)
 
     def __eq__(self, other):
         if not isinstance(other, ConstructibleExpr):
@@ -311,8 +303,12 @@ class ConstructibleExpr:
 
     def eval(self, point: dict, prime: Prime) -> Fraction:
         """Exact value at a fully instantiated point, with q = p: the integer
-        pass of _Compiled over the leaf values at the point."""
-        return _Compiled([(t.coeff, t.q, t.factors) for t in self.terms]).at(point, prime)
+        pass of _Compiled over the leaf values at the point.  Like
+        _check_integrand, it reads the sorts and drops the terms of
+        coefficient 0 before it reads a leaf."""
+        self.sorts  # a field/value-group clash raises here
+        live = [(t.coeff, t.q, t.factors) for t in self.terms if not t.coeff.is_zero()]
+        return _Compiled(live).at(point, prime)
 
 
 def eval_constructible(f: ConstructibleExpr, point: dict, prime: Prime) -> Fraction:
@@ -320,16 +316,15 @@ def eval_constructible(f: ConstructibleExpr, point: dict, prime: Prime) -> Fract
 
 
 class _Compiled:
-    """The nonzero terms (coefficient, q-exponent form, factor forms) over
-    their distinct ord and lin leaves (the atoms, first seen first), each
-    form indexed as (c0, ((j, c_j), ...)): the terms at a point take one
-    integer pass over the atom values.  It serves point evaluation only
-    (ConstructibleExpr.eval and the oracle)."""
+    """Terms (coefficient, q-exponent form, factor forms), all of nonzero
+    coefficient, over their distinct ord and lin leaves (the atoms, first
+    seen first), each form indexed as (c0, ((j, c_j), ...)): the terms at a
+    point take one integer pass over the atom values.  It serves point
+    evaluation only (ConstructibleExpr.eval and the oracle)."""
 
     __slots__ = ("coeffs", "atoms", "forms")
 
     def __init__(self, terms: Sequence[tuple[AqElem, Form, Sequence[Form]]]):
-        terms = [t for t in terms if not t[0].is_zero()]
         index: dict = {}
 
         def indexed(form: Form):
@@ -488,21 +483,24 @@ def _domain_cell_from_json(data) -> GammaCell:
 
 
 def _check_integrand(f: ConstructibleExpr, domain: Domain) -> list:
-    """Every variable of f is declared, with the sort f uses it at; returns
-    the terms of f as (coefficient, q form, factor forms)."""
-    terms = [(t.coeff, t.q, t.factors) for t in f.terms]
-    missing = _leaf_vars(_leaves(terms)) - set(domain.names())
+    """The one place an integrand meets its domain, for integrate and the
+    oracle.  It reads f's sorts once, over the variables its leaves read
+    (ord(x3) reads x3 alone), zero terms included: each must be declared,
+    at that sort.  It returns the terms of nonzero coefficient as
+    (coefficient, q form, factor forms), so nothing after it reads a
+    leaf of a zero term."""
+    sorts, declared = f.sorts, {v.name: v.sort for v in domain.variables}
+    missing = sorted(sorts.keys() - declared.keys())
     if missing:
-        raise DomainError(f"integrand mentions undeclared variables: {sorted(missing)}")
-    for name, sort in f.sorts.items():
-        for v in domain.variables:
-            if v.name == name and v.sort != sort:
-                used = "value-group" if sort == GAMMA_SORT else "field"
-                raise DomainError(
-                    f"variable {name} has sort {v.sort} in the domain, "
-                    f"but the integrand uses it as a {used} variable"
-                )
-    return terms
+        raise DomainError(f"integrand mentions undeclared variables: {missing}")
+    for name, sort in sorts.items():
+        if declared[name] != sort:
+            used = "value-group" if sort == GAMMA_SORT else "field"
+            raise DomainError(
+                f"variable {name} has sort {declared[name]} in the domain, "
+                f"but the integrand uses it as a {used} variable"
+            )
+    return [(t.coeff, t.q, t.factors) for t in f.terms if not t.coeff.is_zero()]
 
 
 def integrate(f: ConstructibleExpr, domain: Domain) -> AqElem:
@@ -510,24 +508,18 @@ def integrate(f: ConstructibleExpr, domain: Domain) -> AqElem:
     (normalized so the unit ball has measure 1) and counting measure on
     value-group variables."""
     terms = _check_integrand(f, domain)
-    # each ord leaf that names no variable (a lin leaf always names one) is
-    # read once, here, where its term's coefficient is nonzero: ord(0)
-    # raises there, whatever the other factors.  A zero term keeps its leaves
-    live = [t for t in terms if not t[0].is_zero()]
-    subs = {a: (_atom_value(a, {}, domain.prime.p), {}) for a in _leaves(live) if not _leaf_vars((a,))}
+    # each ord leaf that reads no variable (a lin leaf always reads one) is
+    # read once, here: ord(0) raises there, whatever the other factors
+    subs = {a: (_atom_value(a, {}, domain.prime.p), {}) for a in _leaves(terms) if not _leaf_sorts((a,))}
     if subs:
-        terms = [
-            t if t[0].is_zero()
-            else (t[0], _substitute(t[1], subs), tuple(_substitute(z, subs) for z in t[2]))
-            for t in terms
-        ]
+        terms = [(c, _substitute(q, subs), tuple(_substitute(z, subs) for z in factors)) for c, q, factors in terms]
     for var in reversed(domain.variables):
         if var.sort == K_SORT:
             terms = _integrate_field_var(terms, var, domain.prime)
         else:
             terms = [t for cell in var.region for t in _sum_over_gamma(terms, var.name, cell)]
     # each leaf left the forms with its variable, so they are constants
-    return AqElem.sum((c, q[0], prod(z[0] for z in factors)) for c, q, factors in terms if not c.is_zero())
+    return AqElem.sum((c, q[0], prod(z[0] for z in factors)) for c, q, factors in terms)
 
 
 def _integrate_field_var(terms: list, var: DomainVar, prime: Prime) -> list:
@@ -632,8 +624,6 @@ def _sum_over_gamma(terms: list, var: str, cell: GammaCell) -> list:
 
     out: list = []
     for coeff, q, factors in terms:
-        if coeff.is_zero():
-            continue
         e0, e1, qrest = split(q)
         factor_pieces = []  # each factor as c + s*tau and the rest, dropping a zero side
         for fac in factors:

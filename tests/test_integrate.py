@@ -103,6 +103,49 @@ def test_an_ord_of_the_zero_polynomial_raises_whatever_its_other_factors(capsys,
     assert err.startswith("UndefinedAtPoint") and "zero polynomial" in err
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_a_zero_term_is_dropped_before_its_leaves_are_read(p, capsys, tmp_path):
+    # ord(x1 + x1^2) is not a monomial in x1 on the unit ball, but its term
+    # has coefficient 0: the check drops it, so the engine never reduces it
+    text = "0*ord(x1+x1^2) + 1"
+    domain = unit_ball_domain(Prime(p))
+    got = integrate(parse_integrand(text), domain)
+    assert got == 1
+    oracle = brute_force_integrate(parse_integrand(text), domain, 2)
+    assert (oracle.value, oracle.tail_bound, oracle.skipped) == (got.eval_at(Prime(p)), 0, 0)
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(domain.to_json()))
+    assert main(["integrate", text, "--domain", str(path)]) == 0
+    assert capsys.readouterr().out == f"1 = 1 at q = {p}\n"
+    # a leaf scaled by 0 inside parentheses is still read: (0*ord(...)) is
+    # the factor form 0 + 0*ord(...) of a term of coefficient 1
+    with pytest.raises(NotFiberReducible, match="not a monomial"):
+        integrate(parse_integrand("(0*ord(x1+x1^2)) + 1"), domain)
+    with pytest.raises(UndefinedAtPoint, match="zero polynomial"):
+        integrate(parse_integrand("(0*ord(x2-x2))"), domain)
+
+
+def test_a_zero_term_still_meets_the_domain():
+    domain = unit_ball_domain(P3)
+    undeclared = ORD_X.scale(AqElem.zero()) + ONE
+    wrong_sort = ConstructibleExpr.factor((0, {identity_lin("x1"): 1})).scale(AqElem.zero()) + ONE
+    for run in (integrate, lambda f, d: brute_force_integrate(f, d, 2)):
+        with pytest.raises(DomainError, match=r"undeclared variables: \['x1'\]"):
+            run(undeclared, unit_ball_domain(P3, "x2"))
+        with pytest.raises(DomainError, match="x1 has sort K in the domain"):
+            run(wrong_sort, domain)
+
+
+def test_only_the_variables_a_leaf_reads_meet_the_domain():
+    # ord(x3) names x1 and x2 too, but its polynomial reads x3 alone, so
+    # x1 may be a value-group variable of the domain
+    text = "q^(-ord(x3))"
+    domain = Domain([("x1", G, [GammaCell(-1, 2)]), ("x3", K, UNIT_BALL)], P3)
+    assert integrate(parse_integrand(text), domain) == integrate(
+        parse_integrand(f"2*{text}"), unit_ball_domain(P3, "x3")
+    )
+
+
 # the positions an ord(c + 0*x1) takes: a q^(...) exponent, a factor and a
 # term of a parenthesised sum, around {v}, a leaf of the domain's variable
 _CONSTANT_ORD_TEMPLATES = (
